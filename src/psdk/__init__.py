@@ -75,7 +75,6 @@ from .linalg import (
     CholFactor,
     IndexSet,
     SpectralPair,
-    annihilation_order,
     eigh_topk,
     lq_givens,
     procrustes_sign,
@@ -98,8 +97,6 @@ from .manifold import (
 )
 from .models import (
     RngStream,
-    SignalSpec,
-    build_signal,
     derive_stream_id,
     extrinsic_samples,
     factor_noise_samples,
@@ -110,15 +107,12 @@ from .models import (
     spiked_covariance,
 )
 from .perturbation import (
-    FactorBlocks,
-    NoiseBlocks,
     eigvec_first_order,
     equivalent_factor_noise,
     factor_alignment,
     karcher_factor_first_order,
     lq_first_order,
     skew_generator,
-    strict_upper,
 )
 
 __version__ = "0.1.0"
@@ -130,14 +124,12 @@ __all__ = [
     "DpcaResult",
     "EmptyInputError",
     "ExperimentConfig",
-    "FactorBlocks",
     "IndexSet",
     "IndexSetMismatchError",
     "InsufficientPointsError",
     "LocalSummary",
     "LogCholFactor",
     "LowRankPsd",
-    "NoiseBlocks",
     "NonPositiveDiagonalError",
     "NonPositiveSpectrumError",
     "NotInManifoldError",
@@ -148,14 +140,11 @@ __all__ = [
     "RngStream",
     "RunRecord",
     "ShapeMismatchError",
-    "SignalSpec",
     "SingularMatrixError",
     "SlopeFit",
     "SpectralPair",
     "ZeroGapError",
     "ZeroGapWarning",
-    "annihilation_order",
-    "build_signal",
     "default_config",
     "derive_stream_id",
     "dpca_bw",
@@ -198,7 +187,6 @@ __all__ = [
     "skew_generator",
     "slope_fit",
     "spiked_covariance",
-    "strict_upper",
     "summarize_covariance",
     "support_mask",
     "to_matrix",

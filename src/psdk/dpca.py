@@ -32,7 +32,7 @@ from .exceptions import (
     ZeroGapWarning,
 )
 from .linalg import IndexSet, eigh_topk, pivot_threshold
-from .manifold import LowRankPsd, karcher_mean, membership, _describe_failure
+from .manifold import LowRankPsd, karcher_mean, membership
 
 
 @dataclass

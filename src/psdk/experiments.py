@@ -19,11 +19,13 @@ column is fixed at 0 to keep output byte-reproducible; measured timings go
 to stderr instead.
 """
 
+import functools
 import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -330,6 +332,15 @@ def slope_fit(points):
 # ---------------------------------------------------------------------------
 # runner plumbing
 
+class _Job(NamedTuple):
+    """One unit of work: a progress group, a label for logs and errors, and
+    the arguments of the experiment's work function."""
+
+    group: str
+    where: str
+    args: tuple
+
+
 def _stream(cfg, *parts):
     return RngStream(cfg.master_seed, derive_stream_id(*parts))
 
@@ -347,16 +358,54 @@ def _log(msg):
     print(f"[psdk] {msg}", file=sys.stderr)
 
 
-def _annotate(err, where):
-    return type(err)(f"{where}: {err}")
+def _runner(experiment):
+    """Runner skeleton shared by every experiment, as a decorator over its plan.
+
+    The plan maps a checked config to `(jobs, work)`. The decorated runner
+    `(cfg, progress=False) -> records` validates `cfg` and its experiment
+    name, runs `work(job.where, *job.args)` for every job through
+    `_run_ordered`, prefixes any PsdkError with the job's `where`, and
+    returns the records in job order. With `progress`, the measured time
+    per job group goes to stderr.
+    """
+
+    def decorate(plan):
+        @functools.wraps(plan)
+        def run(cfg, progress=False):
+            cfg.validate()
+            if cfg.experiment != experiment:
+                raise ConfigError(f"config is for {cfg.experiment!r}, not {experiment}")
+            jobs, work = plan(cfg)
+
+            def worker(job):
+                tick = time.perf_counter()
+                try:
+                    recs = work(job.where, *job.args)
+                except PsdkError as err:
+                    raise type(err)(f"{job.where}: {err}") from err
+                return recs, time.perf_counter() - tick
+
+            records = []
+            elapsed = {}
+            for job, (recs, secs) in zip(jobs, _run_ordered(worker, jobs, cfg.threads)):
+                records.extend(recs)
+                done, count = elapsed.get(job.group, (0.0, 0))
+                elapsed[job.group] = (done + secs, count + 1)
+            if progress:
+                for group, (secs, count) in elapsed.items():
+                    _log(f"{experiment} {group}: {count} repetitions in {secs:.1f}s")
+            return records
+
+        return run
+
+    return decorate
 
 
 def _reselect_index(matrices, rank, failed_idx):
     """Anchor rows from the first matrix that fails membership at `failed_idx`.
 
-    Implements the retry policy for Karcher aggregation failures: the
-    offending element's own spectral frame drives `find_index`. Returns None
-    when nothing fails or no admissible rows exist.
+    The offending element's own spectral frame drives `find_index`. Returns
+    None when nothing fails or no admissible rows exist.
     """
     for mat in matrices:
         if not manifold.membership(mat, rank, failed_idx)[0]:
@@ -368,10 +417,68 @@ def _reselect_index(matrices, rank, failed_idx):
     return None
 
 
+def _aggregate_or_skip(aggregate, index_set, matrices, cfg, where, method):
+    """The retry/skip policy for a Karcher aggregation; None means skipped.
+
+    Calls `aggregate(index_set)`. If that fails membership and the config
+    does not pin canonical rows, rows are reselected from the p x p inputs
+    that `matrices()` builds (only now, on failure) and the aggregation runs
+    once more, logging "retried with rows". Without new rows, or on a second
+    failure, logs "skipped:" with the last error.
+    """
+    try:
+        return aggregate(index_set)
+    except NotInManifoldError as err:
+        last = err
+    if cfg.index_mode != "canonical":
+        alt = _reselect_index(matrices(), cfg.K, index_set)
+        if alt is not None and alt != index_set:
+            try:
+                result = aggregate(alt)
+                _log(f"{where}: {method} retried with rows {tuple(alt)}")
+                return result
+            except NotInManifoldError as err:
+                last = err
+    _log(f"{where}: {method} skipped: {last}")
+    return None
+
+
+def _oracle_rows(mat, rank):
+    pair = eigh_topk(mat, rank)
+    return dpca_mod.find_index(pair.vectors, pair.values, rank)
+
+
+def _signal(cfg, p, stream):
+    """A Gaussian-SVD signal, anchored at its own find_index rows in oracle mode."""
+    sig = models.gaussian_svd_signal(p, cfg.K, stream)
+    if cfg.index_mode == "find_index_oracle":
+        sig = LowRankPsd(sig.matrix, cfg.K, _oracle_rows(sig.matrix, cfg.K))
+    return sig
+
+
+def _mean_rows(cfg, where, samples, truth, row):
+    """Karcher (under the retry policy) and Euclid rows, each scored by the
+    Frobenius distance to `truth`; `row` carries every other column."""
+
+    def aggregate(index_set):
+        return manifold.karcher_mean(
+            [LowRankPsd(s.matrix, cfg.K, index_set) for s in samples]
+        )
+
+    karcher = _aggregate_or_skip(aggregate, samples[0].index_set,
+                                 lambda: [s.matrix for s in samples],
+                                 cfg, where, "karcher")
+    means = [] if karcher is None else [("karcher", karcher)]
+    means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
+    return [replace(row, method=method, error=float(np.linalg.norm(mean.matrix - truth)))
+            for method, mean in means]
+
+
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def run_intrinsic(cfg, progress=False):
+@_runner("intrinsic_avg")
+def run_intrinsic(cfg):
     """Karcher vs Euclidean averaging under log-factor noise.
 
     For each p in the p grid and each repetition, draws a fresh signal; for
@@ -382,229 +489,130 @@ def run_intrinsic(cfg, progress=False):
     reselected rows when the index mode permits, else logged and skipped;
     the Euclidean row is recorded either way.
     """
-    cfg.validate()
-    if cfg.experiment != "intrinsic_avg":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not intrinsic_avg")
     p_grid = cfg.p_grid or (cfg.p,)
     sigma = math.sqrt(cfg.sigma_sq)
-
-    signals = {}
-    for pi, p in enumerate(p_grid):
-        for rep in range(cfg.repetitions):
-            sig = models.gaussian_svd_signal(p, cfg.K, _stream(cfg, 0, pi, rep))
-            if cfg.index_mode == "find_index_oracle":
-                pair = eigh_topk(sig.matrix, cfg.K)
-                idx = dpca_mod.find_index(pair.vectors, pair.values, cfg.K)
-                sig = LowRankPsd(sig.matrix, cfg.K, idx)
-            signals[(pi, rep)] = sig
-
+    signals = {
+        (pi, rep): _signal(cfg, p, _stream(cfg, 0, pi, rep))
+        for pi, p in enumerate(p_grid)
+        for rep in range(cfg.repetitions)
+    }
     jobs = [
-        (pi, p, mi, m_count, rep)
+        _Job(f"p={p} M={m_count}",
+             f"intrinsic_avg grid point p={p}, M={m_count}, repetition {rep}",
+             (pi, p, mi, m_count, rep))
         for pi, p in enumerate(p_grid)
         for mi, m_count in enumerate(cfg.M_grid)
         for rep in range(cfg.repetitions)
     ]
 
-    def worker(job):
-        pi, p, mi, m_count, rep = job
-        tick = time.perf_counter()
+    def work(where, pi, p, mi, m_count, rep):
         sig = signals[(pi, rep)]
         stream = _stream(cfg, 1, pi, mi, rep)
-        where = f"intrinsic_avg grid point p={p}, M={m_count}, repetition {rep}"
-        recs = []
-        try:
-            samples = models.intrinsic_samples(sig, sigma, m_count, stream)
-            try:
-                mean = _karcher_with_retry(samples, cfg.K, cfg.index_mode, where)
-                recs.append(
-                    RunRecord("intrinsic_avg", "karcher", p, cfg.K, m_count, 0,
-                              cfg.sigma_sq, rep, stream.stream_id,
-                              float(np.linalg.norm(mean.matrix - sig.matrix)))
-                )
-            except NotInManifoldError as err:
-                _log(f"{where}: karcher skipped: {err}")
-            euclid = dpca_mod.euclid_rankk_mean(samples, cfg.K)
-            recs.append(
-                RunRecord("intrinsic_avg", "euclid", p, cfg.K, m_count, 0,
-                          cfg.sigma_sq, rep, stream.stream_id,
-                          float(np.linalg.norm(euclid.matrix - sig.matrix)))
-            )
-        except PsdkError as err:
-            raise _annotate(err, where) from err
-        return recs, time.perf_counter() - tick
+        samples = models.intrinsic_samples(sig, sigma, m_count, stream)
+        row = RunRecord("intrinsic_avg", "", p, cfg.K, m_count, 0, cfg.sigma_sq,
+                        rep, stream.stream_id, 0.0)
+        return _mean_rows(cfg, where, samples, sig.matrix, row)
 
-    return _collect(cfg, jobs, worker, progress,
-                    label=lambda job: f"p={job[1]} M={job[3]}")
+    return jobs, work
 
 
-def run_dpca(cfg, progress=False):
+@_runner("dpca")
+def run_dpca(cfg):
     """One-shot distributed PCA over an (M, n) grid on spiked-covariance data.
 
     One population covariance is drawn per run. Per repetition and grid
     point, M machines each observe n Gaussian samples; the four aggregators
     run on the same draws and are scored by projector distance to the true
     leading eigenspace. A Karcher aggregation that fails membership is
-    logged to stderr and its row skipped; the other methods still report.
+    retried once with rows reselected from the first offending machine,
+    unless the index mode is canonical; if that is impossible or fails too,
+    it is logged to stderr and its row skipped. The other methods still
+    report.
     """
-    cfg.validate()
-    if cfg.experiment != "dpca":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not dpca")
     cov, basis = models.spiked_covariance(cfg.p, cfg.K, _stream(cfg, 0, 0, 0))
     oracle_idx = None
     if cfg.index_mode == "find_index_oracle":
-        pair = eigh_topk(cov, cfg.K)
-        oracle_idx = dpca_mod.find_index(pair.vectors, pair.values, cfg.K)
-
+        oracle_idx = _oracle_rows(cov, cfg.K)
     grid = [(m_count, n) for m_count in cfg.M_grid for n in cfg.n_grid]
     jobs = [
-        (gi, m_count, n, rep)
+        _Job(f"M={m_count} n={n}",
+             f"dpca grid point M={m_count}, n={n}, repetition {rep}",
+             (gi, m_count, n, rep))
         for gi, (m_count, n) in enumerate(grid)
         for rep in range(cfg.repetitions)
     ]
 
-    def worker(job):
-        gi, m_count, n, rep = job
-        tick = time.perf_counter()
-        where = f"grid point M={m_count}, n={n}, repetition {rep}"
-        try:
-            covs = [
-                models.sample_cov(
-                    models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
-                )
-                for m in range(m_count)
-            ]
-            summaries = [
-                dpca_mod.summarize_covariance(c, cfg.K, m) for m, c in enumerate(covs)
-            ]
-            if cfg.index_mode == "canonical":
-                idx = IndexSet.canonical(cfg.K)
-            elif cfg.index_mode == "find_index_oracle":
-                idx = oracle_idx
-            else:
-                idx = dpca_mod.find_index(
-                    summaries[0].vectors, summaries[0].values, cfg.K
-                )
-            results = [dpca_mod.full_pca(covs, cfg.K)]
-            surrogates = []
-            for s in summaries:
-                mat = (s.vectors * s.values**2) @ s.vectors.T
-                surrogates.append(0.5 * (mat + mat.T))
-            try:
-                results.append(dpca_mod.lrc_dpca(summaries, cfg.K, idx))
-            except NotInManifoldError as err:
-                # A failed aggregation is retried once with rows reselected
-                # from the offending machine, unless the config pinned the
-                # canonical rows; a second failure skips the row and logs.
-                alt = None
-                if cfg.index_mode != "canonical":
-                    alt = _reselect_index(surrogates, cfg.K, idx)
-                done = False
-                if alt is not None and alt != idx:
-                    try:
-                        results.append(dpca_mod.lrc_dpca(summaries, cfg.K, alt))
-                        _log(f"dpca {where}: lrc retried with rows {tuple(alt)}")
-                        done = True
-                    except NotInManifoldError as err2:
-                        err = err2
-                if not done:
-                    _log(f"dpca {where}: lrc skipped: {err}")
-            results.append(dpca_mod.dpca_fan(summaries, cfg.K))
-            results.append(dpca_mod.dpca_bw(summaries, cfg.K))
-        except PsdkError as err:
-            raise _annotate(err, where) from err
-        seed0 = derive_stream_id(2, gi, rep, 0)
-        recs = [
-            RunRecord("dpca", res.method, cfg.p, cfg.K, m_count, n,
-                      cfg.sigma_sq, rep, seed0,
-                      projector_distance(res.basis, basis))
-            for res in results
+    def work(where, gi, m_count, n, rep):
+        covs = [
+            models.sample_cov(
+                models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
+            )
+            for m in range(m_count)
         ]
-        return recs, time.perf_counter() - tick
+        summaries = [
+            dpca_mod.summarize_covariance(c, cfg.K, m) for m, c in enumerate(covs)
+        ]
+        if cfg.index_mode == "canonical":
+            idx = IndexSet.canonical(cfg.K)
+        elif cfg.index_mode == "find_index_oracle":
+            idx = oracle_idx
+        else:
+            idx = dpca_mod.find_index(summaries[0].vectors, summaries[0].values, cfg.K)
 
-    return _collect(cfg, jobs, worker, progress,
-                    label=lambda job: f"M={job[1]} n={job[2]}")
+        def surrogates():
+            mats = [(s.vectors * s.values**2) @ s.vectors.T for s in summaries]
+            return [0.5 * (mat + mat.T) for mat in mats]
+
+        results = [dpca_mod.full_pca(covs, cfg.K)]
+        lrc = _aggregate_or_skip(
+            lambda rows: dpca_mod.lrc_dpca(summaries, cfg.K, rows),
+            idx, surrogates, cfg, where, "lrc",
+        )
+        if lrc is not None:
+            results.append(lrc)
+        results += [dpca_mod.dpca_fan(summaries, cfg.K), dpca_mod.dpca_bw(summaries, cfg.K)]
+        row = RunRecord("dpca", "", cfg.p, cfg.K, m_count, n, cfg.sigma_sq, rep,
+                        derive_stream_id(2, gi, rep, 0), 0.0)
+        return [replace(row, method=res.method, error=projector_distance(res.basis, basis))
+                for res in results]
+
+    return jobs, work
 
 
-def _karcher_with_retry(samples, rank, index_mode, where):
-    """Karcher mean with one row-reselection retry when the mode permits it."""
-    try:
-        return manifold.karcher_mean(samples)
-    except NotInManifoldError:
-        if index_mode == "canonical":
-            raise
-        alt = _reselect_index([s.matrix for s in samples], rank,
-                              samples[0].index_set)
-        if alt is None or alt == samples[0].index_set:
-            raise
-        retagged = [LowRankPsd(s.matrix, rank, alt) for s in samples]
-        mean = manifold.karcher_mean(retagged)
-        _log(f"{where}: karcher retried with rows {tuple(alt)}")
-        return mean
-
-
-def run_extrinsic(cfg, progress=False):
+@_runner("extrinsic_avg")
+def run_extrinsic(cfg):
     """Karcher vs Euclidean averaging of data-observed factor-noise samples.
 
     Two sweeps share one run: the M grid at the configured sigma_sq, then
     the sigma grid at M_fixed. Error is the Frobenius distance between each
-    mean and the repetition's signal.
+    mean and the repetition's signal; failed Karcher means follow the same
+    retry/skip policy as intrinsic_avg.
     """
-    cfg.validate()
-    if cfg.experiment != "extrinsic_avg":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not extrinsic_avg")
     grid = [(m_count, cfg.sigma_sq) for m_count in cfg.M_grid]
     grid += [(cfg.M_fixed, s2) for s2 in cfg.sigma_grid]
-
-    signals = {}
-    for rep in range(cfg.repetitions):
-        sig = models.gaussian_svd_signal(cfg.p, cfg.K, _stream(cfg, 0, rep, 0))
-        if cfg.index_mode == "find_index_oracle":
-            pair = eigh_topk(sig.matrix, cfg.K)
-            idx = dpca_mod.find_index(pair.vectors, pair.values, cfg.K)
-            sig = LowRankPsd(sig.matrix, cfg.K, idx)
-        signals[rep] = sig
-
+    signals = [_signal(cfg, cfg.p, _stream(cfg, 0, rep, 0))
+               for rep in range(cfg.repetitions)]
     jobs = [
-        (gi, m_count, s2, rep)
+        _Job(f"M={m_count} sigma_sq={s2}",
+             f"extrinsic_avg grid point M={m_count}, sigma_sq={s2}, repetition {rep}",
+             (gi, m_count, s2, rep))
         for gi, (m_count, s2) in enumerate(grid)
         for rep in range(cfg.repetitions)
     ]
 
-    def worker(job):
-        gi, m_count, s2, rep = job
-        tick = time.perf_counter()
-        where = f"extrinsic_avg grid point M={m_count}, sigma_sq={s2}, repetition {rep}"
+    def work(where, gi, m_count, s2, rep):
         sig = signals[rep]
         stream = _stream(cfg, 1, gi, rep)
-        recs = []
-        try:
-            samples = models.extrinsic_samples(
-                sig, s2, m_count, stream, n_inner=cfg.n_inner
-            )
-            try:
-                mean = _karcher_with_retry(samples, cfg.K, cfg.index_mode, where)
-                recs.append(
-                    RunRecord("extrinsic_avg", "karcher", cfg.p, cfg.K, m_count,
-                              cfg.n_inner, s2, rep, stream.stream_id,
-                              float(np.linalg.norm(mean.matrix - sig.matrix)))
-                )
-            except NotInManifoldError as err:
-                _log(f"{where}: karcher skipped: {err}")
-            euclid = dpca_mod.euclid_rankk_mean(samples, cfg.K)
-            recs.append(
-                RunRecord("extrinsic_avg", "euclid", cfg.p, cfg.K, m_count,
-                          cfg.n_inner, s2, rep, stream.stream_id,
-                          float(np.linalg.norm(euclid.matrix - sig.matrix)))
-            )
-        except PsdkError as err:
-            raise _annotate(err, where) from err
-        return recs, time.perf_counter() - tick
+        samples = models.extrinsic_samples(sig, s2, m_count, stream, n_inner=cfg.n_inner)
+        row = RunRecord("extrinsic_avg", "", cfg.p, cfg.K, m_count, cfg.n_inner, s2,
+                        rep, stream.stream_id, 0.0)
+        return _mean_rows(cfg, where, samples, sig.matrix, row)
 
-    return _collect(cfg, jobs, worker, progress,
-                    label=lambda job: f"M={job[1]} sigma_sq={job[2]}")
+    return jobs, work
 
 
-def run_perturb_order(cfg, progress=False):
+@_runner("perturb_order")
+def run_perturb_order(cfg):
     """Remainder magnitudes of the first-order expansions across a noise grid.
 
     Per repetition, draws one random decomposition instance and one random
@@ -612,41 +620,26 @@ def run_perturb_order(cfg, progress=False):
     the grid, and records max-norm remainders: prediction vs exact
     recomputation. The sigma_sq column carries epsilon.
     """
-    cfg.validate()
-    if cfg.experiment != "perturb_order":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not perturb_order")
+    kinds = ("lq", "karcher_factor")
+    jobs = [_Job(kinds[kind], f"perturb_order {kinds[kind]} repetition {rep}", (kind, rep))
+            for kind in (0, 1) for rep in range(cfg.repetitions)]
 
-    jobs = [(kind, rep) for kind in (0, 1) for rep in range(cfg.repetitions)]
-
-    def worker(job):
-        kind, rep = job
-        tick = time.perf_counter()
+    def work(where, kind, rep):
         stream = _stream(cfg, kind, rep)
         gen = stream.generator()
+        row = RunRecord("perturb_order", "", cfg.p, cfg.K, 0, 0, 0.0, rep,
+                        stream.stream_id, 0.0)
         recs = []
         if kind == 0:
-            k = cfg.K
-            tril = np.tril(gen.normal(size=(k, k)))
-            np.fill_diagonal(tril, 1.0 + np.abs(gen.normal(size=k)))
-            orth = np.linalg.qr(gen.normal(size=(k, k)))[0]
-            noise = gen.normal(size=(k, k))
-            noise /= np.max(np.abs(noise))
+            tril, orth, noise = _lq_instance(gen, cfg.K)
             base = tril @ orth
             for eps in cfg.eps_grid:
                 exact_tri, exact_orth = lq_givens(base + eps * noise)
-                pred_orth, pred_tri = perturbation.lq_first_order(
-                    tril, orth, eps * noise
-                )
-                recs.append(
-                    RunRecord("perturb_order", "lq_rotation", cfg.p, k, 0, 0,
-                              eps, rep, stream.stream_id,
-                              float(np.max(np.abs(exact_orth - pred_orth))))
-                )
-                recs.append(
-                    RunRecord("perturb_order", "lq_factor", cfg.p, k, 0, 0,
-                              eps, rep, stream.stream_id,
-                              float(np.max(np.abs(exact_tri - pred_tri))))
-                )
+                pred_orth, pred_tri = perturbation.lq_first_order(tril, orth, eps * noise)
+                for method, diff in (("lq_rotation", exact_orth - pred_orth),
+                                     ("lq_factor", exact_tri - pred_tri)):
+                    recs.append(replace(row, method=method, sigma_sq=eps,
+                                        error=float(np.max(np.abs(diff)))))
         else:
             p, k, count = cfg.p, cfg.K, 5
             entries = 0.5 * gen.normal(size=(p, k))
@@ -663,30 +656,20 @@ def run_perturb_order(cfg, progress=False):
                     manifold.karcher_mean(models.factor_noise_samples(factor, scaled))
                 )
                 pred = perturbation.karcher_factor_first_order(factor, scaled)
-                recs.append(
-                    RunRecord("perturb_order", "karcher_factor", p, k, count, 0,
-                              eps, rep, stream.stream_id,
-                              float(np.max(np.abs(exact.entries - pred))))
-                )
-        return recs, time.perf_counter() - tick
+                recs.append(replace(row, method="karcher_factor", M=count, sigma_sq=eps,
+                                    error=float(np.max(np.abs(exact.entries - pred)))))
+        return recs
 
-    return _collect(cfg, jobs, worker, progress,
-                    label=lambda job: ("lq", "karcher_factor")[job[0]])
+    return jobs, work
 
 
-def _collect(cfg, jobs, worker, progress, label):
-    outcomes = _run_ordered(worker, jobs, cfg.threads)
-    records = []
-    elapsed = {}
-    for job, (recs, secs) in zip(jobs, outcomes):
-        records.extend(recs)
-        key = label(job)
-        done, total = elapsed.get(key, (0.0, 0))
-        elapsed[key] = (done + secs, total + 1)
-    if progress:
-        for key, (secs, count) in elapsed.items():
-            _log(f"{cfg.experiment} {key}: {count} repetitions in {secs:.1f}s")
-    return records
+def _lq_instance(gen, k):
+    """A random triangular-orthogonal pair and a unit max-norm perturbation."""
+    tril = np.tril(gen.normal(size=(k, k)))
+    np.fill_diagonal(tril, 1.0 + np.abs(gen.normal(size=k)))
+    orth = np.linalg.qr(gen.normal(size=(k, k)))[0]
+    noise = gen.normal(size=(k, k))
+    return tril, orth, noise / np.max(np.abs(noise))
 
 
 RUNNERS = {
@@ -710,47 +693,44 @@ def _mean_median(records, key_fn):
     }
 
 
+def _slope_line(stats, points, head):
+    """`head` and the log-log slope of the mean errors at `points`.
+
+    `points` pairs each x with its `stats` key; keys without records (every
+    row skipped there) drop out. Returns None when no fit is possible.
+    """
+    points = [(x, stats[key][0]) for x, key in points if key in stats]
+    try:
+        fit = slope_fit(points)
+    except InsufficientPointsError:
+        return None
+    return f"{head} = {fit.slope:.3f} (r2={fit.r_squared:.3f})"
+
+
 def summarize_records(cfg, records):
     """Human-readable per-grid-point stats and log-log slope fits."""
     lines = [f"{cfg.experiment}: {len(records)} records"]
     if cfg.experiment == "intrinsic_avg":
         stats = _mean_median(records, lambda r: (r.p, r.method, r.M))
         for (p, method) in sorted({(r.p, r.method) for r in records}):
-            points = [(m, stats[(p, method, m)][0]) for m in cfg.M_grid]
-            fit = slope_fit(points)
-            lines.append(
-                f"  p={p} method={method}: slope of mean error vs M = "
-                f"{fit.slope:.3f} (r2={fit.r_squared:.3f})"
-            )
+            lines.append(_slope_line(stats, [(m, (p, method, m)) for m in cfg.M_grid],
+                                     f"  p={p} method={method}: slope of mean error vs M"))
         lines.append("  p M method mean median")
         for (p, method, m), (mean, med, _) in stats.items():
             lines.append(f"  {p} {m} {method} {mean:.6g} {med:.6g}")
     elif cfg.experiment == "dpca":
         stats = _mean_median(records, lambda r: (r.M, r.n, r.method))
         methods = sorted({r.method for r in records})
-        if len(cfg.n_grid) > 1:
-            for m_count in cfg.M_grid:
-                for method in methods:
-                    pts = [(n, stats[(m_count, n, method)][0]) for n in cfg.n_grid
-                           if (m_count, n, method) in stats]
-                    if len(pts) > 1:
-                        fit = slope_fit(pts)
-                        lines.append(
-                            f"  M={m_count} method={method}: slope vs n = "
-                            f"{fit.slope:.3f} (r2={fit.r_squared:.3f})"
-                        )
-        if len(cfg.M_grid) > 1:
-            for n in cfg.n_grid:
-                for method in methods:
-                    pts = [(m_count, stats[(m_count, n, method)][0])
-                           for m_count in cfg.M_grid
-                           if (m_count, n, method) in stats]
-                    if len(pts) > 1:
-                        fit = slope_fit(pts)
-                        lines.append(
-                            f"  n={n} method={method}: slope vs M = "
-                            f"{fit.slope:.3f} (r2={fit.r_squared:.3f})"
-                        )
+        for m_count in cfg.M_grid:
+            for method in methods:
+                lines.append(_slope_line(
+                    stats, [(n, (m_count, n, method)) for n in cfg.n_grid],
+                    f"  M={m_count} method={method}: slope vs n"))
+        for n in cfg.n_grid:
+            for method in methods:
+                lines.append(_slope_line(
+                    stats, [(m_count, (m_count, n, method)) for m_count in cfg.M_grid],
+                    f"  n={n} method={method}: slope vs M"))
         lines.append("  M n method mean median")
         for (m_count, n, method), (mean, med, _) in stats.items():
             lines.append(f"  {m_count} {n} {method} {mean:.6g} {med:.6g}")
@@ -784,7 +764,7 @@ def summarize_records(cfg, records):
                     f"  method={method}: remainder slope over {arr.size} instances "
                     f"min={arr.min():.3f} median={np.median(arr):.3f} max={arr.max():.3f}"
                 )
-    return "\n".join(lines)
+    return "\n".join(line for line in lines if line is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -867,13 +847,7 @@ def _selftest_karcher():
 
 
 def _selftest_orders():
-    gen = np.random.default_rng(77)
-    k = 4
-    tril = np.tril(gen.normal(size=(k, k)))
-    np.fill_diagonal(tril, 1.0 + np.abs(gen.normal(size=k)))
-    orth = np.linalg.qr(gen.normal(size=(k, k)))[0]
-    noise = gen.normal(size=(k, k))
-    noise /= np.max(np.abs(noise))
+    tril, orth, noise = _lq_instance(np.random.default_rng(77), 4)
     rems = []
     for eps in (2e-3, 1e-3):
         exact_tri, exact_orth = lq_givens(tril @ orth + eps * noise)

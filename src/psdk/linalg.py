@@ -8,6 +8,7 @@ builds on, so the kernels in this module are deliberately small and strict
 about validation.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +103,6 @@ class IndexSet:
                 f"index set {self.indices} out of range for p = {p}"
             )
         return self
-
-    def complement(self, p):
-        """Rows of [0, p) not in the set, ascending."""
-        self.validate_for(p)
-        member = set(self.indices)
-        return tuple(i for i in range(p) if i not in member)
 
 
 def support_mask(p, rank, index_set):
@@ -265,30 +260,21 @@ def _cholesky_pivots(block, tau):
     return tril, min_pivot
 
 
-def annihilation_order(k):
-    """Row-major sweep over the strict upper triangle: (0,1), ..., (0,k-1), (1,2), ..."""
-    return [(i, j) for i in range(k - 1) for j in range(i + 1, k)]
-
-
-def lq_givens(mat, order=None):
+def lq_givens(mat):
     """Decompose a nonsingular K x K matrix as R @ Q, R lower triangular.
 
     R has strictly positive diagonal and Q is orthogonal; the pair is unique.
     Q is built as a product of plane rotations that annihilate the strict
-    upper triangle one entry at a time, each rotation chosen so the updated
-    diagonal entry is the (nonnegative) hypotenuse of the pair it mixes. A
-    final reflection fixes the sign of the last diagonal entry, which no
-    annihilation step touches.
+    upper triangle one entry at a time, row by row, each rotation chosen so
+    the updated diagonal entry is the (nonnegative) hypotenuse of the pair it
+    mixes. A final reflection fixes the sign of the last diagonal entry,
+    which no annihilation step touches.
 
     Parameters
     ----------
     mat : ndarray, shape (K, K)
         Nonsingular matrix: smallest singular value above
         TAU_PIVOT_REL * max|mat|.
-    order : sequence of (i, j) pairs, optional
-        Annihilation order. Defaults to the row-major sweep. Any order that
-        visits each strict-upper position once, rows in increasing order,
-        produces the same decomposition up to roundoff.
 
     Returns
     -------
@@ -314,11 +300,9 @@ def lq_givens(mat, order=None):
             f"matrix numerically singular: smallest singular value {smin:.3e}"
         )
 
-    if order is None:
-        order = annihilation_order(k)
     fac = mat.copy()
     orth = np.eye(k)
-    for i, j in order:
+    for i, j in itertools.combinations(range(k), 2):
         a, b = fac[i, i], fac[i, j]
         hyp = np.hypot(a, b)
         if hyp == 0.0:

@@ -66,24 +66,6 @@ def _as_generator(rng):
     raise ConfigError(f"cannot interpret {type(rng).__name__} as a random source")
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Parameters of a synthetic signal: size, rank, noise level, construction."""
-
-    p: int
-    rank: int
-    sigma_sq: float
-    construction: str = "gaussian_svd"
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= self.p:
-            raise ConfigError(f"need 1 <= rank <= p, got rank={self.rank}, p={self.p}")
-        if self.sigma_sq < 0:
-            raise ConfigError(f"sigma_sq must be nonnegative, got {self.sigma_sq}")
-        if self.construction not in ("gaussian_svd", "spiked"):
-            raise ConfigError(f"unknown construction {self.construction!r}")
-
-
 def gaussian_svd_signal(p, rank, rng):
     """Rank-K signal from the left singular frame of a square Gaussian matrix.
 
@@ -112,17 +94,6 @@ def spiked_covariance(p, rank, rng, ridge=0.3):
     cov = 0.5 * (cov + cov.T)
     basis = eigh_topk(cov, rank).vectors
     return cov, basis
-
-
-def build_signal(spec, rng):
-    """Dispatch on `spec.construction`.
-
-    Returns a LowRankPsd for "gaussian_svd" and a (covariance, basis) pair
-    for "spiked"; the two constructions target different experiments.
-    """
-    if spec.construction == "gaussian_svd":
-        return gaussian_svd_signal(spec.p, spec.rank, rng)
-    return spiked_covariance(spec.p, spec.rank, rng)
 
 
 def intrinsic_samples(psd, sigma, count, rng):

@@ -20,8 +20,6 @@ surrogate into an additive factor perturbation, which is what lets the
 factor expansions above speak about PCA aggregation.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -33,20 +31,11 @@ from .exceptions import (
     ZeroGapError,
 )
 from .linalg import (
-    IndexSet,
     check_symmetric,
     eigh_topk,
     pivot_threshold,
     procrustes_sign,
 )
-
-
-def strict_upper(mat):
-    """Strictly upper-triangular part of a square matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    return np.triu(mat, 1)
 
 
 def skew_generator(tril, noise):
@@ -108,68 +97,6 @@ def lq_first_order(tril, orth, noise):
     return orth_pred, tril_pred
 
 
-@dataclass
-class FactorBlocks:
-    """A reduced factor split into its anchor block and the remaining rows.
-
-    `anchor` is the K x K lower-triangular block; `rest` stacks the other
-    rows in ascending row order. `assemble` reproduces the original entries
-    exactly (same bits, no arithmetic).
-    """
-
-    anchor: np.ndarray
-    rest: np.ndarray
-    index_set: IndexSet
-    p: int
-
-    @classmethod
-    def from_factor(cls, factor):
-        factor.validate()
-        return cls(*_split_rows(factor.entries, factor.index_set))
-
-    def assemble(self):
-        return _assemble_rows(self.anchor, self.rest, self.index_set, self.p)
-
-
-@dataclass
-class NoiseBlocks:
-    """Same row split as FactorBlocks, for unstructured p x K perturbations."""
-
-    anchor: np.ndarray
-    rest: np.ndarray
-    index_set: IndexSet
-    p: int
-
-    @classmethod
-    def from_matrix(cls, mat, index_set):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2:
-            raise ShapeMismatchError("expected a 2-d matrix")
-        if len(index_set) != mat.shape[1]:
-            raise ShapeMismatchError(
-                f"index set length {len(index_set)} does not match {mat.shape[1]} columns"
-            )
-        return cls(*_split_rows(mat, index_set))
-
-    def assemble(self):
-        return _assemble_rows(self.anchor, self.rest, self.index_set, self.p)
-
-
-def _split_rows(mat, index_set):
-    p = mat.shape[0]
-    index_set.validate_for(p)
-    comp = np.asarray(index_set.complement(p), dtype=np.intp)
-    return mat[index_set.as_array(), :], mat[comp, :], index_set, p
-
-
-def _assemble_rows(anchor, rest, index_set, p):
-    out = np.empty((p, anchor.shape[1]), dtype=anchor.dtype)
-    out[index_set.as_array(), :] = anchor
-    comp = np.asarray(index_set.complement(p), dtype=np.intp)
-    out[comp, :] = rest
-    return out
-
-
 def karcher_factor_first_order(factor, noises):
     """First-order prediction of the Karcher-mean factor under factor noise.
 
@@ -199,7 +126,7 @@ def karcher_factor_first_order(factor, noises):
                 f"noise shape {e.shape} does not match factor shape {factor.entries.shape}"
             )
     mean_noise = np.mean(np.stack(noises), axis=0)
-    anchor_mean = NoiseBlocks.from_matrix(mean_noise, factor.index_set).anchor
+    anchor_mean = mean_noise[factor.index_set.as_array(), :]
     gen = skew_generator(factor.anchor_block(), anchor_mean)
     return factor.entries + mean_noise - factor.entries @ gen
 

@@ -61,6 +61,19 @@ def test_selftest_command(capsys):
     assert captured.out.count("ok - ") == 5
 
 
+def test_summary_survives_grid_point_without_karcher_rows(tmp_path, capsys):
+    # at M=30 the only Karcher mean is skipped; the slope fit must use M=60 alone
+    out = tmp_path / "o.csv"
+    cfg = _cfg(tmp_path, "p = 20\np_grid = 20\nK = 5\nsigma_sq = 4.0\n"
+               "M_grid = 30, 60\nrepetitions = 1\n")
+    code = main(["intrinsic-avg", "--config", cfg, "--out", str(out), "--seed", "5"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err.count(" karcher skipped: ") == 1
+    assert f"wrote 3 records to {out}" in captured.out
+    assert out.read_text().count("\n") == 1 + 3
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: configuration problems
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from psdk.exceptions import ConfigError, InsufficientPointsError
+from psdk.exceptions import ConfigError, InsufficientPointsError, NotInManifoldError
 from psdk.experiments import (
     CSV_HEADER,
+    _aggregate_or_skip,
     ExperimentConfig,
     RunRecord,
     default_config,
@@ -20,6 +21,7 @@ from psdk.experiments import (
     slope_fit,
     summarize_records,
 )
+from psdk.linalg import IndexSet
 from psdk.models import derive_stream_id
 
 # ---------------------------------------------------------------------------
@@ -338,6 +340,94 @@ def test_run_perturb_order_remainders_are_quadratic():
                    if r.method == method and r.repetition == rep]
             fit = slope_fit(pts)
             assert 1.7 < fit.slope < 2.3, (method, rep, fit.slope)
+
+
+# ---------------------------------------------------------------------------
+# retry/skip policy, driven by a stub aggregation
+
+
+def _policy_cfg(index_mode):
+    return ExperimentConfig("dpca", p=4, K=2, M_grid=(1,), n_grid=(1,),
+                            index_mode=index_mode).validate()
+
+
+class _StubAggregate:
+    """Fails with a numbered NotInManifoldError for the listed index sets."""
+
+    def __init__(self, failing):
+        self.failing = failing
+        self.calls = []
+
+    def __call__(self, index_set):
+        self.calls.append(tuple(index_set))
+        if tuple(index_set) in self.failing:
+            raise NotInManifoldError(f"failure {len(self.calls)}")
+        return "mean"
+
+
+def _no_matrices():
+    raise AssertionError("matrices built although no retry was possible")
+
+
+def _zero_top_rows():
+    # rank 2 with rows 0 and 1 zero: membership fails at the canonical rows
+    frame = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])
+    return [frame @ frame.T]
+
+
+def test_retry_policy_success_builds_no_matrices(capsys):
+    agg = _StubAggregate(failing=())
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_matrices,
+                             _policy_cfg("find_index_oracle"), "here", "lrc")
+    assert out == "mean"
+    assert agg.calls == [(0, 1)]
+    assert capsys.readouterr().err == ""
+
+
+def test_retry_policy_canonical_skips_without_retry(capsys):
+    agg = _StubAggregate(failing=((0, 1),))
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_matrices,
+                             _policy_cfg("canonical"), "here", "lrc")
+    assert out is None
+    assert agg.calls == [(0, 1)]
+    err = capsys.readouterr().err
+    assert "here: lrc skipped: failure 1" in err
+    assert "retried" not in err
+
+
+def test_retry_policy_same_rows_skips(capsys):
+    # rank 3 fails membership at rank 2, and its top-2 frame selects rows (0, 1) again
+    agg = _StubAggregate(failing=((0, 1),))
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), lambda: [np.diag([3.0, 2.0, 1.0, 0.0])],
+                             _policy_cfg("find_index_machine1"), "here", "lrc")
+    assert out is None
+    assert agg.calls == [(0, 1)]
+    err = capsys.readouterr().err
+    assert err.count(" skipped: ") == 1 and "failure 1" in err
+    assert "retried" not in err
+
+
+def test_retry_policy_retry_succeeds(capsys):
+    agg = _StubAggregate(failing=((0, 1),))
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows,
+                             _policy_cfg("find_index_machine1"), "here", "lrc")
+    assert out == "mean"
+    assert agg.calls[0] == (0, 1)
+    assert len(agg.calls) == 2 and set(agg.calls[1]) == {2, 3}
+    err = capsys.readouterr().err
+    assert f"here: lrc retried with rows {agg.calls[1]}" in err
+    assert " skipped: " not in err
+
+
+def test_retry_policy_second_failure_skips_with_second_error(capsys):
+    agg = _StubAggregate(failing=((0, 1), (2, 3), (3, 2)))
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows,
+                             _policy_cfg("find_index_oracle"), "here", "karcher")
+    assert out is None
+    assert len(agg.calls) == 2
+    err = capsys.readouterr().err
+    assert "here: karcher skipped: failure 2" in err
+    assert "retried" not in err
 
 
 # ---------------------------------------------------------------------------

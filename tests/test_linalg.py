@@ -15,7 +15,6 @@ from psdk.exceptions import (
 from psdk.linalg import (
     CholFactor,
     IndexSet,
-    annihilation_order,
     check_symmetric,
     eigh_topk,
     lq_givens,
@@ -43,7 +42,6 @@ def test_index_set_basic():
     assert idx[0] == 2
     assert len(idx) == 3
     assert IndexSet.canonical(3) == IndexSet((0, 1, 2))
-    assert idx.complement(5) == (3, 4)
 
 
 def test_index_set_rejects_bad_input():
@@ -237,24 +235,6 @@ def test_lq_exactness_properties():
         assert np.max(np.abs(orth @ orth.T - np.eye(k))) < 1e-10
         assert np.max(np.abs(np.triu(tri, 1))) == 0.0
         assert np.all(np.diag(tri) > 0.0)
-
-
-def test_lq_order_invariance():
-    """Any within-row reordering of the annihilation sweep gives the same
-    decomposition (it is unique), up to roundoff."""
-    gen = np.random.default_rng(9)
-    shuffled = [(0, 3), (0, 1), (0, 2), (1, 3), (1, 2), (2, 3)]
-    for _ in range(25):
-        mat = gen.normal(size=(4, 4))
-        tri_a, orth_a = lq_givens(mat)
-        tri_b, orth_b = lq_givens(mat, order=shuffled)
-        assert np.max(np.abs(tri_a - tri_b)) < 1e-8
-        assert np.max(np.abs(orth_a - orth_b)) < 1e-8
-
-
-def test_annihilation_order_row_major():
-    assert annihilation_order(3) == [(0, 1), (0, 2), (1, 2)]
-    assert annihilation_order(1) == []
 
 
 def test_lq_rejects_singular():

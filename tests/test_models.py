@@ -11,12 +11,9 @@ from psdk.exceptions import (
     ShapeMismatchError,
 )
 from psdk.linalg import CholFactor, IndexSet, support_mask
-from psdk.manifold import LowRankPsd
 from psdk.models import (
     STREAM_BASE,
     RngStream,
-    SignalSpec,
-    build_signal,
     derive_stream_id,
     extrinsic_samples,
     factor_noise_samples,
@@ -98,28 +95,6 @@ def test_spiked_covariance_properties():
     # basis spans an invariant subspace of cov
     proj = basis @ basis.T
     assert_allclose(proj @ cov, cov @ proj, atol=1e-10)
-
-
-def test_signal_spec_validation():
-    SignalSpec(p=10, rank=2, sigma_sq=0.5)
-    with pytest.raises(ConfigError):
-        SignalSpec(p=10, rank=0, sigma_sq=0.5)
-    with pytest.raises(ConfigError):
-        SignalSpec(p=10, rank=11, sigma_sq=0.5)
-    with pytest.raises(ConfigError):
-        SignalSpec(p=10, rank=2, sigma_sq=-1.0)
-    with pytest.raises(ConfigError):
-        SignalSpec(p=10, rank=2, sigma_sq=0.5, construction="mystery")
-
-
-def test_build_signal_dispatch():
-    out = build_signal(SignalSpec(p=8, rank=2, sigma_sq=1.0), RngStream(0, 3))
-    assert isinstance(out, LowRankPsd)
-    out = build_signal(
-        SignalSpec(p=8, rank=2, sigma_sq=1.0, construction="spiked"), RngStream(0, 3)
-    )
-    cov, basis = out
-    assert cov.shape == (8, 8) and basis.shape == (8, 2)
 
 
 # ---------------------------------------------------------------------------

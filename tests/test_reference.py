@@ -1,0 +1,56 @@
+"""Reference outputs: every experiment on a tiny fixed config.
+
+`tests/reference/<name>.csv` is what `python -m psdk <experiment> --config
+tests/reference/<name>.cfg` wrote before the experiment runners were
+collapsed onto one skeleton. Every column but `error` must match exactly;
+`error` goes through LAPACK and BLAS, whose roundoff differs between builds,
+so it is compared within ERROR_RTOL. The number of Karcher retries and skips
+logged on stderr must match too; `intrinsic_retry_skip` exercises both.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from psdk.cli import main
+from psdk.experiments import CSV_HEADER, parse_config_file
+
+REFERENCE = Path(__file__).parent / "reference"
+ERROR_RTOL = 1e-6
+
+# (config name, Karcher retries, Karcher skips)
+CASES = [
+    ("intrinsic_avg", 0, 0),
+    ("dpca", 0, 0),
+    ("extrinsic_avg", 0, 0),
+    ("perturb_order", 0, 0),
+    ("intrinsic_retry_skip", 1, 1),
+]
+
+
+def _read(path):
+    lines = path.read_text().strip().split("\n")
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name, retries, skips", CASES)
+def test_reference_output(name, retries, skips, tmp_path, capsys):
+    cfg = REFERENCE / f"{name}.cfg"
+    command = parse_config_file(cfg)["experiment"].replace("_", "-")
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert err.count(" retried with rows ") == retries
+    assert err.count(" skipped: ") == skips
+
+    header, rows = _read(out)
+    ref_header, ref_rows = _read(REFERENCE / f"{name}.csv")
+    assert header == ref_header == CSV_HEADER
+    assert len(rows) == len(ref_rows)
+    col = CSV_HEADER.split(",").index("error")
+    for row, ref in zip(rows, ref_rows):
+        assert row[:col] + row[col + 1:] == ref[:col] + ref[col + 1:]
+    np.testing.assert_allclose([float(r[col]) for r in rows],
+                               [float(r[col]) for r in ref_rows], rtol=ERROR_RTOL)
