@@ -17,7 +17,6 @@ from psdk import (
     CholFactor,
     IndexSet,
     factor_noise_samples,
-    factorize,
     karcher_factor_first_order,
     karcher_mean,
     lq_first_order,
@@ -55,7 +54,7 @@ def karcher_remainders(rng, p=20, k=4, m_count=5):
     out = []
     for eps in EPS_GRID:
         scaled = [eps * e for e in noises]
-        exact = factorize(karcher_mean(factor_noise_samples(factor, scaled)))
+        exact = karcher_mean(factor_noise_samples(factor, scaled))
         pred = karcher_factor_first_order(factor, scaled)
         out.append(np.max(np.abs(exact.entries - pred)))
     return out

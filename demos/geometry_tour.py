@@ -1,8 +1,9 @@
 """A tour of the rank-K PSD geometry: factors, charts, and the closed-form mean.
 
 Walks through the basic objects on small matrices you can check by eye:
-the reduced Cholesky factor, the log-coordinate chart, geodesic distances,
-and the Karcher mean with its geometric/arithmetic split.
+the reduced Cholesky factor, anchoring a p x K frame, the log-coordinate
+chart, geodesic distances, and the Karcher mean with its
+geometric/arithmetic split.
 
 Run:  python3 demos/geometry_tour.py
 """
@@ -12,11 +13,12 @@ import numpy as np
 from psdk import (
     IndexSet,
     LowRankPsd,
+    anchor,
+    exp_factor,
     factorize,
     geodesic_distance,
     karcher_mean,
-    log_chol,
-    log_chol_inv,
+    log_factor,
     reduced_cholesky,
 )
 
@@ -43,23 +45,29 @@ def main():
     factor = reduced_cholesky(mat, 1, IndexSet((1,)))
     print("anchored at row 1:\n", factor.entries)
 
-    print("\n=== the chart is a global isometry ===")
+    print("\n=== any frame of the matrix gives the same factor ===")
     rng = np.random.default_rng(0)
-    entries = rng.normal(size=(5, 2))
-    entries[:2, :] = np.tril(entries[:2, :])
-    entries[[0, 1], [0, 1]] = (1.5, 0.7)
-    psd = LowRankPsd(entries @ entries.T, 2, IndexSet.canonical(2))
-    coords = log_chol(psd)
-    back = log_chol_inv(coords)
+    frame = rng.normal(size=(5, 2))
+    turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+    factor = anchor(frame, IndexSet.canonical(2))
+    print("a 5 x 2 frame F, anchored at rows (0, 1):\n", factor.entries)
+    print("F rotated by an orthogonal 2 x 2 anchors to the same factor, max diff:",
+          np.max(np.abs(anchor(frame @ turn, IndexSet.canonical(2)).entries
+                        - factor.entries)))
+
+    print("\n=== the chart is a global isometry ===")
+    coords = log_factor(factor)
+    back = exp_factor(coords, factor.index_set)
     print("log coordinates (diagonal of the anchor block is logged):")
-    print(coords.entries)
-    print("round-trip max error:", np.max(np.abs(back.matrix - psd.matrix)))
+    print(coords)
+    print("round-trip max error:", np.max(np.abs(back.matrix - factor.matrix)))
 
     print("\n=== closed-form Karcher mean ===")
     a = LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,)))
     b = LowRankPsd(np.diag([4.0, 0.0]), 1, IndexSet((0,)))
     mean = karcher_mean([a, b])
-    print("mean of diag(1,0) and diag(4,0):\n", mean.matrix)
+    print("mean factor of diag(1,0) and diag(4,0):\n", mean.entries)
+    print("mean matrix:\n", mean.matrix)
     print("geometric on the anchored diagonal: sqrt(1*4) =", mean.matrix[0, 0])
     print("distance a<->b:", geodesic_distance(a, b))
     print("  the factors are diag sqrt(1) and sqrt(4), so this is "

@@ -6,14 +6,20 @@ unique reduced Cholesky factor whose index-set rows form a lower-triangular
 block with positive diagonal; taking logs of that diagonal gives a global
 chart in which the Karcher mean is an entrywise average, i.e. closed form.
 
+The anchored factor (`CholFactor`, p x K) is the data that flows through
+the package: `anchor` turns any p x K frame into it, samplers return it and
+`karcher_mean` consumes and returns it. p x p matrices (`LowRankPsd`,
+`CholFactor.matrix`) appear only at the API edges.
+
 Modules
 -------
 linalg
-    Reduced Cholesky, Givens-based lower-triangular/orthogonal
+    The anchored factor and its pivot rule, the anchoring kernel, reduced
+    Cholesky of a p x p matrix, the Householder lower-triangular/orthogonal
     decomposition, top-K eigenpairs with a fixed sign convention.
 manifold
-    Membership tests, the factor/log chart both ways, Karcher mean and
-    geodesic distance.
+    The p x p membership test, the factor/log chart both ways, Karcher mean
+    and geodesic distance.
 perturbation
     First-order expansions: decomposition under additive noise, the Karcher
     factor under factor noise, invariant subspaces under symmetric noise,
@@ -74,6 +80,7 @@ from .experiments import (
 from .linalg import (
     CholFactor,
     IndexSet,
+    anchor,
     SpectralPair,
     eigh_topk,
     lq_givens,
@@ -83,17 +90,13 @@ from .linalg import (
     support_mask,
 )
 from .manifold import (
-    LogCholFactor,
     LowRankPsd,
     exp_factor,
     factorize,
     geodesic_distance,
     karcher_mean,
-    log_chol,
-    log_chol_inv,
     log_factor,
     membership,
-    to_matrix,
 )
 from .models import (
     RngStream,
@@ -128,7 +131,6 @@ __all__ = [
     "IndexSetMismatchError",
     "InsufficientPointsError",
     "LocalSummary",
-    "LogCholFactor",
     "LowRankPsd",
     "NonPositiveDiagonalError",
     "NonPositiveSpectrumError",
@@ -145,6 +147,7 @@ __all__ = [
     "SpectralPair",
     "ZeroGapError",
     "ZeroGapWarning",
+    "anchor",
     "default_config",
     "derive_stream_id",
     "dpca_bw",
@@ -167,8 +170,6 @@ __all__ = [
     "karcher_factor_first_order",
     "karcher_mean",
     "load_config",
-    "log_chol",
-    "log_chol_inv",
     "log_factor",
     "lq_first_order",
     "lq_givens",
@@ -189,6 +190,5 @@ __all__ = [
     "spiked_covariance",
     "summarize_covariance",
     "support_mask",
-    "to_matrix",
     "write_csv",
 ]

@@ -4,10 +4,10 @@ Machines summarize their local sample covariance by its top-K eigenpairs;
 the aggregators here differ only in how those summaries are combined before
 the final eigendecomposition:
 
-* `lrc_dpca`: rebuild each machine's rank-K surrogate with squared
-  eigenvalues and average the surrogates by their Karcher mean in
-  log-Cholesky coordinates (squaring keeps the surrogate consistent with a
-  second-moment matrix built from a factor);
+* `lrc_dpca`: anchor each machine's frame V diag(values), the factor of its
+  rank-K surrogate with squared eigenvalues, and average the factors by
+  their Karcher mean in log-Cholesky coordinates (squaring keeps the
+  surrogate consistent with a second-moment matrix built from a factor);
 * `dpca_fan`: average the eigenvector projectors, discarding eigenvalues;
 * `dpca_bw`: average the rank-K surrogates with unsquared eigenvalues;
 * `full_pca`: pool the raw covariances themselves (the centralized answer
@@ -31,8 +31,8 @@ from .exceptions import (
     ShapeMismatchError,
     ZeroGapWarning,
 )
-from .linalg import IndexSet, eigh_topk, pivot_threshold
-from .manifold import LowRankPsd, karcher_mean, membership
+from .linalg import IndexSet, anchor, eigh_topk, pivot_threshold
+from .manifold import LowRankPsd, karcher_mean
 
 
 @dataclass
@@ -98,38 +98,29 @@ def full_pca(covariances, rank):
 def lrc_dpca(summaries, rank, index_set):
     """Karcher-mean aggregation of the machines' rank-K covariance surrogates.
 
-    Each summary (V, values) is rebuilt as V diag(values)^2 V.T, the factor
-    second-moment matrix consistent with the local eigenpairs; the rebuilt
-    matrices are averaged by their Karcher mean anchored at `index_set`, and
-    the mean's top eigenbasis is returned.
+    Each summary (V, values) stands for V diag(values)^2 V.T, the factor
+    second-moment matrix consistent with the local eigenpairs; its frame
+    V diag(values) is anchored at `index_set`, the factors are averaged by
+    their Karcher mean, and the mean's top eigenbasis is returned.
 
     Raises
     ------
     NotInManifoldError
-        If any rebuilt matrix fails membership at `index_set`; the message
-        lists the offending machine ids so the caller can reselect rows via
-        `find_index`.
+        If any anchored factor fails the pivot rule at `index_set`; the
+        message lists the offending machine ids so the caller can reselect
+        rows via `find_index`.
     """
     summaries = list(summaries)
     if not summaries:
         raise EmptyInputError("lrc_dpca needs at least one summary")
-    samples = []
-    for s in summaries:
-        mat = (s.vectors * s.values**2) @ s.vectors.T
-        samples.append(LowRankPsd(0.5 * (mat + mat.T), rank, index_set))
-    try:
-        mean = karcher_mean(samples)
-    except NotInManifoldError:
-        bad = [
-            s.machine_id
-            for s, smp in zip(summaries, samples)
-            if not membership(smp.matrix, rank, index_set)[0]
-        ]
+    factors = [anchor(s.vectors * s.values, index_set) for s in summaries]
+    bad = [s.machine_id for s, f in zip(summaries, factors) if f.pivot_failure() is not None]
+    if bad:
         raise NotInManifoldError(
             f"machines {bad} fail membership with index set {tuple(index_set)}; "
             "reselect rows via find_index"
-        ) from None
-    basis, values, gap = _aggregate_basis(mean.matrix, rank, "lrc")
+        )
+    basis, values, gap = _aggregate_basis(karcher_mean(factors).matrix, rank, "lrc")
     return DpcaResult(basis, "lrc", index_set,
                       {"values": values, "gap": gap, "n_machines": len(summaries)})
 
@@ -208,6 +199,8 @@ def find_index(vectors, values, rank):
     DegenerateRowsError
         If at some step every candidate score is at or below the pivot
         threshold, i.e. no row choice keeps the anchor block nonsingular.
+    ShapeMismatchError
+        On inconsistent shapes or a non-finite frame.
     """
     vectors = np.asarray(vectors, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -219,25 +212,22 @@ def find_index(vectors, values, rank):
     if not (1 <= rank <= vectors.shape[1]) or rank > p:
         raise ShapeMismatchError(f"rank {rank} invalid for frame shape {vectors.shape}")
     target = vectors[:, :rank] * values[:rank]
+    if not np.all(np.isfinite(target)):
+        raise ShapeMismatchError("find_index frame must be finite")
     tau = pivot_threshold(target)
     chosen = []
-    taken = np.zeros(p, dtype=bool)
     for k in range(rank):
-        best_score = -np.inf
-        best_row = -1
-        for i in range(p):
-            if taken[i]:
-                continue
-            block = target[chosen + [i], : k + 1]
-            score = np.linalg.svd(block, compute_uv=False)[-1]
-            if score > best_score:
-                best_score = score
-                best_row = i
-        if best_score <= tau:
+        # one batched SVD scores every candidate: blocks[i] = T[chosen + [i], :k+1]
+        blocks = np.concatenate(
+            [np.broadcast_to(target[chosen, : k + 1], (p, k, k + 1)),
+             target[:, None, : k + 1]], axis=1)
+        scores = np.linalg.svd(blocks, compute_uv=False)[:, -1]
+        scores[chosen] = -np.inf
+        best_row = int(np.argmax(scores))
+        if scores[best_row] <= tau:
             raise DegenerateRowsError(
-                f"no admissible row at column {k}: best score {best_score:.3e} "
+                f"no admissible row at column {k}: best score {scores[best_row]:.3e} "
                 f"below threshold {tau:.3e}"
             )
         chosen.append(best_row)
-        taken[best_row] = True
     return IndexSet(tuple(chosen))

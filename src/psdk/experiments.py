@@ -38,7 +38,7 @@ from .exceptions import (
     NotInManifoldError,
     PsdkError,
 )
-from .linalg import CholFactor, IndexSet, eigh_topk, lq_givens, projector_distance
+from .linalg import CholFactor, IndexSet, anchor, eigh_topk, lq_givens, projector_distance
 from .manifold import LowRankPsd
 from .models import RngStream, derive_stream_id
 
@@ -401,37 +401,38 @@ def _runner(experiment):
     return decorate
 
 
-def _reselect_index(matrices, rank, failed_idx):
-    """Anchor rows from the first matrix that fails membership at `failed_idx`.
+def _reselect_index(frames, rank, failed_idx):
+    """Anchor rows from the first sample that fails the pivot rule at `failed_idx`.
 
-    The offending element's own spectral frame drives `find_index`. Returns
-    None when nothing fails or no admissible rows exist.
+    The offending sample's own spectral frame, from a thin SVD of its p x K
+    frame, drives `find_index`. Returns None when nothing fails or no
+    admissible rows exist.
     """
-    for mat in matrices:
-        if not manifold.membership(mat, rank, failed_idx)[0]:
-            pair = eigh_topk(mat, rank)
+    for frame in frames:
+        if anchor(frame, failed_idx).pivot_failure() is not None:
+            left, sing, _ = np.linalg.svd(frame, full_matrices=False)
             try:
-                return dpca_mod.find_index(pair.vectors, pair.values, rank)
+                return dpca_mod.find_index(left, sing**2, rank)
             except DegenerateRowsError:
                 return None
     return None
 
 
-def _aggregate_or_skip(aggregate, index_set, matrices, cfg, where, method):
+def _aggregate_or_skip(aggregate, index_set, frames, cfg, where, method):
     """The retry/skip policy for a Karcher aggregation; None means skipped.
 
     Calls `aggregate(index_set)`. If that fails membership and the config
-    does not pin canonical rows, rows are reselected from the p x p inputs
-    that `matrices()` builds (only now, on failure) and the aggregation runs
-    once more, logging "retried with rows". Without new rows, or on a second
-    failure, logs "skipped:" with the last error.
+    does not pin canonical rows, rows are reselected from `frames`, the
+    p x K frames F of the samples (each sample is F @ F.T), and the
+    aggregation runs once more, logging "retried with rows". Without new
+    rows, or on a second failure, logs "skipped:" with the last error.
     """
     try:
         return aggregate(index_set)
     except NotInManifoldError as err:
         last = err
     if cfg.index_mode != "canonical":
-        alt = _reselect_index(matrices(), cfg.K, index_set)
+        alt = _reselect_index(frames, cfg.K, index_set)
         if alt is not None and alt != index_set:
             try:
                 result = aggregate(alt)
@@ -457,16 +458,15 @@ def _signal(cfg, p, stream):
 
 
 def _mean_rows(cfg, where, samples, truth, row):
-    """Karcher (under the retry policy) and Euclid rows, each scored by the
-    Frobenius distance to `truth`; `row` carries every other column."""
+    """Karcher (under the retry policy) and Euclid rows of factor samples, each
+    scored by the Frobenius distance to `truth`; `row` carries every other
+    column."""
+    frames = [s.entries for s in samples]
 
     def aggregate(index_set):
-        return manifold.karcher_mean(
-            [LowRankPsd(s.matrix, cfg.K, index_set) for s in samples]
-        )
+        return manifold.karcher_mean([anchor(f, index_set) for f in frames])
 
-    karcher = _aggregate_or_skip(aggregate, samples[0].index_set,
-                                 lambda: [s.matrix for s in samples],
+    karcher = _aggregate_or_skip(aggregate, samples[0].index_set, frames,
                                  cfg, where, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
     means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
@@ -559,14 +559,10 @@ def run_dpca(cfg):
         else:
             idx = dpca_mod.find_index(summaries[0].vectors, summaries[0].values, cfg.K)
 
-        def surrogates():
-            mats = [(s.vectors * s.values**2) @ s.vectors.T for s in summaries]
-            return [0.5 * (mat + mat.T) for mat in mats]
-
         results = [dpca_mod.full_pca(covs, cfg.K)]
         lrc = _aggregate_or_skip(
             lambda rows: dpca_mod.lrc_dpca(summaries, cfg.K, rows),
-            idx, surrogates, cfg, where, "lrc",
+            idx, [s.vectors * s.values for s in summaries], cfg, where, "lrc",
         )
         if lrc is not None:
             results.append(lrc)
@@ -652,9 +648,7 @@ def run_perturb_order(cfg):
                 noises.append(e / np.max(np.abs(e)))
             for eps in cfg.eps_grid:
                 scaled = [eps * e for e in noises]
-                exact = manifold.factorize(
-                    manifold.karcher_mean(models.factor_noise_samples(factor, scaled))
-                )
+                exact = manifold.karcher_mean(models.factor_noise_samples(factor, scaled))
                 pred = perturbation.karcher_factor_first_order(factor, scaled)
                 recs.append(replace(row, method="karcher_factor", M=count, sigma_sq=eps,
                                     error=float(np.max(np.abs(exact.entries - pred)))))
@@ -791,14 +785,6 @@ def run_selftest():
     return all_ok, lines
 
 
-def _random_factor(gen, p, k, index_set):
-    entries = 0.5 * gen.normal(size=(p, k))
-    rows = index_set.as_array()
-    entries[rows, :] = np.tril(entries[rows, :])
-    entries[rows, np.arange(k)] = 0.5 + gen.uniform(0.0, 1.5, size=k)
-    return CholFactor(entries, index_set).validate()
-
-
 def _selftest_roundtrip():
     gen = np.random.default_rng(20240817)
     worst = 0.0
@@ -807,9 +793,8 @@ def _selftest_roundtrip():
         k = int(gen.integers(1, min(p, 6) + 1))
         rows = gen.permutation(p)[:k]
         idx = IndexSet(tuple(int(i) for i in rows))
-        factor = _random_factor(gen, p, k, idx)
-        psd = manifold.to_matrix(factor)
-        back = manifold.factorize(psd)
+        factor = anchor(gen.normal(size=(p, k)), idx).validate()
+        back = manifold.factorize(LowRankPsd(factor.matrix, k, idx))
         worst = max(worst, float(np.max(np.abs(back.entries - factor.entries))))
     if worst > 1e-8:
         raise AssertionError(f"round-trip error {worst:.3e} above 1e-8")
@@ -839,10 +824,9 @@ def _selftest_karcher():
     if np.max(np.abs(mean.matrix - np.diag([2.0, 0.0]))) > 1e-12:
         raise AssertionError("two-point diagonal mean wrong")
     gen = np.random.default_rng(3)
-    factor = _random_factor(gen, 8, 3, IndexSet.canonical(3))
-    psd = manifold.to_matrix(factor)
-    mean = manifold.karcher_mean([psd, psd, psd])
-    if np.max(np.abs(mean.matrix - psd.matrix)) > 1e-10:
+    factor = anchor(gen.normal(size=(8, 3)), IndexSet.canonical(3))
+    mean = manifold.karcher_mean([factor, factor, factor])
+    if np.max(np.abs(mean.entries - factor.entries)) > 1e-10:
         raise AssertionError("mean of copies drifted")
 
 

@@ -8,7 +8,6 @@ builds on, so the kernels in this module are deliberately small and strict
 about validation.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,8 @@ def check_symmetric(mat, rtol=SYM_RTOL):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ShapeMismatchError("matrix entries must be finite")
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
     if asym > rtol * scale:
@@ -142,9 +143,31 @@ class CholFactor:
     def rank(self):
         return self.entries.shape[1]
 
+    @property
+    def matrix(self):
+        """The p x p matrix N @ N.T (symmetrized) that this factor charts."""
+        prod = self.entries @ self.entries.T
+        return 0.5 * (prod + prod.T)
+
     def anchor_block(self):
         """The K x K lower-triangular block formed by the anchor rows."""
         return self.entries[self.index_set.as_array(), :]
+
+    def pivot_failure(self):
+        """Why N @ N.T is not a chart point at this index set, or None if it is.
+
+        `reduced_cholesky`'s pivot rule without forming N @ N.T: its pivots are
+        the squared anchored diagonal, its max-norm the largest squared row
+        norm. Non-finite entries fail too."""
+        ent = self.entries
+        if not np.all(np.isfinite(ent)):
+            return "non-finite factor entry"
+        min_pivot = float(np.min(ent[self.index_set.as_array(), np.arange(self.rank)] ** 2))
+        tau = TAU_PIVOT_REL * float(np.max(np.einsum("ij,ij->i", ent, ent)))
+        if min_pivot <= tau:
+            return (f"anchor block {self.index_set.indices} singular "
+                    f"(min pivot {min_pivot:.3e}, threshold {tau:.3e})")
+        return None
 
     def validate(self):
         """Raise if the anchored triangular structure is violated."""
@@ -260,15 +283,22 @@ def _cholesky_pivots(block, tau):
     return tril, min_pivot
 
 
+def _lq(mat):
+    """R @ Q == mat with R lower triangular, diagonal >= 0, from the Householder
+    QR of mat.T; no checks. A lower-triangular mat with positive diagonal
+    comes back bit for bit, with Q = I."""
+    orth_t, upper = np.linalg.qr(mat.T)
+    signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
+    return upper.T * signs, orth_t.T * signs[:, None]
+
+
 def lq_givens(mat):
     """Decompose a nonsingular K x K matrix as R @ Q, R lower triangular.
 
-    R has strictly positive diagonal and Q is orthogonal; the pair is unique.
-    Q is built as a product of plane rotations that annihilate the strict
-    upper triangle one entry at a time, row by row, each rotation chosen so
-    the updated diagonal entry is the (nonnegative) hypotenuse of the pair it
-    mixes. A final reflection fixes the sign of the last diagonal entry,
-    which no annihilation step touches.
+    R has strictly positive diagonal and Q is orthogonal; the pair is unique,
+    so any orthogonal-triangular algorithm returns it up to roundoff. It is
+    computed as the Householder QR of mat.T with the signs fixed; the name
+    recalls the plane-rotation construction of the same pair.
 
     Parameters
     ----------
@@ -293,37 +323,33 @@ def lq_givens(mat):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    k = mat.shape[0]
     smin = np.linalg.svd(mat, compute_uv=False)[-1]
     if smin <= pivot_threshold(mat):
         raise SingularMatrixError(
             f"matrix numerically singular: smallest singular value {smin:.3e}"
         )
+    return _lq(mat)
 
-    fac = mat.copy()
-    orth = np.eye(k)
-    for i, j in itertools.combinations(range(k), 2):
-        a, b = fac[i, i], fac[i, j]
-        hyp = np.hypot(a, b)
-        if hyp == 0.0:
-            continue
-        c, s = a / hyp, b / hyp
-        col_i, col_j = fac[:, i].copy(), fac[:, j].copy()
-        fac[:, i] = c * col_i + s * col_j
-        fac[:, j] = -s * col_i + c * col_j
-        fac[i, i] = hyp
-        fac[i, j] = 0.0
-        row_i, row_j = orth[i, :].copy(), orth[j, :].copy()
-        orth[i, :] = c * row_i + s * row_j
-        orth[j, :] = -s * row_i + c * row_j
 
-    # No rotation annihilates anything in the last row, so its diagonal entry
-    # may come out negative; a reflection of that row restores positivity
-    # without disturbing the product.
-    if fac[k - 1, k - 1] < 0.0:
-        fac[k - 1, k - 1] = -fac[k - 1, k - 1]
-        orth[k - 1, :] = -orth[k - 1, :]
-    return fac, orth
+def anchor(frame, index_set):
+    """The reduced factor of frame @ frame.T anchored at `index_set`, in O(pK^2).
+
+    With the LQ decomposition F[index_set] = R @ Q of any p x K frame F, the
+    factor is N = F @ Q.T, whose anchor rows are exactly R. An already
+    anchored factor comes back bit for bit. A near-singular anchor block does
+    not raise (`CholFactor.pivot_failure` decides); a shape mismatch raises
+    ShapeMismatchError.
+    """
+    frame = np.asarray(frame, dtype=float)
+    if frame.ndim != 2 or len(index_set) != frame.shape[1]:
+        raise ShapeMismatchError(
+            f"index set of {len(index_set)} rows does not fit a frame of shape {frame.shape}"
+        )
+    rows = index_set.validate_for(frame.shape[0]).as_array()
+    tril, orth = _lq(frame[rows])
+    entries = frame @ orth.T
+    entries[rows] = tril
+    return CholFactor(entries, index_set)
 
 
 def eigh_topk(mat, rank, require_positive=False):

@@ -47,22 +47,6 @@ class LowRankPsd:
         return self
 
 
-@dataclass
-class LogCholFactor:
-    """Reduced Cholesky factor in log coordinates (anchored diagonal logged)."""
-
-    entries: np.ndarray
-    index_set: IndexSet
-
-    @property
-    def p(self):
-        return self.entries.shape[0]
-
-    @property
-    def rank(self):
-        return self.entries.shape[1]
-
-
 def membership(mat, rank, index_set, rtol_rank=linalg.TAU_RANK):
     """Test whether `mat` is PSD of numerical rank `rank` with a nonsingular anchor block.
 
@@ -143,7 +127,7 @@ def _describe_failure(diag, index_set):
 
 
 def factorize(psd):
-    """Chart map: LowRankPsd -> CholFactor (unique anchored reduced factor).
+    """Chart map at the p x p edge: LowRankPsd -> CholFactor (unique anchored factor).
 
     Raises NotInManifoldError when the membership test fails.
     """
@@ -151,41 +135,27 @@ def factorize(psd):
     return linalg.reduced_cholesky(psd.matrix, psd.rank, psd.index_set)
 
 
-def to_matrix(factor):
-    """Inverse chart map: CholFactor -> LowRankPsd via N @ N.T (symmetrized)."""
-    factor.validate()
-    prod = factor.entries @ factor.entries.T
-    prod = 0.5 * (prod + prod.T)
-    return LowRankPsd(prod, factor.rank, factor.index_set)
+def _as_factor(point):
+    return factorize(point) if isinstance(point, LowRankPsd) else point
 
 
 def log_factor(factor):
-    """Take logs of the anchored diagonal, keeping every other entry as is."""
+    """Log coordinates of a factor: a p x K array, anchored diagonal logged."""
     factor.validate()
     entries = np.array(factor.entries, dtype=float, copy=True)
-    for k, row in enumerate(factor.index_set):
-        entries[row, k] = np.log(entries[row, k])
-    return LogCholFactor(entries, factor.index_set)
+    diag = (factor.index_set.as_array(), np.arange(factor.rank))
+    entries[diag] = np.log(entries[diag])
+    return entries
 
 
-def exp_factor(log_fac):
+def exp_factor(log_entries, index_set):
     """Inverse of `log_factor`: exponentiate the anchored diagonal."""
-    entries = np.array(log_fac.entries, dtype=float, copy=True)
-    if entries.ndim != 2 or len(log_fac.index_set) != entries.shape[1]:
+    entries = np.array(log_entries, dtype=float, copy=True)
+    if entries.ndim != 2 or len(index_set) != entries.shape[1]:
         raise ShapeMismatchError("log factor entries inconsistent with index set")
-    for k, row in enumerate(log_fac.index_set):
-        entries[row, k] = np.exp(entries[row, k])
-    return CholFactor(entries, log_fac.index_set).validate()
-
-
-def log_chol(psd):
-    """Full chart: LowRankPsd -> log-coordinate factor."""
-    return log_factor(factorize(psd))
-
-
-def log_chol_inv(log_fac):
-    """Full inverse chart: log-coordinate factor -> LowRankPsd."""
-    return to_matrix(exp_factor(log_fac))
+    diag = (index_set.validate_for(entries.shape[0]).as_array(), np.arange(len(index_set)))
+    entries[diag] = np.exp(entries[diag])
+    return CholFactor(entries, index_set).validate()
 
 
 def karcher_mean(psds):
@@ -198,13 +168,14 @@ def karcher_mean(psds):
 
     Parameters
     ----------
-    psds : sequence of LowRankPsd
-        Nonempty; all elements must pass membership with the same index set.
+    psds : sequence of CholFactor or LowRankPsd
+        Nonempty, with a common rank and index set. Factors must pass
+        `CholFactor.pivot_failure`; a LowRankPsd is factored by `factorize`.
 
     Returns
     -------
-    LowRankPsd
-        The mean, which again passes membership with the common index set.
+    CholFactor
+        The mean factor at the common index set; `.matrix` is the p x p mean.
 
     Raises
     ------
@@ -213,7 +184,7 @@ def karcher_mean(psds):
     IndexSetMismatchError
         If the elements carry different index sets or ranks.
     NotInManifoldError
-        If any element fails membership; the message names the element.
+        If any element is not a chart point; the message names the element.
     """
     psds = list(psds)
     if not psds:
@@ -229,23 +200,26 @@ def karcher_mean(psds):
     logs = []
     for m, psd in enumerate(psds):
         try:
-            logs.append(log_chol(psd).entries)
+            factor = _as_factor(psd)
         except NotInManifoldError as err:
             raise NotInManifoldError(f"element {m}: {err}") from None
-    mean_entries = np.mean(np.stack(logs), axis=0)
-    return log_chol_inv(LogCholFactor(mean_entries, base))
+        failure = factor.pivot_failure()
+        if failure is not None:
+            raise NotInManifoldError(f"element {m}: {failure}")
+        logs.append(log_factor(factor))
+    return exp_factor(np.mean(np.stack(logs), axis=0), base)
 
 
 def geodesic_distance(psd_a, psd_b):
     """Geodesic distance: Frobenius distance of the log-coordinate factors.
 
-    Both matrices must share the same anchor index set. Symmetric, zero iff
-    the matrices are equal, and by construction identical to the Euclidean
-    distance between `log_chol` images.
+    Takes CholFactor or LowRankPsd inputs sharing one rank and index set.
+    Symmetric, zero iff the inputs are equal, and by construction identical
+    to the Euclidean distance between their `log_factor` images.
     """
     if psd_a.index_set != psd_b.index_set or psd_a.rank != psd_b.rank:
         raise IndexSetMismatchError(
             "geodesic distance requires a common rank and index set"
         )
-    diff = log_chol(psd_a).entries - log_chol(psd_b).entries
+    diff = log_factor(_as_factor(psd_a)) - log_factor(_as_factor(psd_b))
     return float(np.linalg.norm(diff))

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import manifold
 from .exceptions import ConfigError, EmptyInputError, NotInManifoldError, NotPsdError, ShapeMismatchError
-from .linalg import IndexSet, check_symmetric, eigh_topk, support_mask
-from .manifold import LogCholFactor, LowRankPsd
+from .linalg import IndexSet, anchor, check_symmetric, eigh_topk, support_mask
+from .manifold import LowRankPsd
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
 # into one integer, little-endian in this base; each label must fit below it.
@@ -102,7 +102,8 @@ def intrinsic_samples(psd, sigma, count, rng):
     Each sample adds i.i.d. N(0, sigma^2) noise to every supported entry of
     the signal's log-coordinate factor (anchored diagonal included, where the
     noise acts multiplicatively after exponentiation) and maps back. Samples
-    share the signal's index set and are exactly rank K.
+    are factors (`CholFactor`) anchored at the signal's index set, so they
+    are exactly rank K.
 
     Parameters
     ----------
@@ -118,7 +119,7 @@ def intrinsic_samples(psd, sigma, count, rng):
     if count < 1:
         raise EmptyInputError("need at least one sample")
     gen = _as_generator(rng)
-    base = manifold.log_chol(psd)
+    base = manifold.log_factor(manifold.factorize(psd))
     mask = support_mask(psd.p, psd.rank, psd.index_set)
     nnz = int(mask.sum())
     draws = gen.normal(scale=sigma, size=(count, nnz)) if sigma > 0 else np.zeros((count, nnz))
@@ -126,16 +127,15 @@ def intrinsic_samples(psd, sigma, count, rng):
     for m in range(count):
         noise = np.zeros((psd.p, psd.rank))
         noise[mask] = draws[m]
-        bumped = LogCholFactor(base.entries + noise, psd.index_set)
-        out.append(manifold.log_chol_inv(bumped))
+        out.append(manifold.exp_factor(base + noise, psd.index_set))
     return out
 
 
 def factor_noise_samples(factor, noises):
-    """Build samples (N + E_m)(N + E_m).T from unstructured factor noise.
+    """Samples (N + E_m)(N + E_m).T from unstructured factor noise, as factors.
 
-    Every sample is symmetrized and membership-checked; a failure names the
-    offending sample index.
+    Each sample is N + E_m anchored at the signal's index set and checked by
+    the pivot rule; a failure names the offending sample index.
 
     Parameters
     ----------
@@ -145,7 +145,7 @@ def factor_noise_samples(factor, noises):
 
     Returns
     -------
-    list of LowRankPsd
+    list of CholFactor
     """
     factor.validate()
     noises = list(noises)
@@ -159,16 +159,11 @@ def factor_noise_samples(factor, noises):
                 f"sample {m}: noise shape {e.shape} does not match factor "
                 f"shape {factor.entries.shape}"
             )
-        bumped = factor.entries + e
-        mat = bumped @ bumped.T
-        mat = 0.5 * (mat + mat.T)
-        psd = LowRankPsd(mat, factor.rank, factor.index_set)
-        ok, diagnostics = manifold.membership(mat, factor.rank, factor.index_set)
-        if not ok:
-            raise NotInManifoldError(
-                f"sample {m}: {manifold._describe_failure(diagnostics, factor.index_set)}"
-            )
-        out.append(psd)
+        sample = anchor(factor.entries + e, factor.index_set)
+        failure = sample.pivot_failure()
+        if failure is not None:
+            raise NotInManifoldError(f"sample {m}: {failure}")
+        out.append(sample)
     return out
 
 
@@ -212,8 +207,9 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
     `sigma_sq`, simulates `n_inner` Gaussian observations with covariance
     (sample + ridge * I) and returns the rank-K spectral surrogate of the
     empirical second-moment matrix: V_hat diag(values_hat) V_hat.T with the
-    top-K eigenpairs, eigenvalues unsquared. Outputs have numerical rank
-    exactly K and inherit the signal's index set.
+    top-K eigenpairs, eigenvalues unsquared, returned as its frame
+    V_hat diag(sqrt(values_hat)) anchored at the signal's index set. The
+    anchor block may be near singular; the consumer's pivot rule decides.
     """
     gen = _as_generator(rng)
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen)
@@ -222,6 +218,5 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
     for draw in draws:
         data = gaussian_samples(draw.matrix + ridge * eye, n_inner, gen)
         pair = eigh_topk(sample_cov(data), psd.rank, require_positive=True)
-        mat = (pair.vectors * pair.values) @ pair.vectors.T
-        out.append(LowRankPsd(0.5 * (mat + mat.T), psd.rank, psd.index_set))
+        out.append(anchor(pair.vectors * np.sqrt(pair.values), psd.index_set))
     return out

@@ -9,16 +9,13 @@ factor-noise identity and its decay in n, anchor-row selection under
 degenerate rows, and byte-level CLI determinism.
 """
 
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import psdk
 from psdk import manifold, models, perturbation
 from psdk.dpca import LocalSummary, find_index, lrc_dpca
 from psdk.exceptions import NotInManifoldError
@@ -97,9 +94,10 @@ def test_01_chart_roundtrip():
         p = int(gen.integers(2, 51))
         k = int(gen.integers(1, min(p, 8) + 1))
         factor = _random_instance(gen, p, k)
-        psd = manifold.to_matrix(factor)
+        psd = LowRankPsd(factor.matrix, k, factor.index_set)
 
-        back = manifold.log_chol_inv(manifold.log_chol(psd))
+        logs = manifold.log_factor(manifold.factorize(psd))
+        back = manifold.exp_factor(logs, factor.index_set)
         worst_chart = max(worst_chart, float(np.max(np.abs(back.matrix - psd.matrix))))
 
         refactored = reduced_cholesky(
@@ -134,10 +132,10 @@ def test_02_karcher_minimizes_frechet():
         idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
         base = _random_factor(gen, p, k, idx)
         samples = models.intrinsic_samples(
-            manifold.to_matrix(base), 0.2, m_count, gen
+            LowRankPsd(base.matrix, k, idx), 0.2, m_count, gen
         )
-        logs = [manifold.log_chol(s).entries for s in samples]
-        mean_log = manifold.log_chol(manifold.karcher_mean(samples)).entries
+        logs = [manifold.log_factor(s) for s in samples]
+        mean_log = manifold.log_factor(manifold.karcher_mean(samples))
 
         def objective(entries):
             return sum(float(np.sum((entries - l) ** 2)) for l in logs)
@@ -434,22 +432,7 @@ def test_10_row_selection_under_zero_rows():
 # 11. CLI byte determinism
 
 
-def _child_env():
-    """Environment for a `python -m psdk` child that imports this same psdk.
-
-    A relative PYTHONPATH entry such as `src` does not resolve from the
-    child's working directory, so the import root of the package loaded
-    here goes first; inherited entries and all other variables pass through.
-    """
-    env = dict(os.environ)
-    root = str(Path(psdk.__file__).resolve().parents[1])
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")
-    return env
-
-
-def test_11_cli_determinism(tmp_path):
-    env = _child_env()
+def test_11_cli_determinism(tmp_path, child_env):
     tick = time.perf_counter()
     outputs = []
     for name in ("first", "second"):
@@ -457,7 +440,7 @@ def test_11_cli_determinism(tmp_path):
         workdir.mkdir()
         proc = subprocess.run(
             [sys.executable, "-m", "psdk", "dpca", "--quick", "--seed", "7"],
-            cwd=workdir, env=env, capture_output=True, text=True, timeout=600,
+            cwd=workdir, env=child_env, capture_output=True, text=True, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((workdir / "dpca.csv").read_bytes())

@@ -1,0 +1,99 @@
+"""Property tests for the factor chart: anchoring and the Karcher mean.
+
+Hypothesis picks the sizes, the anchor rows, the seeds and the scales; the
+factors themselves are drawn with numpy from the seed, with an anchor block
+whose diagonal is bounded away from zero so every draw is a chart point.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from psdk.linalg import CholFactor, IndexSet, anchor
+from psdk.manifold import exp_factor, karcher_mean, log_factor
+
+_settings = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def shapes(draw):
+    """(p, k, index set, seed) with 1 <= k <= min(p, 6)."""
+    p = draw(st.integers(1, 30))
+    k = draw(st.integers(1, min(p, 6)))
+    rows = draw(st.permutations(range(p)))[:k]
+    return p, k, IndexSet(tuple(rows)), draw(st.integers(0, 2**32 - 1))
+
+
+def _factor(gen, p, k, idx):
+    entries = gen.normal(size=(p, k))
+    rows = idx.as_array()
+    entries[rows, :] = 0.3 * np.tril(entries[rows, :], -1)
+    entries[rows, np.arange(k)] = gen.uniform(0.5, 2.0, size=k)
+    return CholFactor(entries, idx).validate()
+
+
+def _orthogonal(gen, k):
+    q, r = np.linalg.qr(gen.normal(size=(k, k)))
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+@_settings
+@given(shapes())
+def test_anchor_ignores_the_frame_rotation(shape):
+    p, k, idx, seed = shape
+    gen = np.random.default_rng(seed)
+    frame = _factor(gen, p, k, idx).entries @ _orthogonal(gen, k)
+    rotated = frame @ _orthogonal(gen, k)
+    assert_allclose(anchor(rotated, idx).entries, anchor(frame, idx).entries,
+                    rtol=0.0, atol=1e-10)
+
+
+@_settings
+@given(shapes())
+def test_anchor_of_an_anchored_factor_is_exact(shape):
+    p, k, idx, seed = shape
+    factor = _factor(np.random.default_rng(seed), p, k, idx)
+    assert np.array_equal(anchor(factor.entries, idx).entries, factor.entries)
+
+
+@_settings
+@given(shapes())
+def test_chart_round_trip(shape):
+    p, k, idx, seed = shape
+    factor = _factor(np.random.default_rng(seed), p, k, idx)
+    back = exp_factor(log_factor(factor), idx)
+    assert_allclose(back.entries, factor.entries, rtol=1e-15, atol=0.0)
+
+
+@_settings
+@given(shapes(), st.integers(1, 6))
+def test_karcher_mean_of_copies_is_the_copy(shape, copies):
+    p, k, idx, seed = shape
+    factor = _factor(np.random.default_rng(seed), p, k, idx)
+    mean = karcher_mean([factor] * copies)
+    assert mean.index_set == idx
+    assert_allclose(mean.entries, factor.entries, rtol=1e-14, atol=0.0)
+
+
+@_settings
+@given(shapes(), st.integers(2, 8), st.randoms(use_true_random=False))
+def test_karcher_mean_is_permutation_invariant(shape, count, shuffler):
+    p, k, idx, seed = shape
+    gen = np.random.default_rng(seed)
+    factors = [_factor(gen, p, k, idx) for _ in range(count)]
+    shuffled = list(factors)
+    shuffler.shuffle(shuffled)
+    assert_allclose(karcher_mean(shuffled).entries, karcher_mean(factors).entries,
+                    rtol=1e-13, atol=1e-15)
+
+
+@_settings
+@given(shapes(), st.integers(1, 6), st.floats(1e-3, 1e3))
+def test_karcher_mean_is_scale_equivariant(shape, count, scale):
+    p, k, idx, seed = shape
+    gen = np.random.default_rng(seed)
+    factors = [_factor(gen, p, k, idx) for _ in range(count)]
+    scaled = [CholFactor(scale * f.entries, idx) for f in factors]
+    assert_allclose(karcher_mean(scaled).entries, scale * karcher_mean(factors).entries,
+                    rtol=1e-12, atol=1e-15 * scale)

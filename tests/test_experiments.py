@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from psdk import experiments
 from psdk.exceptions import ConfigError, InsufficientPointsError, NotInManifoldError
 from psdk.experiments import (
     CSV_HEADER,
@@ -365,19 +366,21 @@ class _StubAggregate:
         return "mean"
 
 
-def _no_matrices():
-    raise AssertionError("matrices built although no retry was possible")
+class _NoFrames:
+    """Sample frames that must not be inspected."""
+
+    def __iter__(self):
+        raise AssertionError("samples inspected although no retry was possible")
 
 
 def _zero_top_rows():
-    # rank 2 with rows 0 and 1 zero: membership fails at the canonical rows
-    frame = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])
-    return [frame @ frame.T]
+    # rank 2 with rows 0 and 1 zero: the pivot rule fails at the canonical rows
+    return [np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])]
 
 
 def test_retry_policy_success_builds_no_matrices(capsys):
     agg = _StubAggregate(failing=())
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_matrices,
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
                              _policy_cfg("find_index_oracle"), "here", "lrc")
     assert out == "mean"
     assert agg.calls == [(0, 1)]
@@ -386,7 +389,7 @@ def test_retry_policy_success_builds_no_matrices(capsys):
 
 def test_retry_policy_canonical_skips_without_retry(capsys):
     agg = _StubAggregate(failing=((0, 1),))
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_matrices,
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
                              _policy_cfg("canonical"), "here", "lrc")
     assert out is None
     assert agg.calls == [(0, 1)]
@@ -395,21 +398,39 @@ def test_retry_policy_canonical_skips_without_retry(capsys):
     assert "retried" not in err
 
 
-def test_retry_policy_same_rows_skips(capsys):
-    # rank 3 fails membership at rank 2, and its top-2 frame selects rows (0, 1) again
+def test_retry_policy_same_rows_skips(capsys, monkeypatch):
+    # the failing sample's own frame selects rows (0, 1) again
+    picked = []
+
+    def same_rows(vectors, values, rank):
+        picked.append(rank)
+        return IndexSet((0, 1))
+
+    monkeypatch.setattr(experiments.dpca_mod, "find_index", same_rows)
     agg = _StubAggregate(failing=((0, 1),))
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), lambda: [np.diag([3.0, 2.0, 1.0, 0.0])],
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
                              _policy_cfg("find_index_machine1"), "here", "lrc")
     assert out is None
+    assert picked == [2]
     assert agg.calls == [(0, 1)]
     err = capsys.readouterr().err
     assert err.count(" skipped: ") == 1 and "failure 1" in err
     assert "retried" not in err
 
 
+def test_retry_policy_no_failing_sample_skips(capsys):
+    # every sample passes the pivot rule at (0, 1), so there is nothing to reselect from
+    agg = _StubAggregate(failing=((0, 1),))
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), [np.eye(4)[:, :2]],
+                             _policy_cfg("find_index_oracle"), "here", "karcher")
+    assert out is None
+    assert agg.calls == [(0, 1)]
+    assert "here: karcher skipped: failure 1" in capsys.readouterr().err
+
+
 def test_retry_policy_retry_succeeds(capsys):
     agg = _StubAggregate(failing=((0, 1),))
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows,
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
                              _policy_cfg("find_index_machine1"), "here", "lrc")
     assert out == "mean"
     assert agg.calls[0] == (0, 1)
@@ -421,7 +442,7 @@ def test_retry_policy_retry_succeeds(capsys):
 
 def test_retry_policy_second_failure_skips_with_second_error(capsys):
     agg = _StubAggregate(failing=((0, 1), (2, 3), (3, 2)))
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows,
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
                              _policy_cfg("find_index_oracle"), "here", "karcher")
     assert out is None
     assert len(agg.calls) == 2

@@ -12,9 +12,11 @@ from psdk.exceptions import (
     ShapeMismatchError,
     SingularMatrixError,
 )
+from psdk.dpca import find_index, summarize_covariance
 from psdk.linalg import (
     CholFactor,
     IndexSet,
+    anchor,
     check_symmetric,
     eigh_topk,
     lq_givens,
@@ -155,6 +157,94 @@ def test_reduced_cholesky_rejects_asymmetric():
 def test_reduced_cholesky_rejects_bad_rank():
     with pytest.raises(ShapeMismatchError):
         reduced_cholesky(np.eye(3), 4, IndexSet((0, 1, 2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# anchor and the pivot rule
+
+
+def test_anchor_reduces_any_frame():
+    gen = np.random.default_rng(41)
+    for _ in range(50):
+        p = int(gen.integers(2, 30))
+        k = int(gen.integers(1, min(p, 6) + 1))
+        idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
+        frame = gen.normal(size=(p, k))
+        factor = anchor(frame, idx).validate()
+        assert factor.index_set == idx
+        assert_allclose(factor.entries @ factor.entries.T, frame @ frame.T, atol=1e-12)
+        reference = reduced_cholesky(frame @ frame.T, k, idx)
+        assert_allclose(factor.entries, reference.entries, atol=1e-8)
+
+
+def test_anchor_tolerates_singular_block():
+    frame = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])
+    factor = anchor(frame, IndexSet((0, 1)))
+    assert np.all(factor.anchor_block() == 0.0)
+    assert "anchor block (0, 1) singular" in factor.pivot_failure()
+    assert anchor(frame, IndexSet((2, 3))).pivot_failure() is None
+
+
+def test_anchor_shape_checks():
+    with pytest.raises(ShapeMismatchError):
+        anchor(np.ones((4, 2)), IndexSet((0,)))
+    with pytest.raises(ShapeMismatchError):
+        anchor(np.ones((4, 2)), IndexSet((0, 4)))
+    with pytest.raises(ShapeMismatchError):
+        anchor(np.ones(4), IndexSet((0,)))
+
+
+def test_matrix_is_the_symmetrized_gram():
+    factor = CholFactor(np.array([[2.0, 0.0], [1.0, 3.0], [-1.0, 0.5]]), IndexSet((0, 1)))
+    assert_allclose(factor.matrix, factor.entries @ factor.entries.T, atol=0.0)
+    assert np.array_equal(factor.matrix, factor.matrix.T)
+
+
+def test_pivot_rule_agrees_with_reduced_cholesky():
+    """A factor fails the pivot rule exactly when reduced_cholesky rejects N @ N.T."""
+    idx = IndexSet((0, 1))
+    for r in np.logspace(-8, -2, 61):
+        frame = np.array([[1.0, 0.0], [1.0, r], [0.5, 0.5], [2.0, -1.0]])
+        factor = anchor(frame, idx)
+        pivot = factor.entries[1, 1] ** 2
+        tau = 1e-10 * np.max(np.sum(frame**2, axis=1))
+        if abs(pivot / tau - 1.0) < 1e-3:
+            continue  # roundoff decides at the threshold itself
+        try:
+            reduced_cholesky(frame @ frame.T, 2, idx)
+            accepted = True
+        except NotInManifoldError:
+            accepted = False
+        assert (factor.pivot_failure() is None) == accepted, r
+
+
+def test_pivot_rule_rejects_non_finite():
+    entries = np.array([[1.0, 0.0], [0.5, 1.0], [np.nan, 0.0]])
+    assert "non-finite" in CholFactor(entries, IndexSet((0, 1))).pivot_failure()
+
+
+# ---------------------------------------------------------------------------
+# non-finite input at the public boundary
+
+_NON_FINITE = {
+    "nan_outside_anchor": np.array([[2.0, 1.0], [1.0, np.nan]]),
+    "nan_off_diagonal": np.array([[2.0, np.nan], [np.nan, 2.0]]),
+    "inf_diagonal": np.array([[np.inf, 1.0], [1.0, 2.0]]),
+}
+
+_ENTRY_POINTS = {
+    "reduced_cholesky": lambda mat: reduced_cholesky(mat, 1, IndexSet((0,))),
+    "eigh_topk": lambda mat: eigh_topk(mat, 1, require_positive=True),
+    "summarize_covariance": lambda mat: summarize_covariance(mat, 1, 0),
+    "find_index": lambda mat: find_index(mat, np.ones(2), 2),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_NON_FINITE))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_non_finite_input_raises(entry, bad):
+    with pytest.raises(ShapeMismatchError, match="must be finite"):
+        _ENTRY_POINTS[entry](_NON_FINITE[bad])
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,13 @@ from psdk.exceptions import (
 )
 from psdk.linalg import CholFactor, IndexSet
 from psdk.manifold import (
-    LogCholFactor,
     LowRankPsd,
     exp_factor,
     factorize,
     geodesic_distance,
     karcher_mean,
-    log_chol,
-    log_chol_inv,
     log_factor,
     membership,
-    to_matrix,
 )
 
 
@@ -33,7 +29,11 @@ def _random_factor(gen, p, k, idx):
 
 def _random_psd(gen, p, k, idx=None):
     idx = idx or IndexSet.canonical(k)
-    return to_matrix(_random_factor(gen, p, k, idx))
+    return LowRankPsd(_random_factor(gen, p, k, idx).matrix, k, idx)
+
+
+def _log_chol(psd):
+    return log_factor(factorize(psd))
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +96,14 @@ def test_factorize_to_matrix_roundtrip():
         k = int(gen.integers(1, min(p, 6) + 1))
         idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
         factor = _random_factor(gen, p, k, idx)
-        back = factorize(to_matrix(factor))
+        back = factorize(LowRankPsd(factor.matrix, k, idx))
         assert np.max(np.abs(back.entries - factor.entries)) < 1e-8
 
 
 def test_log_exp_factor_inverse():
     gen = np.random.default_rng(2)
     factor = _random_factor(gen, 7, 3, IndexSet((4, 0, 6)))
-    back = exp_factor(log_factor(factor))
+    back = exp_factor(log_factor(factor), factor.index_set)
     assert_allclose(back.entries, factor.entries, atol=1e-14)
 
 
@@ -111,17 +111,17 @@ def test_log_factor_touches_only_anchored_diagonal():
     entries = np.array([[2.0, 0.0], [1.5, 3.0], [-0.7, 0.4]])
     factor = CholFactor(entries, IndexSet((0, 1)))
     logged = log_factor(factor)
-    assert logged.entries[0, 0] == pytest.approx(np.log(2.0))
-    assert logged.entries[1, 1] == pytest.approx(np.log(3.0))
+    assert logged[0, 0] == pytest.approx(np.log(2.0))
+    assert logged[1, 1] == pytest.approx(np.log(3.0))
     # every off-anchor entry is untouched
-    assert logged.entries[1, 0] == 1.5
-    assert_allclose(logged.entries[2], entries[2])
+    assert logged[1, 0] == 1.5
+    assert_allclose(logged[2], entries[2])
 
 
 def test_full_chart_roundtrip():
     gen = np.random.default_rng(3)
     psd = _random_psd(gen, 10, 4)
-    again = log_chol_inv(log_chol(psd))
+    again = exp_factor(_log_chol(psd), psd.index_set)
     assert np.max(np.abs(again.matrix - psd.matrix)) < 1e-10
 
 
@@ -147,8 +147,10 @@ def test_karcher_mean_is_arithmetic_off_diagonal():
     idx = IndexSet((0,))
     fac_a = CholFactor(np.array([[1.0], [3.0]]), idx)
     fac_b = CholFactor(np.array([[1.0], [7.0]]), idx)
-    mean = karcher_mean([to_matrix(fac_a), to_matrix(fac_b)])
-    assert_allclose(factorize(mean).entries, [[1.0], [5.0]], atol=1e-12)
+    assert_allclose(karcher_mean([fac_a, fac_b]).entries, [[1.0], [5.0]], atol=1e-12)
+    # p x p inputs are factored at the edge and give the same mean
+    mean = karcher_mean([LowRankPsd(f.matrix, 1, idx) for f in (fac_a, fac_b)])
+    assert_allclose(mean.entries, [[1.0], [5.0]], atol=1e-12)
 
 
 def test_karcher_mean_of_copies():
@@ -184,9 +186,9 @@ def test_karcher_mean_minimizes_frechet_objective():
         k = int(gen.integers(1, min(p, 4) + 1))
         idx = IndexSet.canonical(k)
         psds = [_random_psd(gen, p, k, idx) for _ in range(int(gen.integers(2, 8)))]
-        logs = [log_chol(x).entries for x in psds]
+        logs = [_log_chol(x) for x in psds]
         mean = karcher_mean(psds)
-        mean_log = log_chol(mean).entries
+        mean_log = log_factor(mean)
         objective = sum(np.sum((mean_log - lg) ** 2) for lg in logs)
         for _ in range(200):
             delta = gen.normal(size=mean_log.shape)
@@ -212,6 +214,38 @@ def test_karcher_mean_names_offending_element():
     bad = LowRankPsd(np.diag([0.0, 0.0]), 1, IndexSet((0,)))
     with pytest.raises(NotInManifoldError, match="element 2"):
         karcher_mean([a, b, bad])
+
+
+def test_karcher_mean_names_factor_failing_pivot_rule():
+    idx = IndexSet((0, 1))
+    good = CholFactor(np.array([[1.0, 0.0], [0.5, 1.0], [0.2, 0.3]]), idx)
+    thin = CholFactor(np.array([[1.0, 0.0], [0.5, 1e-7], [0.2, 0.3]]), idx)
+    with pytest.raises(NotInManifoldError, match=r"element 1: anchor block \(0, 1\) singular"):
+        karcher_mean([good, thin])
+
+
+def test_factor_route_forms_no_p_by_p_matrix(monkeypatch):
+    """Factor inputs never reach the p x p membership test or reduced Cholesky."""
+    import psdk.dpca as dpca_mod
+    import psdk.linalg as linalg_mod
+    import psdk.manifold as manifold_mod
+    import psdk.models as models_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("p x p route taken for a factor input")
+
+    for mod, name in ((manifold_mod, "membership"), (manifold_mod, "factorize"),
+                      (linalg_mod, "reduced_cholesky")):
+        monkeypatch.setattr(mod, name, forbidden)
+    gen = np.random.default_rng(12)
+    idx = IndexSet((2, 0))
+    base = _random_factor(gen, 6, 2, idx)
+    samples = models_mod.factor_noise_samples(
+        base, [0.01 * gen.normal(size=(6, 2)) for _ in range(4)])
+    assert karcher_mean(samples).index_set == idx
+    summaries = [dpca_mod.LocalSummary(np.linalg.qr(gen.normal(size=(6, 2)))[0],
+                                       np.array([2.0, 1.0]), m) for m in range(3)]
+    assert dpca_mod.lrc_dpca(summaries, 2, idx).method == "lrc"
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +276,7 @@ def test_geodesic_distance_matches_chart_isometry():
     a = _random_psd(gen, 5, 2)
     b = _random_psd(gen, 5, 2)
     direct = geodesic_distance(a, b)
-    via_chart = float(np.linalg.norm(log_chol(a).entries - log_chol(b).entries))
+    via_chart = float(np.linalg.norm(_log_chol(a) - _log_chol(b)))
     assert direct == via_chart
 
 
@@ -254,6 +288,5 @@ def test_geodesic_distance_requires_common_anchor():
 
 
 def test_exp_factor_validates_result():
-    bad = LogCholFactor(np.full((2, 2), np.nan), IndexSet((0, 1)))
     with pytest.raises(Exception):
-        exp_factor(bad)
+        exp_factor(np.full((2, 2), np.nan), IndexSet((0, 1)))

@@ -123,8 +123,10 @@ def test_intrinsic_samples_respect_support():
     psd = gaussian_svd_signal(8, 3, RngStream(4, 0))
     mask = support_mask(8, 3, psd.index_set)
     for s in intrinsic_samples(psd, 1.0, 5, RngStream(4, 1)):
-        factor = manifold.factorize(s)
-        assert np.all(factor.entries[~mask] == 0.0)
+        assert np.all(s.entries[~mask] == 0.0)
+        # the sample is the anchored factor of its own matrix
+        refactored = manifold.factorize(manifold.LowRankPsd(s.matrix, 3, psd.index_set))
+        assert_allclose(refactored.entries, s.entries, atol=1e-8)
 
 
 def test_intrinsic_samples_deterministic():
