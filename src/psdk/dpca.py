@@ -1,21 +1,21 @@
 """One-shot distributed PCA aggregators and anchor-row selection.
 
-Machines summarize their local sample covariance by its top-K eigenpairs;
-the aggregators here differ only in how those summaries are combined before
-the final eigendecomposition:
+Machines summarize their local sample covariance by its top-K eigenpairs.
+Every rank-K aggregate is built from p x K frames F_m: it is the mean of
+F_m F_m.T, formed by `_frame_gram` as one product of the stacked frames, so
+no per-machine p x p matrix exists. The aggregators differ in the frames:
 
-* `lrc_dpca`: anchor each machine's frame V diag(values), the factor of its
-  rank-K surrogate with squared eigenvalues, and average the factors by
-  their Karcher mean in log-Cholesky coordinates (squaring keeps the
-  surrogate consistent with a second-moment matrix built from a factor);
-* `dpca_fan`: average the eigenvector projectors, discarding eigenvalues;
-* `dpca_bw`: average the rank-K surrogates with unsquared eigenvalues;
-* `full_pca`: pool the raw covariances themselves (the centralized answer
-  for balanced machines).
+* `lrc_dpca`: the Karcher mean, in log-Cholesky coordinates, of each
+  machine's frame V diag(values) anchored at the index set (squaring keeps
+  the surrogate consistent with a second-moment matrix built from a factor);
+* `dpca_fan`: V, averaging the eigenvector projectors;
+* `dpca_bw`: V diag(sqrt(values)), averaging the unsquared surrogates;
+* `euclid_rankk_mean`: the samples' factors, the mean truncated to rank K.
 
-`find_index` picks anchor rows for the Karcher aggregation greedily, one
-column at a time, maximizing the smallest singular value of the growing
-anchor block.
+`full_pca` pools the raw p x p covariances, which are its inputs (the
+centralized answer for balanced machines). `find_index` picks anchor rows
+for the Karcher aggregation greedily, one column at a time, maximizing the
+smallest singular value of the growing anchor block.
 """
 
 import warnings
@@ -26,13 +26,13 @@ import numpy as np
 from .exceptions import (
     DegenerateRowsError,
     EmptyInputError,
-    IndexSetMismatchError,
+    NonPositiveSpectrumError,
     NotInManifoldError,
     ShapeMismatchError,
     ZeroGapWarning,
 )
 from .linalg import IndexSet, anchor, eigh_topk, pivot_threshold
-from .manifold import LowRankPsd, karcher_mean
+from .manifold import LowRankPsd, _chart_factors, karcher_mean
 
 
 @dataclass
@@ -64,7 +64,17 @@ def summarize_covariance(cov_hat, rank, machine_id):
     return LocalSummary(pair.vectors, pair.values, machine_id)
 
 
-def _aggregate_basis(agg, rank, method):
+def _frame_gram(frames, caller):
+    """The symmetrized mean of F F.T over p x K frames F, as one product
+    G G.T / M of the frames side by side in G (p x sum K)."""
+    if not frames:
+        raise EmptyInputError(f"{caller} needs at least one summary")
+    stacked = np.concatenate(frames, axis=1)
+    agg = (stacked @ stacked.T) / len(frames)
+    return 0.5 * (agg + agg.T)
+
+
+def _result(agg, rank, method, n_machines, index_set=None):
     """Leading basis of an aggregated matrix, warning on a collapsed eigengap."""
     p = agg.shape[0]
     take = min(rank + 1, p)
@@ -80,19 +90,20 @@ def _aggregate_basis(agg, rank, method):
                 ZeroGapWarning,
                 stacklevel=3,
             )
-    return pair.vectors[:, :rank].copy(), pair.values[:rank].copy(), gap
+    return DpcaResult(pair.vectors[:, :rank].copy(), method, index_set,
+                      {"values": pair.values[:rank].copy(), "gap": gap,
+                       "n_machines": n_machines})
 
 
 def full_pca(covariances, rank):
     """Top-`rank` eigenbasis of the pooled (averaged) covariances."""
-    covariances = list(covariances)
-    if not covariances:
+    covs = [np.asarray(c, dtype=float) for c in covariances]
+    if not covs:
         raise EmptyInputError("full_pca needs at least one covariance")
-    agg = np.mean(np.stack([np.asarray(c, dtype=float) for c in covariances]), axis=0)
-    agg = 0.5 * (agg + agg.T)
-    basis, values, gap = _aggregate_basis(agg, rank, "full")
-    return DpcaResult(basis, "full", None, {"values": values, "gap": gap,
-                                            "n_machines": len(covariances)})
+    if any(c.shape != covs[0].shape for c in covs):
+        raise ShapeMismatchError("full_pca covariances differ in shape")
+    agg = sum(covs) / len(covs)
+    return _result(0.5 * (agg + agg.T), rank, "full", len(covs))
 
 
 def lrc_dpca(summaries, rank, index_set):
@@ -120,57 +131,39 @@ def lrc_dpca(summaries, rank, index_set):
             f"machines {bad} fail membership with index set {tuple(index_set)}; "
             "reselect rows via find_index"
         )
-    basis, values, gap = _aggregate_basis(karcher_mean(factors).matrix, rank, "lrc")
-    return DpcaResult(basis, "lrc", index_set,
-                      {"values": values, "gap": gap, "n_machines": len(summaries)})
+    agg = _frame_gram([karcher_mean(factors).entries], "lrc_dpca")
+    return _result(agg, rank, "lrc", len(summaries), index_set)
 
 
 def dpca_fan(summaries, rank):
     """Projector-averaging aggregation: mean of V V.T over machines."""
-    summaries = list(summaries)
-    if not summaries:
-        raise EmptyInputError("dpca_fan needs at least one summary")
-    agg = np.mean(np.stack([s.vectors @ s.vectors.T for s in summaries]), axis=0)
-    agg = 0.5 * (agg + agg.T)
-    basis, values, gap = _aggregate_basis(agg, rank, "fan")
-    return DpcaResult(basis, "fan", None, {"values": values, "gap": gap,
-                                           "n_machines": len(summaries)})
+    frames = [s.vectors for s in summaries]
+    return _result(_frame_gram(frames, "dpca_fan"), rank, "fan", len(frames))
 
 
 def dpca_bw(summaries, rank):
-    """Surrogate-averaging aggregation: mean of V diag(values) V.T, unsquared."""
+    """Surrogate-averaging aggregation: mean of V diag(values) V.T, unsquared.
+
+    Raises NonPositiveSpectrumError on a negative eigenvalue."""
     summaries = list(summaries)
-    if not summaries:
-        raise EmptyInputError("dpca_bw needs at least one summary")
-    agg = np.mean(
-        np.stack([(s.vectors * s.values) @ s.vectors.T for s in summaries]), axis=0
-    )
-    agg = 0.5 * (agg + agg.T)
-    basis, values, gap = _aggregate_basis(agg, rank, "bw")
-    return DpcaResult(basis, "bw", None, {"values": values, "gap": gap,
-                                          "n_machines": len(summaries)})
+    if any(np.min(s.values) < 0.0 for s in summaries):
+        raise NonPositiveSpectrumError("dpca_bw needs nonnegative eigenvalues")
+    frames = [s.vectors * np.sqrt(s.values) for s in summaries]
+    return _result(_frame_gram(frames, "dpca_bw"), rank, "bw", len(frames))
 
 
 def euclid_rankk_mean(psds, rank):
     """Best rank-`rank` approximation of the arithmetic mean of the inputs.
 
-    The output carries the common index-set tag of the inputs for
-    convenience; no membership is enforced on it.
+    Takes what `karcher_mean` takes (CholFactors, a LowRankPsd factored once
+    by `factorize`) but not its pivot rule: the mean of the factors' N N.T
+    is formed from the stacked factors. The output carries the common
+    index-set tag; no membership is enforced on it.
     """
-    psds = list(psds)
-    if not psds:
-        raise EmptyInputError("euclid_rankk_mean needs at least one matrix")
-    base = psds[0].index_set
-    for m, psd in enumerate(psds):
-        if psd.index_set != base or psd.rank != psds[0].rank:
-            raise IndexSetMismatchError(
-                f"element {m} has (rank, index set) = ({psd.rank}, {tuple(psd.index_set)})"
-            )
-    agg = np.mean(np.stack([psd.matrix for psd in psds]), axis=0)
-    agg = 0.5 * (agg + agg.T)
-    pair = eigh_topk(agg, rank)
+    factors = _chart_factors(psds, "euclid_rankk_mean")
+    pair = eigh_topk(_frame_gram([f.entries for f in factors], "euclid_rankk_mean"), rank)
     mat = (pair.vectors * pair.values) @ pair.vectors.T
-    return LowRankPsd(0.5 * (mat + mat.T), rank, base)
+    return LowRankPsd(0.5 * (mat + mat.T), rank, factors[0].index_set)
 
 
 def find_index(vectors, values, rank):

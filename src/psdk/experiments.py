@@ -584,15 +584,15 @@ def run_extrinsic(cfg):
     mean and the repetition's signal; failed Karcher means follow the same
     retry/skip policy as intrinsic_avg.
     """
-    grid = [(m_count, cfg.sigma_sq) for m_count in cfg.M_grid]
-    grid += [(cfg.M_fixed, s2) for s2 in cfg.sigma_grid]
+    grid = [("M", m_count, cfg.sigma_sq) for m_count in cfg.M_grid]
+    grid += [("sigma_sq", cfg.M_fixed, s2) for s2 in cfg.sigma_grid]
     signals = [_signal(cfg, cfg.p, _stream(cfg, 0, rep, 0))
                for rep in range(cfg.repetitions)]
     jobs = [
-        _Job(f"M={m_count} sigma_sq={s2}",
+        _Job(f"{sweep} sweep M={m_count} sigma_sq={s2}",
              f"extrinsic_avg grid point M={m_count}, sigma_sq={s2}, repetition {rep}",
              (gi, m_count, s2, rep))
-        for gi, (m_count, s2) in enumerate(grid)
+        for gi, (sweep, m_count, s2) in enumerate(grid)
         for rep in range(cfg.repetitions)
     ]
 

@@ -135,8 +135,26 @@ def factorize(psd):
     return linalg.reduced_cholesky(psd.matrix, psd.rank, psd.index_set)
 
 
-def _as_factor(point):
-    return factorize(point) if isinstance(point, LowRankPsd) else point
+def _chart_factors(psds, caller):
+    """The inputs as CholFactors sharing one rank and index set, a LowRankPsd
+    factored by `factorize`; errors name the offending element."""
+    psds = list(psds)
+    if not psds:
+        raise EmptyInputError(f"{caller} needs at least one matrix")
+    base = psds[0].index_set
+    rank = psds[0].rank
+    factors = []
+    for m, psd in enumerate(psds):
+        if psd.index_set != base or psd.rank != rank:
+            raise IndexSetMismatchError(
+                f"element {m} has (rank, index set) = ({psd.rank}, {tuple(psd.index_set)}), "
+                f"expected ({rank}, {tuple(base)})"
+            )
+        try:
+            factors.append(factorize(psd) if isinstance(psd, LowRankPsd) else psd)
+        except NotInManifoldError as err:
+            raise NotInManifoldError(f"element {m}: {err}") from None
+    return factors
 
 
 def log_factor(factor):
@@ -186,28 +204,13 @@ def karcher_mean(psds):
     NotInManifoldError
         If any element is not a chart point; the message names the element.
     """
-    psds = list(psds)
-    if not psds:
-        raise EmptyInputError("karcher_mean needs at least one matrix")
-    base = psds[0].index_set
-    rank = psds[0].rank
-    for m, psd in enumerate(psds):
-        if psd.index_set != base or psd.rank != rank:
-            raise IndexSetMismatchError(
-                f"element {m} has (rank, index set) = ({psd.rank}, {tuple(psd.index_set)}), "
-                f"expected ({rank}, {tuple(base)})"
-            )
-    logs = []
-    for m, psd in enumerate(psds):
-        try:
-            factor = _as_factor(psd)
-        except NotInManifoldError as err:
-            raise NotInManifoldError(f"element {m}: {err}") from None
+    factors = _chart_factors(psds, "karcher_mean")
+    for m, factor in enumerate(factors):
         failure = factor.pivot_failure()
         if failure is not None:
             raise NotInManifoldError(f"element {m}: {failure}")
-        logs.append(log_factor(factor))
-    return exp_factor(np.mean(np.stack(logs), axis=0), base)
+    logs = np.stack([log_factor(factor) for factor in factors])
+    return exp_factor(np.mean(logs, axis=0), factors[0].index_set)
 
 
 def geodesic_distance(psd_a, psd_b):
@@ -217,9 +220,6 @@ def geodesic_distance(psd_a, psd_b):
     Symmetric, zero iff the inputs are equal, and by construction identical
     to the Euclidean distance between their `log_factor` images.
     """
-    if psd_a.index_set != psd_b.index_set or psd_a.rank != psd_b.rank:
-        raise IndexSetMismatchError(
-            "geodesic distance requires a common rank and index set"
-        )
-    diff = log_factor(_as_factor(psd_a)) - log_factor(_as_factor(psd_b))
+    factor_a, factor_b = _chart_factors([psd_a, psd_b], "geodesic_distance")
+    diff = log_factor(factor_a) - log_factor(factor_b)
     return float(np.linalg.norm(diff))

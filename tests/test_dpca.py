@@ -22,8 +22,8 @@ from psdk.exceptions import (
     ShapeMismatchError,
     ZeroGapWarning,
 )
-from psdk.linalg import IndexSet, eigh_topk, projector_distance
-from psdk.manifold import LowRankPsd
+from psdk.linalg import CholFactor, IndexSet, anchor, eigh_topk, projector_distance
+from psdk.manifold import LowRankPsd, karcher_mean
 from psdk.models import RngStream, gaussian_samples, sample_cov, spiked_covariance
 
 
@@ -141,14 +141,24 @@ def test_euclid_rankk_mean_by_hand():
 
 
 def test_euclid_rankk_mean_truncates():
+    # M * K = 6 factors' columns span all of R^5: the mean has full rank and
+    # only its best rank-2 approximation comes back
     rng = np.random.default_rng(6)
-    g = rng.normal(size=(5, 5))
-    full = g @ g.T
-    psds = [LowRankPsd(full, 2, IndexSet.canonical(2))]
-    mean = euclid_rankk_mean(psds, 2)
+    factors = [anchor(rng.normal(size=(5, 2)), IndexSet.canonical(2)) for _ in range(3)]
+    full = np.mean([f.entries @ f.entries.T for f in factors], axis=0)
+    assert np.linalg.matrix_rank(full) == 5
+    mean = euclid_rankk_mean(factors, 2)
     pair = eigh_topk(full, 2)
     assert_allclose(mean.matrix, (pair.vectors * pair.values) @ pair.vectors.T,
                     atol=1e-12)
+    assert mean.rank == 2 and mean.index_set == IndexSet.canonical(2)
+
+
+def test_euclid_rankk_mean_names_non_member():
+    good = LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,)))
+    full_rank = LowRankPsd(np.diag([1.0, 1.0]), 1, IndexSet((0,)))
+    with pytest.raises(NotInManifoldError, match="element 1: membership failed"):
+        euclid_rankk_mean([good, full_rank], 1)
 
 
 def test_euclid_rankk_mean_rejects_mixed_tags():
@@ -171,6 +181,66 @@ def test_aggregators_reject_empty():
         dpca_bw([], 1)
     with pytest.raises(EmptyInputError):
         euclid_rankk_mean([], 1)
+
+
+def test_aggregators_reject_malformed_input():
+    with pytest.raises(ShapeMismatchError, match="differ in shape"):
+        full_pca([np.eye(3), np.ones((1, 3))], 1)
+    e1 = np.array([[1.0], [0.0]])
+    summaries = [LocalSummary(e1, np.array([1.0]), 0), LocalSummary(e1, np.array([-1.0]), 1)]
+    with pytest.raises(NonPositiveSpectrumError, match="nonnegative"):
+        dpca_bw(summaries, 1)
+
+
+# ---------------------------------------------------------------------------
+# frames against the dense form
+#
+# Each aggregate is the mean of F F.T over p x K frames F. The reference
+# builds it the dense way, one p x p matrix per frame, stacked and averaged.
+
+
+def _dense_mean(frames):
+    agg = np.mean(np.stack([f @ f.T for f in frames]), axis=0)
+    return 0.5 * (agg + agg.T)
+
+
+@pytest.mark.parametrize("p, k, n_machines", [(12, 2, 3), (8, 3, 5)])
+def test_aggregators_match_dense_reference(p, k, n_machines):
+    rng = np.random.default_rng(p * 100 + n_machines)
+    summaries = _random_summaries(rng, p, k, n_machines)
+    idx = IndexSet.canonical(k)
+    mean_factor = karcher_mean([anchor(s.vectors * s.values, idx) for s in summaries])
+    frames = {
+        "fan": [s.vectors for s in summaries],
+        "bw": [s.vectors * np.sqrt(s.values) for s in summaries],
+        "lrc": [mean_factor.entries],
+    }
+    results = {"fan": dpca_fan(summaries, k), "bw": dpca_bw(summaries, k),
+               "lrc": lrc_dpca(summaries, k, idx)}
+    for method, res in results.items():
+        pair = eigh_topk(_dense_mean(frames[method]), k)
+        assert _projector_gap(res.basis, pair.vectors) < 1e-10, method
+        assert_allclose(res.diagnostics["values"], pair.values, rtol=1e-12, err_msg=method)
+
+    samples = [anchor(rng.normal(size=(p, k)), idx) for _ in range(n_machines)]
+    pair = eigh_topk(_dense_mean([s.entries for s in samples]), k)
+    assert_allclose(euclid_rankk_mean(samples, k).matrix,
+                    (pair.vectors * pair.values) @ pair.vectors.T, atol=1e-12)
+
+
+def test_factor_aggregates_form_no_per_sample_matrix(monkeypatch):
+    """euclid_rankk_mean and lrc_dpca never ask a factor for its p x p matrix."""
+
+    def forbidden(self):
+        raise AssertionError("p x p matrix formed for a factor")
+
+    monkeypatch.setattr(CholFactor, "matrix", property(forbidden))
+    rng = np.random.default_rng(13)
+    idx = IndexSet((3, 1))
+    samples = [anchor(rng.normal(size=(9, 2)), idx) for _ in range(4)]
+    assert euclid_rankk_mean(samples, 2).matrix.shape == (9, 9)
+    summaries = _random_summaries(rng, 9, 2, 4)
+    assert lrc_dpca(summaries, 2, idx).method == "lrc"
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ tests/reference/<name>.cfg` wrote before the experiment runners were
 collapsed onto one skeleton. Every column but `error` must match exactly;
 `error` goes through LAPACK and BLAS, whose roundoff differs between builds,
 so it is compared within ERROR_RTOL. The number of Karcher retries and skips
-logged on stderr must match too; `intrinsic_retry_skip` exercises both.
+logged on stderr must match too; `intrinsic_retry_skip` exercises both. Each
+progress line on stderr must count the config's `repetitions`, also where two
+sweeps of `extrinsic_avg` meet at one (M, sigma_sq) point.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,8 @@ def test_reference_output(name, retries, skips, tmp_path, capsys):
     assert code == 0, err
     assert err.count(" retried with rows ") == retries
     assert err.count(" skipped: ") == skips
+    counts = re.findall(r": (\d+) repetitions in ", err)
+    assert counts and {int(c) for c in counts} == {int(parse_config_file(cfg)["repetitions"])}
 
     header, rows = _read(out)
     ref_header, ref_rows = _read(REFERENCE / f"{name}.csv")
