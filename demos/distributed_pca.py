@@ -35,7 +35,7 @@ N_GRID = (250, 1000, 4000)
 
 def one_round(cov, n, rng):
     covs = [sample_cov(gaussian_samples(cov, n, rng)) for _ in range(M)]
-    summaries = [summarize_covariance(c, K, m) for m, c in enumerate(covs)]
+    summaries = [summarize_covariance(c, K) for c in covs]
     # anchor rows chosen from machine 0's frame and shared with everyone
     idx = find_index(summaries[0].vectors, summaries[0].values, K)
     return {

@@ -11,8 +11,8 @@ Run:  python3 demos/geometry_tour.py
 import numpy as np
 
 from psdk import (
+    CholFactor,
     IndexSet,
-    LowRankPsd,
     anchor,
     exp_factor,
     factorize,
@@ -28,8 +28,7 @@ np.set_printoptions(precision=4, suppress=True)
 def main():
     print("=== a rank-1 matrix and its factor ===")
     mat = np.array([[4.0, 2.0], [2.0, 1.0]])
-    psd = LowRankPsd(mat, rank=1, index_set=IndexSet((0,)))
-    factor = factorize(psd)
+    factor = factorize(mat, rank=1, index_set=IndexSet((0,)))
     print("matrix:\n", mat)
     print("reduced Cholesky factor (anchored at row 0):\n", factor.entries)
     print("factor @ factor.T reproduces it:\n", factor.entries @ factor.entries.T)
@@ -63,8 +62,9 @@ def main():
     print("round-trip max error:", np.max(np.abs(back.matrix - factor.matrix)))
 
     print("\n=== closed-form Karcher mean ===")
-    a = LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,)))
-    b = LowRankPsd(np.diag([4.0, 0.0]), 1, IndexSet((0,)))
+    # the factors of diag(1,0) and diag(4,0) anchored at row 0: columns (1,0) and (2,0)
+    a = CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,)))
+    b = CholFactor(np.array([[2.0], [0.0]]), IndexSet((0,)))
     mean = karcher_mean([a, b])
     print("mean factor of diag(1,0) and diag(4,0):\n", mean.entries)
     print("mean matrix:\n", mean.matrix)

@@ -6,10 +6,13 @@ unique reduced Cholesky factor whose index-set rows form a lower-triangular
 block with positive diagonal; taking logs of that diagonal gives a global
 chart in which the Karcher mean is an entrywise average, i.e. closed form.
 
-The anchored factor (`CholFactor`, p x K) is the data that flows through
-the package: `anchor` turns any p x K frame into it, samplers return it and
-`karcher_mean` consumes and returns it. p x p matrices (`LowRankPsd`,
-`CholFactor.matrix`) appear only at the API edges.
+The anchored factor (`CholFactor`, p x K) is the package's one PSD type:
+`anchor` turns any p x K frame into it, `factorize(mat, rank, index_set)`
+turns a p x p matrix into it, signals and samples are factors, and
+`karcher_mean`, `geodesic_distance` and `euclid_rankk_mean` take factors
+only. p x p matrices appear only at the API edges (`factorize`,
+`CholFactor.matrix`). Eigenpairs are `SpectralPair`s: `eigh_topk` and
+`summarize_covariance` return them and the dpca aggregators take them.
 
 Modules
 -------
@@ -18,8 +21,9 @@ linalg
     Cholesky of a p x p matrix, the Householder lower-triangular/orthogonal
     decomposition, top-K eigenpairs with a fixed sign convention.
 manifold
-    The p x p membership test, the factor/log chart both ways, Karcher mean
-    and geodesic distance.
+    The p x p membership test and `factorize`, the chart's p x p entry
+    point; the factor/log chart both ways, Karcher mean and geodesic
+    distance.
 perturbation
     First-order expansions: decomposition under additive noise, the Karcher
     factor under factor noise, invariant subspaces under symmetric noise,
@@ -35,7 +39,6 @@ experiments, cli
 
 from .dpca import (
     DpcaResult,
-    LocalSummary,
     dpca_bw,
     dpca_fan,
     euclid_rankk_mean,
@@ -90,7 +93,6 @@ from .linalg import (
     support_mask,
 )
 from .manifold import (
-    LowRankPsd,
     exp_factor,
     factorize,
     geodesic_distance,
@@ -130,8 +132,6 @@ __all__ = [
     "IndexSet",
     "IndexSetMismatchError",
     "InsufficientPointsError",
-    "LocalSummary",
-    "LowRankPsd",
     "NonPositiveDiagonalError",
     "NonPositiveSpectrumError",
     "NotInManifoldError",

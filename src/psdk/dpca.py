@@ -1,6 +1,7 @@
 """One-shot distributed PCA aggregators and anchor-row selection.
 
-Machines summarize their local sample covariance by its top-K eigenpairs.
+Machines summarize their local sample covariance by its top-K eigenpairs,
+a `SpectralPair` (`summarize_covariance`).
 Every rank-K aggregate is built from p x K frames F_m: it is the mean of
 F_m F_m.T, formed by `_frame_gram` as one product of the stacked frames, so
 no per-machine p x p matrix exists. The aggregators differ in the frames:
@@ -31,17 +32,8 @@ from .exceptions import (
     ShapeMismatchError,
     ZeroGapWarning,
 )
-from .linalg import IndexSet, anchor, eigh_topk, pivot_threshold
-from .manifold import LowRankPsd, _chart_factors, karcher_mean
-
-
-@dataclass
-class LocalSummary:
-    """One machine's spectral summary: top-K eigenpairs of its covariance."""
-
-    vectors: np.ndarray
-    values: np.ndarray
-    machine_id: int
+from .linalg import IndexSet, anchor, check_finite, eigh_topk, pivot_threshold
+from .manifold import _chart_factors, karcher_mean
 
 
 @dataclass
@@ -54,14 +46,13 @@ class DpcaResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def summarize_covariance(cov_hat, rank, machine_id):
-    """Top-`rank` eigenpair summary of one machine's covariance estimate.
+def summarize_covariance(cov_hat, rank):
+    """Top-`rank` eigenpairs (a SpectralPair) of one machine's covariance estimate.
 
     Eigenvalues must be strictly positive (they get squared downstream);
     raises NonPositiveSpectrumError otherwise.
     """
-    pair = eigh_topk(cov_hat, rank, require_positive=True)
-    return LocalSummary(pair.vectors, pair.values, machine_id)
+    return eigh_topk(cov_hat, rank, require_positive=True)
 
 
 def _frame_gram(frames, caller):
@@ -69,6 +60,9 @@ def _frame_gram(frames, caller):
     G G.T / M of the frames side by side in G (p x sum K)."""
     if not frames:
         raise EmptyInputError(f"{caller} needs at least one summary")
+    shapes = [np.shape(f) for f in frames]
+    if any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
+        raise ShapeMismatchError(f"{caller} frames must be 2-d with a common p, got {shapes}")
     stacked = np.concatenate(frames, axis=1)
     agg = (stacked @ stacked.T) / len(frames)
     return 0.5 * (agg + agg.T)
@@ -77,6 +71,8 @@ def _frame_gram(frames, caller):
 def _result(agg, rank, method, n_machines, index_set=None):
     """Leading basis of an aggregated matrix, warning on a collapsed eigengap."""
     p = agg.shape[0]
+    if not 1 <= rank <= p:
+        raise ShapeMismatchError(f"{method}: rank {rank} invalid for p = {p}")
     take = min(rank + 1, p)
     pair = eigh_topk(agg, take)
     gap = np.inf
@@ -118,14 +114,14 @@ def lrc_dpca(summaries, rank, index_set):
     ------
     NotInManifoldError
         If any anchored factor fails the pivot rule at `index_set`; the
-        message lists the offending machine ids so the caller can reselect
-        rows via `find_index`.
+        message lists the offending machines by their position in
+        `summaries`, so the caller can reselect rows via `find_index`.
     """
     summaries = list(summaries)
     if not summaries:
         raise EmptyInputError("lrc_dpca needs at least one summary")
     factors = [anchor(s.vectors * s.values, index_set) for s in summaries]
-    bad = [s.machine_id for s, f in zip(summaries, factors) if f.pivot_failure() is not None]
+    bad = [m for m, f in enumerate(factors) if f.pivot_failure() is not None]
     if bad:
         raise NotInManifoldError(
             f"machines {bad} fail membership with index set {tuple(index_set)}; "
@@ -155,15 +151,16 @@ def dpca_bw(summaries, rank):
 def euclid_rankk_mean(psds, rank):
     """Best rank-`rank` approximation of the arithmetic mean of the inputs.
 
-    Takes what `karcher_mean` takes (CholFactors, a LowRankPsd factored once
-    by `factorize`) but not its pivot rule: the mean of the factors' N N.T
-    is formed from the stacked factors. The output carries the common
-    index-set tag; no membership is enforced on it.
+    Takes what `karcher_mean` takes (CholFactors) but not its pivot rule:
+    the mean of the factors' N N.T is formed from the stacked factors. The
+    output is the truncation's frame V sqrt(values) anchored at the common
+    index set (roundoff-negative values count as zero); no pivot rule is
+    enforced on it.
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
     pair = eigh_topk(_frame_gram([f.entries for f in factors], "euclid_rankk_mean"), rank)
-    mat = (pair.vectors * pair.values) @ pair.vectors.T
-    return LowRankPsd(0.5 * (mat + mat.T), rank, factors[0].index_set)
+    frame = pair.vectors * np.sqrt(np.maximum(pair.values, 0.0))
+    return anchor(frame, factors[0].index_set)
 
 
 def find_index(vectors, values, rank):
@@ -205,8 +202,7 @@ def find_index(vectors, values, rank):
     if not (1 <= rank <= vectors.shape[1]) or rank > p:
         raise ShapeMismatchError(f"rank {rank} invalid for frame shape {vectors.shape}")
     target = vectors[:, :rank] * values[:rank]
-    if not np.all(np.isfinite(target)):
-        raise ShapeMismatchError("find_index frame must be finite")
+    check_finite("find_index frame", target)
     tau = pivot_threshold(target)
     chosen = []
     for k in range(rank):

@@ -25,7 +25,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .exceptions import (
     PsdkError,
 )
 from .linalg import CholFactor, IndexSet, anchor, eigh_topk, lq_givens, projector_distance
-from .manifold import LowRankPsd
 from .models import RngStream, derive_stream_id
 
 EXPERIMENTS = ("intrinsic_avg", "dpca", "extrinsic_avg", "perturb_order")
@@ -50,18 +49,19 @@ CSV_HEADER = "experiment,method,p,K,M,n,sigma_sq,repetition,seed,error,wall_time
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment configuration; every field maps to one config-file key."""
+    """Flat experiment configuration; every field maps to one config-file key,
+    parsed as the field's annotated type (`_coerce`)."""
 
     experiment: str
     p: int = 100
     K: int = 5
     sigma_sq: float = 1.0
-    p_grid: tuple = ()
-    M_grid: tuple = ()
-    n_grid: tuple = ()
-    sigma_grid: tuple = ()
+    p_grid: tuple[int, ...] = ()
+    M_grid: tuple[int, ...] = ()
+    n_grid: tuple[int, ...] = ()
+    sigma_grid: tuple[float, ...] = ()
     M_fixed: int = 400
-    eps_grid: tuple = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    eps_grid: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
     n_inner: int = 2000
     repetitions: int = 20
     master_seed: int = 0
@@ -173,13 +173,6 @@ def default_config(experiment, quick=False):
 # ---------------------------------------------------------------------------
 # config files
 
-_INT_FIELDS = {"p", "K", "M_fixed", "n_inner", "repetitions", "master_seed", "threads"}
-_FLOAT_FIELDS = {"sigma_sq"}
-_INT_TUPLES = {"p_grid", "M_grid", "n_grid"}
-_FLOAT_TUPLES = {"sigma_grid", "eps_grid"}
-_STR_FIELDS = {"experiment", "index_mode", "output_path"}
-
-
 def parse_config_file(path):
     """Read a flat `key = value` file; '#' starts a comment, blanks ignored."""
     values = {}
@@ -196,20 +189,18 @@ def parse_config_file(path):
 
 
 def _coerce(key, text):
+    """`text` as the type of the ExperimentConfig field `key`; a tuple field
+    takes comma-separated entries."""
+    kind = next((f.type for f in fields(ExperimentConfig) if f.name == key), None)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in _INT_FIELDS:
-            return int(text)
-        if key in _FLOAT_FIELDS:
-            return float(text)
-        if key in _INT_TUPLES:
-            return tuple(int(tok) for tok in text.split(",") if tok.strip())
-        if key in _FLOAT_TUPLES:
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
-        if key in _STR_FIELDS:
-            return text
+        if get_origin(kind) is tuple:
+            entry = get_args(kind)[0]
+            return tuple(entry(tok) for tok in text.split(",") if tok.strip())
+        return kind(text)
     except ValueError:
         raise ConfigError(f"cannot parse value {text!r} for key {key!r}") from None
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(experiment, path=None, quick=False, overrides=None):
@@ -401,18 +392,23 @@ def _runner(experiment):
     return decorate
 
 
+def _frame_rows(frame, rank):
+    """`find_index` rows of F @ F.T for a p x K frame F, from the thin SVD of F
+    (its left singular vectors and squared singular values are the eigenpairs)."""
+    left, sing, _ = np.linalg.svd(frame, full_matrices=False)
+    return dpca_mod.find_index(left, sing**2, rank)
+
+
 def _reselect_index(frames, rank, failed_idx):
     """Anchor rows from the first sample that fails the pivot rule at `failed_idx`.
 
-    The offending sample's own spectral frame, from a thin SVD of its p x K
-    frame, drives `find_index`. Returns None when nothing fails or no
-    admissible rows exist.
+    The offending sample's own frame drives `_frame_rows`. Returns None when
+    nothing fails or no admissible rows exist.
     """
     for frame in frames:
         if anchor(frame, failed_idx).pivot_failure() is not None:
-            left, sing, _ = np.linalg.svd(frame, full_matrices=False)
             try:
-                return dpca_mod.find_index(left, sing**2, rank)
+                return _frame_rows(frame, rank)
             except DegenerateRowsError:
                 return None
     return None
@@ -450,10 +446,10 @@ def _oracle_rows(mat, rank):
 
 
 def _signal(cfg, p, stream):
-    """A Gaussian-SVD signal, anchored at its own find_index rows in oracle mode."""
+    """A Gaussian-SVD signal factor, anchored at its own find_index rows in oracle mode."""
     sig = models.gaussian_svd_signal(p, cfg.K, stream)
     if cfg.index_mode == "find_index_oracle":
-        sig = LowRankPsd(sig.matrix, cfg.K, _oracle_rows(sig.matrix, cfg.K))
+        sig = anchor(sig.entries, _frame_rows(sig.entries, cfg.K))
     return sig
 
 
@@ -549,9 +545,7 @@ def run_dpca(cfg):
             )
             for m in range(m_count)
         ]
-        summaries = [
-            dpca_mod.summarize_covariance(c, cfg.K, m) for m, c in enumerate(covs)
-        ]
+        summaries = [dpca_mod.summarize_covariance(c, cfg.K) for c in covs]
         if cfg.index_mode == "canonical":
             idx = IndexSet.canonical(cfg.K)
         elif cfg.index_mode == "find_index_oracle":
@@ -794,7 +788,7 @@ def _selftest_roundtrip():
         rows = gen.permutation(p)[:k]
         idx = IndexSet(tuple(int(i) for i in rows))
         factor = anchor(gen.normal(size=(p, k)), idx).validate()
-        back = manifold.factorize(LowRankPsd(factor.matrix, k, idx))
+        back = manifold.factorize(factor.matrix, k, idx)
         worst = max(worst, float(np.max(np.abs(back.entries - factor.entries))))
     if worst > 1e-8:
         raise AssertionError(f"round-trip error {worst:.3e} above 1e-8")
@@ -818,8 +812,8 @@ def _selftest_lq():
 
 
 def _selftest_karcher():
-    diag_a = LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,)))
-    diag_b = LowRankPsd(np.diag([4.0, 0.0]), 1, IndexSet((0,)))
+    diag_a = CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,)))
+    diag_b = CholFactor(np.array([[2.0], [0.0]]), IndexSet((0,)))
     mean = manifold.karcher_mean([diag_a, diag_b])
     if np.max(np.abs(mean.matrix - np.diag([2.0, 0.0]))) > 1e-12:
         raise AssertionError("two-point diagonal mean wrong")
@@ -859,10 +853,3 @@ def _selftest_determinism():
     second = render_csv(run_dpca(replace(cfg, threads=2)))
     if first != second:
         raise AssertionError("rerun with different thread count changed the CSV")
-
-
-# keep the config-field list in sync with the dataclass at import time
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
-assert (
-    _INT_FIELDS | _FLOAT_FIELDS | _INT_TUPLES | _FLOAT_TUPLES | _STR_FIELDS
-) == _KNOWN_KEYS

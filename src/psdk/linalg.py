@@ -42,13 +42,18 @@ def pivot_threshold(mat):
     return TAU_PIVOT_REL * float(np.max(np.abs(mat)))
 
 
+def check_finite(what, *arrays):
+    """Raise ShapeMismatchError("<what> must be finite") on a NaN or Inf entry."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ShapeMismatchError(f"{what} must be finite")
+
+
 def check_symmetric(mat, rtol=SYM_RTOL):
     """Raise NotSymmetricError if max|A - A.T| exceeds rtol * max|A|."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ShapeMismatchError("matrix entries must be finite")
+    check_finite("matrix entries", mat)
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
     if asym > rtol * scale:
@@ -174,8 +179,7 @@ class CholFactor:
         ent = np.asarray(self.entries, dtype=float)
         if ent.ndim != 2:
             raise ShapeMismatchError(f"factor entries must be 2-d, got {ent.ndim}-d")
-        if not np.all(np.isfinite(ent)):
-            raise ShapeMismatchError("factor entries must be finite")
+        check_finite("factor entries", ent)
         p, rank = ent.shape
         if len(self.index_set) != rank:
             raise ShapeMismatchError(
@@ -323,6 +327,7 @@ def lq_givens(mat):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    check_finite("matrix entries", mat)
     smin = np.linalg.svd(mat, compute_uv=False)[-1]
     if smin <= pivot_threshold(mat):
         raise SingularMatrixError(
@@ -412,6 +417,7 @@ def procrustes_sign(mat):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    check_finite("matrix entries", mat)
     left, sing, right_t = np.linalg.svd(mat)
     if sing[-1] <= pivot_threshold(mat):
         raise SingularMatrixError(
@@ -438,5 +444,6 @@ def projector_distance(basis_a, basis_b):
         raise ShapeMismatchError(
             f"expected tall matrices, got shape {basis_a.shape}"
         )
+    check_finite("basis entries", basis_a, basis_b)
     diff = basis_a @ basis_a.T - basis_b @ basis_b.T
     return float(np.linalg.norm(diff))

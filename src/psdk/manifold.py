@@ -10,8 +10,6 @@ in log coordinates, i.e. arithmetically off the anchored diagonal and
 geometrically on it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -21,30 +19,7 @@ from .exceptions import (
     NotInManifoldError,
     ShapeMismatchError,
 )
-from .linalg import CholFactor, IndexSet
-
-
-@dataclass
-class LowRankPsd:
-    """A rank-K PSD matrix tagged with the index set anchoring its chart.
-
-    Construction does not validate; call `validate` (or `membership`) when
-    the tag needs to be trusted.
-    """
-
-    matrix: np.ndarray
-    rank: int
-    index_set: IndexSet
-
-    @property
-    def p(self):
-        return self.matrix.shape[0]
-
-    def validate(self):
-        ok, diag = membership(self.matrix, self.rank, self.index_set)
-        if not ok:
-            raise NotInManifoldError(_describe_failure(diag, self.index_set))
-        return self
+from .linalg import CholFactor
 
 
 def membership(mat, rank, index_set, rtol_rank=linalg.TAU_RANK):
@@ -126,34 +101,44 @@ def _describe_failure(diag, index_set):
     return "membership failed: " + "; ".join(reasons or ["unknown"])
 
 
-def factorize(psd):
-    """Chart map at the p x p edge: LowRankPsd -> CholFactor (unique anchored factor).
+def factorize(mat, rank, index_set):
+    """Chart map at the p x p edge: the unique factor of `mat` anchored at `index_set`.
 
     Raises NotInManifoldError when the membership test fails.
     """
-    psd.validate()
-    return linalg.reduced_cholesky(psd.matrix, psd.rank, psd.index_set)
+    ok, diag = membership(mat, rank, index_set)
+    if not ok:
+        raise NotInManifoldError(_describe_failure(diag, index_set))
+    return linalg.reduced_cholesky(mat, rank, index_set)
 
 
-def _chart_factors(psds, caller):
-    """The inputs as CholFactors sharing one rank and index set, a LowRankPsd
-    factored by `factorize`; errors name the offending element."""
-    psds = list(psds)
-    if not psds:
-        raise EmptyInputError(f"{caller} needs at least one matrix")
-    base = psds[0].index_set
-    rank = psds[0].rank
-    factors = []
-    for m, psd in enumerate(psds):
-        if psd.index_set != base or psd.rank != rank:
-            raise IndexSetMismatchError(
-                f"element {m} has (rank, index set) = ({psd.rank}, {tuple(psd.index_set)}), "
-                f"expected ({rank}, {tuple(base)})"
+def _chart_factors(factors, caller):
+    """The inputs as a list of CholFactors sharing one shape and index set;
+    errors name the offending element."""
+    factors = list(factors)
+    if not factors:
+        raise EmptyInputError(f"{caller} needs at least one factor")
+    base = factors[0]
+    for m, factor in enumerate(factors):
+        if not isinstance(factor, CholFactor):
+            raise ShapeMismatchError(
+                f"element {m} is a {type(factor).__name__}, not a CholFactor; "
+                "factor a p x p matrix with factorize"
             )
-        try:
-            factors.append(factorize(psd) if isinstance(psd, LowRankPsd) else psd)
-        except NotInManifoldError as err:
-            raise NotInManifoldError(f"element {m}: {err}") from None
+        shape = np.shape(factor.entries)
+        if (len(shape) != 2 or len(factor.index_set) != shape[1]
+                or max(factor.index_set) >= shape[0]):
+            raise ShapeMismatchError(
+                f"element {m}: index set {tuple(factor.index_set)} does not fit "
+                f"factor entries of shape {shape}"
+            )
+        if factor.index_set != base.index_set:
+            raise IndexSetMismatchError(
+                f"element {m} has (rank, index set) = ({factor.rank}, "
+                f"{tuple(factor.index_set)}), expected ({base.rank}, {tuple(base.index_set)})"
+            )
+        if factor.p != base.p:
+            raise ShapeMismatchError(f"element {m} has p = {factor.p}, expected {base.p}")
     return factors
 
 
@@ -186,9 +171,9 @@ def karcher_mean(psds):
 
     Parameters
     ----------
-    psds : sequence of CholFactor or LowRankPsd
-        Nonempty, with a common rank and index set. Factors must pass
-        `CholFactor.pivot_failure`; a LowRankPsd is factored by `factorize`.
+    psds : sequence of CholFactor
+        Nonempty, with a common shape and index set, each passing
+        `CholFactor.pivot_failure`. A p x p matrix enters through `factorize`.
 
     Returns
     -------
@@ -199,6 +184,8 @@ def karcher_mean(psds):
     ------
     EmptyInputError
         On an empty sequence.
+    ShapeMismatchError
+        If an element's index set does not fit its entries, or p differs.
     IndexSetMismatchError
         If the elements carry different index sets or ranks.
     NotInManifoldError
@@ -216,7 +203,7 @@ def karcher_mean(psds):
 def geodesic_distance(psd_a, psd_b):
     """Geodesic distance: Frobenius distance of the log-coordinate factors.
 
-    Takes CholFactor or LowRankPsd inputs sharing one rank and index set.
+    Takes two CholFactors sharing one shape and index set.
     Symmetric, zero iff the inputs are equal, and by construction identical
     to the Euclidean distance between their `log_factor` images.
     """

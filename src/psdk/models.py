@@ -21,7 +21,6 @@ import numpy as np
 from . import manifold
 from .exceptions import ConfigError, EmptyInputError, NotInManifoldError, NotPsdError, ShapeMismatchError
 from .linalg import IndexSet, anchor, check_symmetric, eigh_topk, support_mask
-from .manifold import LowRankPsd
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
 # into one integer, little-endian in this base; each label must fit below it.
@@ -70,15 +69,15 @@ def gaussian_svd_signal(p, rank, rng):
     """Rank-K signal from the left singular frame of a square Gaussian matrix.
 
     Draws a p x p standard Gaussian matrix, keeps its top `rank` left singular
-    vectors V and singular values s, and returns V diag(s) V.T tagged with the
-    canonical index set.
+    vectors V and singular values s, and returns the factor of V diag(s) V.T,
+    the frame V diag(sqrt(s)) anchored at the canonical index set.
     """
+    if not 1 <= rank <= p:
+        raise ShapeMismatchError(f"rank {rank} invalid for p = {p}")
     gen = _as_generator(rng)
     gauss = gen.normal(size=(p, p))
     left, sing, _ = np.linalg.svd(gauss)
-    basis = left[:, :rank]
-    mat = (basis * sing[:rank]) @ basis.T
-    return LowRankPsd(0.5 * (mat + mat.T), rank, IndexSet.canonical(rank))
+    return anchor(left[:, :rank] * np.sqrt(sing[:rank]), IndexSet.canonical(rank))
 
 
 def spiked_covariance(p, rank, rng, ridge=0.3):
@@ -107,19 +106,23 @@ def intrinsic_samples(psd, sigma, count, rng):
 
     Parameters
     ----------
-    psd : LowRankPsd
+    psd : CholFactor
+        The signal; must pass `CholFactor.pivot_failure`.
     sigma : float
-        Noise standard deviation, >= 0.
+        Noise standard deviation, finite and >= 0.
     count : int
         Number of samples, >= 1.
     rng : RngStream, numpy Generator, or int seed
     """
-    if sigma < 0:
-        raise ConfigError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
     if count < 1:
         raise EmptyInputError("need at least one sample")
+    failure = psd.pivot_failure()
+    if failure is not None:
+        raise NotInManifoldError(f"signal: {failure}")
     gen = _as_generator(rng)
-    base = manifold.log_factor(manifold.factorize(psd))
+    base = manifold.log_factor(psd)
     mask = support_mask(psd.p, psd.rank, psd.index_set)
     nnz = int(mask.sum())
     draws = gen.normal(scale=sigma, size=(count, nnz)) if sigma > 0 else np.zeros((count, nnz))
@@ -210,7 +213,10 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
     top-K eigenpairs, eigenvalues unsquared, returned as its frame
     V_hat diag(sqrt(values_hat)) anchored at the signal's index set. The
     anchor block may be near singular; the consumer's pivot rule decides.
+    `psd` is the signal factor, as for `intrinsic_samples`.
     """
+    if not 0 <= sigma_sq < math.inf:
+        raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
     gen = _as_generator(rng)
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen)
     eye = np.eye(psd.p)

@@ -31,6 +31,7 @@ from .exceptions import (
     ZeroGapError,
 )
 from .linalg import (
+    check_finite,
     check_symmetric,
     eigh_topk,
     pivot_threshold,
@@ -59,6 +60,7 @@ def skew_generator(tril, noise):
         raise ShapeMismatchError(
             f"noise shape {noise.shape} does not match factor shape {tril.shape}"
         )
+    check_finite("factor and noise entries", tril, noise)
     if np.min(np.abs(np.diag(tril))) <= pivot_threshold(tril):
         raise SingularMatrixError("triangular factor has a numerically zero diagonal")
     scaled = solve_triangular(tril, noise, lower=True)
@@ -90,6 +92,7 @@ def lq_first_order(tril, orth, noise):
         raise ShapeMismatchError(
             f"shapes differ: {tril.shape}, {orth.shape}, {noise.shape}"
         )
+    check_finite("factor, rotation and noise entries", tril, orth, noise)
     rotated = noise @ orth.T
     gen = skew_generator(tril, rotated)
     orth_pred = orth + gen @ orth
@@ -125,6 +128,7 @@ def karcher_factor_first_order(factor, noises):
             raise ShapeMismatchError(
                 f"noise shape {e.shape} does not match factor shape {factor.entries.shape}"
             )
+    check_finite("noise entries", *noises)
     mean_noise = np.mean(np.stack(noises), axis=0)
     anchor_mean = mean_noise[factor.index_set.as_array(), :]
     gen = skew_generator(factor.anchor_block(), anchor_mean)

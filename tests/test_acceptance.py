@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from psdk import manifold, models, perturbation
-from psdk.dpca import LocalSummary, find_index, lrc_dpca
+from psdk.dpca import find_index, lrc_dpca
 from psdk.exceptions import NotInManifoldError
 from psdk.experiments import (
     ExperimentConfig,
@@ -30,12 +30,12 @@ from psdk.experiments import (
 from psdk.linalg import (
     CholFactor,
     IndexSet,
+    SpectralPair,
     eigh_topk,
     pivot_threshold,
     reduced_cholesky,
     support_mask,
 )
-from psdk.manifold import LowRankPsd
 from psdk.models import RngStream
 
 
@@ -94,11 +94,11 @@ def test_01_chart_roundtrip():
         p = int(gen.integers(2, 51))
         k = int(gen.integers(1, min(p, 8) + 1))
         factor = _random_instance(gen, p, k)
-        psd = LowRankPsd(factor.matrix, k, factor.index_set)
+        mat = factor.matrix
 
-        logs = manifold.log_factor(manifold.factorize(psd))
+        logs = manifold.log_factor(manifold.factorize(mat, k, factor.index_set))
         back = manifold.exp_factor(logs, factor.index_set)
-        worst_chart = max(worst_chart, float(np.max(np.abs(back.matrix - psd.matrix))))
+        worst_chart = max(worst_chart, float(np.max(np.abs(back.matrix - mat))))
 
         refactored = reduced_cholesky(
             factor.entries @ factor.entries.T, k, factor.index_set
@@ -131,9 +131,7 @@ def test_02_karcher_minimizes_frechet():
         m_count = int(gen.integers(2, 11))
         idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
         base = _random_factor(gen, p, k, idx)
-        samples = models.intrinsic_samples(
-            LowRankPsd(base.matrix, k, idx), 0.2, m_count, gen
-        )
+        samples = models.intrinsic_samples(base, 0.2, m_count, gen)
         logs = [manifold.log_factor(s) for s in samples]
         mean_log = manifold.log_factor(manifold.karcher_mean(samples))
 
@@ -243,7 +241,7 @@ def test_06_equivalent_noise_identity():
         pair = eigh_topk(cov, k)
         surrogate = (pair.vectors * pair.values**2) @ pair.vectors.T
         factor = manifold.factorize(
-            LowRankPsd(0.5 * (surrogate + surrogate.T), k, IndexSet.canonical(k))
+            0.5 * (surrogate + surrogate.T), k, IndexSet.canonical(k)
         )
         alignment = perturbation.factor_alignment(factor, pair)
         gen = RngStream(107, block).generator()
@@ -347,9 +345,7 @@ def test_09_noise_decay_with_n():
     cov, _ = models.spiked_covariance(p, k, RngStream(109, 0))
     pair = eigh_topk(cov, k)
     surrogate = (pair.vectors * pair.values**2) @ pair.vectors.T
-    factor = manifold.factorize(
-        LowRankPsd(0.5 * (surrogate + surrogate.T), k, IndexSet.canonical(k))
-    )
+    factor = manifold.factorize(0.5 * (surrogate + surrogate.T), k, IndexSet.canonical(k))
     alignment = perturbation.factor_alignment(factor, pair)
 
     medians = {}
@@ -411,8 +407,7 @@ def test_10_row_selection_under_zero_rows():
             failures.append((trial, "kept the degenerate leading rows"))
             continue
         summaries = [
-            LocalSummary(frame, values * gen.uniform(0.8, 1.2), m)
-            for m in range(3)
+            SpectralPair(frame, values * gen.uniform(0.8, 1.2)) for _ in range(3)
         ]
         try:
             lrc_dpca(summaries, k, idx)

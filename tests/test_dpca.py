@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from psdk.dpca import (
     DpcaResult,
-    LocalSummary,
     dpca_bw,
     dpca_fan,
     euclid_rankk_mean,
@@ -22,8 +21,8 @@ from psdk.exceptions import (
     ShapeMismatchError,
     ZeroGapWarning,
 )
-from psdk.linalg import CholFactor, IndexSet, anchor, eigh_topk, projector_distance
-from psdk.manifold import LowRankPsd, karcher_mean
+from psdk.linalg import CholFactor, IndexSet, SpectralPair, anchor, eigh_topk, projector_distance
+from psdk.manifold import karcher_mean
 from psdk.models import RngStream, gaussian_samples, sample_cov, spiked_covariance
 
 
@@ -39,7 +38,7 @@ def _random_summaries(rng, p, k, n_machines, flat_values=False):
             values = np.full(k, rng.uniform(1.0, 2.0))
         else:
             values = np.sort(rng.uniform(1.0, 2.0, size=k))[::-1]
-        out.append(LocalSummary(frame, values, m))
+        out.append(SpectralPair(frame, values))
     return out
 
 
@@ -49,8 +48,8 @@ def _random_summaries(rng, p, k, n_machines, flat_values=False):
 
 def test_summarize_covariance_basics():
     cov, _ = spiked_covariance(10, 3, RngStream(0, 0))
-    s = summarize_covariance(cov, 3, machine_id=7)
-    assert s.machine_id == 7
+    s = summarize_covariance(cov, 3)
+    assert isinstance(s, SpectralPair)
     assert s.vectors.shape == (10, 3)
     assert np.all(s.values > 0)
     assert np.all(np.diff(s.values) <= 0)
@@ -59,7 +58,7 @@ def test_summarize_covariance_basics():
 
 def test_summarize_covariance_requires_positive_spectrum():
     with pytest.raises(NonPositiveSpectrumError):
-        summarize_covariance(np.diag([1.0, 0.0]), 2, machine_id=0)
+        summarize_covariance(np.diag([1.0, 0.0]), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +87,7 @@ def test_full_pca_pools_covariances():
 
 def test_lrc_dpca_single_machine_spans_local_frame():
     cov, _ = spiked_covariance(9, 3, RngStream(3, 0))
-    s = summarize_covariance(cov, 3, 0)
+    s = summarize_covariance(cov, 3)
     res = lrc_dpca([s], 3, IndexSet.canonical(3))
     assert res.method == "lrc"
     assert res.index_set_used == IndexSet.canonical(3)
@@ -97,7 +96,7 @@ def test_lrc_dpca_single_machine_spans_local_frame():
 
 def test_lrc_dpca_identical_machines_match_full_pca():
     cov, _ = spiked_covariance(9, 3, RngStream(4, 0))
-    summaries = [summarize_covariance(cov, 3, m) for m in range(5)]
+    summaries = [summarize_covariance(cov, 3)] * 5
     res = lrc_dpca(summaries, 3, IndexSet.canonical(3))
     ref = full_pca([cov] * 5, 3)
     assert projector_distance(res.basis, ref.basis) < 1e-10
@@ -105,7 +104,7 @@ def test_lrc_dpca_identical_machines_match_full_pca():
 
 def test_fan_and_bw_identical_machines():
     cov, _ = spiked_covariance(8, 2, RngStream(5, 0))
-    summaries = [summarize_covariance(cov, 2, m) for m in range(3)]
+    summaries = [summarize_covariance(cov, 2)] * 3
     local = summaries[0].vectors
     assert projector_distance(dpca_fan(summaries, 2).basis, local) < 1e-10
     assert projector_distance(dpca_bw(summaries, 2).basis, local) < 1e-10
@@ -116,14 +115,10 @@ def test_aggregators_by_hand_rank_one():
     # arithmetic for bw (2.5) and geometric for the Karcher route (values
     # (1,2) square to surrogates diag(1,0), diag(4,0), whose mean is diag(2,0))
     e1 = np.array([[1.0], [0.0]])
-    bw = dpca_bw(
-        [LocalSummary(e1, np.array([1.0]), 0), LocalSummary(e1, np.array([4.0]), 1)], 1
-    )
+    bw = dpca_bw([SpectralPair(e1, np.array([1.0])), SpectralPair(e1, np.array([4.0]))], 1)
     assert_allclose(bw.diagnostics["values"], [2.5], atol=1e-14)
     lrc = lrc_dpca(
-        [LocalSummary(e1, np.array([1.0]), 0), LocalSummary(e1, np.array([2.0]), 1)],
-        1,
-        IndexSet((0,)),
+        [SpectralPair(e1, np.array([1.0])), SpectralPair(e1, np.array([2.0]))], 1, IndexSet((0,))
     )
     assert_allclose(lrc.diagnostics["values"], [2.0], atol=1e-12)
     assert _projector_gap(bw.basis, e1) < 1e-12
@@ -132,8 +127,8 @@ def test_aggregators_by_hand_rank_one():
 
 def test_euclid_rankk_mean_by_hand():
     psds = [
-        LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,))),
-        LowRankPsd(np.diag([4.0, 0.0]), 1, IndexSet((0,))),
+        CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,))),
+        CholFactor(np.array([[2.0], [0.0]]), IndexSet((0,))),
     ]
     mean = euclid_rankk_mean(psds, 1)
     assert_allclose(mean.matrix, np.diag([2.5, 0.0]), atol=1e-14)
@@ -154,17 +149,29 @@ def test_euclid_rankk_mean_truncates():
     assert mean.rank == 2 and mean.index_set == IndexSet.canonical(2)
 
 
-def test_euclid_rankk_mean_names_non_member():
-    good = LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,)))
-    full_rank = LowRankPsd(np.diag([1.0, 1.0]), 1, IndexSet((0,)))
-    with pytest.raises(NotInManifoldError, match="element 1: membership failed"):
-        euclid_rankk_mean([good, full_rank], 1)
+def test_euclid_rankk_mean_names_malformed_factor():
+    good = CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,)))
+    for bad in (CholFactor(np.ones((2, 2)), IndexSet((0,))),
+                CholFactor(np.ones((2, 1)), IndexSet((2,))),
+                CholFactor(np.ones(2), IndexSet((0,)))):
+        with pytest.raises(ShapeMismatchError, match="element 1: index set"):
+            euclid_rankk_mean([good, bad], 1)
+
+
+def test_euclid_rankk_mean_clips_roundoff_negative_values():
+    """A mean of lower rank than requested has roundoff-size trailing values;
+    a negative one (-4e-16 here, with LAPACK's eigh) must give a zero column,
+    not a NaN."""
+    frame = np.outer([2.0, 1.0, 2.0], [1.0, 0.5])
+    mean = euclid_rankk_mean([CholFactor(frame, IndexSet((0, 1)))], 2)
+    assert np.all(np.isfinite(mean.entries))
+    assert_allclose(mean.matrix, frame @ frame.T, atol=1e-14)
 
 
 def test_euclid_rankk_mean_rejects_mixed_tags():
     psds = [
-        LowRankPsd(np.diag([1.0, 0.0]), 1, IndexSet((0,))),
-        LowRankPsd(np.diag([0.0, 1.0]), 1, IndexSet((1,))),
+        CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,))),
+        CholFactor(np.array([[0.0], [1.0]]), IndexSet((1,))),
     ]
     with pytest.raises(IndexSetMismatchError, match="element 1"):
         euclid_rankk_mean(psds, 1)
@@ -187,9 +194,17 @@ def test_aggregators_reject_malformed_input():
     with pytest.raises(ShapeMismatchError, match="differ in shape"):
         full_pca([np.eye(3), np.ones((1, 3))], 1)
     e1 = np.array([[1.0], [0.0]])
-    summaries = [LocalSummary(e1, np.array([1.0]), 0), LocalSummary(e1, np.array([-1.0]), 1)]
+    summaries = [SpectralPair(e1, np.array([1.0])), SpectralPair(e1, np.array([-1.0]))]
     with pytest.raises(NonPositiveSpectrumError, match="nonnegative"):
         dpca_bw(summaries, 1)
+    mixed_p = [SpectralPair(e1, np.array([1.0])), SpectralPair(np.ones((3, 1)), np.array([1.0]))]
+    for aggregate in (dpca_fan, dpca_bw):
+        with pytest.raises(ShapeMismatchError, match="common p"):
+            aggregate(mixed_p, 1)
+    e3 = np.array([[1.0], [0.0], [0.0]])
+    for aggregate in (dpca_fan, dpca_bw):
+        with pytest.raises(ShapeMismatchError, match="rank 5 invalid for p = 3"):
+            aggregate([SpectralPair(e3, np.array([1.0]))], 5)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +253,7 @@ def test_factor_aggregates_form_no_per_sample_matrix(monkeypatch):
     rng = np.random.default_rng(13)
     idx = IndexSet((3, 1))
     samples = [anchor(rng.normal(size=(9, 2)), idx) for _ in range(4)]
-    assert euclid_rankk_mean(samples, 2).matrix.shape == (9, 9)
+    assert euclid_rankk_mean(samples, 2).entries.shape == (9, 2)
     summaries = _random_summaries(rng, 9, 2, 4)
     assert lrc_dpca(summaries, 2, idx).method == "lrc"
 
@@ -257,7 +272,7 @@ def test_sign_flips_leave_all_aggregates_unchanged():
     rng = np.random.default_rng(7)
     summaries = _random_summaries(rng, 10, 3, 4)
     flipped = [
-        LocalSummary(s.vectors * rng.choice([-1.0, 1.0], size=3), s.values, s.machine_id)
+        SpectralPair(s.vectors * rng.choice([-1.0, 1.0], size=3), s.values)
         for s in summaries
     ]
     idx = IndexSet.canonical(3)
@@ -273,8 +288,7 @@ def test_rotations_leave_projector_average_unchanged():
     rng = np.random.default_rng(8)
     summaries = _random_summaries(rng, 10, 3, 4)
     rotated = [
-        LocalSummary(s.vectors @ np.linalg.qr(rng.normal(size=(3, 3)))[0],
-                     s.values, s.machine_id)
+        SpectralPair(s.vectors @ np.linalg.qr(rng.normal(size=(3, 3)))[0], s.values)
         for s in summaries
     ]
     assert _projector_gap(dpca_fan(summaries, 3).basis,
@@ -285,8 +299,7 @@ def test_rotations_with_flat_spectra_leave_all_aggregates_unchanged():
     rng = np.random.default_rng(9)
     summaries = _random_summaries(rng, 10, 3, 4, flat_values=True)
     rotated = [
-        LocalSummary(s.vectors @ np.linalg.qr(rng.normal(size=(3, 3)))[0],
-                     s.values, s.machine_id)
+        SpectralPair(s.vectors @ np.linalg.qr(rng.normal(size=(3, 3)))[0], s.values)
         for s in summaries
     ]
     idx = IndexSet.canonical(3)
@@ -304,8 +317,8 @@ def test_lrc_dpca_names_offending_machines():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
     summaries = [
-        LocalSummary(e1, np.array([1.0]), 0),
-        LocalSummary(e2, np.array([1.0]), 1),
+        SpectralPair(e1, np.array([1.0])),
+        SpectralPair(e2, np.array([1.0])),
     ]
     with pytest.raises(NotInManifoldError, match=r"machines \[1\]"):
         lrc_dpca(summaries, 1, IndexSet((0,)))
@@ -315,8 +328,8 @@ def test_zero_gap_warning_on_collapsed_aggregate():
     e1 = np.array([[1.0], [0.0], [0.0]])
     e2 = np.array([[0.0], [1.0], [0.0]])
     summaries = [
-        LocalSummary(e1, np.array([1.0]), 0),
-        LocalSummary(e2, np.array([1.0]), 1),
+        SpectralPair(e1, np.array([1.0])),
+        SpectralPair(e2, np.array([1.0])),
     ]
     with pytest.warns(ZeroGapWarning):
         res = dpca_fan(summaries, 1)
@@ -420,7 +433,7 @@ def test_find_index_plus_lrc_succeeds_reliably():
         summaries = []
         for m in range(n_machines):
             cov_hat = sample_cov(gaussian_samples(cov, n, gen))
-            summaries.append(summarize_covariance(cov_hat, k, m))
+            summaries.append(summarize_covariance(cov_hat, k))
         try:
             idx = find_index(summaries[0].vectors, summaries[0].values, k)
             lrc_dpca(summaries, k, idx)

@@ -13,6 +13,7 @@ from psdk.exceptions import (
     SingularMatrixError,
 )
 from psdk.dpca import find_index, summarize_covariance
+from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
 from psdk.linalg import (
     CholFactor,
     IndexSet,
@@ -235,8 +236,15 @@ _NON_FINITE = {
 _ENTRY_POINTS = {
     "reduced_cholesky": lambda mat: reduced_cholesky(mat, 1, IndexSet((0,))),
     "eigh_topk": lambda mat: eigh_topk(mat, 1, require_positive=True),
-    "summarize_covariance": lambda mat: summarize_covariance(mat, 1, 0),
+    "summarize_covariance": lambda mat: summarize_covariance(mat, 1),
     "find_index": lambda mat: find_index(mat, np.ones(2), 2),
+    "lq_givens": lq_givens,
+    "procrustes_sign": procrustes_sign,
+    "projector_distance": lambda mat: projector_distance(mat, np.eye(2)),
+    "skew_generator": lambda mat: skew_generator(np.eye(2), mat),
+    "lq_first_order": lambda mat: lq_first_order(np.eye(2), np.eye(2), mat),
+    "karcher_factor_first_order": lambda mat: karcher_factor_first_order(
+        CholFactor(np.eye(2), IndexSet((0, 1))), [mat]),
 }
 
 

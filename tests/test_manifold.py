@@ -6,10 +6,10 @@ from psdk.exceptions import (
     EmptyInputError,
     IndexSetMismatchError,
     NotInManifoldError,
+    ShapeMismatchError,
 )
-from psdk.linalg import CholFactor, IndexSet
+from psdk.linalg import CholFactor, IndexSet, SpectralPair
 from psdk.manifold import (
-    LowRankPsd,
     exp_factor,
     factorize,
     geodesic_distance,
@@ -28,12 +28,9 @@ def _random_factor(gen, p, k, idx):
 
 
 def _random_psd(gen, p, k, idx=None):
+    """A random chart point, entering as a p x p matrix through factorize."""
     idx = idx or IndexSet.canonical(k)
-    return LowRankPsd(_random_factor(gen, p, k, idx).matrix, k, idx)
-
-
-def _log_chol(psd):
-    return log_factor(factorize(psd))
+    return factorize(_random_factor(gen, p, k, idx).matrix, k, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +77,8 @@ def test_membership_never_raises_on_garbage():
 
 
 def test_validate_raises_with_reason():
-    bad = LowRankPsd(np.diag([1.0, -1.0]), 1, IndexSet((0,)))
-    with pytest.raises(NotInManifoldError, match="membership failed"):
-        bad.validate()
+    with pytest.raises(NotInManifoldError, match="membership failed: negative spectrum"):
+        factorize(np.diag([1.0, -1.0]), 1, IndexSet((0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def test_factorize_to_matrix_roundtrip():
         k = int(gen.integers(1, min(p, 6) + 1))
         idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
         factor = _random_factor(gen, p, k, idx)
-        back = factorize(LowRankPsd(factor.matrix, k, idx))
+        back = factorize(factor.matrix, k, idx)
         assert np.max(np.abs(back.entries - factor.entries)) < 1e-8
 
 
@@ -121,7 +117,7 @@ def test_log_factor_touches_only_anchored_diagonal():
 def test_full_chart_roundtrip():
     gen = np.random.default_rng(3)
     psd = _random_psd(gen, 10, 4)
-    again = exp_factor(_log_chol(psd), psd.index_set)
+    again = exp_factor(log_factor(psd), psd.index_set)
     assert np.max(np.abs(again.matrix - psd.matrix)) < 1e-10
 
 
@@ -131,8 +127,8 @@ def test_full_chart_roundtrip():
 
 def _diag_pair():
     idx = IndexSet((0,))
-    a = LowRankPsd(np.diag([1.0, 0.0]), 1, idx)
-    b = LowRankPsd(np.diag([4.0, 0.0]), 1, idx)
+    a = CholFactor(np.array([[1.0], [0.0]]), idx)
+    b = CholFactor(np.array([[2.0], [0.0]]), idx)
     return a, b
 
 
@@ -149,7 +145,7 @@ def test_karcher_mean_is_arithmetic_off_diagonal():
     fac_b = CholFactor(np.array([[1.0], [7.0]]), idx)
     assert_allclose(karcher_mean([fac_a, fac_b]).entries, [[1.0], [5.0]], atol=1e-12)
     # p x p inputs are factored at the edge and give the same mean
-    mean = karcher_mean([LowRankPsd(f.matrix, 1, idx) for f in (fac_a, fac_b)])
+    mean = karcher_mean([factorize(f.matrix, 1, idx) for f in (fac_a, fac_b)])
     assert_allclose(mean.entries, [[1.0], [5.0]], atol=1e-12)
 
 
@@ -186,7 +182,7 @@ def test_karcher_mean_minimizes_frechet_objective():
         k = int(gen.integers(1, min(p, 4) + 1))
         idx = IndexSet.canonical(k)
         psds = [_random_psd(gen, p, k, idx) for _ in range(int(gen.integers(2, 8)))]
-        logs = [_log_chol(x) for x in psds]
+        logs = [log_factor(x) for x in psds]
         mean = karcher_mean(psds)
         mean_log = log_factor(mean)
         objective = sum(np.sum((mean_log - lg) ** 2) for lg in logs)
@@ -204,15 +200,15 @@ def test_karcher_mean_empty_input():
 
 def test_karcher_mean_mixed_index_sets():
     a, _ = _diag_pair()
-    c = LowRankPsd(np.diag([0.0, 1.0]), 1, IndexSet((1,)))
+    c = CholFactor(np.array([[0.0], [1.0]]), IndexSet((1,)))
     with pytest.raises(IndexSetMismatchError):
         karcher_mean([a, c])
 
 
 def test_karcher_mean_names_offending_element():
     a, b = _diag_pair()
-    bad = LowRankPsd(np.diag([0.0, 0.0]), 1, IndexSet((0,)))
-    with pytest.raises(NotInManifoldError, match="element 2"):
+    bad = CholFactor(np.array([[0.0], [0.0]]), IndexSet((0,)))
+    with pytest.raises(NotInManifoldError, match="element 2: anchor block"):
         karcher_mean([a, b, bad])
 
 
@@ -243,8 +239,8 @@ def test_factor_route_forms_no_p_by_p_matrix(monkeypatch):
     samples = models_mod.factor_noise_samples(
         base, [0.01 * gen.normal(size=(6, 2)) for _ in range(4)])
     assert karcher_mean(samples).index_set == idx
-    summaries = [dpca_mod.LocalSummary(np.linalg.qr(gen.normal(size=(6, 2)))[0],
-                                       np.array([2.0, 1.0]), m) for m in range(3)]
+    summaries = [SpectralPair(np.linalg.qr(gen.normal(size=(6, 2)))[0], np.array([2.0, 1.0]))
+                 for _ in range(3)]
     assert dpca_mod.lrc_dpca(summaries, 2, idx).method == "lrc"
 
 
@@ -276,15 +272,34 @@ def test_geodesic_distance_matches_chart_isometry():
     a = _random_psd(gen, 5, 2)
     b = _random_psd(gen, 5, 2)
     direct = geodesic_distance(a, b)
-    via_chart = float(np.linalg.norm(_log_chol(a) - _log_chol(b)))
+    via_chart = float(np.linalg.norm(log_factor(a) - log_factor(b)))
     assert direct == via_chart
 
 
 def test_geodesic_distance_requires_common_anchor():
     a, _ = _diag_pair()
-    c = LowRankPsd(np.diag([0.0, 1.0]), 1, IndexSet((1,)))
+    c = CholFactor(np.array([[0.0], [1.0]]), IndexSet((1,)))
     with pytest.raises(IndexSetMismatchError):
         geodesic_distance(a, c)
+
+
+@pytest.mark.parametrize("entries, idx, fault", [
+    (np.ones((3, 2)), IndexSet((0,)), r"element 1: index set \(0,\) does not fit"),
+    (np.ones((3, 1)), IndexSet((3,)), r"element 1: index set \(3,\) does not fit"),
+    (np.ones(3), IndexSet((0,)), r"element 1: index set \(0,\) does not fit .* \(3,\)"),
+    (np.ones((4, 1)), IndexSet((0,)), "element 1 has p = 4, expected 3"),
+], ids=["index_set_shorter_than_rank", "row_beyond_p", "one_d_entries", "different_p"])
+def test_chart_inputs_reject_malformed_factors(entries, idx, fault):
+    """Factors whose index set does not fit their entries, or whose p differs,
+    raise ShapeMismatchError naming the element in karcher_mean and
+    geodesic_distance; so does a p x p array given in place of a factor."""
+    good = CholFactor(np.array([[1.0], [0.5], [0.2]]), IndexSet((0,)))
+    bad = CholFactor(entries, idx)
+    for call in (karcher_mean, lambda fs: geodesic_distance(*fs)):
+        with pytest.raises(ShapeMismatchError, match=fault):
+            call([good, bad])
+    with pytest.raises(ShapeMismatchError, match="not a CholFactor; factor a p x p"):
+        karcher_mean([good, good.matrix])
 
 
 def test_exp_factor_validates_result():

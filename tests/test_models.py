@@ -79,6 +79,13 @@ def test_gaussian_svd_signal_shape_and_membership():
     assert np.linalg.matrix_rank(psd.matrix, tol=1e-8) == 3
 
 
+def test_gaussian_svd_signal_is_the_svd_truncation():
+    gauss = RngStream(0, 1).generator().normal(size=(12, 12))
+    left, sing, _ = np.linalg.svd(gauss)
+    want = (left[:, :3] * sing[:3]) @ left[:, :3].T
+    assert_allclose(gaussian_svd_signal(12, 3, RngStream(0, 1)).matrix, want, atol=1e-12)
+
+
 def test_gaussian_svd_signal_deterministic():
     a = gaussian_svd_signal(6, 2, RngStream(5, 9))
     b = gaussian_svd_signal(6, 2, RngStream(5, 9))
@@ -125,7 +132,7 @@ def test_intrinsic_samples_respect_support():
     for s in intrinsic_samples(psd, 1.0, 5, RngStream(4, 1)):
         assert np.all(s.entries[~mask] == 0.0)
         # the sample is the anchored factor of its own matrix
-        refactored = manifold.factorize(manifold.LowRankPsd(s.matrix, 3, psd.index_set))
+        refactored = manifold.factorize(s.matrix, 3, psd.index_set)
         assert_allclose(refactored.entries, s.entries, atol=1e-8)
 
 
@@ -143,6 +150,23 @@ def test_intrinsic_samples_argument_checks():
         intrinsic_samples(psd, -0.1, 2, RngStream(6, 1))
     with pytest.raises(EmptyInputError):
         intrinsic_samples(psd, 0.1, 0, RngStream(6, 1))
+
+
+def test_sampler_arguments_are_checked():
+    """A NaN, infinite or negative noise level is a ConfigError, a rank above p
+    a ShapeMismatchError, and a signal off the chart a NotInManifoldError."""
+    psd = gaussian_svd_signal(5, 2, RngStream(6, 0))
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="sigma must be finite and nonnegative"):
+            intrinsic_samples(psd, sigma, 2, RngStream(6, 1))
+    for sigma_sq in (-0.5, np.nan):
+        with pytest.raises(ConfigError, match="sigma_sq must be finite and nonnegative"):
+            extrinsic_samples(psd, sigma_sq, 2, RngStream(6, 1), n_inner=50)
+    with pytest.raises(ShapeMismatchError, match="rank 3 invalid for p = 2"):
+        gaussian_svd_signal(2, 3, RngStream(6, 0))
+    thin = CholFactor(np.array([[1.0, 0.0], [0.5, 1e-7], [0.2, 0.3]]), IndexSet((0, 1)))
+    with pytest.raises(NotInManifoldError, match="signal: anchor block"):
+        intrinsic_samples(thin, 0.1, 2, RngStream(6, 1))
 
 
 # ---------------------------------------------------------------------------

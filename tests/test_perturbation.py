@@ -290,9 +290,7 @@ def _surrogate_setup(rng, p, k):
     pair = eigh_topk(cov, k)
     surrogate = (pair.vectors * pair.values**2) @ pair.vectors.T
     surrogate = 0.5 * (surrogate + surrogate.T)
-    factor = manifold.factorize(
-        manifold.LowRankPsd(surrogate, k, IndexSet.canonical(k))
-    )
+    factor = manifold.factorize(surrogate, k, IndexSet.canonical(k))
     alignment = factor_alignment(factor, pair)
     return cov, pair, factor, alignment
 
