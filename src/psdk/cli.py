@@ -52,7 +52,8 @@ def build_parser():
         cmd.add_argument("--out", metavar="PATH",
                          help="CSV output path (default <experiment>.csv)")
         cmd.add_argument("--threads", type=int, metavar="N",
-                         help="worker threads; output is identical either way")
+                         help="worker processes, each with BLAS pinned to one "
+                         "thread during the run; output is identical either way")
     sub.add_parser("selftest", help="run the fast internal consistency battery",
                    description="run the fast internal consistency battery")
     return parser
@@ -88,6 +89,10 @@ def main(argv=None):
         print(f"psdk: error: {err}", file=sys.stderr)
         return 1
 
+    # Restoring BLAS thread counts after a forked run restarts BLAS thread
+    # pools (see experiments._blas_set) that this process, about to exit,
+    # has no use for. Pinned here for good, the run has nothing to restore.
+    experiments.pin_blas()
     try:
         records = experiments.RUNNERS[experiment](cfg, progress=True)
     except PsdkError as err:

@@ -13,17 +13,21 @@ Four experiments exercise the library end to end:
   their exact counterparts across a geometric noise-scale grid.
 
 Every repetition owns an RngStream derived from (master_seed, packed labels),
-so reruns with the same config are bit-identical regardless of the thread
+so reruns with the same config are bit-identical regardless of the worker
 count. Records are written in job-submission order. The wall_time_ms CSV
 column is fixed at 0 to keep output byte-reproducible; measured timings go
 to stderr instead.
 """
 
+import contextlib
+import ctypes
 import functools
+import importlib
 import math
+import multiprocessing
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, get_args, get_origin
 
@@ -76,8 +80,8 @@ class ExperimentConfig:
             )
         if self.p < 1 or not 1 <= self.K <= self.p:
             raise ConfigError(f"need 1 <= K <= p, got K={self.K}, p={self.p}")
-        if self.sigma_sq < 0:
-            raise ConfigError(f"sigma_sq must be nonnegative, got {self.sigma_sq}")
+        if not (math.isfinite(self.sigma_sq) and self.sigma_sq >= 0):
+            raise ConfigError(f"sigma_sq must be finite and nonnegative, got {self.sigma_sq}")
         if not 1 <= self.repetitions < models.STREAM_BASE:
             raise ConfigError(f"repetitions out of range: {self.repetitions}")
         if self.master_seed < 0:
@@ -104,8 +108,10 @@ class ExperimentConfig:
         if self.experiment == "extrinsic_avg":
             if not self.M_grid and not self.sigma_grid:
                 raise ConfigError("extrinsic_avg needs M_grid or sigma_grid")
-            if any(s < 0 for s in self.sigma_grid):
-                raise ConfigError(f"sigma_grid entries must be nonnegative: {self.sigma_grid}")
+            if not all(math.isfinite(s) and s >= 0 for s in self.sigma_grid):
+                raise ConfigError(
+                    f"sigma_grid entries must be finite and nonnegative: {self.sigma_grid}"
+                )
             if self.sigma_grid and not 1 <= self.M_fixed < models.STREAM_BASE:
                 raise ConfigError(f"M_fixed out of range: {self.M_fixed}")
             if self.n_inner < 1:
@@ -113,8 +119,10 @@ class ExperimentConfig:
         if self.experiment == "perturb_order":
             if len(self.eps_grid) < 4:
                 raise ConfigError("perturb_order needs an eps_grid with >= 4 points")
-            if any(e <= 0 for e in self.eps_grid):
-                raise ConfigError(f"eps_grid entries must be positive: {self.eps_grid}")
+            if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+                raise ConfigError(
+                    f"eps_grid entries must be finite and positive: {self.eps_grid}"
+                )
             if self.K < 2:
                 raise ConfigError("perturb_order needs K >= 2")
         largest_m = max(list(self.M_grid) + [self.M_fixed if self.sigma_grid else 1])
@@ -336,13 +344,103 @@ def _stream(cfg, *parts):
     return RngStream(cfg.master_seed, derive_stream_id(*parts))
 
 
+# The (worker, jobs) of the parallel run in flight. It is set before the pool
+# forks, so children inherit the work closures and receive only job indices.
+_FORKED_RUN = None
+
+
+def _forked_job(index):
+    worker, jobs = _FORKED_RUN
+    return worker(jobs[index])
+
+
 def _run_ordered(worker, jobs, threads):
-    """Run jobs, returning results in submission order regardless of threads."""
-    if threads <= 1:
+    """`worker(job)` for every job, returned in submission order.
+
+    With `threads` > 1, up to `threads` forked worker processes share the
+    jobs; the worker's results and exceptions must pickle. Fork, not spawn:
+    the worker is a closure over the plan's state, which does not pickle.
+    Without the fork start method, or with one worker or job, the jobs run
+    here, serially.
+    """
+    global _FORKED_RUN
+    workers = min(threads, len(jobs))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, job) for job in jobs]
-        return [f.result() for f in futures]
+    _FORKED_RUN = (worker, jobs)
+    try:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            return list(pool.map(_forked_job, range(len(jobs))))
+    finally:
+        _FORKED_RUN = None
+
+
+# The OpenBLAS builds that numpy and scipy load: an extension module linked
+# against each, and the suffix of the library's exported symbols.
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath", "64_"),
+    ("scipy.linalg._fblas", ""),
+)
+
+
+def _blas_thread_control(lib, suffix):
+    """The (get, set) thread-count functions `lib` resolves, or None."""
+    try:
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _blas_thread_controls():
+    """Thread controls of every `_OPENBLAS` library that is found."""
+    controls = []
+    for module, suffix in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError):
+            continue
+        control = _blas_thread_control(lib, suffix)
+        if control is not None:
+            controls.append(control)
+    return controls
+
+
+def _blas_set(controls, counts):
+    """Set each library's thread count, leaving an equal one alone: after a
+    fork, any set restarts the library's thread pool, whose threads then
+    spin for a while before they sleep."""
+    for (get, put), count in zip(controls, counts):
+        if get() != count:
+            put(count)
+
+
+def pin_blas():
+    """Pin numpy's and scipy's OpenBLAS to one thread for the rest of the
+    process; a no-op where their thread controls are not found."""
+    controls = _blas_thread_controls()
+    _blas_set(controls, [1] * len(controls))
+
+
+@contextlib.contextmanager
+def _blas_pinned():
+    """One BLAS thread per library while the block runs, prior counts after.
+
+    Jobs are many small numpy calls; BLAS threads beside them, or beside
+    each forked worker, only oversubscribe the cores. A pool forked inside
+    the block inherits the pin.
+    """
+    controls = _blas_thread_controls()
+    prior = [get() for get, _ in controls]
+    _blas_set(controls, [1] * len(controls))
+    try:
+        yield
+    finally:
+        _blas_set(controls, prior)
 
 
 def _log(msg):
@@ -354,10 +452,13 @@ def _runner(experiment):
 
     The plan maps a checked config to `(jobs, work)`. The decorated runner
     `(cfg, progress=False) -> records` validates `cfg` and its experiment
-    name, runs `work(job.where, *job.args)` for every job through
-    `_run_ordered`, prefixes any PsdkError with the job's `where`, and
-    returns the records in job order. With `progress`, the measured time
-    per job group goes to stderr.
+    name, and then, with BLAS pinned to one thread (`_blas_pinned`), plans
+    and runs `work(notes, *job.args)` for every job through `_run_ordered`.
+    It prefixes any PsdkError with the job's `where` and returns the records
+    in job order. Each job appends its retry and skip lines to its own
+    `notes` list; they go to stderr after the run, in job order, prefixed
+    with the job's `where`. With `progress`, the measured time per job group
+    follows.
     """
 
     def decorate(plan):
@@ -366,20 +467,25 @@ def _runner(experiment):
             cfg.validate()
             if cfg.experiment != experiment:
                 raise ConfigError(f"config is for {cfg.experiment!r}, not {experiment}")
-            jobs, work = plan(cfg)
+            with _blas_pinned():
+                jobs, work = plan(cfg)
 
-            def worker(job):
-                tick = time.perf_counter()
-                try:
-                    recs = work(job.where, *job.args)
-                except PsdkError as err:
-                    raise type(err)(f"{job.where}: {err}") from err
-                return recs, time.perf_counter() - tick
+                def worker(job):
+                    tick = time.perf_counter()
+                    notes = []
+                    try:
+                        recs = work(notes, *job.args)
+                    except PsdkError as err:
+                        raise type(err)(f"{job.where}: {err}") from err
+                    return recs, notes, time.perf_counter() - tick
 
+                results = _run_ordered(worker, jobs, cfg.threads)
             records = []
             elapsed = {}
-            for job, (recs, secs) in zip(jobs, _run_ordered(worker, jobs, cfg.threads)):
+            for job, (recs, notes, secs) in zip(jobs, results):
                 records.extend(recs)
+                for note in notes:
+                    _log(f"{job.where}: {note}")
                 done, count = elapsed.get(job.group, (0.0, 0))
                 elapsed[job.group] = (done + secs, count + 1)
             if progress:
@@ -414,14 +520,15 @@ def _reselect_index(frames, rank, failed_idx):
     return None
 
 
-def _aggregate_or_skip(aggregate, index_set, frames, cfg, where, method):
+def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
     """The retry/skip policy for a Karcher aggregation; None means skipped.
 
     Calls `aggregate(index_set)`. If that fails membership and the config
     does not pin canonical rows, rows are reselected from `frames`, the
     p x K frames F of the samples (each sample is F @ F.T), and the
-    aggregation runs once more, logging "retried with rows". Without new
-    rows, or on a second failure, logs "skipped:" with the last error.
+    aggregation runs once more, noting "retried with rows" in `notes`.
+    Without new rows, or on a second failure, notes "skipped:" with the
+    last error.
     """
     try:
         return aggregate(index_set)
@@ -432,11 +539,11 @@ def _aggregate_or_skip(aggregate, index_set, frames, cfg, where, method):
         if alt is not None and alt != index_set:
             try:
                 result = aggregate(alt)
-                _log(f"{where}: {method} retried with rows {tuple(alt)}")
+                notes.append(f"{method} retried with rows {tuple(alt)}")
                 return result
             except NotInManifoldError as err:
                 last = err
-    _log(f"{where}: {method} skipped: {last}")
+    notes.append(f"{method} skipped: {last}")
     return None
 
 
@@ -453,7 +560,7 @@ def _signal(cfg, p, stream):
     return sig
 
 
-def _mean_rows(cfg, where, samples, truth, row):
+def _mean_rows(cfg, notes, samples, truth, row):
     """Karcher (under the retry policy) and Euclid rows of factor samples, each
     scored by the Frobenius distance to `truth`; `row` carries every other
     column."""
@@ -463,7 +570,7 @@ def _mean_rows(cfg, where, samples, truth, row):
         return manifold.karcher_mean([anchor(f, index_set) for f in frames])
 
     karcher = _aggregate_or_skip(aggregate, samples[0].index_set, frames,
-                                 cfg, where, "karcher")
+                                 cfg, notes, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
     means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
     return [replace(row, method=method, error=float(np.linalg.norm(mean.matrix - truth)))
@@ -501,13 +608,13 @@ def run_intrinsic(cfg):
         for rep in range(cfg.repetitions)
     ]
 
-    def work(where, pi, p, mi, m_count, rep):
+    def work(notes, pi, p, mi, m_count, rep):
         sig = signals[(pi, rep)]
         stream = _stream(cfg, 1, pi, mi, rep)
         samples = models.intrinsic_samples(sig, sigma, m_count, stream)
         row = RunRecord("intrinsic_avg", "", p, cfg.K, m_count, 0, cfg.sigma_sq,
                         rep, stream.stream_id, 0.0)
-        return _mean_rows(cfg, where, samples, sig.matrix, row)
+        return _mean_rows(cfg, notes, samples, sig.matrix, row)
 
     return jobs, work
 
@@ -538,7 +645,7 @@ def run_dpca(cfg):
         for rep in range(cfg.repetitions)
     ]
 
-    def work(where, gi, m_count, n, rep):
+    def work(notes, gi, m_count, n, rep):
         covs = [
             models.sample_cov(
                 models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
@@ -556,7 +663,7 @@ def run_dpca(cfg):
         results = [dpca_mod.full_pca(covs, cfg.K)]
         lrc = _aggregate_or_skip(
             lambda rows: dpca_mod.lrc_dpca(summaries, cfg.K, rows),
-            idx, [s.vectors * s.values for s in summaries], cfg, where, "lrc",
+            idx, [s.vectors * s.values for s in summaries], cfg, notes, "lrc",
         )
         if lrc is not None:
             results.append(lrc)
@@ -590,13 +697,13 @@ def run_extrinsic(cfg):
         for rep in range(cfg.repetitions)
     ]
 
-    def work(where, gi, m_count, s2, rep):
+    def work(notes, gi, m_count, s2, rep):
         sig = signals[rep]
         stream = _stream(cfg, 1, gi, rep)
         samples = models.extrinsic_samples(sig, s2, m_count, stream, n_inner=cfg.n_inner)
         row = RunRecord("extrinsic_avg", "", cfg.p, cfg.K, m_count, cfg.n_inner, s2,
                         rep, stream.stream_id, 0.0)
-        return _mean_rows(cfg, where, samples, sig.matrix, row)
+        return _mean_rows(cfg, notes, samples, sig.matrix, row)
 
     return jobs, work
 
@@ -614,7 +721,7 @@ def run_perturb_order(cfg):
     jobs = [_Job(kinds[kind], f"perturb_order {kinds[kind]} repetition {rep}", (kind, rep))
             for kind in (0, 1) for rep in range(cfg.repetitions)]
 
-    def work(where, kind, rep):
+    def work(notes, kind, rep):
         stream = _stream(cfg, kind, rep)
         gen = stream.generator()
         row = RunRecord("perturb_order", "", cfg.p, cfg.K, 0, 0, 0.0, rep,
@@ -852,4 +959,4 @@ def _selftest_determinism():
     first = render_csv(run_dpca(cfg))
     second = render_csv(run_dpca(replace(cfg, threads=2)))
     if first != second:
-        raise AssertionError("rerun with different thread count changed the CSV")
+        raise AssertionError("rerun with a different worker count changed the CSV")

@@ -2,12 +2,15 @@
 
 `bench/trace_child.py` wraps the functions listed in its TRACED table, and
 `experiments._run_ordered` and `experiments.RUNNERS`, by name; a rename or a
-deletion there would crash `bench/run.py --trace 1`. The tracer is loaded from
-its file, unchanged, so this test follows the table as it is edited.
+deletion there, or a `_run_ordered` that no longer takes `(worker, jobs,
+threads)` positionally, would crash `bench/run.py --trace 1`. The tracer is
+loaded from its file, unchanged, so this test follows the table as it is
+edited.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
@@ -34,5 +37,7 @@ def test_experiment_hooks_exist():
     from psdk import experiments
 
     assert callable(experiments._run_ordered)
+    # the tracer calls _run_ordered(worker, jobs, threads) positionally
+    inspect.signature(experiments._run_ordered).bind("worker", "jobs", "threads")
     assert isinstance(experiments.RUNNERS, dict) and experiments.RUNNERS
     assert all(callable(runner) for runner in experiments.RUNNERS.values())

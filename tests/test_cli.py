@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psdk import experiments
 from psdk.cli import main
 from psdk.experiments import CSV_HEADER
 
@@ -44,6 +45,24 @@ def test_dpca_run_is_byte_reproducible(tmp_path, capsys):
     capsys.readouterr()
     assert outs[0] == outs[1]
     assert outs[0].decode().count("\n") == 1 + 2 * 3 * 4
+
+
+def test_cli_leaves_blas_pinned(tmp_path, capsys):
+    controls = experiments._blas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy load no scipy-openblas thread control")
+    prior = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    try:
+        code = main(["perturb-order", "--config", _cfg(tmp_path, TINY_PERTURB),
+                     "--out", str(tmp_path / "o.csv"), "--threads", "2"])
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, put), count in zip(controls, prior):
+            put(count)
+    assert code == 0, capsys.readouterr().err
+    assert after == [1] * len(controls)
 
 
 def test_default_output_path(tmp_path, capsys, monkeypatch):
@@ -97,6 +116,13 @@ def test_bad_config_value(tmp_path, capsys):
     code = main(["dpca", "--config", _cfg(tmp_path, "threads = 0\n" + TINY_DPCA)])
     assert code == 1
     assert "threads must be positive" in capsys.readouterr().err
+
+
+def test_nan_noise_level_is_a_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "p = 8\nK = 2\nM_grid = 3\nsigma_sq = nan\n")
+    code = main(["intrinsic-avg", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert "sigma_sq must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

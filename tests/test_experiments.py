@@ -1,4 +1,6 @@
+import ctypes
 import math
+import os
 
 import numpy as np
 import pytest
@@ -154,6 +156,8 @@ def test_config_validation_errors():
         dict(experiment="mystery"),
         dict(experiment="intrinsic_avg", **{**base, "K": 11}),
         dict(experiment="intrinsic_avg", **{**base, "sigma_sq": -1.0}),
+        dict(experiment="intrinsic_avg", **{**base, "sigma_sq": math.nan}),
+        dict(experiment="intrinsic_avg", **{**base, "sigma_sq": math.inf}),
         dict(experiment="intrinsic_avg", **{**base, "repetitions": 0}),
         dict(experiment="intrinsic_avg", **{**base, "master_seed": -1}),
         dict(experiment="intrinsic_avg", **{**base, "threads": 0}),
@@ -167,11 +171,15 @@ def test_config_validation_errors():
         dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2,
              sigma_grid=(-0.1,)),
         dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2,
+             sigma_grid=(0.1, math.nan)),
+        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2,
              sigma_grid=(0.1,), n_inner=0),
         dict(experiment="perturb_order", p=10, K=2, repetitions=2,
              eps_grid=(1e-2, 1e-3)),
         dict(experiment="perturb_order", p=10, K=2, repetitions=2,
              eps_grid=(1e-2, 1e-3, 1e-4, 0.0)),
+        dict(experiment="perturb_order", p=10, K=2, repetitions=2,
+             eps_grid=(1e-2, 1e-3, math.nan, 1e-4)),
         dict(experiment="perturb_order", p=10, K=1, repetitions=2),
     ]
     for kwargs in cases:
@@ -378,27 +386,27 @@ def _zero_top_rows():
     return [np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])]
 
 
-def test_retry_policy_success_builds_no_matrices(capsys):
+def test_retry_policy_success_builds_no_matrices():
     agg = _StubAggregate(failing=())
+    notes = []
     out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
-                             _policy_cfg("find_index_oracle"), "here", "lrc")
+                             _policy_cfg("find_index_oracle"), notes, "lrc")
     assert out == "mean"
     assert agg.calls == [(0, 1)]
-    assert capsys.readouterr().err == ""
+    assert notes == []
 
 
-def test_retry_policy_canonical_skips_without_retry(capsys):
+def test_retry_policy_canonical_skips_without_retry():
     agg = _StubAggregate(failing=((0, 1),))
+    notes = []
     out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
-                             _policy_cfg("canonical"), "here", "lrc")
+                             _policy_cfg("canonical"), notes, "lrc")
     assert out is None
     assert agg.calls == [(0, 1)]
-    err = capsys.readouterr().err
-    assert "here: lrc skipped: failure 1" in err
-    assert "retried" not in err
+    assert notes == ["lrc skipped: failure 1"]
 
 
-def test_retry_policy_same_rows_skips(capsys, monkeypatch):
+def test_retry_policy_same_rows_skips(monkeypatch):
     # the failing sample's own frame selects rows (0, 1) again
     picked = []
 
@@ -408,47 +416,109 @@ def test_retry_policy_same_rows_skips(capsys, monkeypatch):
 
     monkeypatch.setattr(experiments.dpca_mod, "find_index", same_rows)
     agg = _StubAggregate(failing=((0, 1),))
+    notes = []
     out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
-                             _policy_cfg("find_index_machine1"), "here", "lrc")
+                             _policy_cfg("find_index_machine1"), notes, "lrc")
     assert out is None
     assert picked == [2]
     assert agg.calls == [(0, 1)]
-    err = capsys.readouterr().err
-    assert err.count(" skipped: ") == 1 and "failure 1" in err
-    assert "retried" not in err
+    assert notes == ["lrc skipped: failure 1"]
 
 
-def test_retry_policy_no_failing_sample_skips(capsys):
+def test_retry_policy_no_failing_sample_skips():
     # every sample passes the pivot rule at (0, 1), so there is nothing to reselect from
     agg = _StubAggregate(failing=((0, 1),))
+    notes = []
     out = _aggregate_or_skip(agg, IndexSet((0, 1)), [np.eye(4)[:, :2]],
-                             _policy_cfg("find_index_oracle"), "here", "karcher")
+                             _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert agg.calls == [(0, 1)]
-    assert "here: karcher skipped: failure 1" in capsys.readouterr().err
+    assert notes == ["karcher skipped: failure 1"]
 
 
-def test_retry_policy_retry_succeeds(capsys):
+def test_retry_policy_retry_succeeds():
     agg = _StubAggregate(failing=((0, 1),))
+    notes = []
     out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
-                             _policy_cfg("find_index_machine1"), "here", "lrc")
+                             _policy_cfg("find_index_machine1"), notes, "lrc")
     assert out == "mean"
     assert agg.calls[0] == (0, 1)
     assert len(agg.calls) == 2 and set(agg.calls[1]) == {2, 3}
-    err = capsys.readouterr().err
-    assert f"here: lrc retried with rows {agg.calls[1]}" in err
-    assert " skipped: " not in err
+    assert notes == [f"lrc retried with rows {agg.calls[1]}"]
 
 
-def test_retry_policy_second_failure_skips_with_second_error(capsys):
+def test_retry_policy_second_failure_skips_with_second_error():
     agg = _StubAggregate(failing=((0, 1), (2, 3), (3, 2)))
+    notes = []
     out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
-                             _policy_cfg("find_index_oracle"), "here", "karcher")
+                             _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert len(agg.calls) == 2
-    err = capsys.readouterr().err
-    assert "here: karcher skipped: failure 2" in err
-    assert "retried" not in err
+    assert notes == ["karcher skipped: failure 2"]
+
+
+# ---------------------------------------------------------------------------
+# worker pool and BLAS pin
+
+
+def _probe_runner(work, jobs=4):
+    """A runner whose i-th of `jobs` jobs returns `work(i)` as its records."""
+
+    @experiments._runner("intrinsic_avg")
+    def probe(cfg):
+        return ([experiments._Job("probe", f"probe job {i}", (i,)) for i in range(jobs)],
+                lambda notes, i: work(i))
+
+    return probe
+
+
+def _blas_counts():
+    return [get() for get, _ in experiments._blas_thread_controls()]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_jobs_see_one_blas_thread_and_the_caller_gets_its_counts_back(threads):
+    controls = experiments._blas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy load no scipy-openblas thread control")
+    prior = _blas_counts()
+    for _, put in controls:
+        put(3)
+    try:
+        rows = _probe_runner(lambda i: [(os.getpid(), tuple(_blas_counts()))])(
+            _tiny_intrinsic(threads=threads))
+        after = _blas_counts()
+    finally:
+        for (_, put), count in zip(controls, prior):
+            put(count)
+    assert len(rows) == 4
+    assert {counts for _, counts in rows} == {(1,) * len(controls)}
+    pids = {pid for pid, _ in rows}
+    if threads == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids
+    assert after == [3] * len(controls)
+
+
+def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
+    module = pytest.importorskip(experiments._OPENBLAS[0][0])
+    assert experiments._blas_thread_control(ctypes.CDLL(module.__file__), "_none") is None
+    expected = render_csv(run_intrinsic(_tiny_intrinsic(threads=2)))
+    monkeypatch.setattr(experiments, "_OPENBLAS",
+                        ((module.__name__, "_none"), ("psdk.no_such_module", "")))
+    assert experiments._blas_thread_controls() == []
+    assert render_csv(run_intrinsic(_tiny_intrinsic(threads=2))) == expected
+
+
+def test_job_error_in_a_worker_process_reaches_the_caller():
+    def work(i):
+        if i == 2:
+            raise NotInManifoldError("boom")
+        return [os.getpid()]
+
+    with pytest.raises(NotInManifoldError, match=r"^probe job 2: boom$"):
+        _probe_runner(work)(_tiny_intrinsic(threads=2))
 
 
 # ---------------------------------------------------------------------------

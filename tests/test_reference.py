@@ -59,3 +59,18 @@ def test_reference_output(name, retries, skips, tmp_path, capsys):
         assert row[:col] + row[col + 1:] == ref[:col] + ref[col + 1:]
     np.testing.assert_allclose([float(r[col]) for r in rows],
                                [float(r[col]) for r in ref_rows], rtol=ERROR_RTOL)
+
+
+def test_stderr_does_not_depend_on_the_worker_count(tmp_path, capsys):
+    cfg = str(REFERENCE / "intrinsic_retry_skip.cfg")
+    errs = []
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"threads{threads}.csv"
+        code = main(["intrinsic-avg", "--config", cfg, "--threads", threads,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        errs.append(re.sub(r" in \d+\.\ds$", "", err, flags=re.M))
+    assert " retried with rows " in errs[0] and " skipped: " in errs[0]
+    assert errs[1] == errs[0]
+    assert errs[2] == errs[0]
