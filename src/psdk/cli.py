@@ -67,6 +67,11 @@ def main(argv=None):
         print(f"psdk: error: {err}", file=sys.stderr)
         return 1
 
+    # Restoring BLAS thread counts after a forked run restarts BLAS thread
+    # pools (see experiments._blas_set) that this process, about to exit,
+    # has no use for. Pinned here for good, before any run (the selftest
+    # forks one too), no run has anything to restore.
+    experiments.pin_blas()
     if args.command == "selftest":
         ok, lines = experiments.run_selftest()
         for line in lines:
@@ -89,10 +94,6 @@ def main(argv=None):
         print(f"psdk: error: {err}", file=sys.stderr)
         return 1
 
-    # Restoring BLAS thread counts after a forked run restarts BLAS thread
-    # pools (see experiments._blas_set) that this process, about to exit,
-    # has no use for. Pinned here for good, the run has nothing to restore.
-    experiments.pin_blas()
     try:
         records = experiments.RUNNERS[experiment](cfg, progress=True)
     except PsdkError as err:

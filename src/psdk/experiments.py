@@ -432,7 +432,9 @@ def _blas_pinned():
 
     Jobs are many small numpy calls; BLAS threads beside them, or beside
     each forked worker, only oversubscribe the cores. A pool forked inside
-    the block inherits the pin.
+    the block inherits the pin. Library callers get their prior counts
+    back; after a forked run that set restarts the BLAS thread pools, so the
+    CLI calls `pin_blas` first, which leaves nothing to restore.
     """
     controls = _blas_thread_controls()
     prior = [get() for get, _ in controls]

@@ -11,7 +11,7 @@ about validation.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import eigh, solve_triangular
 
 from .exceptions import (
     NonPositiveDiagonalError,
@@ -360,6 +360,8 @@ def anchor(frame, index_set):
 def eigh_topk(mat, rank, require_positive=False):
     """Leading eigenpairs of a symmetric matrix, with a fixed sign convention.
 
+    Only the top `rank` eigenpairs are computed (LAPACK's subset solver).
+
     Parameters
     ----------
     mat : ndarray, shape (p, p)
@@ -387,9 +389,12 @@ def eigh_topk(mat, rank, require_positive=False):
     p = mat.shape[0]
     if not (1 <= rank <= p):
         raise ShapeMismatchError(f"rank {rank} invalid for a {p} x {p} matrix")
-    values, vectors = np.linalg.eigh(mat)
-    values = values[::-1][:rank].copy()
-    vectors = vectors[:, ::-1][:, :rank].copy()
+    # check_symmetric has rejected non-finite entries; "evr" (MRRR) is the
+    # fastest LAPACK driver for a subset of eigenpairs at these sizes.
+    values, vectors = eigh(mat, subset_by_index=[p - rank, p - 1], driver="evr",
+                           check_finite=False)
+    values = values[::-1].copy()
+    vectors = vectors[:, ::-1].copy()
     for j in range(rank):
         lead = int(np.argmax(np.abs(vectors[:, j])))
         if vectors[lead, j] < 0.0:

@@ -5,8 +5,10 @@ Two noise models produce collections of rank-K PSD matrices around a signal:
 * intrinsic: additive i.i.d. Gaussian noise on the supported entries of the
   log-coordinate factor, so samples stay exactly rank K by construction;
 * factor noise / extrinsic: unstructured perturbations of the factor itself,
-  samples built as (N + E)(N + E).T, optionally observed only through finite
-  Gaussian data and a rank-K spectral surrogate of the sample covariance.
+  samples built as (N + E)(N + E).T, optionally observed only through the
+  sample covariance of finite Gaussian data and its rank-K spectral
+  surrogate. That sample covariance is drawn exactly from its Wishart law
+  in factor form, without simulating the data (`extrinsic_samples`).
 
 All randomness flows through `RngStream`, a pure function of
 (master_seed, stream_id), so every experiment repetition can own an
@@ -203,26 +205,57 @@ def sample_cov(data):
     return 0.5 * (cov + cov.T)
 
 
-def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
-    """Factor-noise samples observed through finite data.
+def _wishart_cov(cov_root, n, gen):
+    """Sample covariance of n i.i.d. N(0, Sigma) rows, Sigma = cov_root cov_root.T.
 
-    For each of `count` draws from the intrinsic model at variance
-    `sigma_sq`, simulates `n_inner` Gaussian observations with covariance
-    (sample + ridge * I) and returns the rank-K spectral surrogate of the
-    empirical second-moment matrix: V_hat diag(values_hat) V_hat.T with the
+    Draws S ~ Wishart(n, Sigma) / n as (cov_root T)(cov_root T).T / n, where
+    T T.T ~ Wishart(n, I) for the width w of cov_root. For n >= w, T is
+    Bartlett's w x w lower-triangular factor: T_ii is the root of a
+    chi-square with n - i degrees of freedom (0-indexed), entries below the
+    diagonal are N(0, 1). Otherwise T = Z.T for an n x w standard normal Z.
+    """
+    width = cov_root.shape[1]
+    if n >= width:
+        root = np.diag(np.sqrt(gen.chisquare(n - np.arange(width))))
+        root[np.tril_indices(width, -1)] = gen.standard_normal(width * (width - 1) // 2)
+    else:
+        root = gen.standard_normal((n, width)).T
+    frame = cov_root @ root
+    cov = frame @ frame.T / n
+    return 0.5 * (cov + cov.T)
+
+
+def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
+    """Factor-noise samples observed through the covariance of finite data.
+
+    For each of `count` draws N from the intrinsic model at variance
+    `sigma_sq`, takes the sample covariance S of `n_inner` i.i.d. Gaussian
+    observations with covariance Sigma = N N.T + ridge * I, and returns the
+    rank-K spectral surrogate of S: V_hat diag(values_hat) V_hat.T with the
     top-K eigenpairs, eigenvalues unsquared, returned as its frame
     V_hat diag(sqrt(values_hat)) anchored at the signal's index set. The
     anchor block may be near singular; the consumer's pivot rule decides.
     `psd` is the signal factor, as for `intrinsic_samples`.
+
+    S is drawn exactly from its law, Wishart(n_inner, Sigma) / n_inner, in
+    factor form: Sigma = B B.T with B = [N | sqrt(ridge) I] (p x (K + p)),
+    and S = (B T)(B T).T / n_inner. When n_inner >= K + p, T is the
+    (K + p) x (K + p) Bartlett factor; otherwise T is the transpose of a
+    plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it or
+    simulates n_inner x p data.
     """
     if not 0 <= sigma_sq < math.inf:
         raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
+    if not 0 <= ridge < math.inf:
+        raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
+    if n_inner < 1:
+        raise EmptyInputError("need at least one data point")
     gen = _as_generator(rng)
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen)
-    eye = np.eye(psd.p)
+    ridge_root = math.sqrt(ridge) * np.eye(psd.p)
     out = []
     for draw in draws:
-        data = gaussian_samples(draw.matrix + ridge * eye, n_inner, gen)
-        pair = eigh_topk(sample_cov(data), psd.rank, require_positive=True)
+        cov = _wishart_cov(np.hstack([draw.entries, ridge_root]), n_inner, gen)
+        pair = eigh_topk(cov, psd.rank, require_positive=True)
         out.append(anchor(pair.vectors * np.sqrt(pair.values), psd.index_set))
     return out

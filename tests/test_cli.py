@@ -47,7 +47,9 @@ def test_dpca_run_is_byte_reproducible(tmp_path, capsys):
     assert outs[0].decode().count("\n") == 1 + 2 * 3 * 4
 
 
-def test_cli_leaves_blas_pinned(tmp_path, capsys):
+def _blas_counts_after(run):
+    """Set both BLAS libraries to 2 threads, call run() and return its
+    result with the counts it left; the prior counts are restored after."""
     controls = experiments._blas_thread_controls()
     if not controls:
         pytest.skip("numpy and scipy load no scipy-openblas thread control")
@@ -55,14 +57,26 @@ def test_cli_leaves_blas_pinned(tmp_path, capsys):
     for _, put in controls:
         put(2)
     try:
-        code = main(["perturb-order", "--config", _cfg(tmp_path, TINY_PERTURB),
-                     "--out", str(tmp_path / "o.csv"), "--threads", "2"])
-        after = [get() for get, _ in controls]
+        return run(), [get() for get, _ in controls]
     finally:
         for (_, put), count in zip(controls, prior):
             put(count)
+
+
+def test_cli_leaves_blas_pinned(tmp_path, capsys):
+    code, after = _blas_counts_after(lambda: main(
+        ["perturb-order", "--config", _cfg(tmp_path, TINY_PERTURB),
+         "--out", str(tmp_path / "o.csv"), "--threads", "2"]))
     assert code == 0, capsys.readouterr().err
-    assert after == [1] * len(controls)
+    assert after == [1] * len(after)
+
+
+def test_selftest_leaves_blas_pinned(capsys):
+    """The selftest forks a threads=2 run; pinned before it, the CLI has no
+    prior counts to restore, so no BLAS thread pool restarts after it."""
+    code, after = _blas_counts_after(lambda: main(["selftest"]))
+    assert code == 0, capsys.readouterr().out
+    assert after == [1] * len(after)
 
 
 def test_default_output_path(tmp_path, capsys, monkeypatch):

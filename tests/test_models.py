@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from psdk import manifold
+from psdk import manifold, models
 from psdk.exceptions import (
     ConfigError,
     EmptyInputError,
@@ -162,6 +162,11 @@ def test_sampler_arguments_are_checked():
     for sigma_sq in (-0.5, np.nan):
         with pytest.raises(ConfigError, match="sigma_sq must be finite and nonnegative"):
             extrinsic_samples(psd, sigma_sq, 2, RngStream(6, 1), n_inner=50)
+    for ridge in (-0.01, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="ridge must be finite and nonnegative"):
+            extrinsic_samples(psd, 0.1, 2, RngStream(6, 1), n_inner=50, ridge=ridge)
+    with pytest.raises(EmptyInputError, match="at least one data point"):
+        extrinsic_samples(psd, 0.1, 2, RngStream(6, 1), n_inner=0)
     with pytest.raises(ShapeMismatchError, match="rank 3 invalid for p = 2"):
         gaussian_svd_signal(2, 3, RngStream(6, 0))
     thin = CholFactor(np.array([[1.0, 0.0], [0.5, 1e-7], [0.2, 0.3]]), IndexSet((0, 1)))
@@ -269,3 +274,48 @@ def test_extrinsic_samples_deterministic():
     b = extrinsic_samples(psd, 0.3, 2, RngStream(11, 1), n_inner=200)
     for x, y in zip(a, b):
         assert np.array_equal(x.matrix, y.matrix)
+
+
+@pytest.mark.parametrize("n", [200, 12, 6])
+def test_wishart_draw_moments(n):
+    """S = _wishart_cov(B, n) has E[S] = Sigma and Var(S_ij) =
+    (Sigma_ij^2 + Sigma_ii Sigma_jj) / n for Sigma = B B.T, both on the
+    Bartlett branch (n >= width 12; at n = 12 its last chi-square has one
+    degree of freedom) and the direct one (n < 12). Over 4,000
+    seeded draws the mean is within 5 standard errors of Sigma in every
+    entry, and each variance within 15% of the formula (about 5 standard
+    errors of a sample variance at this count)."""
+    factor = gaussian_svd_signal(10, 2, RngStream(12, 0)).entries
+    root = np.hstack([factor, np.sqrt(0.5) * np.eye(10)])
+    sigma = root @ root.T
+    gen = RngStream(12, n).generator()
+    draws = np.stack([models._wishart_cov(root, n, gen) for _ in range(4000)])
+    var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / n
+    z = (draws.mean(axis=0) - sigma) / np.sqrt(var / len(draws))
+    assert np.max(np.abs(z)) < 5.0
+    ratio = draws.var(axis=0, ddof=1) / var
+    assert 0.85 < ratio.min() and ratio.max() < 1.15
+
+
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("extrinsic_samples must not simulate data or form p x p matrices")
+
+
+@pytest.mark.parametrize("n_inner", [200, 6])
+def test_extrinsic_samples_skip_data_and_dense_covariance(n_inner, monkeypatch):
+    """Neither draw branch (n_inner >= p + K = 10, or below) simulates data,
+    forms a sample's p x p matrix or factors it, and both return rank-K
+    factors anchored at the signal's index set."""
+    psd = gaussian_svd_signal(8, 2, RngStream(13, 0))
+    monkeypatch.setattr(models, "gaussian_samples", _forbidden)
+    monkeypatch.setattr(models, "sample_cov", _forbidden)
+    monkeypatch.setattr(CholFactor, "matrix", property(_forbidden))
+    monkeypatch.setattr(np.linalg, "cholesky", _forbidden)
+    samples = extrinsic_samples(psd, 0.2, 3, RngStream(13, 1), n_inner=n_inner)
+    assert len(samples) == 3
+    for s in samples:
+        assert s.entries.shape == (8, 2)
+        assert s.index_set == psd.index_set
+        s.validate()
+        assert s.pivot_failure() is None
+        assert np.linalg.matrix_rank(s.entries) == 2
