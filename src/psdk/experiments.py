@@ -24,10 +24,8 @@ import ctypes
 import functools
 import importlib
 import math
-import multiprocessing
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, get_args, get_origin
 
@@ -365,7 +363,13 @@ def _run_ordered(worker, jobs, threads):
     """
     global _FORKED_RUN
     workers = min(threads, len(jobs))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1:
+        return [worker(job) for job in jobs]
+    # Imported here: serial runs, the common CLI case, never load the pool.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
         return [worker(job) for job in jobs]
     _FORKED_RUN = (worker, jobs)
     try:
@@ -376,11 +380,10 @@ def _run_ordered(worker, jobs, threads):
         _FORKED_RUN = None
 
 
-# The OpenBLAS builds that numpy and scipy load: an extension module linked
-# against each, and the suffix of the library's exported symbols.
+# The OpenBLAS builds psdk calls: an extension module linked against each,
+# and the suffix of the library's exported symbols.
 _OPENBLAS = (
     ("numpy._core._multiarray_umath", "64_"),
-    ("scipy.linalg._fblas", ""),
 )
 
 
@@ -420,20 +423,20 @@ def _blas_set(controls, counts):
 
 
 def pin_blas():
-    """Pin numpy's and scipy's OpenBLAS to one thread for the rest of the
-    process; a no-op where their thread controls are not found."""
+    """Pin numpy's OpenBLAS to one thread for the rest of the process; a
+    no-op where its thread control is not found."""
     controls = _blas_thread_controls()
     _blas_set(controls, [1] * len(controls))
 
 
 @contextlib.contextmanager
 def _blas_pinned():
-    """One BLAS thread per library while the block runs, prior counts after.
+    """One BLAS thread while the block runs, the prior count after.
 
     Jobs are many small numpy calls; BLAS threads beside them, or beside
     each forked worker, only oversubscribe the cores. A pool forked inside
-    the block inherits the pin. Library callers get their prior counts
-    back; after a forked run that set restarts the BLAS thread pools, so the
+    the block inherits the pin. Library callers get their prior count
+    back; after a forked run that set restarts the BLAS thread pool, so the
     CLI calls `pin_blas` first, which leaves nothing to restore.
     """
     controls = _blas_thread_controls()

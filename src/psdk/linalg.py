@@ -11,7 +11,6 @@ about validation.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, solve_triangular
 
 from .exceptions import (
     NonPositiveDiagonalError,
@@ -260,7 +259,7 @@ def reduced_cholesky(mat, rank, index_set):
         )
 
     # N = mat[:, rows] @ inv(tril).T, via one triangular solve.
-    entries = solve_triangular(tril, mat[:, rows].T, lower=True).T
+    entries = _solve_lower(tril, mat[:, rows].T).T
     # The anchor rows equal tril up to roundoff; write them exactly so the
     # structural zeros and the positive diagonal hold bit-for-bit.
     entries[rows, :] = tril
@@ -285,6 +284,15 @@ def _cholesky_pivots(block, tau):
         if j + 1 < k:
             tril[j + 1 :, j] = (block[j + 1 :, j] - tril[j + 1 :, :j] @ tril[j, :j]) / tril[j, j]
     return tril, min_pivot
+
+
+def _solve_lower(tril, rhs):
+    """X with tril @ X == rhs for a nonsingular K x K lower-triangular `tril`,
+    by forward substitution: K row steps; no checks."""
+    out = np.empty(np.shape(rhs))
+    for i in range(tril.shape[0]):
+        out[i] = (rhs[i] - tril[i, :i] @ out[:i]) / tril[i, i]
+    return out
 
 
 def _lq(mat):
@@ -360,7 +368,8 @@ def anchor(frame, index_set):
 def eigh_topk(mat, rank, require_positive=False):
     """Leading eigenpairs of a symmetric matrix, with a fixed sign convention.
 
-    Only the top `rank` eigenpairs are computed (LAPACK's subset solver).
+    The full spectrum is computed (`np.linalg.eigh`) and the top `rank`
+    pairs are kept.
 
     Parameters
     ----------
@@ -389,12 +398,10 @@ def eigh_topk(mat, rank, require_positive=False):
     p = mat.shape[0]
     if not (1 <= rank <= p):
         raise ShapeMismatchError(f"rank {rank} invalid for a {p} x {p} matrix")
-    # check_symmetric has rejected non-finite entries; "evr" (MRRR) is the
-    # fastest LAPACK driver for a subset of eigenpairs at these sizes.
-    values, vectors = eigh(mat, subset_by_index=[p - rank, p - 1], driver="evr",
-                           check_finite=False)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    values, vectors = np.linalg.eigh(mat)
+    # Reverse first, then slice: descending order, and rank == p keeps all.
+    values = values[::-1][:rank].copy()
+    vectors = vectors[:, ::-1][:, :rank].copy()
     for j in range(rank):
         lead = int(np.argmax(np.abs(vectors[:, j])))
         if vectors[lead, j] < 0.0:

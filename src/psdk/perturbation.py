@@ -21,7 +21,6 @@ factor expansions above speak about PCA aggregation.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import (
     NonPositiveSpectrumError,
@@ -31,6 +30,7 @@ from .exceptions import (
     ZeroGapError,
 )
 from .linalg import (
+    _solve_lower,
     check_finite,
     check_symmetric,
     eigh_topk,
@@ -63,7 +63,7 @@ def skew_generator(tril, noise):
     check_finite("factor and noise entries", tril, noise)
     if np.min(np.abs(np.diag(tril))) <= pivot_threshold(tril):
         raise SingularMatrixError("triangular factor has a numerically zero diagonal")
-    scaled = solve_triangular(tril, noise, lower=True)
+    scaled = _solve_lower(tril, noise)
     upper = np.triu(scaled, 1)
     return upper - upper.T
 

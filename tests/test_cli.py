@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -48,11 +51,11 @@ def test_dpca_run_is_byte_reproducible(tmp_path, capsys):
 
 
 def _blas_counts_after(run):
-    """Set both BLAS libraries to 2 threads, call run() and return its
+    """Set every pinned BLAS library to 2 threads, call run() and return its
     result with the counts it left; the prior counts are restored after."""
     controls = experiments._blas_thread_controls()
     if not controls:
-        pytest.skip("numpy and scipy load no scipy-openblas thread control")
+        pytest.skip("numpy loads no scipy-openblas thread control")
     prior = [get() for get, _ in controls]
     for _, put in controls:
         put(2)
@@ -105,6 +108,32 @@ def test_summary_survives_grid_point_without_karcher_rows(tmp_path, capsys):
     assert captured.err.count(" karcher skipped: ") == 1
     assert f"wrote 3 records to {out}" in captured.out
     assert out.read_text().count("\n") == 1 + 3
+
+
+# A fresh interpreter runs all four experiments through cli.main, then fails
+# on any scipy module it loaded.
+_SCIPY_FREE_CHILD = """
+import sys
+import psdk.cli
+runs = [("intrinsic-avg", "p = 8\\np_grid = 8\\nK = 2\\nM_grid = 3\\nrepetitions = 1\\n"),
+        ("dpca", "p = 8\\nK = 2\\nM_grid = 3\\nn_grid = 40\\nrepetitions = 2\\nthreads = 2\\n"),
+        ("extrinsic-avg", "p = 8\\nK = 2\\nM_grid = 3\\nsigma_grid = 0.2\\nM_fixed = 3\\n"
+                          "n_inner = 40\\nrepetitions = 1\\n"),
+        ("perturb-order", "p = 8\\nK = 3\\nrepetitions = 1\\n")]
+for i, (command, text) in enumerate(runs):
+    with open(f"{i}.cfg", "w") as fh:
+        fh.write(text)
+    code = psdk.cli.main([command, "--config", f"{i}.cfg", "--out", f"{i}.csv"])
+    assert code == 0, (command, code)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, f"psdk loaded scipy: {loaded}"
+"""
+
+
+def test_cli_runs_all_experiments_without_scipy(tmp_path, child_env):
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CHILD], cwd=tmp_path,
+                          env=child_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -480,7 +480,7 @@ def _blas_counts():
 def test_jobs_see_one_blas_thread_and_the_caller_gets_its_counts_back(threads):
     controls = experiments._blas_thread_controls()
     if not controls:
-        pytest.skip("numpy and scipy load no scipy-openblas thread control")
+        pytest.skip("numpy loads no scipy-openblas thread control")
     prior = _blas_counts()
     for _, put in controls:
         put(3)

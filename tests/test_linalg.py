@@ -16,6 +16,7 @@ from psdk.dpca import find_index, summarize_covariance
 from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
 from psdk.linalg import (
     CholFactor,
+    _solve_lower,
     IndexSet,
     anchor,
     check_symmetric,
@@ -346,6 +347,19 @@ def test_lq_rejects_nonsquare():
 
 
 # ---------------------------------------------------------------------------
+# _solve_lower
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_solve_lower_matches_dense_solve(k):
+    gen = np.random.default_rng(k)
+    tril = np.tril(gen.normal(size=(k, k)), -1) + np.diag(1.0 + gen.uniform(size=k))
+    rhs = gen.normal(size=(k, 9))
+    assert_allclose(_solve_lower(tril, rhs), np.linalg.solve(tril, rhs),
+                    rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # eigh_topk
 
 
@@ -382,6 +396,25 @@ def test_eigh_topk_require_positive():
         eigh_topk(np.diag([1.0, 0.0]), 2, require_positive=True)
     pair = eigh_topk(np.diag([1.0, 0.0]), 1, require_positive=True)
     assert_allclose(pair.values, [1.0])
+
+
+def _sign_normalized(vectors):
+    # the eigh_topk convention: the largest-magnitude entry of each column > 0
+    lead = np.argmax(np.abs(vectors), axis=0)
+    return vectors * np.sign(vectors[lead, np.arange(vectors.shape[1])])
+
+
+@pytest.mark.parametrize("rank", [1, 7])
+def test_eigh_topk_matches_full_eigh_at_rank_1_and_p(rank):
+    gen = np.random.default_rng(8)
+    mat = gen.normal(size=(7, 7))
+    mat = mat + mat.T
+    pair = eigh_topk(mat, rank)
+    values, vectors = np.linalg.eigh(mat)
+    assert pair.values.shape == (rank,) and pair.vectors.shape == (7, rank)
+    assert_allclose(pair.values, values[::-1][:rank], rtol=1e-12, atol=1e-12)
+    assert_allclose(pair.vectors, _sign_normalized(vectors[:, ::-1][:, :rank]),
+                    atol=1e-10)
 
 
 def test_eigh_topk_rejects_asymmetric():
