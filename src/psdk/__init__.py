@@ -49,20 +49,11 @@ from .dpca import (
 )
 from .exceptions import (
     ConfigError,
-    DegenerateRowsError,
-    EmptyInputError,
-    IndexSetMismatchError,
     InsufficientPointsError,
-    NonPositiveDiagonalError,
-    NonPositiveSpectrumError,
     NotInManifoldError,
-    NotOrthogonalError,
-    NotPsdError,
-    NotSymmetricError,
     PsdkError,
     ShapeMismatchError,
     SingularMatrixError,
-    ZeroGapError,
     ZeroGapWarning,
 )
 from .experiments import (
@@ -125,19 +116,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CholFactor",
     "ConfigError",
-    "DegenerateRowsError",
     "DpcaResult",
-    "EmptyInputError",
     "ExperimentConfig",
     "IndexSet",
-    "IndexSetMismatchError",
     "InsufficientPointsError",
-    "NonPositiveDiagonalError",
-    "NonPositiveSpectrumError",
     "NotInManifoldError",
-    "NotOrthogonalError",
-    "NotPsdError",
-    "NotSymmetricError",
     "PsdkError",
     "RngStream",
     "RunRecord",
@@ -145,7 +128,6 @@ __all__ = [
     "SingularMatrixError",
     "SlopeFit",
     "SpectralPair",
-    "ZeroGapError",
     "ZeroGapWarning",
     "anchor",
     "default_config",

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
-config file), 2 for numerical failures (the offending grid point is
-reported on stderr).
+config file, an output path that cannot be written), 2 for numerical
+failures (the offending grid point is reported on stderr).
 """
 
 import argparse
@@ -52,8 +52,9 @@ def build_parser():
         cmd.add_argument("--out", metavar="PATH",
                          help="CSV output path (default <experiment>.csv)")
         cmd.add_argument("--threads", type=int, metavar="N",
-                         help="worker processes, each with BLAS pinned to one "
-                         "thread during the run; output is identical either way")
+                         help="worker processes, at most the CPUs this process "
+                         "may use, each with BLAS pinned to one thread during "
+                         "the run; output is identical either way")
     sub.add_parser("selftest", help="run the fast internal consistency battery",
                    description="run the fast internal consistency battery")
     return parser
@@ -101,7 +102,11 @@ def main(argv=None):
         return 2
 
     out_path = cfg.output_path or f"{experiment}.csv"
-    experiments.write_csv(records, out_path)
+    try:
+        experiments.write_csv(records, out_path)
+    except OSError as err:
+        print(f"psdk: error: cannot write {out_path}: {err}", file=sys.stderr)
+        return 1
     print(experiments.summarize_records(cfg, records))
     print(f"wrote {len(records)} records to {out_path}")
     return 0

@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateRowsError,
-    EmptyInputError,
-    NonPositiveSpectrumError,
-    NotInManifoldError,
-    ShapeMismatchError,
-    ZeroGapWarning,
-)
+from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
 from .linalg import IndexSet, anchor, check_finite, eigh_topk, pivot_threshold
 from .manifold import _chart_factors, karcher_mean
 
@@ -50,7 +43,7 @@ def summarize_covariance(cov_hat, rank):
     """Top-`rank` eigenpairs (a SpectralPair) of one machine's covariance estimate.
 
     Eigenvalues must be strictly positive (they get squared downstream);
-    raises NonPositiveSpectrumError otherwise.
+    raises SingularMatrixError otherwise.
     """
     return eigh_topk(cov_hat, rank, require_positive=True)
 
@@ -59,7 +52,7 @@ def _frame_gram(frames, caller):
     """The symmetrized mean of F F.T over p x K frames F, as one product
     G G.T / M of the frames side by side in G (p x sum K)."""
     if not frames:
-        raise EmptyInputError(f"{caller} needs at least one summary")
+        raise ShapeMismatchError(f"{caller} needs at least one summary")
     shapes = [np.shape(f) for f in frames]
     if any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
         raise ShapeMismatchError(f"{caller} frames must be 2-d with a common p, got {shapes}")
@@ -95,7 +88,7 @@ def full_pca(covariances, rank):
     """Top-`rank` eigenbasis of the pooled (averaged) covariances."""
     covs = [np.asarray(c, dtype=float) for c in covariances]
     if not covs:
-        raise EmptyInputError("full_pca needs at least one covariance")
+        raise ShapeMismatchError("full_pca needs at least one covariance")
     if any(c.shape != covs[0].shape for c in covs):
         raise ShapeMismatchError("full_pca covariances differ in shape")
     agg = sum(covs) / len(covs)
@@ -119,7 +112,7 @@ def lrc_dpca(summaries, rank, index_set):
     """
     summaries = list(summaries)
     if not summaries:
-        raise EmptyInputError("lrc_dpca needs at least one summary")
+        raise ShapeMismatchError("lrc_dpca needs at least one summary")
     factors = [anchor(s.vectors * s.values, index_set) for s in summaries]
     bad = [m for m, f in enumerate(factors) if f.pivot_failure() is not None]
     if bad:
@@ -140,10 +133,10 @@ def dpca_fan(summaries, rank):
 def dpca_bw(summaries, rank):
     """Surrogate-averaging aggregation: mean of V diag(values) V.T, unsquared.
 
-    Raises NonPositiveSpectrumError on a negative eigenvalue."""
+    Raises SingularMatrixError on a negative eigenvalue."""
     summaries = list(summaries)
     if any(np.min(s.values) < 0.0 for s in summaries):
-        raise NonPositiveSpectrumError("dpca_bw needs nonnegative eigenvalues")
+        raise SingularMatrixError("dpca_bw needs nonnegative eigenvalues")
     frames = [s.vectors * np.sqrt(s.values) for s in summaries]
     return _result(_frame_gram(frames, "dpca_bw"), rank, "bw", len(frames))
 
@@ -186,7 +179,7 @@ def find_index(vectors, values, rank):
 
     Raises
     ------
-    DegenerateRowsError
+    NotInManifoldError
         If at some step every candidate score is at or below the pivot
         threshold, i.e. no row choice keeps the anchor block nonsingular.
     ShapeMismatchError
@@ -214,7 +207,7 @@ def find_index(vectors, values, rank):
         scores[chosen] = -np.inf
         best_row = int(np.argmax(scores))
         if scores[best_row] <= tau:
-            raise DegenerateRowsError(
+            raise NotInManifoldError(
                 f"no admissible row at column {k}: best score {scores[best_row]:.3e} "
                 f"below threshold {tau:.3e}"
             )

@@ -1,64 +1,58 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+A library caller can act on two kinds of error: malformed input
+(ShapeMismatchError) and a numerically degenerate matrix
+(SingularMatrixError). The other classes exist because psdk itself
+catches them by name.
+"""
 
 
 class PsdkError(Exception):
-    """Base class for all errors raised by psdk."""
+    """Base class for all errors raised by psdk.
+
+    The CLI catches it to exit with status 2 (numerical failure); the
+    experiment runner catches it to prefix the failing job's grid point.
+    """
 
 
 class ShapeMismatchError(PsdkError):
-    """Array arguments have incompatible or invalid shapes."""
+    """Malformed array input.
 
-
-class NotSymmetricError(PsdkError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
+    Covers incompatible or invalid shapes, empty collections, non-finite
+    entries, matrices that are not symmetric within tolerance, index sets
+    that do not fit their operands, and a factor and eigenpair that do not
+    describe one matrix. Raised for library callers; psdk does not catch it.
+    """
 
 
 class SingularMatrixError(PsdkError):
-    """A matrix required to be (numerically) nonsingular is rank deficient."""
+    """A numerically degenerate matrix.
 
-
-class NonPositiveSpectrumError(PsdkError):
-    """Leading eigenvalues are not strictly positive where positivity is required."""
-
-
-class NonPositiveDiagonalError(PsdkError):
-    """A triangular factor has a nonpositive entry on its anchored diagonal."""
+    Covers rank-deficient matrices, a numerically zero eigengap, and
+    eigenvalues that are not positive (or not nonnegative) where the
+    operation requires it. Raised for library callers; psdk does not catch
+    it.
+    """
 
 
 class NotInManifoldError(PsdkError):
-    """A matrix fails the rank-K / anchored-block membership test."""
+    """A matrix or factor is not a chart point.
 
-
-class IndexSetMismatchError(PsdkError):
-    """Operands carry different anchor index sets where a common one is required."""
-
-
-class EmptyInputError(PsdkError):
-    """An operation received an empty collection."""
-
-
-class ZeroGapError(PsdkError):
-    """The eigengap below the retained block is numerically zero."""
-
-
-class NotOrthogonalError(PsdkError):
-    """A matrix expected to be orthogonal fails the check beyond tolerance."""
-
-
-class NotPsdError(PsdkError):
-    """A matrix required to be positive semidefinite has negative spectrum."""
-
-
-class DegenerateRowsError(PsdkError):
-    """No row choice yields a nonsingular anchor block (all pivot scores ~ 0)."""
+    Covers a failed rank-K / anchored-block membership test, a nonpositive
+    entry on a factor's anchored diagonal, and a frame for which no row
+    choice yields a nonsingular anchor block. The experiments' Karcher
+    retry/skip policy catches it.
+    """
 
 
 class InsufficientPointsError(PsdkError):
-    """Too few points for the requested fit."""
+    """Too few points for the requested fit; the experiment summaries catch
+    it and report the slope as unavailable."""
 
 
 class ConfigError(PsdkError):
-    """Invalid experiment configuration (bad key, value, or combination)."""
+    """Invalid experiment configuration (bad key, value, or combination);
+    the CLI catches it to exit with status 1."""
 
 
 class ZeroGapWarning(UserWarning):

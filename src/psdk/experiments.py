@@ -22,8 +22,8 @@ to stderr instead.
 import contextlib
 import ctypes
 import functools
-import importlib
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -35,7 +35,6 @@ from . import dpca as dpca_mod
 from . import manifold, models, perturbation
 from .exceptions import (
     ConfigError,
-    DegenerateRowsError,
     InsufficientPointsError,
     NotInManifoldError,
     PsdkError,
@@ -352,17 +351,26 @@ def _forked_job(index):
     return worker(jobs[index])
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on, looked up now."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_ordered(worker, jobs, threads):
     """`worker(job)` for every job, returned in submission order.
 
     With `threads` > 1, up to `threads` forked worker processes share the
-    jobs; the worker's results and exceptions must pickle. Fork, not spawn:
-    the worker is a closure over the plan's state, which does not pickle.
-    Without the fork start method, or with one worker or job, the jobs run
-    here, serially.
+    jobs, but never more than the CPUs this process may use; the worker's
+    results and exceptions must pickle. Fork, not spawn: the worker is a
+    closure over the plan's state, which does not pickle. Without the fork
+    start method, or with one worker, CPU or job, the jobs run here,
+    serially.
     """
     global _FORKED_RUN
-    workers = min(threads, len(jobs))
+    workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:
         return [worker(job) for job in jobs]
     # Imported here: serial runs, the common CLI case, never load the pool.
@@ -380,53 +388,43 @@ def _run_ordered(worker, jobs, threads):
         _FORKED_RUN = None
 
 
-# The OpenBLAS builds psdk calls: an extension module linked against each,
-# and the suffix of the library's exported symbols.
-_OPENBLAS = (
-    ("numpy._core._multiarray_umath", "64_"),
-)
-
-
-def _blas_thread_control(lib, suffix):
-    """The (get, set) thread-count functions `lib` resolves, or None."""
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None
+    where numpy's extension module or its scipy-openblas symbols are
+    missing."""
     try:
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-    except AttributeError:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
 
 
-def _blas_thread_controls():
-    """Thread controls of every `_OPENBLAS` library that is found."""
-    controls = []
-    for module, suffix in _OPENBLAS:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        except (ImportError, OSError):
-            continue
-        control = _blas_thread_control(lib, suffix)
-        if control is not None:
-            controls.append(control)
-    return controls
-
-
-def _blas_set(controls, counts):
-    """Set each library's thread count, leaving an equal one alone: after a
-    fork, any set restarts the library's thread pool, whose threads then
-    spin for a while before they sleep."""
-    for (get, put), count in zip(controls, counts):
-        if get() != count:
-            put(count)
+def _blas_set(count):
+    """Set numpy's BLAS thread count and return the prior one (None without
+    a thread control). An equal count is left alone: after a fork, any set
+    restarts the library's thread pool, whose threads then spin for a while
+    before they sleep."""
+    control = _blas_threads()
+    if control is None:
+        return None
+    get, put = control
+    prior = get()
+    if prior != count:
+        put(count)
+    return prior
 
 
 def pin_blas():
     """Pin numpy's OpenBLAS to one thread for the rest of the process; a
     no-op where its thread control is not found."""
-    controls = _blas_thread_controls()
-    _blas_set(controls, [1] * len(controls))
+    _blas_set(1)
 
 
 @contextlib.contextmanager
@@ -439,13 +437,12 @@ def _blas_pinned():
     back; after a forked run that set restarts the BLAS thread pool, so the
     CLI calls `pin_blas` first, which leaves nothing to restore.
     """
-    controls = _blas_thread_controls()
-    prior = [get() for get, _ in controls]
-    _blas_set(controls, [1] * len(controls))
+    prior = _blas_set(1)
     try:
         yield
     finally:
-        _blas_set(controls, prior)
+        if prior is not None:
+            _blas_set(prior)
 
 
 def _log(msg):
@@ -520,7 +517,7 @@ def _reselect_index(frames, rank, failed_idx):
         if anchor(frame, failed_idx).pivot_failure() is not None:
             try:
                 return _frame_rows(frame, rank)
-            except DegenerateRowsError:
+            except NotInManifoldError:
                 return None
     return None
 

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    NonPositiveDiagonalError,
-    NonPositiveSpectrumError,
-    NotInManifoldError,
-    NotSymmetricError,
-    ShapeMismatchError,
-    SingularMatrixError,
-)
+from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError
 
 # Relative threshold under which a pivot / singular value counts as zero,
 # scaled by the max-norm of the matrix being factored.
@@ -48,7 +41,7 @@ def check_finite(what, *arrays):
 
 
 def check_symmetric(mat, rtol=SYM_RTOL):
-    """Raise NotSymmetricError if max|A - A.T| exceeds rtol * max|A|."""
+    """Raise ShapeMismatchError if max|A - A.T| exceeds rtol * max|A|."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
@@ -56,7 +49,7 @@ def check_symmetric(mat, rtol=SYM_RTOL):
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
     if asym > rtol * scale:
-        raise NotSymmetricError(
+        raise ShapeMismatchError(
             f"matrix is not symmetric: max|A - A.T| = {asym:.3e} "
             f"(tolerance {rtol * scale:.3e})"
         )
@@ -193,7 +186,7 @@ class CholFactor:
             )
         diag = np.diag(block)
         if np.any(diag <= 0.0):
-            raise NonPositiveDiagonalError(
+            raise NotInManifoldError(
                 f"anchored diagonal must be positive, got min = {diag.min():.3e}"
             )
         return self
@@ -231,13 +224,11 @@ def reduced_cholesky(mat, rank, index_set):
 
     Raises
     ------
-    NotSymmetricError
-        If max|mat - mat.T| exceeds tolerance.
     NotInManifoldError
         If a Cholesky pivot of the anchor block falls below the relative
         threshold TAU_PIVOT_REL * max|mat|.
     ShapeMismatchError
-        On inconsistent dimensions.
+        On inconsistent dimensions, or if max|mat - mat.T| exceeds tolerance.
     """
     mat = check_symmetric(mat)
     p = mat.shape[0]
@@ -391,7 +382,7 @@ def eigh_topk(mat, rank, require_positive=False):
 
     Raises
     ------
-    NonPositiveSpectrumError
+    SingularMatrixError
         When `require_positive` is set and the spectrum fails the check.
     """
     mat = check_symmetric(mat)
@@ -407,7 +398,7 @@ def eigh_topk(mat, rank, require_positive=False):
         if vectors[lead, j] < 0.0:
             vectors[:, j] = -vectors[:, j]
     if require_positive and values[-1] <= pivot_threshold(mat):
-        raise NonPositiveSpectrumError(
+        raise SingularMatrixError(
             f"eigenvalue {rank} is {values[-1]:.3e}, not strictly positive"
         )
     return SpectralPair(vectors, values)

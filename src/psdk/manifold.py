@@ -13,12 +13,7 @@ geometrically on it.
 import numpy as np
 
 from . import linalg
-from .exceptions import (
-    EmptyInputError,
-    IndexSetMismatchError,
-    NotInManifoldError,
-    ShapeMismatchError,
-)
+from .exceptions import NotInManifoldError, ShapeMismatchError
 from .linalg import CholFactor
 
 
@@ -117,7 +112,7 @@ def _chart_factors(factors, caller):
     errors name the offending element."""
     factors = list(factors)
     if not factors:
-        raise EmptyInputError(f"{caller} needs at least one factor")
+        raise ShapeMismatchError(f"{caller} needs at least one factor")
     base = factors[0]
     for m, factor in enumerate(factors):
         if not isinstance(factor, CholFactor):
@@ -133,7 +128,7 @@ def _chart_factors(factors, caller):
                 f"factor entries of shape {shape}"
             )
         if factor.index_set != base.index_set:
-            raise IndexSetMismatchError(
+            raise ShapeMismatchError(
                 f"element {m} has (rank, index set) = ({factor.rank}, "
                 f"{tuple(factor.index_set)}), expected ({base.rank}, {tuple(base.index_set)})"
             )
@@ -182,12 +177,9 @@ def karcher_mean(psds):
 
     Raises
     ------
-    EmptyInputError
-        On an empty sequence.
     ShapeMismatchError
-        If an element's index set does not fit its entries, or p differs.
-    IndexSetMismatchError
-        If the elements carry different index sets or ranks.
+        On an empty sequence, if an element's index set does not fit its
+        entries, or if the elements differ in p, rank or index set.
     NotInManifoldError
         If any element is not a chart point; the message names the element.
     """

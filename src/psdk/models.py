@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .exceptions import ConfigError, EmptyInputError, NotInManifoldError, NotPsdError, ShapeMismatchError
+from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
 from .linalg import IndexSet, anchor, check_symmetric, eigh_topk, support_mask
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
@@ -119,7 +119,7 @@ def intrinsic_samples(psd, sigma, count, rng):
     if not 0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
     if count < 1:
-        raise EmptyInputError("need at least one sample")
+        raise ShapeMismatchError("need at least one sample")
     failure = psd.pivot_failure()
     if failure is not None:
         raise NotInManifoldError(f"signal: {failure}")
@@ -155,7 +155,7 @@ def factor_noise_samples(factor, noises):
     factor.validate()
     noises = list(noises)
     if not noises:
-        raise EmptyInputError("need at least one noise matrix")
+        raise ShapeMismatchError("need at least one noise matrix")
     out = []
     for m, e in enumerate(noises):
         e = np.asarray(e, dtype=float)
@@ -176,11 +176,11 @@ def gaussian_samples(cov, n, rng):
     """n i.i.d. rows from N(0, cov), via the Cholesky transform of standard normals.
 
     Falls back to an eigenvalue square root when `cov` is PSD but singular.
-    Raises NotPsdError on genuinely negative spectrum.
+    Raises SingularMatrixError on genuinely negative spectrum.
     """
     cov = check_symmetric(cov)
     if n < 1:
-        raise EmptyInputError("need at least one data point")
+        raise ShapeMismatchError("need at least one data point")
     gen = _as_generator(rng)
     try:
         root = np.linalg.cholesky(cov)
@@ -188,7 +188,7 @@ def gaussian_samples(cov, n, rng):
         values, vectors = np.linalg.eigh(cov)
         scale = max(abs(values[0]), abs(values[-1]))
         if values[0] < -1e-8 * scale:
-            raise NotPsdError(
+            raise SingularMatrixError(
                 f"covariance has negative eigenvalue {values[0]:.3e}"
             ) from None
         root = vectors * np.sqrt(np.clip(values, 0.0, None))
@@ -200,7 +200,7 @@ def sample_cov(data):
     """Uncentered second-moment matrix data.T @ data / n."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
-        raise EmptyInputError(f"expected a nonempty (n, p) array, got {data.shape}")
+        raise ShapeMismatchError(f"expected a nonempty (n, p) array, got {data.shape}")
     cov = data.T @ data / data.shape[0]
     return 0.5 * (cov + cov.T)
 
@@ -249,7 +249,7 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
     if not 0 <= ridge < math.inf:
         raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
     if n_inner < 1:
-        raise EmptyInputError("need at least one data point")
+        raise ShapeMismatchError("need at least one data point")
     gen = _as_generator(rng)
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen)
     ridge_root = math.sqrt(ridge) * np.eye(psd.p)

@@ -22,13 +22,7 @@ factor expansions above speak about PCA aggregation.
 
 import numpy as np
 
-from .exceptions import (
-    NonPositiveSpectrumError,
-    NotOrthogonalError,
-    ShapeMismatchError,
-    SingularMatrixError,
-    ZeroGapError,
-)
+from .exceptions import ShapeMismatchError, SingularMatrixError
 from .linalg import (
     _solve_lower,
     check_finite,
@@ -159,7 +153,7 @@ def eigvec_first_order(values, vectors, rank, noise):
 
     Raises
     ------
-    ZeroGapError
+    SingularMatrixError
         If values[rank-1] - values[rank] is at or below the pivot threshold.
     """
     values = np.asarray(values, dtype=float)
@@ -181,7 +175,7 @@ def eigvec_first_order(values, vectors, rank, noise):
         return head.copy()
     gap = values[rank - 1] - values[rank]
     if gap <= pivot_threshold(np.diag(values)):
-        raise ZeroGapError(
+        raise SingularMatrixError(
             f"eigengap below the retained block is {gap:.3e}, too small"
         )
     tail = vectors[:, rank:]
@@ -206,10 +200,9 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
 
     Raises
     ------
-    ZeroGapError
-        If the eigengap of `cov` below the retained block is numerically zero.
     SingularMatrixError
-        Propagated from the Procrustes sign when the bases are orthogonal.
+        If the eigengap of `cov` below the retained block is numerically
+        zero, or (from the Procrustes sign) when the bases are orthogonal.
     """
     cov_hat = check_symmetric(cov_hat)
     cov = check_symmetric(cov)
@@ -223,7 +216,7 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
     spectrum = np.linalg.eigvalsh(cov)[::-1]
     gap = spectrum[rank - 1] - spectrum[rank]
     if gap <= pivot_threshold(cov):
-        raise ZeroGapError(f"eigengap of the reference covariance is {gap:.3e}")
+        raise SingularMatrixError(f"eigengap of the reference covariance is {gap:.3e}")
     pair = eigh_topk(cov, rank)
     pair_hat = eigh_topk(cov_hat, rank)
     sign = procrustes_sign(pair_hat.vectors.T @ pair.vectors)
@@ -238,17 +231,18 @@ def factor_alignment(factor, pair, tol=1e-8):
 
     Raises
     ------
-    NonPositiveSpectrumError
+    SingularMatrixError
         If any provided eigenvalue is not strictly positive.
-    NotOrthogonalError
-        If the computed alignment fails ||Q.T Q - I||_max <= tol, which
-        signals that `factor` and `pair` do not describe the same matrix.
+    ShapeMismatchError
+        If the frame shapes differ, or if the computed alignment fails
+        ||Q.T Q - I||_max <= tol, which signals that `factor` and `pair` do
+        not describe the same matrix.
     """
     factor.validate()
     values = np.asarray(pair.values, dtype=float)
     vectors = np.asarray(pair.vectors, dtype=float)
     if values[-1] <= 0.0:
-        raise NonPositiveSpectrumError(
+        raise SingularMatrixError(
             f"alignment needs positive eigenvalues, got min = {values[-1]:.3e}"
         )
     if vectors.shape != factor.entries.shape:
@@ -259,7 +253,7 @@ def factor_alignment(factor, pair, tol=1e-8):
     align = (vectors.T @ factor.entries) / values[:, None]
     resid = np.max(np.abs(align.T @ align - np.eye(align.shape[0])))
     if resid > tol:
-        raise NotOrthogonalError(
+        raise ShapeMismatchError(
             f"alignment is not orthogonal: ||Q.T Q - I||_max = {resid:.3e}"
         )
     return align

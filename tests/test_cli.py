@@ -50,36 +50,35 @@ def test_dpca_run_is_byte_reproducible(tmp_path, capsys):
     assert outs[0].decode().count("\n") == 1 + 2 * 3 * 4
 
 
-def _blas_counts_after(run):
-    """Set every pinned BLAS library to 2 threads, call run() and return its
-    result with the counts it left; the prior counts are restored after."""
-    controls = experiments._blas_thread_controls()
-    if not controls:
+def _blas_count_after(run):
+    """Set numpy's BLAS to 2 threads, call run() and return its result with
+    the count it left; the prior count is restored after."""
+    control = experiments._blas_threads()
+    if control is None:
         pytest.skip("numpy loads no scipy-openblas thread control")
-    prior = [get() for get, _ in controls]
-    for _, put in controls:
-        put(2)
+    get, put = control
+    prior = get()
+    put(2)
     try:
-        return run(), [get() for get, _ in controls]
+        return run(), get()
     finally:
-        for (_, put), count in zip(controls, prior):
-            put(count)
+        put(prior)
 
 
 def test_cli_leaves_blas_pinned(tmp_path, capsys):
-    code, after = _blas_counts_after(lambda: main(
+    code, after = _blas_count_after(lambda: main(
         ["perturb-order", "--config", _cfg(tmp_path, TINY_PERTURB),
          "--out", str(tmp_path / "o.csv"), "--threads", "2"]))
     assert code == 0, capsys.readouterr().err
-    assert after == [1] * len(after)
+    assert after == 1
 
 
 def test_selftest_leaves_blas_pinned(capsys):
     """The selftest forks a threads=2 run; pinned before it, the CLI has no
     prior counts to restore, so no BLAS thread pool restarts after it."""
-    code, after = _blas_counts_after(lambda: main(["selftest"]))
+    code, after = _blas_count_after(lambda: main(["selftest"]))
     assert code == 0, capsys.readouterr().out
-    assert after == [1] * len(after)
+    assert after == 1
 
 
 def test_default_output_path(tmp_path, capsys, monkeypatch):
@@ -172,6 +171,16 @@ def test_missing_config_file(tmp_path, capsys):
     code = main(["dpca", "--config", str(tmp_path / "nope.cfg")])
     assert code == 1
     assert "psdk: error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "o.csv"
+    code = main(["perturb-order", "--config", _cfg(tmp_path, TINY_PERTURB),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1].startswith(f"psdk: error: cannot write {out}:")
+    assert "Traceback" not in err
 
 
 def test_config_experiment_mismatch_warns_and_wins(tmp_path, capsys):

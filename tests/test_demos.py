@@ -1,4 +1,5 @@
-"""Smoke test: the narrated demos run to completion against this psdk.
+"""Smoke tests: the narrated demos run to completion against this psdk, and
+the sample config loads.
 
 `averaging_from_data` is left out: it simulates 2000-point data sets for
 about half a minute and is run by hand (`python3 demos/averaging_from_data.py`).
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from psdk.experiments import load_config
+
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
@@ -20,3 +23,9 @@ def test_demo_runs(demo, child_env, tmp_path):
                           env=child_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_sample_config_loads():
+    cfg = load_config("dpca", path=DEMOS / "sample.cfg")
+    assert (cfg.p, cfg.K, cfg.M_grid, cfg.index_mode, cfg.threads) == (
+        50, 5, (20,), "find_index_machine1", 4)

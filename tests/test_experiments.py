@@ -1,4 +1,3 @@
-import ctypes
 import math
 import os
 
@@ -447,6 +446,21 @@ def test_retry_policy_retry_succeeds():
     assert notes == [f"lrc retried with rows {agg.calls[1]}"]
 
 
+def test_retry_policy_no_admissible_rows_skips(monkeypatch):
+    # the failing sample's frame gives no chart at any rows
+    def no_rows(vectors, values, rank):
+        raise NotInManifoldError("no admissible row")
+
+    monkeypatch.setattr(experiments.dpca_mod, "find_index", no_rows)
+    agg = _StubAggregate(failing=((0, 1),))
+    notes = []
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
+                             _policy_cfg("find_index_oracle"), notes, "karcher")
+    assert out is None
+    assert agg.calls == [(0, 1)]
+    assert notes == ["karcher skipped: failure 1"]
+
+
 def test_retry_policy_second_failure_skips_with_second_error():
     agg = _StubAggregate(failing=((0, 1), (2, 3), (3, 2)))
     notes = []
@@ -472,43 +486,45 @@ def _probe_runner(work, jobs=4):
     return probe
 
 
-def _blas_counts():
-    return [get() for get, _ in experiments._blas_thread_controls()]
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_jobs_see_one_blas_thread_and_the_caller_gets_its_counts_back(threads):
-    controls = experiments._blas_thread_controls()
-    if not controls:
+    control = experiments._blas_threads()
+    if control is None:
         pytest.skip("numpy loads no scipy-openblas thread control")
-    prior = _blas_counts()
-    for _, put in controls:
-        put(3)
+    get, put = control
+    prior = get()
+    put(3)
     try:
-        rows = _probe_runner(lambda i: [(os.getpid(), tuple(_blas_counts()))])(
+        rows = _probe_runner(lambda i: [(os.getpid(), get())])(
             _tiny_intrinsic(threads=threads))
-        after = _blas_counts()
+        after = get()
     finally:
-        for (_, put), count in zip(controls, prior):
-            put(count)
+        put(prior)
     assert len(rows) == 4
-    assert {counts for _, counts in rows} == {(1,) * len(controls)}
+    assert {count for _, count in rows} == {1}
     pids = {pid for pid, _ in rows}
     if threads == 1:
         assert pids == {os.getpid()}
-    else:
+    elif experiments._usable_cpus() >= 2:
         assert os.getpid() not in pids
-    assert after == [3] * len(controls)
+    assert after == 3
 
 
 def test_blas_pin_without_symbols_is_a_no_op(monkeypatch):
-    module = pytest.importorskip(experiments._OPENBLAS[0][0])
-    assert experiments._blas_thread_control(ctypes.CDLL(module.__file__), "_none") is None
     expected = render_csv(run_intrinsic(_tiny_intrinsic(threads=2)))
-    monkeypatch.setattr(experiments, "_OPENBLAS",
-                        ((module.__name__, "_none"), ("psdk.no_such_module", "")))
-    assert experiments._blas_thread_controls() == []
+    monkeypatch.setattr(experiments.ctypes, "CDLL", lambda path: object())
+    assert experiments._blas_threads.__wrapped__() is None
+    monkeypatch.undo()
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)
+    assert experiments._blas_set(1) is None
     assert render_csv(run_intrinsic(_tiny_intrinsic(threads=2))) == expected
+
+
+def test_worker_count_is_capped_at_usable_cpus(monkeypatch):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    rows = _probe_runner(lambda i: [os.getpid()])(_tiny_intrinsic(threads=8))
+    assert set(rows) == {os.getpid()}
 
 
 def test_job_error_in_a_worker_process_reaches_the_caller():

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from psdk.exceptions import (
-    EmptyInputError,
-    IndexSetMismatchError,
-    NotInManifoldError,
-    ShapeMismatchError,
-)
+from psdk.exceptions import NotInManifoldError, ShapeMismatchError
 from psdk.linalg import CholFactor, IndexSet, SpectralPair
 from psdk.manifold import (
     exp_factor,
@@ -194,14 +189,14 @@ def test_karcher_mean_minimizes_frechet_objective():
 
 
 def test_karcher_mean_empty_input():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ShapeMismatchError):
         karcher_mean([])
 
 
 def test_karcher_mean_mixed_index_sets():
     a, _ = _diag_pair()
     c = CholFactor(np.array([[0.0], [1.0]]), IndexSet((1,)))
-    with pytest.raises(IndexSetMismatchError):
+    with pytest.raises(ShapeMismatchError):
         karcher_mean([a, c])
 
 
@@ -279,7 +274,7 @@ def test_geodesic_distance_matches_chart_isometry():
 def test_geodesic_distance_requires_common_anchor():
     a, _ = _diag_pair()
     c = CholFactor(np.array([[0.0], [1.0]]), IndexSet((1,)))
-    with pytest.raises(IndexSetMismatchError):
+    with pytest.raises(ShapeMismatchError):
         geodesic_distance(a, c)
 
 

@@ -5,10 +5,9 @@ from numpy.testing import assert_allclose
 from psdk import manifold, models
 from psdk.exceptions import (
     ConfigError,
-    EmptyInputError,
     NotInManifoldError,
-    NotPsdError,
     ShapeMismatchError,
+    SingularMatrixError,
 )
 from psdk.linalg import CholFactor, IndexSet, support_mask
 from psdk.models import (
@@ -148,7 +147,7 @@ def test_intrinsic_samples_argument_checks():
     psd = gaussian_svd_signal(5, 2, RngStream(6, 0))
     with pytest.raises(ConfigError):
         intrinsic_samples(psd, -0.1, 2, RngStream(6, 1))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ShapeMismatchError):
         intrinsic_samples(psd, 0.1, 0, RngStream(6, 1))
 
 
@@ -165,7 +164,7 @@ def test_sampler_arguments_are_checked():
     for ridge in (-0.01, np.nan, np.inf):
         with pytest.raises(ConfigError, match="ridge must be finite and nonnegative"):
             extrinsic_samples(psd, 0.1, 2, RngStream(6, 1), n_inner=50, ridge=ridge)
-    with pytest.raises(EmptyInputError, match="at least one data point"):
+    with pytest.raises(ShapeMismatchError, match="at least one data point"):
         extrinsic_samples(psd, 0.1, 2, RngStream(6, 1), n_inner=0)
     with pytest.raises(ShapeMismatchError, match="rank 3 invalid for p = 2"):
         gaussian_svd_signal(2, 3, RngStream(6, 0))
@@ -199,7 +198,7 @@ def test_factor_noise_samples_name_offender():
 
 def test_factor_noise_samples_argument_checks():
     factor = CholFactor(np.array([[1.0], [0.0]]), IndexSet.canonical(1))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ShapeMismatchError):
         factor_noise_samples(factor, [])
     with pytest.raises(ShapeMismatchError, match="sample 0"):
         factor_noise_samples(factor, [np.zeros((3, 1))])
@@ -224,12 +223,12 @@ def test_gaussian_samples_singular_covariance():
 
 
 def test_gaussian_samples_rejects_indefinite():
-    with pytest.raises(NotPsdError):
+    with pytest.raises(SingularMatrixError):
         gaussian_samples(np.diag([1.0, -1.0]), 10, RngStream(8, 2))
 
 
 def test_gaussian_samples_needs_data():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ShapeMismatchError):
         gaussian_samples(np.eye(2), 0, RngStream(8, 3))
 
 
@@ -239,7 +238,7 @@ def test_sample_cov_by_hand():
 
 
 def test_sample_cov_rejects_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(ShapeMismatchError):
         sample_cov(np.zeros((0, 3)))
 
 

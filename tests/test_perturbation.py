@@ -3,12 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from psdk import manifold, models
-from psdk.exceptions import (
-    NotOrthogonalError,
-    ShapeMismatchError,
-    SingularMatrixError,
-    ZeroGapError,
-)
+from psdk.exceptions import ShapeMismatchError, SingularMatrixError
 from psdk.linalg import CholFactor, IndexSet, eigh_topk, lq_givens, procrustes_sign
 from psdk.perturbation import (
     eigvec_first_order,
@@ -272,7 +267,7 @@ def test_eigvec_first_order_full_rank_shortcut():
 
 def test_eigvec_first_order_zero_gap():
     values = np.array([2.0, 2.0, 1.0])
-    with pytest.raises(ZeroGapError):
+    with pytest.raises(SingularMatrixError):
         eigvec_first_order(values, np.eye(3), 1, np.zeros((3, 3)))
 
 
@@ -307,7 +302,7 @@ def test_factor_alignment_rejects_mismatched_frame():
     rng = np.random.default_rng(16)
     _, pair, _, _ = _surrogate_setup(rng, 10, 3)
     other = _random_factor(rng, 10, 3)
-    with pytest.raises(NotOrthogonalError):
+    with pytest.raises(ShapeMismatchError):
         factor_alignment(other, pair)
 
 
@@ -335,5 +330,5 @@ def test_equivalent_factor_noise_reproduces_surrogate():
 
 def test_equivalent_factor_noise_zero_gap():
     cov = np.eye(4)
-    with pytest.raises(ZeroGapError):
+    with pytest.raises(SingularMatrixError):
         equivalent_factor_noise(np.diag([2.0, 1.0, 0.5, 0.1]), cov, 2, np.eye(2))
