@@ -10,9 +10,12 @@ The anchored factor (`CholFactor`, p x K) is the package's one PSD type:
 `anchor` turns any p x K frame into it, `factorize(mat, rank, index_set)`
 turns a p x p matrix into it, signals and samples are factors, and
 `karcher_mean`, `geodesic_distance` and `euclid_rankk_mean` take factors
-only. p x p matrices appear only at the API edges (`factorize`,
-`CholFactor.matrix`). Eigenpairs are `SpectralPair`s: `eigh_topk` and
-`summarize_covariance` return them and the dpca aggregators take them.
+only. A `CholFactor` may also hold a stack (M, p, K) of M factors sharing
+one index set: the samplers return one, and the factor path (anchoring,
+the pivot rule, the chart maps, the Karcher mean) works on it whole. p x p
+matrices appear only at the API edges (`factorize`, `CholFactor.matrix`).
+Eigenpairs are `SpectralPair`s: `eigh_topk` and `summarize_covariance`
+return them and the dpca aggregators take them.
 
 Modules
 -------

@@ -49,9 +49,10 @@ def summarize_covariance(cov_hat, rank):
 
 
 def _frame_gram(frames, caller):
-    """The symmetrized mean of F F.T over p x K frames F, as one product
-    G G.T / M of the frames side by side in G (p x sum K)."""
-    if not frames:
+    """The symmetrized mean of F F.T over p x K frames F (a sequence, or an
+    (M, p, K) stack), as one product G G.T / M of the frames side by side in
+    G (p x sum K)."""
+    if len(frames) == 0:
         raise ShapeMismatchError(f"{caller} needs at least one summary")
     shapes = [np.shape(f) for f in frames]
     if any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
@@ -99,8 +100,8 @@ def lrc_dpca(summaries, rank, index_set):
     """Karcher-mean aggregation of the machines' rank-K covariance surrogates.
 
     Each summary (V, values) stands for V diag(values)^2 V.T, the factor
-    second-moment matrix consistent with the local eigenpairs; its frame
-    V diag(values) is anchored at `index_set`, the factors are averaged by
+    second-moment matrix consistent with the local eigenpairs; the frames
+    V diag(values) are anchored at `index_set` as one stack, averaged by
     their Karcher mean, and the mean's top eigenbasis is returned.
 
     Raises
@@ -110,18 +111,20 @@ def lrc_dpca(summaries, rank, index_set):
         message lists the offending machines by their position in
         `summaries`, so the caller can reselect rows via `find_index`.
     """
-    summaries = list(summaries)
-    if not summaries:
+    frames = [s.vectors * s.values for s in summaries]
+    if not frames:
         raise ShapeMismatchError("lrc_dpca needs at least one summary")
-    factors = [anchor(s.vectors * s.values, index_set) for s in summaries]
-    bad = [m for m, f in enumerate(factors) if f.pivot_failure() is not None]
-    if bad:
+    if len({np.shape(f) for f in frames}) > 1:
+        raise ShapeMismatchError("lrc_dpca frames differ in shape")
+    factors = anchor(np.stack(frames), index_set)
+    bad, reason = factors._pivot_rule()
+    if reason is not None:
         raise NotInManifoldError(
-            f"machines {bad} fail membership with index set {tuple(index_set)}; "
+            f"machines {bad.tolist()} fail membership with index set {tuple(index_set)}; "
             "reselect rows via find_index"
         )
     agg = _frame_gram([karcher_mean(factors).entries], "lrc_dpca")
-    return _result(agg, rank, "lrc", len(summaries), index_set)
+    return _result(agg, rank, "lrc", len(frames), index_set)
 
 
 def dpca_fan(summaries, rank):
@@ -144,16 +147,16 @@ def dpca_bw(summaries, rank):
 def euclid_rankk_mean(psds, rank):
     """Best rank-`rank` approximation of the arithmetic mean of the inputs.
 
-    Takes what `karcher_mean` takes (CholFactors) but not its pivot rule:
-    the mean of the factors' N N.T is formed from the stacked factors. The
-    output is the truncation's frame V sqrt(values) anchored at the common
-    index set (roundoff-negative values count as zero); no pivot rule is
-    enforced on it.
+    Takes what `karcher_mean` takes (a stack, or a sequence of CholFactors)
+    but not its pivot rule: the mean of the factors' N N.T is formed from
+    the stacked factors. The output is the truncation's frame
+    V sqrt(values) anchored at the common index set (roundoff-negative
+    values count as zero); no pivot rule is enforced on it.
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
-    pair = eigh_topk(_frame_gram([f.entries for f in factors], "euclid_rankk_mean"), rank)
+    pair = eigh_topk(_frame_gram(factors.entries, "euclid_rankk_mean"), rank)
     frame = pair.vectors * np.sqrt(np.maximum(pair.values, 0.0))
-    return anchor(frame, factors[0].index_set)
+    return anchor(frame, factors.index_set)
 
 
 def find_index(vectors, values, rank):

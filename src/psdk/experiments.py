@@ -283,19 +283,13 @@ def write_csv(records, path):
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares fit of log(y) against log(x).
-
-    Unpacks as the triple (slope, intercept, r_squared); the number of
-    points that survived filtering rides along as an extra field.
-    """
+    """Least-squares fit of log(y) against log(x), with the number of points
+    that survived filtering."""
 
     slope: float
     intercept: float
     r_squared: float
     n_points: int
-
-    def __iter__(self):
-        return iter((self.slope, self.intercept, self.r_squared))
 
 
 def slope_fit(points):
@@ -510,16 +504,18 @@ def _frame_rows(frame, rank):
 def _reselect_index(frames, rank, failed_idx):
     """Anchor rows from the first sample that fails the pivot rule at `failed_idx`.
 
-    The offending sample's own frame drives `_frame_rows`. Returns None when
-    nothing fails or no admissible rows exist.
+    The frames (a stack, or a sequence of p x K arrays) are anchored as one
+    stack; the offending sample's own frame drives `_frame_rows`. Returns
+    None when nothing fails or no admissible rows exist.
     """
-    for frame in frames:
-        if anchor(frame, failed_idx).pivot_failure() is not None:
-            try:
-                return _frame_rows(frame, rank)
-            except NotInManifoldError:
-                return None
-    return None
+    frames = np.asarray(frames, dtype=float)
+    bad, reason = anchor(frames, failed_idx)._pivot_rule()
+    if reason is None:
+        return None
+    try:
+        return _frame_rows(frames[bad[0]], rank)
+    except NotInManifoldError:
+        return None
 
 
 def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
@@ -549,11 +545,6 @@ def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
     return None
 
 
-def _oracle_rows(mat, rank):
-    pair = eigh_topk(mat, rank)
-    return dpca_mod.find_index(pair.vectors, pair.values, rank)
-
-
 def _signal(cfg, p, stream):
     """A Gaussian-SVD signal factor, anchored at its own find_index rows in oracle mode."""
     sig = models.gaussian_svd_signal(p, cfg.K, stream)
@@ -563,15 +554,14 @@ def _signal(cfg, p, stream):
 
 
 def _mean_rows(cfg, notes, samples, truth, row):
-    """Karcher (under the retry policy) and Euclid rows of factor samples, each
-    scored by the Frobenius distance to `truth`; `row` carries every other
-    column."""
-    frames = [s.entries for s in samples]
+    """Karcher (under the retry policy) and Euclid rows of a stack of factor
+    samples, each scored by the Frobenius distance to `truth`; `row` carries
+    every other column."""
 
     def aggregate(index_set):
-        return manifold.karcher_mean([anchor(f, index_set) for f in frames])
+        return manifold.karcher_mean(anchor(samples.entries, index_set))
 
-    karcher = _aggregate_or_skip(aggregate, samples[0].index_set, frames,
+    karcher = _aggregate_or_skip(aggregate, samples.index_set, samples.entries,
                                  cfg, notes, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
     means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
@@ -637,7 +627,8 @@ def run_dpca(cfg):
     cov, basis = models.spiked_covariance(cfg.p, cfg.K, _stream(cfg, 0, 0, 0))
     oracle_idx = None
     if cfg.index_mode == "find_index_oracle":
-        oracle_idx = _oracle_rows(cov, cfg.K)
+        pair = eigh_topk(cov, cfg.K)
+        oracle_idx = dpca_mod.find_index(pair.vectors, pair.values, cfg.K)
     grid = [(m_count, n) for m_count in cfg.M_grid for n in cfg.n_grid]
     jobs = [
         _Job(f"M={m_count} n={n}",
@@ -745,12 +736,10 @@ def run_perturb_order(cfg):
             entries[:k, :] = np.tril(entries[:k, :])
             entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(gen.normal(size=k))
             factor = CholFactor(entries, IndexSet.canonical(k)).validate()
-            noises = []
-            for _ in range(count):
-                e = gen.normal(size=(p, k))
-                noises.append(e / np.max(np.abs(e)))
+            noises = gen.normal(size=(count, p, k))
+            noises /= np.max(np.abs(noises), axis=(1, 2), keepdims=True)
             for eps in cfg.eps_grid:
-                scaled = [eps * e for e in noises]
+                scaled = eps * noises
                 exact = manifold.karcher_mean(models.factor_noise_samples(factor, scaled))
                 pred = perturbation.karcher_factor_first_order(factor, scaled)
                 recs.append(replace(row, method="karcher_factor", M=count, sigma_sq=eps,
@@ -845,11 +834,13 @@ def summarize_records(cfg, records):
                     f"{stats[kk][0] / stats[ee][0]:.3f}"
                 )
     elif cfg.experiment == "perturb_order":
+        curves = {}
+        for r in records:
+            curves.setdefault((r.method, r.repetition), []).append((r.sigma_sq, r.error))
         for method in sorted({r.method for r in records}):
             slopes = []
             for rep in range(cfg.repetitions):
-                pts = [(r.sigma_sq, r.error) for r in records
-                       if r.method == method and r.repetition == rep]
+                pts = curves.get((method, rep), [])
                 if len(pts) >= 2:
                     try:
                         slopes.append(slope_fit(pts).slope)

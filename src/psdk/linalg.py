@@ -115,8 +115,7 @@ def support_mask(p, rank, index_set):
             f"index set has {len(index_set)} rows, factor rank is {rank}"
         )
     mask = np.ones((p, rank), dtype=bool)
-    for k, row in enumerate(index_set):
-        mask[row, k + 1 :] = False
+    mask[index_set.as_array()] = np.tril(np.ones((rank, rank), dtype=bool))
     return mask
 
 
@@ -126,7 +125,9 @@ class CholFactor:
 
     Invariant (see `validate`): entries[index_set[k], l] == 0 for l > k and
     entries[index_set[k], k] > 0, i.e. the anchor rows form a lower-triangular
-    block with positive diagonal.
+    block with positive diagonal. The entries may be a stack (M, p, K) of M
+    factors sharing the index set: every method then works on the whole
+    stack, and `len()`, indexing and iteration run over its leading axis.
     """
 
     entries: np.ndarray
@@ -134,57 +135,81 @@ class CholFactor:
 
     @property
     def p(self):
-        return self.entries.shape[0]
+        return self.entries.shape[-2]
 
     @property
     def rank(self):
-        return self.entries.shape[1]
+        return self.entries.shape[-1]
 
     @property
     def matrix(self):
         """The p x p matrix N @ N.T (symmetrized) that this factor charts."""
-        prod = self.entries @ self.entries.T
-        return 0.5 * (prod + prod.T)
+        prod = self.entries @ np.swapaxes(self.entries, -1, -2)
+        return 0.5 * (prod + np.swapaxes(prod, -1, -2))
+
+    def __len__(self):
+        if np.ndim(self.entries) != 3:
+            raise TypeError("a single CholFactor has no len()")
+        return self.entries.shape[0]
+
+    def __bool__(self):
+        return True
+
+    def __getitem__(self, m):
+        """Element `m` of a stack (iteration uses this too); a single factor
+        raises TypeError."""
+        len(self)
+        return CholFactor(self.entries[m], self.index_set)
 
     def anchor_block(self):
         """The K x K lower-triangular block formed by the anchor rows."""
-        return self.entries[self.index_set.as_array(), :]
+        return self.entries[..., self.index_set.as_array(), :]
+
+    def _pivot_rule(self):
+        """`pivot_failure`'s rule over the leading axis: the positions that
+        fail it (0 for a failing single factor) and the first one's reason."""
+        ent = np.reshape(self.entries, (-1,) + np.shape(self.entries)[-2:])
+        finite = np.isfinite(ent).all(axis=(1, 2))
+        pivots = np.min(ent[:, self.index_set.as_array(), np.arange(self.rank)] ** 2, axis=1)
+        taus = TAU_PIVOT_REL * np.max(np.einsum("mij,mij->mi", ent, ent), axis=1)
+        bad = np.flatnonzero(~finite | (pivots <= taus))
+        if bad.size == 0:
+            return bad, None
+        if not finite[bad[0]]:
+            return bad, "non-finite factor entry"
+        return bad, (f"anchor block {self.index_set.indices} singular "
+                     f"(min pivot {pivots[bad[0]]:.3e}, threshold {taus[bad[0]]:.3e})")
 
     def pivot_failure(self):
         """Why N @ N.T is not a chart point at this index set, or None if it is.
 
         `reduced_cholesky`'s pivot rule without forming N @ N.T: its pivots are
         the squared anchored diagonal, its max-norm the largest squared row
-        norm. Non-finite entries fail too."""
-        ent = self.entries
-        if not np.all(np.isfinite(ent)):
-            return "non-finite factor entry"
-        min_pivot = float(np.min(ent[self.index_set.as_array(), np.arange(self.rank)] ** 2))
-        tau = TAU_PIVOT_REL * float(np.max(np.einsum("ij,ij->i", ent, ent)))
-        if min_pivot <= tau:
-            return (f"anchor block {self.index_set.indices} singular "
-                    f"(min pivot {min_pivot:.3e}, threshold {tau:.3e})")
-        return None
+        norm. Non-finite entries fail too. A stack fails on its first failing
+        element, which the reason names ("element m: ...")."""
+        bad, reason = self._pivot_rule()
+        if reason is None or np.ndim(self.entries) == 2:
+            return reason
+        return f"element {bad[0]}: {reason}"
 
     def validate(self):
-        """Raise if the anchored triangular structure is violated."""
+        """Raise if the anchored triangular structure is violated, in any element."""
         ent = np.asarray(self.entries, dtype=float)
-        if ent.ndim != 2:
-            raise ShapeMismatchError(f"factor entries must be 2-d, got {ent.ndim}-d")
+        if ent.ndim not in (2, 3):
+            raise ShapeMismatchError(f"factor entries must be 2-d or 3-d, got {ent.ndim}-d")
         check_finite("factor entries", ent)
-        p, rank = ent.shape
+        p, rank = ent.shape[-2:]
         if len(self.index_set) != rank:
             raise ShapeMismatchError(
                 f"index set has {len(self.index_set)} rows, factor has rank {rank}"
             )
         self.index_set.validate_for(p)
         block = self.anchor_block()
-        upper = block[np.triu_indices(rank, 1)]
-        if upper.size and np.max(np.abs(upper)) > 0.0:
+        if np.any(np.triu(block, 1)):
             raise ShapeMismatchError(
                 "anchor rows are not lower triangular: nonzero above the diagonal"
             )
-        diag = np.diag(block)
+        diag = np.diagonal(block, axis1=-2, axis2=-1)
         if np.any(diag <= 0.0):
             raise NotInManifoldError(
                 f"anchored diagonal must be positive, got min = {diag.min():.3e}"
@@ -289,10 +314,11 @@ def _solve_lower(tril, rhs):
 def _lq(mat):
     """R @ Q == mat with R lower triangular, diagonal >= 0, from the Householder
     QR of mat.T; no checks. A lower-triangular mat with positive diagonal
-    comes back bit for bit, with Q = I."""
-    orth_t, upper = np.linalg.qr(mat.T)
-    signs = np.where(np.diag(upper) < 0.0, -1.0, 1.0)
-    return upper.T * signs, orth_t.T * signs[:, None]
+    comes back bit for bit, with Q = I. Stacks (M, K, K) take one batched call."""
+    orth_t, upper = np.linalg.qr(np.swapaxes(mat, -1, -2))
+    signs = np.where(np.diagonal(upper, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return (np.swapaxes(upper, -1, -2) * signs[..., None, :],
+            np.swapaxes(orth_t, -1, -2) * signs[..., :, None])
 
 
 def lq_givens(mat):
@@ -340,19 +366,20 @@ def anchor(frame, index_set):
 
     With the LQ decomposition F[index_set] = R @ Q of any p x K frame F, the
     factor is N = F @ Q.T, whose anchor rows are exactly R. An already
-    anchored factor comes back bit for bit. A near-singular anchor block does
-    not raise (`CholFactor.pivot_failure` decides); a shape mismatch raises
+    anchored factor comes back bit for bit; a stack of frames (M, p, K), the
+    stacked factor. A near-singular anchor block does not raise
+    (`CholFactor.pivot_failure` decides); a shape mismatch raises
     ShapeMismatchError.
     """
     frame = np.asarray(frame, dtype=float)
-    if frame.ndim != 2 or len(index_set) != frame.shape[1]:
+    if frame.ndim not in (2, 3) or len(index_set) != frame.shape[-1]:
         raise ShapeMismatchError(
             f"index set of {len(index_set)} rows does not fit a frame of shape {frame.shape}"
         )
-    rows = index_set.validate_for(frame.shape[0]).as_array()
-    tril, orth = _lq(frame[rows])
-    entries = frame @ orth.T
-    entries[rows] = tril
+    rows = index_set.validate_for(frame.shape[-2]).as_array()
+    tril, orth = _lq(frame[..., rows, :])
+    entries = frame @ np.swapaxes(orth, -1, -2)
+    entries[..., rows, :] = tril
     return CholFactor(entries, index_set)
 
 
@@ -393,10 +420,8 @@ def eigh_topk(mat, rank, require_positive=False):
     # Reverse first, then slice: descending order, and rank == p keeps all.
     values = values[::-1][:rank].copy()
     vectors = vectors[:, ::-1][:, :rank].copy()
-    for j in range(rank):
-        lead = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[lead, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
+    vectors *= np.where(leads < 0.0, -1.0, 1.0)
     if require_positive and values[-1] <= pivot_threshold(mat):
         raise SingularMatrixError(
             f"eigenvalue {rank} is {values[-1]:.3e}, not strictly positive"

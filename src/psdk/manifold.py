@@ -108,8 +108,16 @@ def factorize(mat, rank, index_set):
 
 
 def _chart_factors(factors, caller):
-    """The inputs as a list of CholFactors sharing one shape and index set;
-    errors name the offending element."""
+    """The inputs as one stacked CholFactor (M, p, K). A stack passes through;
+    any other iterable must hold CholFactors sharing one shape and index set,
+    which are checked element by element (errors name the offending element)
+    and stacked."""
+    if isinstance(factors, CholFactor) and np.ndim(factors.entries) == 3:
+        if len(factors) == 0 or len(factors.index_set) != factors.rank:
+            raise ShapeMismatchError(
+                f"{caller} needs a nonempty stack whose index set fits its rank")
+        factors.index_set.validate_for(factors.p)
+        return factors
     factors = list(factors)
     if not factors:
         raise ShapeMismatchError(f"{caller} needs at least one factor")
@@ -134,24 +142,27 @@ def _chart_factors(factors, caller):
             )
         if factor.p != base.p:
             raise ShapeMismatchError(f"element {m} has p = {factor.p}, expected {base.p}")
-    return factors
+    return CholFactor(np.stack([f.entries for f in factors], dtype=float), base.index_set)
 
 
 def log_factor(factor):
-    """Log coordinates of a factor: a p x K array, anchored diagonal logged."""
+    """Log coordinates of a factor: a p x K array, anchored diagonal logged.
+    A stack gives its (M, p, K) stack of log coordinates."""
     factor.validate()
     entries = np.array(factor.entries, dtype=float, copy=True)
-    diag = (factor.index_set.as_array(), np.arange(factor.rank))
+    diag = (..., factor.index_set.as_array(), np.arange(factor.rank))
     entries[diag] = np.log(entries[diag])
     return entries
 
 
 def exp_factor(log_entries, index_set):
-    """Inverse of `log_factor`: exponentiate the anchored diagonal."""
+    """Inverse of `log_factor`: exponentiate the anchored diagonal, of one
+    p x K array or of each element of an (M, p, K) stack."""
     entries = np.array(log_entries, dtype=float, copy=True)
-    if entries.ndim != 2 or len(index_set) != entries.shape[1]:
+    if entries.ndim not in (2, 3) or len(index_set) != entries.shape[-1]:
         raise ShapeMismatchError("log factor entries inconsistent with index set")
-    diag = (index_set.validate_for(entries.shape[0]).as_array(), np.arange(len(index_set)))
+    diag = (..., index_set.validate_for(entries.shape[-2]).as_array(),
+            np.arange(len(index_set)))
     entries[diag] = np.exp(entries[diag])
     return CholFactor(entries, index_set).validate()
 
@@ -162,12 +173,13 @@ def karcher_mean(psds):
     The mean minimizes the sum of squared geodesic distances. Because the
     chart is a global isometry onto a linear space, the minimizer is the
     entry-wise average of the log-coordinate factors: arithmetic in the
-    off-diagonal entries, geometric in the anchored diagonal.
+    off-diagonal entries, geometric in the anchored diagonal: a few array
+    operations on the (M, p, K) stack.
 
     Parameters
     ----------
-    psds : sequence of CholFactor
-        Nonempty, with a common shape and index set, each passing
+    psds : CholFactor stack (M, p, K), or a sequence of CholFactor
+        Nonempty, with a common shape and index set, each element passing
         `CholFactor.pivot_failure`. A p x p matrix enters through `factorize`.
 
     Returns
@@ -181,15 +193,13 @@ def karcher_mean(psds):
         On an empty sequence, if an element's index set does not fit its
         entries, or if the elements differ in p, rank or index set.
     NotInManifoldError
-        If any element is not a chart point; the message names the element.
+        If any element is not a chart point; the message names the first.
     """
     factors = _chart_factors(psds, "karcher_mean")
-    for m, factor in enumerate(factors):
-        failure = factor.pivot_failure()
-        if failure is not None:
-            raise NotInManifoldError(f"element {m}: {failure}")
-    logs = np.stack([log_factor(factor) for factor in factors])
-    return exp_factor(np.mean(logs, axis=0), factors[0].index_set)
+    failure = factors.pivot_failure()
+    if failure is not None:
+        raise NotInManifoldError(failure)
+    return exp_factor(np.mean(log_factor(factors), axis=0), factors.index_set)
 
 
 def geodesic_distance(psd_a, psd_b):
@@ -199,6 +209,5 @@ def geodesic_distance(psd_a, psd_b):
     Symmetric, zero iff the inputs are equal, and by construction identical
     to the Euclidean distance between their `log_factor` images.
     """
-    factor_a, factor_b = _chart_factors([psd_a, psd_b], "geodesic_distance")
-    diff = log_factor(factor_a) - log_factor(factor_b)
-    return float(np.linalg.norm(diff))
+    logs = log_factor(_chart_factors([psd_a, psd_b], "geodesic_distance"))
+    return float(np.linalg.norm(logs[0] - logs[1]))

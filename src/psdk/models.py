@@ -102,9 +102,9 @@ def intrinsic_samples(psd, sigma, count, rng):
 
     Each sample adds i.i.d. N(0, sigma^2) noise to every supported entry of
     the signal's log-coordinate factor (anchored diagonal included, where the
-    noise acts multiplicatively after exponentiation) and maps back. Samples
-    are factors (`CholFactor`) anchored at the signal's index set, so they
-    are exactly rank K.
+    noise acts multiplicatively after exponentiation) and maps back. The
+    samples come back as one stacked `CholFactor` (count, p, K) anchored at
+    the signal's index set, so they are exactly rank K.
 
     Parameters
     ----------
@@ -126,21 +126,18 @@ def intrinsic_samples(psd, sigma, count, rng):
     gen = _as_generator(rng)
     base = manifold.log_factor(psd)
     mask = support_mask(psd.p, psd.rank, psd.index_set)
-    nnz = int(mask.sum())
-    draws = gen.normal(scale=sigma, size=(count, nnz)) if sigma > 0 else np.zeros((count, nnz))
-    out = []
-    for m in range(count):
-        noise = np.zeros((psd.p, psd.rank))
-        noise[mask] = draws[m]
-        out.append(manifold.exp_factor(base + noise, psd.index_set))
-    return out
+    noise = np.zeros((count, psd.p, psd.rank))
+    if sigma > 0:
+        noise[:, mask] = gen.normal(scale=sigma, size=(count, int(mask.sum())))
+    return manifold.exp_factor(base + noise, psd.index_set)
 
 
 def factor_noise_samples(factor, noises):
     """Samples (N + E_m)(N + E_m).T from unstructured factor noise, as factors.
 
-    Each sample is N + E_m anchored at the signal's index set and checked by
-    the pivot rule; a failure names the offending sample index.
+    The samples N + E_m are anchored at the signal's index set as one stack
+    and checked by the pivot rule; a failure names the first offending
+    sample index.
 
     Parameters
     ----------
@@ -150,26 +147,24 @@ def factor_noise_samples(factor, noises):
 
     Returns
     -------
-    list of CholFactor
+    CholFactor
+        The stack (M, p, K) of sample factors.
     """
     factor.validate()
     noises = list(noises)
     if not noises:
         raise ShapeMismatchError("need at least one noise matrix")
-    out = []
     for m, e in enumerate(noises):
-        e = np.asarray(e, dtype=float)
-        if e.shape != factor.entries.shape:
+        if np.shape(e) != factor.entries.shape:
             raise ShapeMismatchError(
-                f"sample {m}: noise shape {e.shape} does not match factor "
+                f"sample {m}: noise shape {np.shape(e)} does not match factor "
                 f"shape {factor.entries.shape}"
             )
-        sample = anchor(factor.entries + e, factor.index_set)
-        failure = sample.pivot_failure()
-        if failure is not None:
-            raise NotInManifoldError(f"sample {m}: {failure}")
-        out.append(sample)
-    return out
+    samples = anchor(factor.entries + np.stack(noises, dtype=float), factor.index_set)
+    bad, reason = samples._pivot_rule()
+    if reason is not None:
+        raise NotInManifoldError(f"sample {bad[0]}: {reason}")
+    return samples
 
 
 def gaussian_samples(cov, n, rng):
@@ -242,7 +237,8 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
     and S = (B T)(B T).T / n_inner. When n_inner >= K + p, T is the
     (K + p) x (K + p) Bartlett factor; otherwise T is the transpose of a
     plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it or
-    simulates n_inner x p data.
+    simulates n_inner x p data. The draws run in stream order; their frames
+    are anchored and returned as one stack.
     """
     if not 0 <= sigma_sq < math.inf:
         raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
@@ -251,11 +247,11 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
     if n_inner < 1:
         raise ShapeMismatchError("need at least one data point")
     gen = _as_generator(rng)
-    draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen)
+    draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen).entries
     ridge_root = math.sqrt(ridge) * np.eye(psd.p)
-    out = []
-    for draw in draws:
-        cov = _wishart_cov(np.hstack([draw.entries, ridge_root]), n_inner, gen)
+    frames = np.empty_like(draws)
+    for m, draw in enumerate(draws):
+        cov = _wishart_cov(np.hstack([draw, ridge_root]), n_inner, gen)
         pair = eigh_topk(cov, psd.rank, require_positive=True)
-        out.append(anchor(pair.vectors * np.sqrt(pair.values), psd.index_set))
-    return out
+        frames[m] = pair.vectors * np.sqrt(pair.values)
+    return anchor(frames, psd.index_set)

@@ -5,7 +5,8 @@
 deletion there, or a `_run_ordered` that no longer takes `(worker, jobs,
 threads)` positionally, would crash `bench/run.py --trace 1`. The tracer is
 loaded from its file, unchanged, so this test follows the table as it is
-edited.
+edited. The tracer and the checker also iterate over the samplers' stacked
+factors; the last test runs both uses on a stack.
 """
 
 import importlib
@@ -16,11 +17,15 @@ from pathlib import Path
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
 
 
-def _traced_table():
+def _trace_child():
     spec = importlib.util.spec_from_file_location("bench_trace_child", TRACE_CHILD)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
+
+
+def _traced_table():
+    return _trace_child().TRACED
 
 
 def test_traced_names_exist_in_psdk():
@@ -41,3 +46,24 @@ def test_experiment_hooks_exist():
     inspect.signature(experiments._run_ordered).bind("worker", "jobs", "threads")
     assert isinstance(experiments.RUNNERS, dict) and experiments.RUNNERS
     assert all(callable(runner) for runner in experiments.RUNNERS.values())
+
+
+def test_tracer_and_checker_read_a_stack_of_samples():
+    """`trace_child` lists karcher_mean's argument and sizes it as M p x p
+    inputs; `bench/checks.py` forms `[s.matrix for s in samples]`."""
+    import numpy as np
+
+    from psdk import manifold, models
+
+    p, k, count = 12, 3, 7
+    signal = models.gaussian_svd_signal(p, k, models.RngStream(0, 0))
+    samples = models.intrinsic_samples(signal, 0.5, count, models.RngStream(0, 1))
+    tracer = _trace_child().Tracer()
+    traced = tracer.wrap("manifold.karcher_mean", manifold.karcher_mean)
+    mean = traced(samples)
+    assert np.array_equal(mean.entries, manifold.karcher_mean(samples).entries)
+    [span] = tracer.spans
+    assert span[1] == "manifold.karcher_mean" and span[7] is None
+    assert span[6] == 8 * count * p * p
+    mats = [s.matrix for s in samples]
+    assert len(mats) == count and all(m.shape == (p, p) for m in mats)

@@ -3,6 +3,8 @@
 Hypothesis picks the sizes, the anchor rows, the seeds and the scales; the
 factors themselves are drawn with numpy from the seed, with an anchor block
 whose diagonal is bounded away from zero so every draw is a chart point.
+A stack of M factors (M, p, K) must give, bit for bit, what its elements
+give one at a time.
 """
 
 import numpy as np
@@ -97,3 +99,23 @@ def test_karcher_mean_is_scale_equivariant(shape, count, scale):
     scaled = [CholFactor(scale * f.entries, idx) for f in factors]
     assert_allclose(karcher_mean(scaled).entries, scale * karcher_mean(factors).entries,
                     rtol=1e-12, atol=1e-15 * scale)
+
+
+@_settings
+@given(shapes(), st.integers(1, 12))
+def test_stacked_chart_maps_are_bit_identical_per_element(shape, count):
+    p, k, idx, seed = shape
+    gen = np.random.default_rng(seed)
+    frames = gen.normal(size=(count, p, k))
+    stack = anchor(frames, idx)
+    elements = [anchor(frame, idx) for frame in frames]
+    assert np.array_equal(stack.entries, np.stack([f.entries for f in elements]))
+    failing = [f.pivot_failure() is not None for f in elements]
+    assert (stack.pivot_failure() is not None) == any(failing)
+    if any(failing):
+        return
+    logs = log_factor(stack)
+    assert np.array_equal(logs, np.stack([log_factor(f) for f in elements]))
+    assert np.array_equal(exp_factor(logs, idx).entries,
+                          np.stack([exp_factor(lg, idx).entries for lg in logs]))
+    assert np.array_equal(karcher_mean(stack).entries, karcher_mean(elements).entries)

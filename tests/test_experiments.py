@@ -32,10 +32,10 @@ from psdk.models import derive_stream_id
 
 def test_slope_fit_recovers_power_law():
     points = [(x, 3.0 * x**-0.5) for x in (1.0, 2.0, 4.0, 8.0)]
-    slope, intercept, r2 = slope_fit(points)
-    assert abs(slope - (-0.5)) < 1e-12
-    assert abs(intercept - math.log(3.0)) < 1e-12
-    assert abs(r2 - 1.0) < 1e-12
+    fit = slope_fit(points)
+    assert abs(fit.slope - (-0.5)) < 1e-12
+    assert abs(fit.intercept - math.log(3.0)) < 1e-12
+    assert abs(fit.r_squared - 1.0) < 1e-12
 
 
 def test_slope_fit_drops_nonpositive_pairs():

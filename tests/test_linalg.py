@@ -91,6 +91,39 @@ def test_chol_factor_validate_rejects_nonpositive_diagonal():
     entries = np.array([[1.0, 0.0], [2.0, -3.0]])
     with pytest.raises(NotInManifoldError):
         CholFactor(entries, IndexSet((0, 1))).validate()
+    # in a stack, one bad element is enough
+    good = np.array([[1.0, 0.0], [2.0, 3.0]])
+    with pytest.raises(NotInManifoldError):
+        CholFactor(np.stack([good, entries]), IndexSet((0, 1))).validate()
+    with pytest.raises(ShapeMismatchError, match="not lower triangular"):
+        CholFactor(np.stack([good, good.T]), IndexSet((0, 1))).validate()
+
+
+def test_single_factor_is_not_a_sequence():
+    """A p x K factor has no len(), no elements and is truthy, as before stacks."""
+    factor = CholFactor(np.array([[1.0], [0.5]]), IndexSet((0,)))
+    with pytest.raises(TypeError):
+        len(factor)
+    with pytest.raises(TypeError):
+        factor[0]
+    with pytest.raises(TypeError):
+        list(factor)
+    assert bool(factor) is True
+
+
+def test_stack_indexes_and_iterates_over_its_leading_axis():
+    entries = np.tril(np.arange(1.0, 13.0).reshape(3, 2, 2))
+    stack = CholFactor(entries, IndexSet((0, 1))).validate()
+    assert len(stack) == 3 and bool(stack) is True
+    assert (stack.p, stack.rank) == (2, 2)
+    assert np.array_equal(stack[1].entries, entries[1])
+    assert stack[1].index_set == stack.index_set
+    elements = list(stack)
+    assert len(elements) == 3
+    for m, element in enumerate(elements):
+        assert element.entries.shape == (2, 2)
+        assert np.array_equal(element.entries, entries[m])
+        assert np.array_equal(element.matrix, stack.matrix[m])
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +205,22 @@ def test_anchor_reduces_any_frame():
         assert_allclose(factor.entries, reference.entries, atol=1e-8)
 
 
+def test_pivot_rule_of_a_stack_names_the_first_failing_element():
+    good = np.array([[1.0, 0.0], [0.5, 1.0], [0.2, 0.3]])
+    thin = np.array([[1.0, 0.0], [0.5, 1e-7], [0.2, 0.3]])
+    idx = IndexSet((0, 1))
+    assert CholFactor(np.stack([good, good]), idx).pivot_failure() is None
+    stack = CholFactor(np.stack([good, thin, good, thin]), idx)
+    single = CholFactor(thin, idx).pivot_failure()
+    assert stack.pivot_failure() == f"element 1: {single}"
+    bad, reason = stack._pivot_rule()
+    assert bad.tolist() == [1, 3] and reason == single
+    nan = good.copy()
+    nan[2, 0] = np.nan
+    assert (CholFactor(np.stack([good, nan, thin]), idx).pivot_failure()
+            == "element 1: non-finite factor entry")
+
+
 def test_anchor_tolerates_singular_block():
     frame = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])
     factor = anchor(frame, IndexSet((0, 1)))
@@ -187,6 +236,10 @@ def test_anchor_shape_checks():
         anchor(np.ones((4, 2)), IndexSet((0, 4)))
     with pytest.raises(ShapeMismatchError):
         anchor(np.ones(4), IndexSet((0,)))
+    with pytest.raises(ShapeMismatchError):
+        anchor(np.ones((2, 4, 2)), IndexSet((0,)))
+    with pytest.raises(ShapeMismatchError):
+        anchor(np.ones((1, 2, 4, 2)), IndexSet((0, 1)))
 
 
 def test_matrix_is_the_symmetrized_gram():

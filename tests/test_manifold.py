@@ -144,6 +144,29 @@ def test_karcher_mean_is_arithmetic_off_diagonal():
     assert_allclose(mean.entries, [[1.0], [5.0]], atol=1e-12)
 
 
+def test_karcher_mean_of_a_stack_equals_the_list_mean():
+    """A stack passes through the chart edge; a list is checked and stacked.
+    Both give the same mean, bit for bit."""
+    gen = np.random.default_rng(11)
+    idx = IndexSet((3, 1, 5))
+    factors = [_random_factor(gen, 7, 3, idx) for _ in range(6)]
+    stack = CholFactor(np.stack([f.entries for f in factors]), idx)
+    from_list = karcher_mean(factors)
+    from_stack = karcher_mean(stack)
+    assert from_stack.index_set == idx and from_stack.entries.shape == (7, 3)
+    assert np.array_equal(from_stack.entries, from_list.entries)
+    assert np.array_equal(karcher_mean(list(stack)).entries, from_list.entries)
+
+
+def test_karcher_mean_rejects_malformed_stacks():
+    idx = IndexSet((0, 1))
+    for entries, fit in ((np.ones((0, 3, 2)), IndexSet((0, 1))),
+                         (np.ones((2, 3, 1)), idx),
+                         (np.ones((2, 3, 2)), IndexSet((0, 3)))):
+        with pytest.raises(ShapeMismatchError):
+            karcher_mean(CholFactor(entries, fit))
+
+
 def test_karcher_mean_of_copies():
     gen = np.random.default_rng(4)
     psd = _random_psd(gen, 8, 3)
@@ -205,6 +228,9 @@ def test_karcher_mean_names_offending_element():
     bad = CholFactor(np.array([[0.0], [0.0]]), IndexSet((0,)))
     with pytest.raises(NotInManifoldError, match="element 2: anchor block"):
         karcher_mean([a, b, bad])
+    stack = CholFactor(np.stack([a.entries, b.entries, bad.entries, bad.entries]), a.index_set)
+    with pytest.raises(NotInManifoldError, match="element 2: anchor block"):
+        karcher_mean(stack)
 
 
 def test_karcher_mean_names_factor_failing_pivot_rule():

@@ -111,6 +111,7 @@ def test_intrinsic_samples_sigma_zero_are_copies():
     psd = gaussian_svd_signal(9, 3, RngStream(2, 0))
     samples = intrinsic_samples(psd, 0.0, 4, RngStream(2, 1))
     assert len(samples) == 4
+    assert isinstance(samples, CholFactor) and samples.entries.shape == (4, 9, 3)
     for s in samples:
         assert_allclose(s.matrix, psd.matrix, atol=1e-10)
         assert s.index_set == psd.index_set
@@ -191,8 +192,9 @@ def test_factor_noise_samples_construction():
 
 def test_factor_noise_samples_name_offender():
     factor = CholFactor(np.array([[1.0], [0.0]]), IndexSet.canonical(1))
-    noises = [np.zeros((2, 1)), np.array([[-1.0], [1.0]])]  # kills the anchor pivot
-    with pytest.raises(NotInManifoldError, match="sample 1"):
+    # the second noise kills the anchor pivot; so does the third
+    noises = [np.zeros((2, 1)), np.array([[-1.0], [1.0]]), np.array([[-1.0], [2.0]])]
+    with pytest.raises(NotInManifoldError, match="sample 1: anchor block"):
         factor_noise_samples(factor, noises)
 
 
@@ -249,7 +251,7 @@ def test_sample_cov_rejects_empty():
 def test_extrinsic_samples_rank_and_tag():
     psd = gaussian_svd_signal(8, 2, RngStream(9, 0))
     samples = extrinsic_samples(psd, 0.2, 3, RngStream(9, 1), n_inner=500)
-    assert len(samples) == 3
+    assert len(samples) == 3 and samples.entries.shape == (3, 8, 2)
     for s in samples:
         assert s.rank == 2
         assert s.index_set == psd.index_set
