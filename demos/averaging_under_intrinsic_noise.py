@@ -17,8 +17,8 @@ from psdk import (
     gaussian_svd_signal,
     intrinsic_samples,
     karcher_mean,
-    slope_fit,
 )
+from psdk.experiments import slope_fit
 
 P, K, SIGMA, REPS = 40, 4, 1.0, 10
 M_GRID = (10, 20, 40, 80, 160)

@@ -21,8 +21,8 @@ from psdk import (
     karcher_mean,
     lq_first_order,
     lq_givens,
-    slope_fit,
 )
+from psdk.experiments import slope_fit
 
 EPS_GRID = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 

@@ -37,7 +37,8 @@ dpca
     One-shot distributed PCA aggregators and the anchor-row selection
     heuristic.
 experiments, cli
-    Reproducible experiment drivers with CSV output, and `python -m psdk`.
+    Reproducible experiment drivers with CSV output, and `python -m psdk`;
+    this plumbing is imported from `psdk.experiments`, not from `psdk`.
 """
 
 from .dpca import (
@@ -58,21 +59,6 @@ from .exceptions import (
     ShapeMismatchError,
     SingularMatrixError,
     ZeroGapWarning,
-)
-from .experiments import (
-    ExperimentConfig,
-    RunRecord,
-    SlopeFit,
-    default_config,
-    load_config,
-    render_csv,
-    run_dpca,
-    run_extrinsic,
-    run_intrinsic,
-    run_perturb_order,
-    run_selftest,
-    slope_fit,
-    write_csv,
 )
 from .linalg import (
     CholFactor,
@@ -120,20 +106,16 @@ __all__ = [
     "CholFactor",
     "ConfigError",
     "DpcaResult",
-    "ExperimentConfig",
     "IndexSet",
     "InsufficientPointsError",
     "NotInManifoldError",
     "PsdkError",
     "RngStream",
-    "RunRecord",
     "ShapeMismatchError",
     "SingularMatrixError",
-    "SlopeFit",
     "SpectralPair",
     "ZeroGapWarning",
     "anchor",
-    "default_config",
     "derive_stream_id",
     "dpca_bw",
     "dpca_fan",
@@ -154,7 +136,6 @@ __all__ = [
     "intrinsic_samples",
     "karcher_factor_first_order",
     "karcher_mean",
-    "load_config",
     "log_factor",
     "lq_first_order",
     "lq_givens",
@@ -163,17 +144,9 @@ __all__ = [
     "procrustes_sign",
     "projector_distance",
     "reduced_cholesky",
-    "render_csv",
-    "run_dpca",
-    "run_extrinsic",
-    "run_intrinsic",
-    "run_perturb_order",
-    "run_selftest",
     "sample_cov",
     "skew_generator",
-    "slope_fit",
     "spiked_covariance",
     "summarize_covariance",
     "support_mask",
-    "write_csv",
 ]

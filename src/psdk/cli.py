@@ -11,18 +11,12 @@ import sys
 from . import experiments
 from .exceptions import ConfigError, PsdkError
 
-_COMMANDS = {
-    "intrinsic-avg": "intrinsic_avg",
-    "dpca": "dpca",
-    "extrinsic-avg": "extrinsic_avg",
-    "perturb-order": "perturb_order",
-}
-
+# Help per experiment; experiments.RUNNERS names ("_" as "-") and orders the commands.
 _HELP = {
-    "intrinsic-avg": "average log-factor-noise samples (Karcher vs Euclidean)",
+    "intrinsic_avg": "average log-factor-noise samples (Karcher vs Euclidean)",
     "dpca": "one-shot distributed PCA over an (M, n) grid",
-    "extrinsic-avg": "average data-observed factor-noise samples",
-    "perturb-order": "remainder decay of the first-order expansions",
+    "extrinsic_avg": "average data-observed factor-noise samples",
+    "perturb_order": "remainder decay of the first-order expansions",
 }
 
 
@@ -41,8 +35,9 @@ def build_parser():
         "averaging and distributed PCA.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for name, text in _HELP.items():
-        cmd = sub.add_parser(name, help=text, description=text)
+    for experiment in experiments.RUNNERS:
+        text = _HELP[experiment]
+        cmd = sub.add_parser(experiment.replace("_", "-"), help=text, description=text)
         cmd.add_argument("--config", metavar="FILE",
                          help="key = value overrides file")
         cmd.add_argument("--seed", type=int, metavar="N",
@@ -79,7 +74,7 @@ def main(argv=None):
             print(line)
         return 0 if ok else 2
 
-    experiment = _COMMANDS[args.command]
+    experiment = args.command.replace("-", "_")
     try:
         cfg = experiments.load_config(
             experiment,

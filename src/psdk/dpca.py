@@ -96,6 +96,17 @@ def full_pca(covariances, rank):
     return _result(0.5 * (agg + agg.T), rank, "full", len(covs))
 
 
+def _lrc_frames(summaries):
+    """The (M, p, K) stack of the machines' LRC frames V diag(values), which
+    `lrc_dpca` anchors and averages and a caller's row reselection reads."""
+    frames = [s.vectors * s.values for s in summaries]
+    if not frames:
+        raise ShapeMismatchError("lrc_dpca needs at least one summary")
+    if len({np.shape(f) for f in frames}) > 1:
+        raise ShapeMismatchError("lrc_dpca frames differ in shape")
+    return np.stack(frames)
+
+
 def lrc_dpca(summaries, rank, index_set):
     """Karcher-mean aggregation of the machines' rank-K covariance surrogates.
 
@@ -111,12 +122,8 @@ def lrc_dpca(summaries, rank, index_set):
         message lists the offending machines by their position in
         `summaries`, so the caller can reselect rows via `find_index`.
     """
-    frames = [s.vectors * s.values for s in summaries]
-    if not frames:
-        raise ShapeMismatchError("lrc_dpca needs at least one summary")
-    if len({np.shape(f) for f in frames}) > 1:
-        raise ShapeMismatchError("lrc_dpca frames differ in shape")
-    factors = anchor(np.stack(frames), index_set)
+    frames = _lrc_frames(summaries)
+    factors = anchor(frames, index_set)
     bad, reason = factors._pivot_rule()
     if reason is not None:
         raise NotInManifoldError(

@@ -22,11 +22,13 @@ to stderr instead.
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple, get_args, get_origin
 
 import numpy as np
@@ -42,10 +44,7 @@ from .exceptions import (
 from .linalg import CholFactor, IndexSet, anchor, eigh_topk, lq_givens, projector_distance
 from .models import RngStream, derive_stream_id
 
-EXPERIMENTS = ("intrinsic_avg", "dpca", "extrinsic_avg", "perturb_order")
 INDEX_MODES = ("canonical", "find_index_oracle", "find_index_machine1")
-
-CSV_HEADER = "experiment,method,p,K,M,n,sigma_sq,repetition,seed,error,wall_time_ms"
 
 
 @dataclass(frozen=True)
@@ -71,9 +70,9 @@ class ExperimentConfig:
     threads: int = 1
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in RUNNERS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}"
+                f"unknown experiment {self.experiment!r}, expected one of {tuple(RUNNERS)}"
             )
         if self.p < 1 or not 1 <= self.K <= self.p:
             raise ConfigError(f"need 1 <= K <= p, got K={self.K}, p={self.p}")
@@ -248,32 +247,23 @@ class RunRecord:
     wall_time_ms: float = 0.0
 
 
-def _fmt_float(x):
-    return format(float(x), ".17g")
+# One CSV column per RunRecord field, in field order: ints as str(int(v)),
+# floats with 17 significant digits. A column is formatted whole through
+# builtin maps; a Python call per cell would nearly double render_csv's time.
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
+_COLUMN_FORMATS = {
+    int: lambda col: map(str, map(int, col)),
+    float: lambda col: map(format, map(float, col), itertools.repeat(".17g")),
+    str: lambda col: col,
+}
+_CSV_COLUMNS = tuple((attrgetter(f.name), _COLUMN_FORMATS[f.type]) for f in fields(RunRecord))
 
 
 def render_csv(records):
     """Serialize records; floats carry 17 significant digits, newline is \\n."""
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.experiment,
-                    r.method,
-                    str(int(r.p)),
-                    str(int(r.K)),
-                    str(int(r.M)),
-                    str(int(r.n)),
-                    _fmt_float(r.sigma_sq),
-                    str(int(r.repetition)),
-                    str(int(r.seed)),
-                    _fmt_float(r.error),
-                    _fmt_float(r.wall_time_ms),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    records = list(records)
+    columns = [fmt(map(get, records)) for get, fmt in _CSV_COLUMNS]
+    return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
 
 def write_csv(records, path):
@@ -559,6 +549,8 @@ def _mean_rows(cfg, notes, samples, truth, row):
     every other column."""
 
     def aggregate(index_set):
+        if index_set == samples.index_set:
+            return manifold.karcher_mean(samples)
         return manifold.karcher_mean(anchor(samples.entries, index_set))
 
     karcher = _aggregate_or_skip(aggregate, samples.index_set, samples.entries,
@@ -656,7 +648,7 @@ def run_dpca(cfg):
         results = [dpca_mod.full_pca(covs, cfg.K)]
         lrc = _aggregate_or_skip(
             lambda rows: dpca_mod.lrc_dpca(summaries, cfg.K, rows),
-            idx, [s.vectors * s.values for s in summaries], cfg, notes, "lrc",
+            idx, dpca_mod._lrc_frames(summaries), cfg, notes, "lrc",
         )
         if lrc is not None:
             results.append(lrc)

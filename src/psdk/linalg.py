@@ -40,18 +40,18 @@ def check_finite(what, *arrays):
         raise ShapeMismatchError(f"{what} must be finite")
 
 
-def check_symmetric(mat, rtol=SYM_RTOL):
-    """Raise ShapeMismatchError if max|A - A.T| exceeds rtol * max|A|."""
+def check_symmetric(mat):
+    """Raise ShapeMismatchError if max|A - A.T| exceeds SYM_RTOL * max|A|."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
     check_finite("matrix entries", mat)
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
     asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if asym > rtol * scale:
+    if asym > SYM_RTOL * scale:
         raise ShapeMismatchError(
             f"matrix is not symmetric: max|A - A.T| = {asym:.3e} "
-            f"(tolerance {rtol * scale:.3e})"
+            f"(tolerance {SYM_RTOL * scale:.3e})"
         )
     return mat
 

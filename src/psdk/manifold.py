@@ -17,7 +17,7 @@ from .exceptions import NotInManifoldError, ShapeMismatchError
 from .linalg import CholFactor
 
 
-def membership(mat, rank, index_set, rtol_rank=linalg.TAU_RANK):
+def membership(mat, rank, index_set):
     """Test whether `mat` is PSD of numerical rank `rank` with a nonsingular anchor block.
 
     Parameters
@@ -25,9 +25,6 @@ def membership(mat, rank, index_set, rtol_rank=linalg.TAU_RANK):
     mat : ndarray, shape (p, p)
     rank : int
     index_set : IndexSet
-    rtol_rank : float
-        Relative eigenvalue threshold: membership requires
-        lambda_{rank+1} < rtol_rank * lambda_rank.
 
     Returns
     -------
@@ -66,7 +63,7 @@ def membership(mat, rank, index_set, rtol_rank=linalg.TAU_RANK):
     diag["lambda_rank"] = lam_rank
     diag["lambda_next"] = lam_next
     diag["psd_ok"] = float(values[-1]) >= -linalg.SYM_RTOL * max(abs(values[0]), abs(values[-1]))
-    diag["rank_ok"] = lam_rank > 0.0 and (rank == p or lam_next < rtol_rank * lam_rank)
+    diag["rank_ok"] = lam_rank > 0.0 and (rank == p or lam_next < linalg.TAU_RANK * lam_rank)
 
     rows = index_set.as_array()
     block = mat[np.ix_(rows, rows)]
@@ -111,9 +108,10 @@ def _chart_factors(factors, caller):
     """The inputs as one stacked CholFactor (M, p, K). A stack passes through;
     any other iterable must hold CholFactors sharing one shape and index set,
     which are checked element by element (errors name the offending element)
-    and stacked."""
-    if isinstance(factors, CholFactor) and np.ndim(factors.entries) == 3:
-        if len(factors) == 0 or len(factors.index_set) != factors.rank:
+    and stacked. A CholFactor that is not a nonempty stack is rejected."""
+    if isinstance(factors, CholFactor):
+        if (np.ndim(factors.entries) != 3 or len(factors) == 0
+                or len(factors.index_set) != factors.rank):
             raise ShapeMismatchError(
                 f"{caller} needs a nonempty stack whose index set fits its rank")
         factors.index_set.validate_for(factors.p)

@@ -28,6 +28,11 @@ from .linalg import IndexSet, anchor, check_symmetric, eigh_topk, support_mask
 # into one integer, little-endian in this base; each label must fit below it.
 STREAM_BASE = 1 << 20
 
+# The ridge that lifts `spiked_covariance` to full rank, and the ridge of the
+# data covariance behind `extrinsic_samples`.
+SPIKED_RIDGE = 0.3
+EXTRINSIC_RIDGE = 0.01
+
 
 def derive_stream_id(*parts):
     """Pack nonneg integer labels (each < STREAM_BASE) into one stream id."""
@@ -82,8 +87,8 @@ def gaussian_svd_signal(p, rank, rng):
     return anchor(left[:, :rank] * np.sqrt(sing[:rank]), IndexSet.canonical(rank))
 
 
-def spiked_covariance(p, rank, rng, ridge=0.3):
-    """Full-rank spiked covariance: loadings @ loadings.T + ridge * I.
+def spiked_covariance(p, rank, rng):
+    """Full-rank spiked covariance: loadings @ loadings.T + SPIKED_RIDGE * I.
 
     Loadings are i.i.d. standard Gaussian, p x rank. Returns the covariance
     and an orthonormal basis of its leading `rank`-dimensional eigenspace
@@ -91,7 +96,7 @@ def spiked_covariance(p, rank, rng, ridge=0.3):
     """
     gen = _as_generator(rng)
     loadings = gen.normal(size=(p, rank))
-    cov = loadings @ loadings.T + ridge * np.eye(p)
+    cov = loadings @ loadings.T + SPIKED_RIDGE * np.eye(p)
     cov = 0.5 * (cov + cov.T)
     basis = eigh_topk(cov, rank).vectors
     return cov, basis
@@ -220,35 +225,33 @@ def _wishart_cov(cov_root, n, gen):
     return 0.5 * (cov + cov.T)
 
 
-def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000, ridge=0.01):
+def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
     """Factor-noise samples observed through the covariance of finite data.
 
     For each of `count` draws N from the intrinsic model at variance
     `sigma_sq`, takes the sample covariance S of `n_inner` i.i.d. Gaussian
-    observations with covariance Sigma = N N.T + ridge * I, and returns the
-    rank-K spectral surrogate of S: V_hat diag(values_hat) V_hat.T with the
-    top-K eigenpairs, eigenvalues unsquared, returned as its frame
+    observations with covariance Sigma = N N.T + EXTRINSIC_RIDGE * I, and
+    returns the rank-K spectral surrogate of S: V_hat diag(values_hat) V_hat.T
+    with the top-K eigenpairs, eigenvalues unsquared, returned as its frame
     V_hat diag(sqrt(values_hat)) anchored at the signal's index set. The
     anchor block may be near singular; the consumer's pivot rule decides.
     `psd` is the signal factor, as for `intrinsic_samples`.
 
     S is drawn exactly from its law, Wishart(n_inner, Sigma) / n_inner, in
-    factor form: Sigma = B B.T with B = [N | sqrt(ridge) I] (p x (K + p)),
-    and S = (B T)(B T).T / n_inner. When n_inner >= K + p, T is the
-    (K + p) x (K + p) Bartlett factor; otherwise T is the transpose of a
-    plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it or
-    simulates n_inner x p data. The draws run in stream order; their frames
-    are anchored and returned as one stack.
+    factor form: Sigma = B B.T with B = [N | sqrt(EXTRINSIC_RIDGE) I]
+    (p x (K + p)), and S = (B T)(B T).T / n_inner. When n_inner >= K + p,
+    T is the (K + p) x (K + p) Bartlett factor; otherwise T is the transpose
+    of a plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it
+    or simulates n_inner x p data. The draws run in stream order; their
+    frames are anchored and returned as one stack.
     """
     if not 0 <= sigma_sq < math.inf:
         raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
-    if not 0 <= ridge < math.inf:
-        raise ConfigError(f"ridge must be finite and nonnegative, got {ridge}")
     if n_inner < 1:
         raise ShapeMismatchError("need at least one data point")
     gen = _as_generator(rng)
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen).entries
-    ridge_root = math.sqrt(ridge) * np.eye(psd.p)
+    ridge_root = math.sqrt(EXTRINSIC_RIDGE) * np.eye(psd.p)
     frames = np.empty_like(draws)
     for m, draw in enumerate(draws):
         cov = _wishart_cov(np.hstack([draw, ridge_root]), n_inner, gen)

@@ -32,6 +32,9 @@ from .linalg import (
     procrustes_sign,
 )
 
+# Max-norm bound on Q.T Q - I for `factor_alignment`'s orthogonality check.
+ALIGNMENT_TOL = 1e-8
+
 
 def skew_generator(tril, noise):
     """Skew generator of the rotation created by perturbing a triangular factor.
@@ -223,7 +226,7 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
     return cov_hat @ pair_hat.vectors @ sign @ alignment - cov @ pair.vectors @ alignment
 
 
-def factor_alignment(factor, pair, tol=1e-8):
+def factor_alignment(factor, pair):
     """Orthogonal alignment between a reduced factor and its spectral frame.
 
     For a factor N of the matrix V diag(values)^2 V.T, returns
@@ -235,8 +238,8 @@ def factor_alignment(factor, pair, tol=1e-8):
         If any provided eigenvalue is not strictly positive.
     ShapeMismatchError
         If the frame shapes differ, or if the computed alignment fails
-        ||Q.T Q - I||_max <= tol, which signals that `factor` and `pair` do
-        not describe the same matrix.
+        ||Q.T Q - I||_max <= ALIGNMENT_TOL (1e-8), which signals that
+        `factor` and `pair` do not describe the same matrix.
     """
     factor.validate()
     values = np.asarray(pair.values, dtype=float)
@@ -252,7 +255,7 @@ def factor_alignment(factor, pair, tol=1e-8):
         )
     align = (vectors.T @ factor.entries) / values[:, None]
     resid = np.max(np.abs(align.T @ align - np.eye(align.shape[0])))
-    if resid > tol:
+    if resid > ALIGNMENT_TOL:
         raise ShapeMismatchError(
             f"alignment is not orthogonal: ||Q.T Q - I||_max = {resid:.3e}"
         )

@@ -5,8 +5,10 @@
 deletion there, or a `_run_ordered` that no longer takes `(worker, jobs,
 threads)` positionally, would crash `bench/run.py --trace 1`. The tracer is
 loaded from its file, unchanged, so this test follows the table as it is
-edited. The tracer and the checker also iterate over the samplers' stacked
-factors; the last test runs both uses on a stack.
+edited. `bench/checks.py` regenerates random draws through `psdk.models`
+calls with positional arguments, which must keep binding. The tracer and
+the checker also iterate over the samplers' stacked factors; the last test
+runs both uses on a stack.
 """
 
 import importlib
@@ -46,6 +48,23 @@ def test_experiment_hooks_exist():
     inspect.signature(experiments._run_ordered).bind("worker", "jobs", "threads")
     assert isinstance(experiments.RUNNERS, dict) and experiments.RUNNERS
     assert all(callable(runner) for runner in experiments.RUNNERS.values())
+
+
+def test_checker_calls_bind_to_psdk_models():
+    """The positional calls `bench/checks.py` makes into psdk.models."""
+    from psdk import models
+
+    calls = [
+        (models.gaussian_svd_signal, ("p", "k", "rng")),
+        (models.intrinsic_samples, ("signal", "sigma", "count", "rng")),
+        (models.spiked_covariance, ("p", "k", "rng")),
+        (models.gaussian_samples, ("cov", "n", "rng")),
+        (models.derive_stream_id, (0, "pi", "rep")),
+        (models.derive_stream_id, (2, "gi", "rep", "machine")),
+        (models.RngStream, ("seed", "stream_id")),
+    ]
+    for fn, args in calls:
+        inspect.signature(fn).bind(*args)
 
 
 def test_tracer_and_checker_read_a_stack_of_samples():

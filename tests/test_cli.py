@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psdk import experiments
-from psdk.cli import main
+from psdk.cli import build_parser, main
 from psdk.experiments import CSV_HEADER
 
 
@@ -133,6 +133,24 @@ def test_cli_runs_all_experiments_without_scipy(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CHILD], cwd=tmp_path,
                           env=child_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_offers_one_command_per_runner():
+    """The subcommands are the experiments.RUNNERS keys with "-" for "_", in
+    its order, then selftest; each keeps its help text as its description."""
+    [commands] = [a for a in build_parser()._actions if a.dest == "command"]
+    names = [name.replace("_", "-") for name in experiments.RUNNERS] + ["selftest"]
+    assert list(commands.choices) == names == [
+        "intrinsic-avg", "dpca", "extrinsic-avg", "perturb-order", "selftest"]
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    assert helps == {
+        "intrinsic-avg": "average log-factor-noise samples (Karcher vs Euclidean)",
+        "dpca": "one-shot distributed PCA over an (M, n) grid",
+        "extrinsic-avg": "average data-observed factor-noise samples",
+        "perturb-order": "remainder decay of the first-order expansions",
+        "selftest": "run the fast internal consistency battery",
+    }
+    assert all(commands.choices[name].description == text for name, text in helps.items())
 
 
 # ---------------------------------------------------------------------------

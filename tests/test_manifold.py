@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from psdk.dpca import euclid_rankk_mean
 from psdk.exceptions import NotInManifoldError, ShapeMismatchError
 from psdk.linalg import CholFactor, IndexSet, SpectralPair
 from psdk.manifold import (
@@ -159,12 +160,17 @@ def test_karcher_mean_of_a_stack_equals_the_list_mean():
 
 
 def test_karcher_mean_rejects_malformed_stacks():
+    """An empty stack, an index set that does not fit, a single p x K factor
+    and 4-d entries all raise ShapeMismatchError at the chart edge."""
     idx = IndexSet((0, 1))
     for entries, fit in ((np.ones((0, 3, 2)), IndexSet((0, 1))),
                          (np.ones((2, 3, 1)), idx),
-                         (np.ones((2, 3, 2)), IndexSet((0, 3)))):
-        with pytest.raises(ShapeMismatchError):
-            karcher_mean(CholFactor(entries, fit))
+                         (np.ones((2, 3, 2)), IndexSet((0, 3))),
+                         (np.ones((3, 2)), idx),
+                         (np.ones((2, 2, 3, 2)), idx)):
+        for call in (karcher_mean, lambda f: euclid_rankk_mean(f, 2)):
+            with pytest.raises(ShapeMismatchError):
+                call(CholFactor(entries, fit))
 
 
 def test_karcher_mean_of_copies():
