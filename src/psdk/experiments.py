@@ -128,50 +128,11 @@ class ExperimentConfig:
 
 
 def default_config(experiment, quick=False):
-    """Full-scale defaults per experiment; `quick` shrinks to desk scale."""
-    if experiment == "intrinsic_avg":
-        cfg = ExperimentConfig(
-            experiment,
-            p=100,
-            sigma_sq=1.0,
-            p_grid=(100, 200, 300, 400),
-            M_grid=tuple(range(30, 271, 30)),
-            repetitions=20,
-        )
-        if quick:
-            cfg = replace(cfg, p=50, p_grid=(50,))
-    elif experiment == "dpca":
-        cfg = ExperimentConfig(
-            experiment,
-            p=100,
-            sigma_sq=0.0,
-            M_grid=(50,),
-            n_grid=(500, 1000, 1500, 2000, 2500),
-            repetitions=100,
-            index_mode="find_index_machine1",
-        )
-        if quick:
-            cfg = replace(
-                cfg, p=50, M_grid=(20,), n_grid=(500, 1000, 2000), repetitions=20
-            )
-    elif experiment == "extrinsic_avg":
-        cfg = ExperimentConfig(
-            experiment,
-            p=100,
-            sigma_sq=0.5,
-            M_grid=tuple(range(100, 1001, 100)),
-            sigma_grid=tuple(round(0.1 * i, 10) for i in range(8)),
-            M_fixed=400,
-            n_inner=2000,
-            repetitions=20,
-        )
-        if quick:
-            cfg = replace(cfg, p=50, M_grid=(100, 400, 1000), sigma_grid=(0.0, 0.7))
-    elif experiment == "perturb_order":
-        cfg = ExperimentConfig(experiment, p=20, K=5, sigma_sq=0.0, repetitions=20)
-    else:
+    """Full-scale defaults per experiment (`_DEFAULTS`); `quick` shrinks to desk scale."""
+    if experiment not in _DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    return cfg
+    full, desk = _DEFAULTS[experiment]
+    return ExperimentConfig(experiment, **{**full, **(desk if quick else {})})
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +661,9 @@ def run_perturb_order(cfg):
     Per repetition, draws one random decomposition instance and one random
     Karcher instance, scales a fixed unit perturbation by each epsilon in
     the grid, and records max-norm remainders: prediction vs exact
-    recomputation. The sigma_sq column carries epsilon.
+    recomputation. The sigma_sq column carries epsilon. Each job takes one
+    stacked pass over its whole noise grid; only the exact Karcher mean
+    runs once per epsilon.
     """
     kinds = ("lq", "karcher_factor")
     jobs = [_Job(kinds[kind], f"perturb_order {kinds[kind]} repetition {rep}", (kind, rep))
@@ -713,29 +676,25 @@ def run_perturb_order(cfg):
                         stream.stream_id, 0.0)
         recs = []
         if kind == 0:
-            tril, orth, noise = _lq_instance(gen, cfg.K)
-            base = tril @ orth
-            for eps in cfg.eps_grid:
-                exact_tri, exact_orth = lq_givens(base + eps * noise)
-                pred_orth, pred_tri = perturbation.lq_first_order(tril, orth, eps * noise)
-                for method, diff in (("lq_rotation", exact_orth - pred_orth),
-                                     ("lq_factor", exact_tri - pred_tri)):
-                    recs.append(replace(row, method=method, sigma_sq=eps,
-                                        error=float(np.max(np.abs(diff)))))
-        else:
-            p, k, count = cfg.p, cfg.K, 5
-            entries = 0.5 * gen.normal(size=(p, k))
-            entries[:k, :] = np.tril(entries[:k, :])
-            entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(gen.normal(size=k))
-            factor = CholFactor(entries, IndexSet.canonical(k)).validate()
-            noises = gen.normal(size=(count, p, k))
-            noises /= np.max(np.abs(noises), axis=(1, 2), keepdims=True)
-            for eps in cfg.eps_grid:
-                scaled = eps * noises
-                exact = manifold.karcher_mean(models.factor_noise_samples(factor, scaled))
-                pred = perturbation.karcher_factor_first_order(factor, scaled)
-                recs.append(replace(row, method="karcher_factor", M=count, sigma_sq=eps,
-                                    error=float(np.max(np.abs(exact.entries - pred)))))
+            rems = _lq_remainders(*_lq_instance(gen, cfg.K), cfg.eps_grid)
+            for eps, rot, tri in zip(cfg.eps_grid, *rems):
+                recs += [replace(row, method="lq_rotation", sigma_sq=eps, error=float(rot)),
+                         replace(row, method="lq_factor", sigma_sq=eps, error=float(tri))]
+            return recs
+        p, k, count = cfg.p, cfg.K, 5
+        entries = 0.5 * gen.normal(size=(p, k))
+        entries[:k, :] = np.tril(entries[:k, :])
+        entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(gen.normal(size=k))
+        factor = CholFactor(entries, IndexSet.canonical(k)).validate()
+        noises = gen.normal(size=(count, p, k))
+        noises /= np.max(np.abs(noises), axis=(1, 2), keepdims=True)
+        scaled = np.asarray(cfg.eps_grid)[:, None, None, None] * noises
+        samples = models.factor_noise_samples(factor, scaled.reshape(-1, p, k))
+        preds = perturbation.karcher_factor_first_order(factor, scaled)
+        for e, eps in enumerate(cfg.eps_grid):
+            exact = manifold.karcher_mean(samples[e * count:(e + 1) * count])
+            recs.append(replace(row, method="karcher_factor", M=count, sigma_sq=eps,
+                                error=float(np.max(np.abs(exact.entries - preds[e])))))
         return recs
 
     return jobs, work
@@ -750,11 +709,43 @@ def _lq_instance(gen, k):
     return tril, orth, noise / np.max(np.abs(noise))
 
 
+def _lq_remainders(tril, orth, noise, eps_grid):
+    """Max-norm remainders of `lq_first_order` against `lq_givens` at
+    tril @ orth + eps * noise, for every eps of the grid in one stacked pass:
+    the (rotation, factor) arrays, one entry per eps."""
+    scaled = np.asarray(eps_grid, dtype=float)[:, None, None] * noise
+    exact_tri, exact_orth = lq_givens(tril @ orth + scaled)
+    pred_orth, pred_tri = perturbation.lq_first_order(tril, orth, scaled)
+    return (np.max(np.abs(exact_orth - pred_orth), axis=(1, 2)),
+            np.max(np.abs(exact_tri - pred_tri), axis=(1, 2)))
+
+
 RUNNERS = {
     "intrinsic_avg": run_intrinsic,
     "dpca": run_dpca,
     "extrinsic_avg": run_extrinsic,
     "perturb_order": run_perturb_order,
+}
+
+# Per experiment: the full-scale config fields, and the `--quick` overrides.
+_DEFAULTS = {
+    "intrinsic_avg": (
+        dict(p=100, sigma_sq=1.0, p_grid=(100, 200, 300, 400),
+             M_grid=tuple(range(30, 271, 30)), repetitions=20),
+        dict(p=50, p_grid=(50,)),
+    ),
+    "dpca": (
+        dict(p=100, sigma_sq=0.0, M_grid=(50,), n_grid=(500, 1000, 1500, 2000, 2500),
+             repetitions=100, index_mode="find_index_machine1"),
+        dict(p=50, M_grid=(20,), n_grid=(500, 1000, 2000), repetitions=20),
+    ),
+    "extrinsic_avg": (
+        dict(p=100, sigma_sq=0.5, M_grid=tuple(range(100, 1001, 100)),
+             sigma_grid=tuple(round(0.1 * i, 10) for i in range(8)), M_fixed=400,
+             n_inner=2000, repetitions=20),
+        dict(p=50, M_grid=(100, 400, 1000), sigma_grid=(0.0, 0.7)),
+    ),
+    "perturb_order": (dict(p=20, K=5, sigma_sq=0.0, repetitions=20), {}),
 }
 
 
@@ -785,65 +776,89 @@ def _slope_line(stats, points, head):
     return f"{head} = {fit.slope:.3f} (r2={fit.r_squared:.3f})"
 
 
+def _summarize_intrinsic(cfg, records):
+    stats = _mean_median(records, lambda r: (r.p, r.method, r.M))
+    lines = [_slope_line(stats, [(m, (p, method, m)) for m in cfg.M_grid],
+                         f"  p={p} method={method}: slope of mean error vs M")
+             for (p, method) in sorted({(r.p, r.method) for r in records})]
+    lines.append("  p M method mean median")
+    for (p, method, m), (mean, med, _) in stats.items():
+        lines.append(f"  {p} {m} {method} {mean:.6g} {med:.6g}")
+    return lines
+
+
+def _summarize_dpca(cfg, records):
+    stats = _mean_median(records, lambda r: (r.M, r.n, r.method))
+    methods = sorted({r.method for r in records})
+    lines = []
+    for m_count in cfg.M_grid:
+        for method in methods:
+            lines.append(_slope_line(
+                stats, [(n, (m_count, n, method)) for n in cfg.n_grid],
+                f"  M={m_count} method={method}: slope vs n"))
+    for n in cfg.n_grid:
+        for method in methods:
+            lines.append(_slope_line(
+                stats, [(m_count, (m_count, n, method)) for m_count in cfg.M_grid],
+                f"  n={n} method={method}: slope vs M"))
+    lines.append("  M n method mean median")
+    for (m_count, n, method), (mean, med, _) in stats.items():
+        lines.append(f"  {m_count} {n} {method} {mean:.6g} {med:.6g}")
+    return lines
+
+
+def _summarize_extrinsic(cfg, records):
+    stats = _mean_median(records, lambda r: (r.M, r.sigma_sq, r.method))
+    lines = ["  M sigma_sq method mean median"]
+    for (m_count, s2, method), (mean, med, _) in stats.items():
+        lines.append(f"  {m_count} {s2:g} {method} {mean:.6g} {med:.6g}")
+    for (m_count, s2) in sorted({(r.M, r.sigma_sq) for r in records}):
+        kk = (m_count, s2, "karcher")
+        ee = (m_count, s2, "euclid")
+        if kk in stats and ee in stats and stats[ee][0] > 0:
+            lines.append(
+                f"  M={m_count} sigma_sq={s2:g}: karcher/euclid mean ratio = "
+                f"{stats[kk][0] / stats[ee][0]:.3f}"
+            )
+    return lines
+
+
+def _summarize_perturb_order(cfg, records):
+    curves = {}
+    for r in records:
+        curves.setdefault((r.method, r.repetition), []).append((r.sigma_sq, r.error))
+    lines = []
+    for method in sorted({r.method for r in records}):
+        slopes = []
+        for rep in range(cfg.repetitions):
+            pts = curves.get((method, rep), [])
+            if len(pts) >= 2:
+                try:
+                    slopes.append(slope_fit(pts).slope)
+                except InsufficientPointsError:
+                    pass
+        if slopes:
+            arr = np.asarray(slopes)
+            lines.append(
+                f"  method={method}: remainder slope over {arr.size} instances "
+                f"min={arr.min():.3f} median={np.median(arr):.3f} max={arr.max():.3f}"
+            )
+    return lines
+
+
+# Per experiment: the summary lines after the record count.
+_SUMMARIES = {
+    "intrinsic_avg": _summarize_intrinsic,
+    "dpca": _summarize_dpca,
+    "extrinsic_avg": _summarize_extrinsic,
+    "perturb_order": _summarize_perturb_order,
+}
+
+
 def summarize_records(cfg, records):
     """Human-readable per-grid-point stats and log-log slope fits."""
     lines = [f"{cfg.experiment}: {len(records)} records"]
-    if cfg.experiment == "intrinsic_avg":
-        stats = _mean_median(records, lambda r: (r.p, r.method, r.M))
-        for (p, method) in sorted({(r.p, r.method) for r in records}):
-            lines.append(_slope_line(stats, [(m, (p, method, m)) for m in cfg.M_grid],
-                                     f"  p={p} method={method}: slope of mean error vs M"))
-        lines.append("  p M method mean median")
-        for (p, method, m), (mean, med, _) in stats.items():
-            lines.append(f"  {p} {m} {method} {mean:.6g} {med:.6g}")
-    elif cfg.experiment == "dpca":
-        stats = _mean_median(records, lambda r: (r.M, r.n, r.method))
-        methods = sorted({r.method for r in records})
-        for m_count in cfg.M_grid:
-            for method in methods:
-                lines.append(_slope_line(
-                    stats, [(n, (m_count, n, method)) for n in cfg.n_grid],
-                    f"  M={m_count} method={method}: slope vs n"))
-        for n in cfg.n_grid:
-            for method in methods:
-                lines.append(_slope_line(
-                    stats, [(m_count, (m_count, n, method)) for m_count in cfg.M_grid],
-                    f"  n={n} method={method}: slope vs M"))
-        lines.append("  M n method mean median")
-        for (m_count, n, method), (mean, med, _) in stats.items():
-            lines.append(f"  {m_count} {n} {method} {mean:.6g} {med:.6g}")
-    elif cfg.experiment == "extrinsic_avg":
-        stats = _mean_median(records, lambda r: (r.M, r.sigma_sq, r.method))
-        lines.append("  M sigma_sq method mean median")
-        for (m_count, s2, method), (mean, med, _) in stats.items():
-            lines.append(f"  {m_count} {s2:g} {method} {mean:.6g} {med:.6g}")
-        for (m_count, s2) in sorted({(r.M, r.sigma_sq) for r in records}):
-            kk = (m_count, s2, "karcher")
-            ee = (m_count, s2, "euclid")
-            if kk in stats and ee in stats and stats[ee][0] > 0:
-                lines.append(
-                    f"  M={m_count} sigma_sq={s2:g}: karcher/euclid mean ratio = "
-                    f"{stats[kk][0] / stats[ee][0]:.3f}"
-                )
-    elif cfg.experiment == "perturb_order":
-        curves = {}
-        for r in records:
-            curves.setdefault((r.method, r.repetition), []).append((r.sigma_sq, r.error))
-        for method in sorted({r.method for r in records}):
-            slopes = []
-            for rep in range(cfg.repetitions):
-                pts = curves.get((method, rep), [])
-                if len(pts) >= 2:
-                    try:
-                        slopes.append(slope_fit(pts).slope)
-                    except InsufficientPointsError:
-                        pass
-            if slopes:
-                arr = np.asarray(slopes)
-                lines.append(
-                    f"  method={method}: remainder slope over {arr.size} instances "
-                    f"min={arr.min():.3f} median={np.median(arr):.3f} max={arr.max():.3f}"
-                )
+    lines += _SUMMARIES[cfg.experiment](cfg, records)
     return "\n".join(line for line in lines if line is not None)
 
 
@@ -917,13 +932,8 @@ def _selftest_karcher():
 
 
 def _selftest_orders():
-    tril, orth, noise = _lq_instance(np.random.default_rng(77), 4)
-    rems = []
-    for eps in (2e-3, 1e-3):
-        exact_tri, exact_orth = lq_givens(tril @ orth + eps * noise)
-        pred_orth, pred_tri = perturbation.lq_first_order(tril, orth, eps * noise)
-        rems.append(max(np.max(np.abs(exact_orth - pred_orth)),
-                        np.max(np.abs(exact_tri - pred_tri))))
+    rems = np.maximum(*_lq_remainders(*_lq_instance(np.random.default_rng(77), 4),
+                                      (2e-3, 1e-3)))
     ratio = rems[0] / rems[1]
     if not 3.0 < ratio < 5.0:
         raise AssertionError(f"lq remainder ratio {ratio:.2f} not ~ 4")

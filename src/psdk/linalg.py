@@ -156,8 +156,8 @@ class CholFactor:
         return True
 
     def __getitem__(self, m):
-        """Element `m` of a stack (iteration uses this too); a single factor
-        raises TypeError."""
+        """Element `m` of a stack (iteration uses this too); a slice gives the
+        sub-stack. A single factor raises TypeError."""
         len(self)
         return CholFactor(self.entries[m], self.index_set)
 
@@ -304,10 +304,11 @@ def _cholesky_pivots(block, tau):
 
 def _solve_lower(tril, rhs):
     """X with tril @ X == rhs for a nonsingular K x K lower-triangular `tril`,
-    by forward substitution: K row steps; no checks."""
+    by forward substitution: K row steps; no checks. `rhs` may be a stack
+    (..., K, n) of right-hand sides."""
     out = np.empty(np.shape(rhs))
     for i in range(tril.shape[0]):
-        out[i] = (rhs[i] - tril[i, :i] @ out[:i]) / tril[i, i]
+        out[..., i, :] = (rhs[..., i, :] - tril[i, :i] @ out[..., :i, :]) / tril[i, i]
     return out
 
 
@@ -331,32 +332,38 @@ def lq_givens(mat):
 
     Parameters
     ----------
-    mat : ndarray, shape (K, K)
+    mat : ndarray, shape (K, K) or (E, K, K)
         Nonsingular matrix: smallest singular value above
-        TAU_PIVOT_REL * max|mat|.
+        TAU_PIVOT_REL * max|mat|. A stack is decomposed element by element
+        in one batched call, each element checked against its own max-norm.
 
     Returns
     -------
-    R : ndarray, shape (K, K)
+    R : ndarray, shape of `mat`
         Lower triangular, positive diagonal, with R @ Q == mat.
-    Q : ndarray, shape (K, K)
+    Q : ndarray, shape of `mat`
         Orthogonal.
 
     Raises
     ------
     SingularMatrixError
-        If `mat` is numerically rank deficient.
+        If `mat` is numerically rank deficient; for a stack the message
+        names the first such element ("element e: ...").
     ShapeMismatchError
-        If `mat` is not square.
+        If `mat` is not square, or not 2-d or 3-d.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
     check_finite("matrix entries", mat)
-    smin = np.linalg.svd(mat, compute_uv=False)[-1]
-    if smin <= pivot_threshold(mat):
+    smin = np.linalg.svd(mat, compute_uv=False)[..., -1]
+    taus = TAU_PIVOT_REL * np.max(np.abs(mat), axis=(-2, -1))
+    bad = np.flatnonzero(smin <= taus)
+    if bad.size:
+        where = "" if mat.ndim == 2 else f"element {bad[0]}: "
         raise SingularMatrixError(
-            f"matrix numerically singular: smallest singular value {smin:.3e}"
+            f"{where}matrix numerically singular: smallest singular value "
+            f"{np.reshape(smin, -1)[bad[0]]:.3e}"
         )
     return _lq(mat)
 

@@ -43,6 +43,8 @@ def skew_generator(tril, noise):
     `noise`, returns U(tril^-1 @ noise) - U(tril^-1 @ noise).T with U the
     strictly-upper projection. The result F is skew-symmetric, linear in
     `noise`, and satisfies ||F||_F <= sqrt(2) ||tril^-1||_2 ||noise||_F.
+    A stack of perturbations (E, K, K) sharing `tril` gives the stack of
+    generators (E, K, K).
 
     Raises
     ------
@@ -53,7 +55,7 @@ def skew_generator(tril, noise):
     noise = np.asarray(noise, dtype=float)
     if tril.ndim != 2 or tril.shape[0] != tril.shape[1]:
         raise ShapeMismatchError(f"expected a square factor, got shape {tril.shape}")
-    if noise.shape != tril.shape:
+    if noise.ndim not in (2, 3) or noise.shape[-2:] != tril.shape:
         raise ShapeMismatchError(
             f"noise shape {noise.shape} does not match factor shape {tril.shape}"
         )
@@ -62,7 +64,7 @@ def skew_generator(tril, noise):
         raise SingularMatrixError("triangular factor has a numerically zero diagonal")
     scaled = _solve_lower(tril, noise)
     upper = np.triu(scaled, 1)
-    return upper - upper.T
+    return upper - np.swapaxes(upper, -1, -2)
 
 
 def lq_first_order(tril, orth, noise):
@@ -78,14 +80,17 @@ def lq_first_order(tril, orth, noise):
     accurate to second order in the perturbation; callers measure the
     remainder against the exact `linalg.lq_givens(M + noise)`.
 
+    `tril` and `orth` are K x K; `noise` is K x K, or a stack (E, K, K) of
+    perturbations of the one pair, predicted in one pass.
+
     Returns
     -------
-    (orth_pred, tril_pred) : pair of ndarray
+    (orth_pred, tril_pred) : pair of ndarray, each of the shape of `noise`
     """
     tril = np.asarray(tril, dtype=float)
     orth = np.asarray(orth, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if not (tril.shape == orth.shape == noise.shape):
+    if tril.shape != orth.shape or noise.ndim not in (2, 3) or noise.shape[-2:] != tril.shape:
         raise ShapeMismatchError(
             f"shapes differ: {tril.shape}, {orth.shape}, {noise.shape}"
         )
@@ -112,22 +117,29 @@ def karcher_factor_first_order(factor, noises):
     Parameters
     ----------
     factor : CholFactor
-        The noiseless factor N.
-    noises : sequence of ndarray, shape (p, K)
-        Unstructured perturbations E_m, one per sample.
+        The noiseless factor N, p x K.
+    noises : sequence of ndarray, shape (p, K), or ndarray, shape (E, M, p, K)
+        Unstructured perturbations E_m, one per sample. An (E, M, p, K)
+        array holds E independent noise sets of M samples each; the sample
+        axis is -3, and one (p, K) prediction per set comes back, (E, p, K).
     """
     factor.validate()
-    noises = [np.asarray(e, dtype=float) for e in noises]
-    if not noises:
+    if isinstance(noises, np.ndarray) and noises.ndim == 4:
+        shapes = [noises.shape[-2:]] if noises.shape[1] else []
+    else:
+        noises = list(noises)
+        shapes = [np.shape(e) for e in noises]
+    if not shapes:
         raise ShapeMismatchError("need at least one noise matrix")
-    for e in noises:
-        if e.shape != factor.entries.shape:
+    for shape in shapes:
+        if shape != factor.entries.shape:
             raise ShapeMismatchError(
-                f"noise shape {e.shape} does not match factor shape {factor.entries.shape}"
+                f"noise shape {shape} does not match factor shape {factor.entries.shape}"
             )
-    check_finite("noise entries", *noises)
-    mean_noise = np.mean(np.stack(noises), axis=0)
-    anchor_mean = mean_noise[factor.index_set.as_array(), :]
+    noises = np.asarray(noises, dtype=float)
+    check_finite("noise entries", noises)
+    mean_noise = np.mean(noises, axis=-3)
+    anchor_mean = mean_noise[..., factor.index_set.as_array(), :]
     gen = skew_generator(factor.anchor_block(), anchor_mean)
     return factor.entries + mean_noise - factor.entries @ gen
 

@@ -1,10 +1,12 @@
-"""Property tests for the factor chart: anchoring and the Karcher mean.
+"""Property tests for the factor chart: anchoring, the Karcher mean and the
+first-order expansions around them.
 
 Hypothesis picks the sizes, the anchor rows, the seeds and the scales; the
 factors themselves are drawn with numpy from the seed, with an anchor block
 whose diagonal is bounded away from zero so every draw is a chart point.
 A stack of M factors (M, p, K) must give, bit for bit, what its elements
-give one at a time.
+give one at a time; so must a stack of E perturbations fed to the
+expansions.
 """
 
 import numpy as np
@@ -12,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from psdk.linalg import CholFactor, IndexSet, anchor
+from psdk.linalg import CholFactor, IndexSet, anchor, lq_givens
 from psdk.manifold import exp_factor, karcher_mean, log_factor
+from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
 
 _settings = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -119,3 +122,29 @@ def test_stacked_chart_maps_are_bit_identical_per_element(shape, count):
     assert np.array_equal(exp_factor(logs, idx).entries,
                           np.stack([exp_factor(lg, idx).entries for lg in logs]))
     assert np.array_equal(karcher_mean(stack).entries, karcher_mean(elements).entries)
+
+
+@_settings
+@given(shapes(), st.integers(1, 5), st.integers(1, 6))
+def test_stacked_expansions_are_bit_identical_per_element(shape, count, samples):
+    p, k, idx, seed = shape
+    gen = np.random.default_rng(seed)
+    factor = _factor(gen, p, k, idx)
+    tril = factor.anchor_block()
+    orth = _orthogonal(gen, k)
+    mats = tril @ orth + 0.1 * gen.normal(size=(count, k, k))
+    tri, rot = lq_givens(mats)
+    pairs = [lq_givens(mat) for mat in mats]
+    assert np.array_equal(tri, np.stack([pair[0] for pair in pairs]))
+    assert np.array_equal(rot, np.stack([pair[1] for pair in pairs]))
+    noise = gen.normal(size=(count, k, k))
+    assert np.array_equal(skew_generator(tril, noise),
+                          np.stack([skew_generator(tril, e) for e in noise]))
+    stacked = lq_first_order(tril, orth, noise)
+    looped = [lq_first_order(tril, orth, e) for e in noise]
+    for part in (0, 1):
+        assert np.array_equal(stacked[part], np.stack([pred[part] for pred in looped]))
+    noises = gen.normal(size=(count, samples, p, k))
+    assert np.array_equal(karcher_factor_first_order(factor, noises),
+                          np.stack([karcher_factor_first_order(factor, list(es))
+                                    for es in noises]))

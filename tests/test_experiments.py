@@ -95,6 +95,13 @@ def test_default_configs_validate():
         default_config(experiment, quick=True).validate()
 
 
+def test_every_runner_has_defaults_and_a_summary():
+    """A runner without an entry in either table would get a subcommand
+    whose every run fails, or a summary of its record count alone."""
+    assert set(experiments._DEFAULTS) == set(experiments.RUNNERS)
+    assert set(experiments._SUMMARIES) == set(experiments.RUNNERS)
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

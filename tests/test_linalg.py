@@ -292,6 +292,13 @@ _ENTRY_POINTS = {
     "lq_first_order": lambda mat: lq_first_order(np.eye(2), np.eye(2), mat),
     "karcher_factor_first_order": lambda mat: karcher_factor_first_order(
         CholFactor(np.eye(2), IndexSet((0, 1))), [mat]),
+    # Stacks with one non-finite element among finite ones.
+    "lq_givens_stack": lambda mat: lq_givens(np.stack([np.eye(2), mat, np.eye(2)])),
+    "skew_generator_stack": lambda mat: skew_generator(np.eye(2), np.stack([np.eye(2), mat])),
+    "lq_first_order_stack": lambda mat: lq_first_order(
+        np.eye(2), np.eye(2), np.stack([np.eye(2), mat])),
+    "karcher_factor_first_order_stack": lambda mat: karcher_factor_first_order(
+        CholFactor(np.eye(2), IndexSet((0, 1))), np.stack([np.eye(2), mat])[:, None]),
 }
 
 
@@ -390,6 +397,33 @@ def test_lq_rejects_singular():
 def test_lq_rejects_nonsquare():
     with pytest.raises(ShapeMismatchError):
         lq_givens(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatchError):
+        lq_givens(np.ones((2, 2, 3)))
+    with pytest.raises(ShapeMismatchError):
+        lq_givens(np.ones((1, 2, 2, 2)))
+
+
+def test_lq_singular_message_of_a_single_matrix_names_no_element():
+    with pytest.raises(SingularMatrixError, match="^matrix numerically singular"):
+        lq_givens(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_lq_stack_names_its_first_singular_element():
+    gen = np.random.default_rng(31)
+    stack = gen.normal(size=(5, 3, 3))
+    stack[2, 2] = stack[2, 0] + stack[2, 1]
+    stack[4, :, 1] = 0.0
+    with pytest.raises(SingularMatrixError, match="^element 2: matrix numerically singular"):
+        lq_givens(stack)
+
+
+def test_lq_stack_checks_each_element_at_its_own_scale():
+    """A well-conditioned small element passes beside a huge one; measured
+    against the stack's max-norm it would count as singular."""
+    gen = np.random.default_rng(32)
+    stack = np.stack([1e12 * np.eye(3), 1e-3 * gen.normal(size=(3, 3))])
+    tri, orth = lq_givens(stack)
+    assert_allclose(tri @ orth, stack, rtol=1e-12, atol=1e-17)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +437,15 @@ def test_solve_lower_matches_dense_solve(k):
     rhs = gen.normal(size=(k, 9))
     assert_allclose(_solve_lower(tril, rhs), np.linalg.solve(tril, rhs),
                     rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_solve_lower_stacked_rhs_is_bit_identical_per_element(k):
+    gen = np.random.default_rng(10 + k)
+    tril = np.tril(gen.normal(size=(k, k)), -1) + np.diag(1.0 + gen.uniform(size=k))
+    rhs = gen.normal(size=(4, k, k))
+    assert np.array_equal(_solve_lower(tril, rhs),
+                          np.stack([_solve_lower(tril, r) for r in rhs]))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,33 @@ def test_skew_generator_shape_checks():
         skew_generator(np.eye(3), np.eye(2))
 
 
+@pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 3), (3,), (2, 4, 3, 3)])
+def test_noise_stacks_of_the_wrong_shape_raise(shape):
+    """A stack of E perturbations must end in the factor's own shape, and
+    carry one leading axis (E noise sets of M samples for the Karcher
+    expansion)."""
+    noise = np.ones(shape)
+    with pytest.raises(ShapeMismatchError):
+        skew_generator(np.eye(3), noise)
+    with pytest.raises(ShapeMismatchError):
+        lq_first_order(np.eye(3), np.eye(3), noise)
+    factor = _random_factor(np.random.default_rng(13), 5, 3)
+    with pytest.raises(ShapeMismatchError, match="does not match factor shape"):
+        karcher_factor_first_order(factor, np.ones((2, 4) + shape[-2:]))
+    with pytest.raises(ShapeMismatchError, match="need at least one"):
+        karcher_factor_first_order(factor, np.ones((2, 0, 5, 3)))
+
+
+def test_perturbed_stack_names_its_first_singular_element():
+    """Scales that cancel the base matrix at elements 2 and 4 of the stack
+    base + eps * noise: lq_givens names element 2."""
+    tril, orth = _random_decomposition(np.random.default_rng(14), 3)
+    base = tril @ orth
+    eps = np.array([0.5, 0.25, 1.0, 2.0, 1.0])
+    with pytest.raises(SingularMatrixError, match="^element 2: "):
+        lq_givens(base + eps[:, None, None] * -base)
+
+
 # ---------------------------------------------------------------------------
 # decomposition expansion
 
