@@ -22,7 +22,8 @@ Modules
 linalg
     The anchored factor and its pivot rule, the anchoring kernel, reduced
     Cholesky of a p x p matrix, the Householder lower-triangular/orthogonal
-    decomposition, top-K eigenpairs with a fixed sign convention.
+    decomposition, top-K eigenpairs (of one matrix or a stack, by a
+    certified block subspace iteration) with a fixed sign convention.
 manifold
     The p x p membership test and `factorize`, the chart's p x p entry
     point; the factor/log chart both ways, Karcher mean and geodesic

@@ -40,10 +40,14 @@ class DpcaResult:
 
 
 def summarize_covariance(cov_hat, rank):
-    """Top-`rank` eigenpairs (a SpectralPair) of one machine's covariance estimate.
+    """Top-`rank` eigenpairs (a SpectralPair) of one machine's covariance
+    estimate (p, p), or of each machine's in a stack (M, p, p), computed by
+    one stacked `eigh_topk` call; a stack gives one stacked SpectralPair,
+    vectors (M, p, rank) and values (M, rank).
 
     Eigenvalues must be strictly positive (they get squared downstream);
-    raises SingularMatrixError otherwise.
+    raises SingularMatrixError otherwise, naming the first failing machine
+    of a stack ("element m: ...").
     """
     return eigh_topk(cov_hat, rank, require_positive=True)
 

@@ -41,7 +41,15 @@ from .exceptions import (
     NotInManifoldError,
     PsdkError,
 )
-from .linalg import CholFactor, IndexSet, anchor, eigh_topk, lq_givens, projector_distance
+from .linalg import (
+    CholFactor,
+    IndexSet,
+    SpectralPair,
+    anchor,
+    eigh_topk,
+    lq_givens,
+    projector_distance,
+)
 from .models import RngStream, derive_stream_id
 
 INDEX_MODES = ("canonical", "find_index_oracle", "find_index_machine1")
@@ -504,10 +512,19 @@ def _signal(cfg, p, stream):
     return sig
 
 
+def _factor_distance(factor_a, factor_b):
+    """||A A.T - B B.T||_F of two p x K factors, in factor space: with the thin
+    QR [A | B] = Q [R_A | R_B], it is ||R_A R_A.T - R_B R_B.T||_F, a norm of
+    a 2K x 2K matrix, with no p x p product and no cancellation."""
+    upper = np.linalg.qr(np.hstack([factor_a, factor_b]), mode="r")
+    part_a, part_b = upper[:, :factor_a.shape[1]], upper[:, factor_a.shape[1]:]
+    return float(np.linalg.norm(part_a @ part_a.T - part_b @ part_b.T))
+
+
 def _mean_rows(cfg, notes, samples, truth, row):
     """Karcher (under the retry policy) and Euclid rows of a stack of factor
-    samples, each scored by the Frobenius distance to `truth`; `row` carries
-    every other column."""
+    samples, each scored by the Frobenius distance of its matrix to that of
+    the signal factor `truth`; `row` carries every other column."""
 
     def aggregate(index_set):
         if index_set == samples.index_set:
@@ -518,7 +535,7 @@ def _mean_rows(cfg, notes, samples, truth, row):
                                  cfg, notes, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
     means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
-    return [replace(row, method=method, error=float(np.linalg.norm(mean.matrix - truth)))
+    return [replace(row, method=method, error=_factor_distance(mean.entries, truth.entries))
             for method, mean in means]
 
 
@@ -559,7 +576,7 @@ def run_intrinsic(cfg):
         samples = models.intrinsic_samples(sig, sigma, m_count, stream)
         row = RunRecord("intrinsic_avg", "", p, cfg.K, m_count, 0, cfg.sigma_sq,
                         rep, stream.stream_id, 0.0)
-        return _mean_rows(cfg, notes, samples, sig.matrix, row)
+        return _mean_rows(cfg, notes, samples, sig, row)
 
     return jobs, work
 
@@ -592,13 +609,12 @@ def run_dpca(cfg):
     ]
 
     def work(notes, gi, m_count, n, rep):
-        covs = [
-            models.sample_cov(
-                models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
-            )
-            for m in range(m_count)
-        ]
-        summaries = [dpca_mod.summarize_covariance(c, cfg.K) for c in covs]
+        covs = np.empty((m_count, cfg.p, cfg.p))
+        for m in range(m_count):
+            data = models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
+            covs[m] = models.sample_cov(data)
+        stacked = dpca_mod.summarize_covariance(covs, cfg.K)
+        summaries = [SpectralPair(v, w) for v, w in zip(stacked.vectors, stacked.values)]
         if cfg.index_mode == "canonical":
             idx = IndexSet.canonical(cfg.K)
         elif cfg.index_mode == "find_index_oracle":
@@ -649,7 +665,7 @@ def run_extrinsic(cfg):
         samples = models.extrinsic_samples(sig, s2, m_count, stream, n_inner=cfg.n_inner)
         row = RunRecord("extrinsic_avg", "", cfg.p, cfg.K, m_count, cfg.n_inner, s2,
                         rep, stream.stream_id, 0.0)
-        return _mean_rows(cfg, notes, samples, sig.matrix, row)
+        return _mean_rows(cfg, notes, samples, sig, row)
 
     return jobs, work
 

@@ -8,6 +8,7 @@ builds on, so the kernels in this module are deliberately small and strict
 about validation.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,17 @@ TAU_RANK = 1e-6
 
 # Relative tolerance on max|A - A.T| for symmetry checks.
 SYM_RTOL = 1e-8
+
+# `eigh_topk`'s block subspace iteration: the residual tolerance relative to
+# max|A|, the iteration budget before the full eigh takes over, and the seed
+# of its fixed start block.
+EIGH_RESID_REL = 1e-13
+EIGH_BUDGET = 12
+EIGH_START_SEED = 0
+
+# Eigenvector entries whose magnitudes agree within this relative tolerance
+# count as tied in `eigh_topk`'s sign rule.
+SIGN_TIE_REL = 1e-8
 
 
 def pivot_threshold(mat):
@@ -45,15 +57,30 @@ def check_symmetric(mat):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    check_finite("matrix entries", mat)
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if asym > SYM_RTOL * scale:
-        raise ShapeMismatchError(
-            f"matrix is not symmetric: max|A - A.T| = {asym:.3e} "
-            f"(tolerance {SYM_RTOL * scale:.3e})"
-        )
+    _symmetric_scales(mat[None], stacked=False)
     return mat
+
+
+def _symmetric_scales(mats, stacked):
+    """max|A| per element of an (M, p, p) stack, after checking that every
+    element is finite and symmetric within SYM_RTOL; for a `stacked` input
+    the error names the first failing element ("element m: ...")."""
+    check_finite("matrix entries", mats)
+    if not mats.size:
+        return np.zeros(len(mats))
+    flat = np.reshape(mats, (len(mats), -1))
+    scales = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    # A - A.T is antisymmetric, so its largest entry is its max-norm
+    asym = np.reshape(mats - np.swapaxes(mats, -1, -2), (len(mats), -1)).max(axis=1)
+    bad = np.flatnonzero(asym > SYM_RTOL * scales)
+    if bad.size:
+        m = bad[0]
+        where = f"element {m}: " if stacked else ""
+        raise ShapeMismatchError(
+            f"{where}matrix is not symmetric: max|A - A.T| = {asym[m]:.3e} "
+            f"(tolerance {SYM_RTOL * scales[m]:.3e})"
+        )
+    return scales
 
 
 @dataclass(frozen=True)
@@ -391,15 +418,24 @@ def anchor(frame, index_set):
 
 
 def eigh_topk(mat, rank, require_positive=False):
-    """Leading eigenpairs of a symmetric matrix, with a fixed sign convention.
+    """Leading eigenpairs of a symmetric matrix, or of each matrix of a stack.
 
-    The full spectrum is computed (`np.linalg.eigh`) and the top `rank`
-    pairs are kept.
+    Each matrix A gets a block subspace iteration of width `rank` (Halko,
+    Martinsson & Tropp 2011; Golub & Van Loan, section 8.2), started from a
+    fixed block, with a QR step per iteration and a Rayleigh-Ritz step once
+    the block is close to invariant. Its Ritz pairs (theta, V) are kept once
+    they are certified:
+    max|A V - V diag(theta)| <= EIGH_RESID_REL * max|A|, and the smallest
+    kept value exceeds sqrt(||A||_F^2 - sum theta^2), which bounds every
+    eigenvalue outside the block, so the block holds the top `rank`. A
+    matrix not certified within EIGH_BUDGET iterations, or whose residual
+    decay shows that it cannot be, gets the full `np.linalg.eigh` instead.
+    Which path a matrix takes depends on that matrix alone.
 
     Parameters
     ----------
-    mat : ndarray, shape (p, p)
-        Symmetric matrix.
+    mat : ndarray, shape (p, p) or (M, p, p)
+        Symmetric matrix, or a stack of them (each checked on its own).
     rank : int
         Number of leading eigenpairs to return.
     require_positive : bool
@@ -409,31 +445,129 @@ def eigh_topk(mat, rank, require_positive=False):
     Returns
     -------
     SpectralPair
-        Values sorted descending. Each eigenvector is normalized so its
-        largest-magnitude entry is positive; among tied magnitudes the lowest
-        row index decides. This makes the output deterministic and
-        basis-stable across runs.
+        Values sorted descending; for a stack, vectors (M, p, rank) and
+        values (M, rank). Each eigenvector is normalized so its
+        largest-magnitude entry is positive; among magnitudes tied within
+        SIGN_TIE_REL the lowest row index decides. This makes the output
+        deterministic and basis-stable across runs and solver paths.
 
     Raises
     ------
     SingularMatrixError
-        When `require_positive` is set and the spectrum fails the check.
+        When `require_positive` is set and the spectrum fails the check; for
+        a stack the message names the first such element ("element m: ...").
+    ShapeMismatchError
+        On a non-finite, non-square or asymmetric input, or a bad rank.
     """
-    mat = check_symmetric(mat)
-    p = mat.shape[0]
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+        mats = mat[None]
+    elif mat.ndim == 3 and mat.shape[1] == mat.shape[2] and mat.size:
+        mats = mat
+    elif mat.ndim == 2:
+        raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    else:
+        raise ShapeMismatchError(
+            f"expected a square matrix or a nonempty stack of them, got shape {mat.shape}"
+        )
+    scales = _symmetric_scales(mats, stacked=mat.ndim == 3)
+    p = mats.shape[-1]
     if not (1 <= rank <= p):
         raise ShapeMismatchError(f"rank {rank} invalid for a {p} x {p} matrix")
-    values, vectors = np.linalg.eigh(mat)
-    # Reverse first, then slice: descending order, and rank == p keeps all.
-    values = values[::-1][:rank].copy()
-    vectors = vectors[:, ::-1][:, :rank].copy()
-    leads = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(rank)]
-    vectors *= np.where(leads < 0.0, -1.0, 1.0)
-    if require_positive and values[-1] <= pivot_threshold(mat):
-        raise SingularMatrixError(
-            f"eigenvalue {rank} is {values[-1]:.3e}, not strictly positive"
-        )
+    values, vectors = _topk(mats, rank, scales)
+    mags = np.abs(vectors)
+    rows = np.argmax(mags >= (1.0 - SIGN_TIE_REL) * mags.max(axis=1, keepdims=True), axis=1)
+    leads = vectors[np.arange(len(vectors))[:, None], rows, np.arange(rank)]
+    vectors *= np.where(leads < 0.0, -1.0, 1.0)[:, None, :]
+    if require_positive:
+        bad = np.flatnonzero(values[:, -1] <= TAU_PIVOT_REL * scales)
+        if bad.size:
+            where = "" if mat.ndim == 2 else f"element {bad[0]}: "
+            raise SingularMatrixError(
+                f"{where}eigenvalue {rank} is {values[bad[0], -1]:.3e}, not strictly positive"
+            )
+    if mat.ndim == 2:
+        return SpectralPair(vectors[0], values[0])
     return SpectralPair(vectors, values)
+
+
+@functools.lru_cache(maxsize=64)
+def _start_block(p, rank):
+    """The fixed, read-only p x rank start block of `_topk`'s iteration."""
+    block = np.random.default_rng(EIGH_START_SEED).standard_normal((p, rank))
+    block.flags.writeable = False
+    return block
+
+
+def _topk(mats, rank, scales):
+    """Top `rank` eigenpairs of each matrix of an (M, p, p) symmetric stack
+    with max-norms `scales`: values (M, rank) descending and vectors
+    (M, p, rank), signs unfixed.
+
+    Block subspace iteration on the stack. Each step measures how far the
+    block is from invariant by G = A Q - Q (Q.T A Q): the Ritz residual
+    A V - V diag(theta) is G times the Ritz rotation, so its max-norm lies in
+    [||G||_F / sqrt(p rank), ||G||_F]. The Ritz pairs are formed only where
+    that range reaches the tolerance. An element leaves the iteration when
+    they are certified (see `eigh_topk`), or when it cannot be within the
+    budget: its residual has converged yet the tail bound fails, or ||G||_F,
+    shrinking at its last observed rate, would still be too large after the
+    remaining iterations. Those go to `np.linalg.eigh`.
+    """
+    count, p, _ = mats.shape
+    # Work in units of 2^e >= max|A| per element: a power of two changes no
+    # rounding, and keeps the squared norms below from overflowing or
+    # underflowing whatever the matrix's scale.
+    unit = np.ldexp(1.0, -np.frexp(scales)[1])
+    tol = EIGH_RESID_REL * scales * unit
+    loose = np.sqrt(p * rank) * tol
+    scaled = np.reshape(mats, (count, -1)) * unit[:, None]
+    fro_sq = np.einsum("mk,mk->m", scaled, scaled)
+    del scaled
+    values = np.empty((count, rank))
+    vectors = np.empty((count, p, rank))
+    live, sub, prev = np.arange(count), mats, np.inf
+    fallback = []
+    # One product before the first step: the start block's own residual
+    # says nothing about the rate at which the iteration converges.
+    orth = np.linalg.qr(mats @ _start_block(p, rank))[0]
+    for step in range(1, EIGH_BUDGET + 1):
+        image = (sub @ orth) * unit[:, None, None]
+        proj = np.swapaxes(orth, -1, -2) @ image
+        off = image - orth @ proj
+        frob = np.sqrt(np.einsum("mij,mij->m", off, off))
+        # leave when the rate of decay says the budget cannot be met
+        leave = ~(frob * (frob / prev) ** (EIGH_BUDGET - step) <= loose) | (step == EIGH_BUDGET)
+        failed = leave
+        trial = np.flatnonzero(frob <= loose)
+        if trial.size:
+            # Rayleigh-Ritz, ascending: ritz[:, 0] is the smallest kept value
+            ritz, rot = np.linalg.eigh(proj[trial])
+            resid = np.abs(off[trial] @ rot).reshape(len(trial), -1).max(axis=1)
+            tail = np.sqrt(np.maximum(fro_sq[trial] - np.einsum("mk,mk->m", ritz, ritz), 0.0))
+            converged = resid <= tol[trial]
+            ok = converged & (ritz[:, 0] > tail)
+            values[live[trial[ok]]] = ritz[ok, ::-1] / unit[trial[ok], None]
+            vectors[live[trial[ok]]] = orth[trial[ok]] @ rot[ok, :, ::-1]
+            # a converged element leaves: certified, or failing the tail bound for good
+            leave[trial] |= converged
+            failed = leave.copy()
+            failed[trial[ok]] = False
+        fallback.extend(live[failed])
+        if leave.all():
+            break
+        if leave.any():
+            keep = ~leave
+            live, sub, image, frob = live[keep], sub[keep], image[keep], frob[keep]
+            tol, loose, fro_sq, unit = tol[keep], loose[keep], fro_sq[keep], unit[keep]
+        orth = np.linalg.qr(image)[0]
+        prev = frob
+    if fallback:
+        full_values, full_vectors = np.linalg.eigh(mats[fallback])
+        # Reverse first, then slice: descending order, and rank == p keeps all.
+        values[fallback] = full_values[:, ::-1][:, :rank]
+        vectors[fallback] = full_vectors[:, :, ::-1][:, :, :rank]
+    return values, vectors
 
 
 def procrustes_sign(mat):

@@ -33,6 +33,17 @@ STREAM_BASE = 1 << 20
 SPIKED_RIDGE = 0.3
 EXTRINSIC_RIDGE = 0.01
 
+# `extrinsic_samples` draws, forms and decomposes its sample covariances in
+# stacks of at most this many bytes of p x p matrices, so its memory does not
+# grow with the sample count.
+EXTRINSIC_STACK_BYTES = 1 << 18
+
+
+def _check_integer(name, value):
+    """Raise ConfigError unless `value` is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
 
 def derive_stream_id(*parts):
     """Pack nonneg integer labels (each < STREAM_BASE) into one stream id."""
@@ -54,6 +65,13 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("master_seed", "stream_id"):
+            value = getattr(self, name)
+            _check_integer(name, value)
+            if value < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {value}")
+
     def generator(self):
         seq = np.random.SeedSequence(
             entropy=(int(self.master_seed), int(self.stream_id))
@@ -67,7 +85,9 @@ def _as_generator(rng):
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
+        if rng < 0:
+            raise ConfigError(f"seed must be nonnegative, got {rng}")
         return np.random.default_rng(int(rng))
     raise ConfigError(f"cannot interpret {type(rng).__name__} as a random source")
 
@@ -123,6 +143,7 @@ def intrinsic_samples(psd, sigma, count, rng):
     """
     if not 0 <= sigma < math.inf:
         raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
+    _check_integer("count", count)
     if count < 1:
         raise ShapeMismatchError("need at least one sample")
     failure = psd.pivot_failure()
@@ -179,6 +200,7 @@ def gaussian_samples(cov, n, rng):
     Raises SingularMatrixError on genuinely negative spectrum.
     """
     cov = check_symmetric(cov)
+    _check_integer("n", n)
     if n < 1:
         raise ShapeMismatchError("need at least one data point")
     gen = _as_generator(rng)
@@ -205,24 +227,40 @@ def sample_cov(data):
     return 0.5 * (cov + cov.T)
 
 
-def _wishart_cov(cov_root, n, gen):
-    """Sample covariance of n i.i.d. N(0, Sigma) rows, Sigma = cov_root cov_root.T.
+def _wishart_cov(cov_roots, n, gen):
+    """Sample covariances of n i.i.d. N(0, Sigma_m) rows, one per root B_m of
+    the (M, p, w) stack `cov_roots`, Sigma_m = B_m B_m.T.
 
-    Draws S ~ Wishart(n, Sigma) / n as (cov_root T)(cov_root T).T / n, where
-    T T.T ~ Wishart(n, I) for the width w of cov_root. For n >= w, T is
-    Bartlett's w x w lower-triangular factor: T_ii is the root of a
-    chi-square with n - i degrees of freedom (0-indexed), entries below the
-    diagonal are N(0, 1). Otherwise T = Z.T for an n x w standard normal Z.
+    Draws S_m ~ Wishart(n, Sigma_m) / n as (B_m T_m)(B_m T_m).T / n, where
+    T_m T_m.T ~ Wishart(n, I). For n >= w, T_m is Bartlett's w x w
+    lower-triangular factor: its (i, i) entry is the root of a chi-square
+    with n - i degrees of freedom (0-indexed), entries below the diagonal are
+    N(0, 1). Otherwise T_m = Z_m.T for an n x w standard normal Z_m. The
+    draws run sample by sample, in stream order; the products are batched.
     """
-    width = cov_root.shape[1]
+    count, _, width = cov_roots.shape
     if n >= width:
-        root = np.diag(np.sqrt(gen.chisquare(n - np.arange(width))))
-        root[np.tril_indices(width, -1)] = gen.standard_normal(width * (width - 1) // 2)
+        chi_sq = np.empty((count, width))
+        lower = np.empty((count, width * (width - 1) // 2))
+        for m in range(count):
+            chi_sq[m] = gen.chisquare(n - np.arange(width))
+            lower[m] = gen.standard_normal(lower.shape[1])
+        roots = np.zeros((count, width, width))
+        roots[:, np.arange(width), np.arange(width)] = np.sqrt(chi_sq)
+        roots[(slice(None),) + np.tril_indices(width, -1)] = lower
     else:
-        root = gen.standard_normal((n, width)).T
-    frame = cov_root @ root
-    cov = frame @ frame.T / n
-    return 0.5 * (cov + cov.T)
+        draws = np.stack([gen.standard_normal((n, width)) for _ in range(count)])
+        roots = np.swapaxes(draws, -1, -2)
+    # In place, each intermediate freed before the next: a stack holds about
+    # two arrays at a time, with the arithmetic of 0.5 * (S + S.T) for S / n.
+    frames = cov_roots @ roots
+    del roots
+    covs = frames @ np.swapaxes(frames, -1, -2)
+    del frames
+    covs /= n
+    covs += np.swapaxes(covs, -1, -2)
+    covs *= 0.5
+    return covs
 
 
 def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
@@ -242,19 +280,31 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
     (p x (K + p)), and S = (B T)(B T).T / n_inner. When n_inner >= K + p,
     T is the (K + p) x (K + p) Bartlett factor; otherwise T is the transpose
     of a plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it
-    or simulates n_inner x p data. The draws run in stream order; their
-    frames are anchored and returned as one stack.
+    or simulates n_inner x p data. The draws run in stream order. The
+    covariances are formed by batched products and decomposed by stacked
+    `eigh_topk` calls, in stacks of at most EXTRINSIC_STACK_BYTES of
+    covariances (the stack size changes no bit of the result), and the
+    frames are anchored as one stack. A covariance whose K-th eigenvalue is
+    not strictly positive raises SingularMatrixError, naming its stack of
+    samples and its element in it.
     """
     if not 0 <= sigma_sq < math.inf:
         raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
+    _check_integer("n_inner", n_inner)
     if n_inner < 1:
         raise ShapeMismatchError("need at least one data point")
     gen = _as_generator(rng)
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen).entries
     ridge_root = math.sqrt(EXTRINSIC_RIDGE) * np.eye(psd.p)
     frames = np.empty_like(draws)
-    for m, draw in enumerate(draws):
-        cov = _wishart_cov(np.hstack([draw, ridge_root]), n_inner, gen)
-        pair = eigh_topk(cov, psd.rank, require_positive=True)
-        frames[m] = pair.vectors * np.sqrt(pair.values)
+    step = max(1, EXTRINSIC_STACK_BYTES // (8 * psd.p**2))
+    for lo in range(0, count, step):
+        part = draws[lo:lo + step]
+        ridge = np.broadcast_to(ridge_root, (len(part), psd.p, psd.p))
+        roots = np.concatenate([part, ridge], axis=2)
+        try:
+            pair = eigh_topk(_wishart_cov(roots, n_inner, gen), psd.rank, require_positive=True)
+        except SingularMatrixError as err:
+            raise SingularMatrixError(f"samples {lo} to {lo + len(part) - 1}: {err}") from None
+        frames[lo:lo + step] = pair.vectors * np.sqrt(pair.values)[:, None, :]
     return anchor(frames, psd.index_set)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
 from .linalg import (
+    SpectralPair,
     _solve_lower,
     check_finite,
     check_symmetric,
@@ -228,11 +229,11 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
     p = cov.shape[0]
     if not (1 <= rank < p):
         raise ShapeMismatchError(f"rank {rank} invalid, need 1 <= rank < p = {p}")
-    spectrum = np.linalg.eigvalsh(cov)[::-1]
-    gap = spectrum[rank - 1] - spectrum[rank]
+    wide = eigh_topk(cov, rank + 1)
+    gap = wide.values[rank - 1] - wide.values[rank]
     if gap <= pivot_threshold(cov):
         raise SingularMatrixError(f"eigengap of the reference covariance is {gap:.3e}")
-    pair = eigh_topk(cov, rank)
+    pair = SpectralPair(wide.vectors[:, :rank], wide.values[:rank])
     pair_hat = eigh_topk(cov_hat, rank)
     sign = procrustes_sign(pair_hat.vectors.T @ pair.vectors)
     return cov_hat @ pair_hat.vectors @ sign @ alignment - cov @ pair.vectors @ alignment

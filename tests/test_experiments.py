@@ -9,6 +9,7 @@ from psdk.exceptions import ConfigError, InsufficientPointsError, NotInManifoldE
 from psdk.experiments import (
     CSV_HEADER,
     _aggregate_or_skip,
+    _factor_distance,
     ExperimentConfig,
     RunRecord,
     default_config,
@@ -307,6 +308,20 @@ def _tiny_extrinsic(**kwargs):
     )
     base.update(kwargs)
     return ExperimentConfig(**base).validate()
+
+
+@pytest.mark.parametrize("p, k", [(30, 4), (5, 3), (1, 1)])
+def test_factor_distance_is_the_frobenius_distance_of_the_matrices(p, k):
+    """The 2K x 2K form equals ||A A.T - B B.T||_F formed from p x p matrices
+    within 1e-12 relative, also where p < 2K, and reads 0 up to roundoff
+    for two frames of one matrix."""
+    gen = np.random.default_rng(p + k)
+    for _ in range(5):
+        a, b = gen.normal(size=(p, k)), gen.normal(size=(p, k))
+        want = np.linalg.norm(a @ a.T - b @ b.T)
+        assert abs(_factor_distance(a, b) - want) <= 1e-12 * want
+    orth = np.linalg.qr(gen.normal(size=(k, k)))[0]
+    assert _factor_distance(a, a @ orth) <= 1e-13 * np.linalg.norm(a @ a.T)
 
 
 def test_run_extrinsic_shape():

@@ -9,7 +9,7 @@ from psdk.exceptions import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from psdk.linalg import CholFactor, IndexSet, support_mask
+from psdk.linalg import CholFactor, IndexSet, anchor, support_mask
 from psdk.models import (
     STREAM_BASE,
     RngStream,
@@ -171,6 +171,30 @@ def test_sampler_arguments_are_checked():
         intrinsic_samples(thin, 0.1, 2, RngStream(6, 1))
 
 
+def test_bad_seeds_are_config_errors():
+    for seed, stream in ((-1, 0), (0, -1), (1.5, 0), (0, 2.0), (True, 0)):
+        with pytest.raises(ConfigError, match="must be"):
+            RngStream(seed, stream)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        gaussian_svd_signal(5, 2, -1)
+
+
+def test_non_integer_counts_are_config_errors():
+    psd = gaussian_svd_signal(5, 2, RngStream(6, 0))
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        gaussian_samples(np.eye(2), 10.5, RngStream(6, 1))
+    with pytest.raises(ConfigError, match="count must be an integer"):
+        intrinsic_samples(psd, 0.1, 2.0, RngStream(6, 1))
+    with pytest.raises(ConfigError, match="count must be an integer"):
+        extrinsic_samples(psd, 0.1, 2.5, RngStream(6, 1), n_inner=50)
+    # on the Bartlett branch (n_inner >= p + K) and below it
+    for n_inner in (10.5, 3.5):
+        with pytest.raises(ConfigError, match="n_inner must be an integer"):
+            extrinsic_samples(psd, 0.1, 2, RngStream(6, 1), n_inner=n_inner)
+    # numpy integers are integers
+    assert len(intrinsic_samples(psd, 0.1, np.int64(2), RngStream(np.int64(6), np.uint8(1)))) == 2
+
+
 # ---------------------------------------------------------------------------
 # factor noise model
 
@@ -287,12 +311,53 @@ def test_wishart_draw_moments(n):
     root = np.hstack([factor, np.sqrt(0.5) * np.eye(10)])
     sigma = root @ root.T
     gen = RngStream(12, n).generator()
-    draws = np.stack([models._wishart_cov(root, n, gen) for _ in range(4000)])
+    draws = models._wishart_cov(np.broadcast_to(root, (4000,) + root.shape), n, gen)
     var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / n
     z = (draws.mean(axis=0) - sigma) / np.sqrt(var / len(draws))
     assert np.max(np.abs(z)) < 5.0
     ratio = draws.var(axis=0, ddof=1) / var
     assert 0.85 < ratio.min() and ratio.max() < 1.15
+
+
+def _extrinsic_reference(psd, sigma_sq, count, rng, n_inner):
+    """The sample-by-sample form of `extrinsic_samples`: one Wishart draw and
+    one full `np.linalg.eigh` per sample, in the same stream order."""
+    gen = rng.generator()
+    draws = intrinsic_samples(psd, np.sqrt(sigma_sq), count, gen).entries
+    ridge_root = np.sqrt(models.EXTRINSIC_RIDGE) * np.eye(psd.p)
+    frames = []
+    for draw in draws:
+        cov = models._wishart_cov(np.hstack([draw, ridge_root])[None], n_inner, gen)[0]
+        values, vectors = np.linalg.eigh(cov)
+        frames.append(vectors[:, ::-1][:, :psd.rank] * np.sqrt(values[::-1][:psd.rank]))
+    return anchor(np.stack(frames), psd.index_set)
+
+
+@pytest.mark.parametrize("n_inner", [300, 9])
+def test_extrinsic_samples_match_the_sample_by_sample_form(n_inner):
+    """The batched draw and stacked eigensolver give the per-sample result up
+    to roundoff (the covariances are the same; only the eigensolver differs),
+    and the stack size does not change a bit of it."""
+    psd = gaussian_svd_signal(10, 3, RngStream(14, 0))
+    want = _extrinsic_reference(psd, 0.3, 40, RngStream(14, 1), n_inner)
+    got = extrinsic_samples(psd, 0.3, 40, RngStream(14, 1), n_inner=n_inner)
+    scale = np.max(np.abs(want.matrix))
+    assert np.max(np.abs(got.matrix - want.matrix)) < 1e-10 * scale
+    for stack_bytes in (1, 8 * 10**2 * 7, 1 << 30):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "EXTRINSIC_STACK_BYTES", stack_bytes)
+            again = extrinsic_samples(psd, 0.3, 40, RngStream(14, 1), n_inner=n_inner)
+        assert np.array_equal(again.entries, got.entries)
+
+
+def test_extrinsic_samples_name_a_covariance_without_k_positive_eigenvalues(monkeypatch):
+    """Without the ridge, n_inner = 2 < K = 3 data points give covariances of
+    rank 2; the error names the stack of samples and the element in it."""
+    monkeypatch.setattr(models, "EXTRINSIC_RIDGE", 0.0)
+    monkeypatch.setattr(models, "EXTRINSIC_STACK_BYTES", 8 * 8**2 * 3)
+    psd = gaussian_svd_signal(8, 3, RngStream(15, 0))
+    with pytest.raises(SingularMatrixError, match=r"^samples 0 to 2: element 0: eigenvalue 3 is "):
+        extrinsic_samples(psd, 0.1, 5, RngStream(15, 1), n_inner=2)
 
 
 def _forbidden(*_args, **_kwargs):
