@@ -34,10 +34,12 @@ N_GRID = (250, 1000, 4000)
 
 
 def one_round(cov, n, rng):
-    covs = [sample_cov(gaussian_samples(cov, n, rng)) for _ in range(M)]
-    summaries = [summarize_covariance(c, K) for c in covs]
+    covs = np.stack([sample_cov(gaussian_samples(cov, n, rng)) for _ in range(M)])
+    # one call summarizes all M machines: a stacked SpectralPair with
+    # vectors (M, p, K) and values (M, K), which the aggregators take as it is
+    summaries = summarize_covariance(covs, K)
     # anchor rows chosen from machine 0's frame and shared with everyone
-    idx = find_index(summaries[0].vectors, summaries[0].values, K)
+    idx = find_index(summaries.vectors[0], summaries.values[0], K)
     return {
         "full": full_pca(covs, K).basis,
         "lrc": lrc_dpca(summaries, K, idx).basis,

@@ -14,8 +14,8 @@ only. A `CholFactor` may also hold a stack (M, p, K) of M factors sharing
 one index set: the samplers return one, and the factor path (anchoring,
 the pivot rule, the chart maps, the Karcher mean) works on it whole. p x p
 matrices appear only at the API edges (`factorize`, `CholFactor.matrix`).
-Eigenpairs are `SpectralPair`s: `eigh_topk` and `summarize_covariance`
-return them and the dpca aggregators take them.
+Eigenpairs are `SpectralPair`s; M machines' are one stacked pair, which
+`summarize_covariance` returns for an (M, p, p) stack and the aggregators take.
 
 Modules
 -------

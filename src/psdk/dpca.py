@@ -1,22 +1,25 @@
 """One-shot distributed PCA aggregators and anchor-row selection.
 
-Machines summarize their local sample covariance by its top-K eigenpairs,
-a `SpectralPair` (`summarize_covariance`).
-Every rank-K aggregate is built from p x K frames F_m: it is the mean of
-F_m F_m.T, formed by `_frame_gram` as one product of the stacked frames, so
-no per-machine p x p matrix exists. The aggregators differ in the frames:
+Machines summarize their local sample covariance by its top-K eigenpairs;
+M machines' summaries are one stacked `SpectralPair` (vectors (M, p, K),
+values (M, K)), which `summarize_covariance` returns for an (M, p, p) stack
+and `lrc_dpca`, `dpca_fan` and `dpca_bw` take. Every rank-K aggregate is
+the mean of F_m F_m.T over an (M, p, w) stack of frames, formed by
+`_frame_gram` as one product of the frames side by side, so no per-machine
+p x p matrix exists. The aggregators differ in the frames:
 
 * `lrc_dpca`: the Karcher mean, in log-Cholesky coordinates, of each
   machine's frame V diag(values) anchored at the index set (squaring keeps
   the surrogate consistent with a second-moment matrix built from a factor);
-* `dpca_fan`: V, averaging the eigenvector projectors;
-* `dpca_bw`: V diag(sqrt(values)), averaging the unsquared surrogates;
+* `dpca_fan`: V, averaging the eigenvector projectors (Fan et al. 2019);
+* `dpca_bw`: V diag(sqrt(values)), averaging the unsquared surrogates
+  (Bhaskara & Wijewardena 2019);
 * `euclid_rankk_mean`: the samples' factors, the mean truncated to rank K.
 
-`full_pca` pools the raw p x p covariances, which are its inputs (the
-centralized answer for balanced machines). `find_index` picks anchor rows
-for the Karcher aggregation greedily, one column at a time, maximizing the
-smallest singular value of the growing anchor block.
+`full_pca` pools the raw covariances, an (M, p, p) stack (the centralized
+answer for balanced machines). `find_index` picks anchor rows for the
+Karcher aggregation greedily, one column at a time, maximizing the smallest
+singular value of the growing anchor block.
 """
 
 import warnings
@@ -25,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
-from .linalg import IndexSet, anchor, check_finite, eigh_topk, pivot_threshold
+from .linalg import (IndexSet, SpectralPair, _check_rank, _sample_stack, anchor, check_finite,
+                     eigh_topk, pivot_threshold)
 from .manifold import _chart_factors, karcher_mean
 
 
@@ -52,25 +56,35 @@ def summarize_covariance(cov_hat, rank):
     return eigh_topk(cov_hat, rank, require_positive=True)
 
 
-def _frame_gram(frames, caller):
-    """The symmetrized mean of F F.T over p x K frames F (a sequence, or an
-    (M, p, K) stack), as one product G G.T / M of the frames side by side in
-    G (p x sum K)."""
-    if len(frames) == 0:
-        raise ShapeMismatchError(f"{caller} needs at least one summary")
-    shapes = [np.shape(f) for f in frames]
-    if any(len(shape) != 2 or shape[0] != shapes[0][0] for shape in shapes):
-        raise ShapeMismatchError(f"{caller} frames must be 2-d with a common p, got {shapes}")
-    stacked = np.concatenate(frames, axis=1)
-    agg = (stacked @ stacked.T) / len(frames)
+def _machine_stack(summaries, caller):
+    """The (M, p, K) vectors and (M, K) values, M >= 1, of the stacked
+    SpectralPair `summaries`; anything else raises ShapeMismatchError."""
+    form = (f"{caller} takes one stacked SpectralPair, vectors (M, p, K) and values "
+            "(M, K), as summarize_covariance returns for an (M, p, p) stack")
+    if not isinstance(summaries, SpectralPair):
+        raise ShapeMismatchError(f"{form}; got a {type(summaries).__name__}")
+    try:
+        vectors = np.asarray(summaries.vectors, dtype=float)
+        values = np.asarray(summaries.values, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatchError(f"{form}; got ragged or non-numeric entries") from None
+    if vectors.ndim != 3 or not len(vectors) or values.shape != vectors.shape[::2]:
+        raise ShapeMismatchError(f"{form}; got vectors {vectors.shape}, values {values.shape}")
+    return vectors, values
+
+
+def _frame_gram(frames):
+    """The symmetrized mean of F F.T over the frames F of an (M, p, w) stack,
+    as one product G G.T / M of the frames side by side in G (p x Mw)."""
+    joined = np.swapaxes(frames, 0, 1).reshape(frames.shape[1], -1)
+    agg = (joined @ joined.T) / len(frames)
     return 0.5 * (agg + agg.T)
 
 
 def _result(agg, rank, method, n_machines, index_set=None):
     """Leading basis of an aggregated matrix, warning on a collapsed eigengap."""
     p = agg.shape[0]
-    if not 1 <= rank <= p:
-        raise ShapeMismatchError(f"{method}: rank {rank} invalid for p = {p}")
+    _check_rank(rank, p)
     take = min(rank + 1, p)
     pair = eigh_topk(agg, take)
     gap = np.inf
@@ -90,41 +104,34 @@ def _result(agg, rank, method, n_machines, index_set=None):
 
 
 def full_pca(covariances, rank):
-    """Top-`rank` eigenbasis of the pooled (averaged) covariances."""
-    covs = [np.asarray(c, dtype=float) for c in covariances]
-    if not covs:
-        raise ShapeMismatchError("full_pca needs at least one covariance")
-    if any(c.shape != covs[0].shape for c in covs):
-        raise ShapeMismatchError("full_pca covariances differ in shape")
-    agg = sum(covs) / len(covs)
+    """Top-`rank` eigenbasis of the pooled (averaged) covariances, an (M, p, p)
+    stack (a sequence of equal-shape matrices goes through one `np.asarray`)."""
+    covs = _sample_stack(covariances, "full_pca covariances")
+    agg = covs.sum(axis=0) / len(covs)
     return _result(0.5 * (agg + agg.T), rank, "full", len(covs))
 
 
 def _lrc_frames(summaries):
     """The (M, p, K) stack of the machines' LRC frames V diag(values), which
     `lrc_dpca` anchors and averages and a caller's row reselection reads."""
-    frames = [s.vectors * s.values for s in summaries]
-    if not frames:
-        raise ShapeMismatchError("lrc_dpca needs at least one summary")
-    if len({np.shape(f) for f in frames}) > 1:
-        raise ShapeMismatchError("lrc_dpca frames differ in shape")
-    return np.stack(frames)
+    vectors, values = _machine_stack(summaries, "lrc_dpca")
+    return vectors * values[:, None, :]
 
 
 def lrc_dpca(summaries, rank, index_set):
     """Karcher-mean aggregation of the machines' rank-K covariance surrogates.
 
-    Each summary (V, values) stands for V diag(values)^2 V.T, the factor
-    second-moment matrix consistent with the local eigenpairs; the frames
-    V diag(values) are anchored at `index_set` as one stack, averaged by
-    their Karcher mean, and the mean's top eigenbasis is returned.
+    Each machine's (V, values) of the stacked SpectralPair `summaries` stands
+    for V diag(values)^2 V.T, the factor second-moment matrix consistent with
+    its eigenpairs. The frames V diag(values) are anchored at `index_set` as
+    one stack; the top eigenbasis of their Karcher mean is returned.
 
     Raises
     ------
     NotInManifoldError
         If any anchored factor fails the pivot rule at `index_set`; the
-        message lists the offending machines by their position in
-        `summaries`, so the caller can reselect rows via `find_index`.
+        message lists the offending machines by their position in the
+        stack, so the caller can reselect rows via `find_index`.
     """
     frames = _lrc_frames(summaries)
     factors = anchor(frames, index_set)
@@ -134,25 +141,27 @@ def lrc_dpca(summaries, rank, index_set):
             f"machines {bad.tolist()} fail membership with index set {tuple(index_set)}; "
             "reselect rows via find_index"
         )
-    agg = _frame_gram([karcher_mean(factors).entries], "lrc_dpca")
+    agg = _frame_gram(karcher_mean(factors).entries[None])
     return _result(agg, rank, "lrc", len(frames), index_set)
 
 
 def dpca_fan(summaries, rank):
-    """Projector-averaging aggregation: mean of V V.T over machines."""
-    frames = [s.vectors for s in summaries]
-    return _result(_frame_gram(frames, "dpca_fan"), rank, "fan", len(frames))
+    """Projector-averaging aggregation: mean of V V.T over the machines of the
+    stacked SpectralPair `summaries`."""
+    vectors, _ = _machine_stack(summaries, "dpca_fan")
+    return _result(_frame_gram(vectors), rank, "fan", len(vectors))
 
 
 def dpca_bw(summaries, rank):
-    """Surrogate-averaging aggregation: mean of V diag(values) V.T, unsquared.
+    """Surrogate-averaging aggregation: mean of V diag(values) V.T, unsquared,
+    over the machines of the stacked SpectralPair `summaries`.
 
     Raises SingularMatrixError on a negative eigenvalue."""
-    summaries = list(summaries)
-    if any(np.min(s.values) < 0.0 for s in summaries):
+    vectors, values = _machine_stack(summaries, "dpca_bw")
+    if np.min(values) < 0.0:
         raise SingularMatrixError("dpca_bw needs nonnegative eigenvalues")
-    frames = [s.vectors * np.sqrt(s.values) for s in summaries]
-    return _result(_frame_gram(frames, "dpca_bw"), rank, "bw", len(frames))
+    frames = vectors * np.sqrt(values)[:, None, :]
+    return _result(_frame_gram(frames), rank, "bw", len(vectors))
 
 
 def euclid_rankk_mean(psds, rank):
@@ -165,7 +174,7 @@ def euclid_rankk_mean(psds, rank):
     values count as zero); no pivot rule is enforced on it.
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
-    pair = eigh_topk(_frame_gram(factors.entries, "euclid_rankk_mean"), rank)
+    pair = eigh_topk(_frame_gram(factors.entries), rank)
     frame = pair.vectors * np.sqrt(np.maximum(pair.values, 0.0))
     return anchor(frame, factors.index_set)
 
@@ -206,8 +215,7 @@ def find_index(vectors, values, rank):
             f"got vectors {vectors.shape} and values {values.shape}"
         )
     p = vectors.shape[0]
-    if not (1 <= rank <= vectors.shape[1]) or rank > p:
-        raise ShapeMismatchError(f"rank {rank} invalid for frame shape {vectors.shape}")
+    _check_rank(rank, p, top=min(vectors.shape))
     target = vectors[:, :rank] * values[:rank]
     check_finite("find_index frame", target)
     tau = pivot_threshold(target)

@@ -51,8 +51,9 @@ class InsufficientPointsError(PsdkError):
 
 
 class ConfigError(PsdkError):
-    """Invalid experiment configuration (bad key, value, or combination);
-    the CLI catches it to exit with status 1."""
+    """Invalid experiment configuration (bad key, value, or combination), or
+    a rank, size, count, row or label that is not an integer; the CLI
+    catches it to exit with status 1."""
 
 
 class ZeroGapWarning(UserWarning):

@@ -44,7 +44,6 @@ from .exceptions import (
 from .linalg import (
     CholFactor,
     IndexSet,
-    SpectralPair,
     anchor,
     eigh_topk,
     lq_givens,
@@ -463,11 +462,10 @@ def _frame_rows(frame, rank):
 def _reselect_index(frames, rank, failed_idx):
     """Anchor rows from the first sample that fails the pivot rule at `failed_idx`.
 
-    The frames (a stack, or a sequence of p x K arrays) are anchored as one
+    `frames` is the (M, p, K) stack of the samples' frames, anchored as one
     stack; the offending sample's own frame drives `_frame_rows`. Returns
     None when nothing fails or no admissible rows exist.
     """
-    frames = np.asarray(frames, dtype=float)
     bad, reason = anchor(frames, failed_idx)._pivot_rule()
     if reason is None:
         return None
@@ -512,15 +510,6 @@ def _signal(cfg, p, stream):
     return sig
 
 
-def _factor_distance(factor_a, factor_b):
-    """||A A.T - B B.T||_F of two p x K factors, in factor space: with the thin
-    QR [A | B] = Q [R_A | R_B], it is ||R_A R_A.T - R_B R_B.T||_F, a norm of
-    a 2K x 2K matrix, with no p x p product and no cancellation."""
-    upper = np.linalg.qr(np.hstack([factor_a, factor_b]), mode="r")
-    part_a, part_b = upper[:, :factor_a.shape[1]], upper[:, factor_a.shape[1]:]
-    return float(np.linalg.norm(part_a @ part_a.T - part_b @ part_b.T))
-
-
 def _mean_rows(cfg, notes, samples, truth, row):
     """Karcher (under the retry policy) and Euclid rows of a stack of factor
     samples, each scored by the Frobenius distance of its matrix to that of
@@ -535,7 +524,7 @@ def _mean_rows(cfg, notes, samples, truth, row):
                                  cfg, notes, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
     means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
-    return [replace(row, method=method, error=_factor_distance(mean.entries, truth.entries))
+    return [replace(row, method=method, error=projector_distance(mean.entries, truth.entries))
             for method, mean in means]
 
 
@@ -613,14 +602,13 @@ def run_dpca(cfg):
         for m in range(m_count):
             data = models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
             covs[m] = models.sample_cov(data)
-        stacked = dpca_mod.summarize_covariance(covs, cfg.K)
-        summaries = [SpectralPair(v, w) for v, w in zip(stacked.vectors, stacked.values)]
+        summaries = dpca_mod.summarize_covariance(covs, cfg.K)
         if cfg.index_mode == "canonical":
             idx = IndexSet.canonical(cfg.K)
         elif cfg.index_mode == "find_index_oracle":
             idx = oracle_idx
         else:
-            idx = dpca_mod.find_index(summaries[0].vectors, summaries[0].values, cfg.K)
+            idx = dpca_mod.find_index(summaries.vectors[0], summaries.values[0], cfg.K)
 
         results = [dpca_mod.full_pca(covs, cfg.K)]
         lrc = _aggregate_or_skip(
@@ -908,8 +896,7 @@ def _selftest_roundtrip():
     for _ in range(50):
         p = int(gen.integers(2, 31))
         k = int(gen.integers(1, min(p, 6) + 1))
-        rows = gen.permutation(p)[:k]
-        idx = IndexSet(tuple(int(i) for i in rows))
+        idx = IndexSet(gen.permutation(p)[:k])
         factor = anchor(gen.normal(size=(p, k)), idx).validate()
         back = manifold.factorize(factor.matrix, k, idx)
         worst = max(worst, float(np.max(np.abs(back.entries - factor.entries))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError
+from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
 
 # Relative threshold under which a pivot / singular value counts as zero,
 # scaled by the max-norm of the matrix being factored.
@@ -44,6 +44,37 @@ def pivot_threshold(mat):
     if mat.size == 0:
         return 0.0
     return TAU_PIVOT_REL * float(np.max(np.abs(mat)))
+
+
+def _check_integer(name, value):
+    """`value` as an int; ConfigError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_rank(rank, p, top=None):
+    """Raise unless `rank` is an integer (ConfigError) in [1, top], top
+    defaulting to p (ShapeMismatchError)."""
+    if not 1 <= _check_integer("rank", rank) <= (p if top is None else top):
+        raise ShapeMismatchError(f"rank {rank} invalid for p = {p}")
+
+
+def _sample_stack(items, what, shape=None, ndims=(3,)):
+    """`items`, an array or a sequence of equal-shape arrays, through one
+    `np.asarray` to a float array (..., M, *shape) of `ndims` axes, M >= 1
+    (`shape` None: square matrices); else ShapeMismatchError naming `what`."""
+    try:
+        stack = np.asarray(items, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatchError(f"{what} differ in shape or are not numbers") from None
+    if not stack.size:
+        raise ShapeMismatchError(f"{what}: need at least one")
+    want = f"factor shape {shape}" if shape else "square matrices"
+    if stack.ndim not in ndims or stack.shape[-2:] != (shape or stack.shape[-1:] * 2):
+        raise ShapeMismatchError(f"{what}: shape {stack.shape} does not match {want} "
+                                 f"(leading axes: {' or '.join(str(n - 2) for n in ndims)})")
+    return stack
 
 
 def check_finite(what, *arrays):
@@ -95,7 +126,9 @@ class IndexSet:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        if not np.iterable(self.indices):
+            raise ConfigError(f"index set must be a sequence of rows, got {self.indices!r}")
+        idx = tuple(_check_integer("row index", i) for i in self.indices)
         if len(idx) == 0:
             raise ShapeMismatchError("index set must contain at least one row")
         if any(i < 0 for i in idx):
@@ -246,7 +279,9 @@ class CholFactor:
 
 @dataclass
 class SpectralPair:
-    """Top-K eigenpair bundle: orthonormal vectors (p x K), values descending."""
+    """Top-K eigenpair bundle: orthonormal vectors (p, K), values (K,)
+    descending; or a stack of M such pairs, vectors (M, p, K) and values
+    (M, K), as `eigh_topk` returns for a stack of matrices."""
 
     vectors: np.ndarray
     values: np.ndarray
@@ -284,8 +319,7 @@ def reduced_cholesky(mat, rank, index_set):
     """
     mat = check_symmetric(mat)
     p = mat.shape[0]
-    if not (1 <= rank <= p):
-        raise ShapeMismatchError(f"rank {rank} invalid for a {p} x {p} matrix")
+    _check_rank(rank, p)
     if len(index_set) != rank:
         raise ShapeMismatchError(
             f"index set has {len(index_set)} rows, requested rank is {rank}"
@@ -377,11 +411,9 @@ def lq_givens(mat):
         If `mat` is numerically rank deficient; for a stack the message
         names the first such element ("element e: ...").
     ShapeMismatchError
-        If `mat` is not square, or not 2-d or 3-d.
+        If `mat` is not square, not 2-d or 3-d, or empty.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    mat = _sample_stack(mat, "lq_givens matrices", ndims=(2, 3))
     check_finite("matrix entries", mat)
     smin = np.linalg.svd(mat, compute_uv=False)[..., -1]
     taus = TAU_PIVOT_REL * np.max(np.abs(mat), axis=(-2, -1))
@@ -457,23 +489,14 @@ def eigh_topk(mat, rank, require_positive=False):
         When `require_positive` is set and the spectrum fails the check; for
         a stack the message names the first such element ("element m: ...").
     ShapeMismatchError
-        On a non-finite, non-square or asymmetric input, or a bad rank.
+        On a non-finite, non-square or asymmetric input, or a rank outside
+        [1, p] (a rank that is not an integer is a ConfigError).
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
-        mats = mat[None]
-    elif mat.ndim == 3 and mat.shape[1] == mat.shape[2] and mat.size:
-        mats = mat
-    elif mat.ndim == 2:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    else:
-        raise ShapeMismatchError(
-            f"expected a square matrix or a nonempty stack of them, got shape {mat.shape}"
-        )
+    mat = _sample_stack(mat, "eigh_topk matrices", ndims=(2, 3))
+    mats = mat if mat.ndim == 3 else mat[None]
     scales = _symmetric_scales(mats, stacked=mat.ndim == 3)
     p = mats.shape[-1]
-    if not (1 <= rank <= p):
-        raise ShapeMismatchError(f"rank {rank} invalid for a {p} x {p} matrix")
+    _check_rank(rank, p)
     values, vectors = _topk(mats, rank, scales)
     mags = np.abs(vectors)
     rows = np.argmax(mags >= (1.0 - SIGN_TIE_REL) * mags.max(axis=1, keepdims=True), axis=1)
@@ -596,10 +619,11 @@ def procrustes_sign(mat):
 
 
 def projector_distance(basis_a, basis_b):
-    """Frobenius distance between the projectors of two orthonormal bases.
+    """||A A.T - B B.T||_F for p x K factors A, B (for orthonormal bases, the
+    distance of their projectors); invariant to right-rotation of either.
 
-    Computes ||A A.T - B B.T||_F for p x K matrices with orthonormal columns.
-    Invariant to right-rotation of either basis, so it compares subspaces.
+    With the thin QR [A | B] = Q [R_A | R_B] it is ||R_A R_A.T - R_B R_B.T||_F,
+    a 2K x 2K norm: no p x p product and no cancellation.
     """
     basis_a = np.asarray(basis_a, dtype=float)
     basis_b = np.asarray(basis_b, dtype=float)
@@ -614,5 +638,6 @@ def projector_distance(basis_a, basis_b):
             f"expected tall matrices, got shape {basis_a.shape}"
         )
     check_finite("basis entries", basis_a, basis_b)
-    diff = basis_a @ basis_a.T - basis_b @ basis_b.T
-    return float(np.linalg.norm(diff))
+    upper = np.linalg.qr(np.hstack([basis_a, basis_b]), mode="r")
+    part_a, part_b = upper[:, :basis_a.shape[1]], upper[:, basis_a.shape[1]:]
+    return float(np.linalg.norm(part_a @ part_a.T - part_b @ part_b.T))

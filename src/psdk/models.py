@@ -22,7 +22,8 @@ import numpy as np
 
 from . import manifold
 from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from .linalg import IndexSet, anchor, check_symmetric, eigh_topk, support_mask
+from .linalg import (IndexSet, _check_integer, _check_rank, _sample_stack, anchor,
+                     check_symmetric, eigh_topk, support_mask)
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
 # into one integer, little-endian in this base; each label must fit below it.
@@ -39,19 +40,13 @@ EXTRINSIC_RIDGE = 0.01
 EXTRINSIC_STACK_BYTES = 1 << 18
 
 
-def _check_integer(name, value):
-    """Raise ConfigError unless `value` is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 def derive_stream_id(*parts):
     """Pack nonneg integer labels (each < STREAM_BASE) into one stream id."""
     if not parts:
         raise ConfigError("derive_stream_id needs at least one label")
     sid = 0
     for part in parts:
-        part = int(part)
+        part = _check_integer("stream label", part)
         if not 0 <= part < STREAM_BASE:
             raise ConfigError(f"stream label {part} outside [0, {STREAM_BASE})")
         sid = sid * STREAM_BASE + part + 1
@@ -99,8 +94,7 @@ def gaussian_svd_signal(p, rank, rng):
     vectors V and singular values s, and returns the factor of V diag(s) V.T,
     the frame V diag(sqrt(s)) anchored at the canonical index set.
     """
-    if not 1 <= rank <= p:
-        raise ShapeMismatchError(f"rank {rank} invalid for p = {p}")
+    _check_rank(rank, _check_integer("p", p))
     gen = _as_generator(rng)
     gauss = gen.normal(size=(p, p))
     left, sing, _ = np.linalg.svd(gauss)
@@ -114,6 +108,7 @@ def spiked_covariance(p, rank, rng):
     and an orthonormal basis of its leading `rank`-dimensional eigenspace
     (the span of the loadings), which is the estimation target.
     """
+    _check_rank(rank, _check_integer("p", p))
     gen = _as_generator(rng)
     loadings = gen.normal(size=(p, rank))
     cov = loadings @ loadings.T + SPIKED_RIDGE * np.eye(p)
@@ -169,7 +164,8 @@ def factor_noise_samples(factor, noises):
     ----------
     factor : CholFactor
         The signal factor N.
-    noises : sequence of ndarray, shape (p, K)
+    noises : ndarray, shape (M, p, K)
+        One perturbation E_m per sample (or a sequence of M (p, K) arrays).
 
     Returns
     -------
@@ -177,16 +173,8 @@ def factor_noise_samples(factor, noises):
         The stack (M, p, K) of sample factors.
     """
     factor.validate()
-    noises = list(noises)
-    if not noises:
-        raise ShapeMismatchError("need at least one noise matrix")
-    for m, e in enumerate(noises):
-        if np.shape(e) != factor.entries.shape:
-            raise ShapeMismatchError(
-                f"sample {m}: noise shape {np.shape(e)} does not match factor "
-                f"shape {factor.entries.shape}"
-            )
-    samples = anchor(factor.entries + np.stack(noises, dtype=float), factor.index_set)
+    noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
+    samples = anchor(factor.entries + noises, factor.index_set)
     bad, reason = samples._pivot_rule()
     if reason is not None:
         raise NotInManifoldError(f"sample {bad[0]}: {reason}")

@@ -24,7 +24,8 @@ import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
 from .linalg import (
-    SpectralPair,
+    _check_rank,
+    _sample_stack,
     _solve_lower,
     check_finite,
     check_symmetric,
@@ -119,25 +120,13 @@ def karcher_factor_first_order(factor, noises):
     ----------
     factor : CholFactor
         The noiseless factor N, p x K.
-    noises : sequence of ndarray, shape (p, K), or ndarray, shape (E, M, p, K)
-        Unstructured perturbations E_m, one per sample. An (E, M, p, K)
-        array holds E independent noise sets of M samples each; the sample
-        axis is -3, and one (p, K) prediction per set comes back, (E, p, K).
+    noises : ndarray, shape (M, p, K) or (E, M, p, K)
+        Unstructured perturbations E_m, one per sample (or a sequence of M
+        (p, K) arrays). An (E, M, p, K) array holds E independent noise sets
+        of M samples each; one (p, K) prediction per set comes back, (E, p, K).
     """
     factor.validate()
-    if isinstance(noises, np.ndarray) and noises.ndim == 4:
-        shapes = [noises.shape[-2:]] if noises.shape[1] else []
-    else:
-        noises = list(noises)
-        shapes = [np.shape(e) for e in noises]
-    if not shapes:
-        raise ShapeMismatchError("need at least one noise matrix")
-    for shape in shapes:
-        if shape != factor.entries.shape:
-            raise ShapeMismatchError(
-                f"noise shape {shape} does not match factor shape {factor.entries.shape}"
-            )
-    noises = np.asarray(noises, dtype=float)
+    noises = _sample_stack(noises, "noise matrices", factor.entries.shape, ndims=(3, 4))
     check_finite("noise entries", noises)
     mean_noise = np.mean(noises, axis=-3)
     anchor_mean = mean_noise[..., factor.index_set.as_array(), :]
@@ -174,6 +163,7 @@ def eigvec_first_order(values, vectors, rank, noise):
     """
     values = np.asarray(values, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
+    check_finite("eigenpair entries", values, vectors)
     noise = check_symmetric(noise)
     p = values.shape[0]
     if vectors.shape != (p, p):
@@ -182,8 +172,7 @@ def eigvec_first_order(values, vectors, rank, noise):
         )
     if noise.shape != (p, p):
         raise ShapeMismatchError(f"noise shape {noise.shape} does not match p = {p}")
-    if not (1 <= rank <= p):
-        raise ShapeMismatchError(f"rank {rank} invalid for p = {p}")
+    _check_rank(rank, p)
     if np.any(np.diff(values) > 0):
         raise ShapeMismatchError("eigenvalues must be sorted descending")
     head = vectors[:, :rank]
@@ -227,16 +216,14 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
             f"covariance shapes differ: {cov_hat.shape} vs {cov.shape}"
         )
     p = cov.shape[0]
-    if not (1 <= rank < p):
-        raise ShapeMismatchError(f"rank {rank} invalid, need 1 <= rank < p = {p}")
+    _check_rank(rank, p, top=p - 1)
     wide = eigh_topk(cov, rank + 1)
     gap = wide.values[rank - 1] - wide.values[rank]
     if gap <= pivot_threshold(cov):
         raise SingularMatrixError(f"eigengap of the reference covariance is {gap:.3e}")
-    pair = SpectralPair(wide.vectors[:, :rank], wide.values[:rank])
-    pair_hat = eigh_topk(cov_hat, rank)
-    sign = procrustes_sign(pair_hat.vectors.T @ pair.vectors)
-    return cov_hat @ pair_hat.vectors @ sign @ alignment - cov @ pair.vectors @ alignment
+    vectors, vectors_hat = wide.vectors[:, :rank], eigh_topk(cov_hat, rank).vectors
+    sign = procrustes_sign(vectors_hat.T @ vectors)
+    return cov_hat @ vectors_hat @ sign @ alignment - cov @ vectors @ alignment
 
 
 def factor_alignment(factor, pair):
@@ -257,6 +244,7 @@ def factor_alignment(factor, pair):
     factor.validate()
     values = np.asarray(pair.values, dtype=float)
     vectors = np.asarray(pair.vectors, dtype=float)
+    check_finite("eigenpair entries", values, vectors)
     if values[-1] <= 0.0:
         raise SingularMatrixError(
             f"alignment needs positive eigenvalues, got min = {values[-1]:.3e}"

@@ -406,9 +406,8 @@ def test_10_row_selection_under_zero_rows():
         if idx == IndexSet.canonical(k):
             failures.append((trial, "kept the degenerate leading rows"))
             continue
-        summaries = [
-            SpectralPair(frame, values * gen.uniform(0.8, 1.2)) for _ in range(3)
-        ]
+        summaries = SpectralPair(np.stack([frame] * 3),
+                                 np.stack([values * gen.uniform(0.8, 1.2) for _ in range(3)]))
         try:
             lrc_dpca(summaries, k, idx)
         except NotInManifoldError as err:

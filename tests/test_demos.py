@@ -1,10 +1,7 @@
-"""Smoke tests: the narrated demos run to completion against this psdk, and
-the sample config loads.
+"""Smoke tests: the narrated demos and every `python` block of README.md run
+to completion against this psdk, and the sample config loads."""
 
-`averaging_from_data` is left out: it simulates 2000-point data sets for
-about half a minute and is run by hand (`python3 demos/averaging_from_data.py`).
-"""
-
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +10,14 @@ import pytest
 
 from psdk.experiments import load_config
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                           flags=re.M | re.S)
 
 
 @pytest.mark.parametrize("demo", ["geometry_tour", "expansion_orders", "distributed_pca",
-                                  "averaging_under_intrinsic_noise"])
+                                  "averaging_under_intrinsic_noise", "averaging_from_data"])
 def test_demo_runs(demo, child_env, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / f"{demo}.py")], cwd=tmp_path,
                           env=child_env, capture_output=True, text=True, timeout=300)
@@ -29,3 +29,13 @@ def test_sample_config_loads():
     cfg = load_config("dpca", path=DEMOS / "sample.cfg")
     assert (cfg.p, cfg.K, cfg.M_grid, cfg.index_mode, cfg.threads) == (
         50, 5, (20,), "find_index_machine1", 4)
+
+
+def test_readme_has_python_blocks():
+    assert len(README_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("block", range(len(README_BLOCKS)))
+def test_readme_block_runs(block):
+    """Each fenced python block of README.md runs on its own, in a fresh namespace."""
+    exec(compile(README_BLOCKS[block], f"README.md python block {block}", "exec"), {})

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from psdk.dpca import (
     DpcaResult,
+    _result,
     dpca_bw,
     dpca_fan,
     euclid_rankk_mean,
@@ -28,15 +29,21 @@ def _projector_gap(basis_a, basis_b):
 
 
 def _random_summaries(rng, p, k, n_machines, flat_values=False):
-    out = []
+    """A stacked SpectralPair: random orthonormal frames (M, p, K) and
+    descending (or flat) values (M, K) in [1, 2]."""
+    vectors, values = np.empty((n_machines, p, k)), np.empty((n_machines, k))
     for m in range(n_machines):
-        frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
+        vectors[m] = np.linalg.qr(rng.normal(size=(p, k)))[0]
         if flat_values:
-            values = np.full(k, rng.uniform(1.0, 2.0))
+            values[m] = rng.uniform(1.0, 2.0)
         else:
-            values = np.sort(rng.uniform(1.0, 2.0, size=k))[::-1]
-        out.append(SpectralPair(frame, values))
-    return out
+            values[m] = np.sort(rng.uniform(1.0, 2.0, size=k))[::-1]
+    return SpectralPair(vectors, values)
+
+
+def _machines(vectors, values):
+    """The stacked SpectralPair of per-machine vectors and values."""
+    return SpectralPair(np.stack(vectors), np.array(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +91,16 @@ def test_full_pca_pools_covariances():
 
 def test_lrc_dpca_single_machine_spans_local_frame():
     cov, _ = spiked_covariance(9, 3, RngStream(3, 0))
-    s = summarize_covariance(cov, 3)
-    res = lrc_dpca([s], 3, IndexSet.canonical(3))
+    s = summarize_covariance(cov[None], 3)
+    res = lrc_dpca(s, 3, IndexSet.canonical(3))
     assert res.method == "lrc"
     assert res.index_set_used == IndexSet.canonical(3)
-    assert projector_distance(res.basis, s.vectors) < 1e-10
+    assert projector_distance(res.basis, s.vectors[0]) < 1e-10
 
 
 def test_lrc_dpca_identical_machines_match_full_pca():
     cov, _ = spiked_covariance(9, 3, RngStream(4, 0))
-    summaries = [summarize_covariance(cov, 3)] * 5
+    summaries = summarize_covariance(np.stack([cov] * 5), 3)
     res = lrc_dpca(summaries, 3, IndexSet.canonical(3))
     ref = full_pca([cov] * 5, 3)
     assert projector_distance(res.basis, ref.basis) < 1e-10
@@ -101,8 +108,8 @@ def test_lrc_dpca_identical_machines_match_full_pca():
 
 def test_fan_and_bw_identical_machines():
     cov, _ = spiked_covariance(8, 2, RngStream(5, 0))
-    summaries = [summarize_covariance(cov, 2)] * 3
-    local = summaries[0].vectors
+    summaries = summarize_covariance(np.stack([cov] * 3), 2)
+    local = summaries.vectors[0]
     assert projector_distance(dpca_fan(summaries, 2).basis, local) < 1e-10
     assert projector_distance(dpca_bw(summaries, 2).basis, local) < 1e-10
 
@@ -112,11 +119,9 @@ def test_aggregators_by_hand_rank_one():
     # arithmetic for bw (2.5) and geometric for the Karcher route (values
     # (1,2) square to surrogates diag(1,0), diag(4,0), whose mean is diag(2,0))
     e1 = np.array([[1.0], [0.0]])
-    bw = dpca_bw([SpectralPair(e1, np.array([1.0])), SpectralPair(e1, np.array([4.0]))], 1)
+    bw = dpca_bw(_machines([e1, e1], [[1.0], [4.0]]), 1)
     assert_allclose(bw.diagnostics["values"], [2.5], atol=1e-14)
-    lrc = lrc_dpca(
-        [SpectralPair(e1, np.array([1.0])), SpectralPair(e1, np.array([2.0]))], 1, IndexSet((0,))
-    )
+    lrc = lrc_dpca(_machines([e1, e1], [[1.0], [2.0]]), 1, IndexSet((0,)))
     assert_allclose(lrc.diagnostics["values"], [2.0], atol=1e-12)
     assert _projector_gap(bw.basis, e1) < 1e-12
     assert _projector_gap(lrc.basis, e1) < 1e-12
@@ -190,18 +195,83 @@ def test_aggregators_reject_empty():
 def test_aggregators_reject_malformed_input():
     with pytest.raises(ShapeMismatchError, match="differ in shape"):
         full_pca([np.eye(3), np.ones((1, 3))], 1)
+    with pytest.raises(ShapeMismatchError, match="does not match square matrices"):
+        full_pca(np.ones((2, 3, 4)), 1)
     e1 = np.array([[1.0], [0.0]])
-    summaries = [SpectralPair(e1, np.array([1.0])), SpectralPair(e1, np.array([-1.0]))]
     with pytest.raises(SingularMatrixError, match="nonnegative"):
-        dpca_bw(summaries, 1)
-    mixed_p = [SpectralPair(e1, np.array([1.0])), SpectralPair(np.ones((3, 1)), np.array([1.0]))]
-    for aggregate in (dpca_fan, dpca_bw):
-        with pytest.raises(ShapeMismatchError, match="common p"):
-            aggregate(mixed_p, 1)
+        dpca_bw(_machines([e1, e1], [[1.0], [-1.0]]), 1)
     e3 = np.array([[1.0], [0.0], [0.0]])
     for aggregate in (dpca_fan, dpca_bw):
         with pytest.raises(ShapeMismatchError, match="rank 5 invalid for p = 3"):
-            aggregate([SpectralPair(e3, np.array([1.0]))], 5)
+            aggregate(_machines([e3], [[1.0]]), 5)
+
+
+_MALFORMED_SUMMARIES = {
+    "list of pairs": [SpectralPair(np.eye(2)[:, :1], np.ones(1))] * 2,
+    "single pair": SpectralPair(np.eye(2)[:, :1], np.ones(1)),
+    "values of another K": SpectralPair(np.ones((2, 3, 1)), np.ones((2, 2))),
+    "values of another M": SpectralPair(np.ones((2, 3, 1)), np.ones((3, 1))),
+    "no machines": SpectralPair(np.ones((0, 3, 1)), np.ones((0, 1))),
+    "ragged vectors": SpectralPair([np.ones((3, 1)), np.ones((2, 1))], np.ones((2, 1))),
+    "arrays": (np.ones((2, 3, 1)), np.ones((2, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SUMMARIES))
+@pytest.mark.parametrize("aggregate", [
+    lambda s: lrc_dpca(s, 1, IndexSet((0,))),
+    lambda s: dpca_fan(s, 1),
+    lambda s: dpca_bw(s, 1),
+], ids=["lrc", "fan", "bw"])
+def test_aggregators_reject_malformed_stacks(aggregate, case):
+    """Only a stacked SpectralPair, vectors (M, p, K) and values (M, K) with
+    M >= 1, gets in; anything else is a ShapeMismatchError that names that
+    form, never a raw AttributeError, TypeError or ValueError."""
+    with pytest.raises(ShapeMismatchError, match="takes one stacked SpectralPair"):
+        aggregate(_MALFORMED_SUMMARIES[case])
+
+
+def test_stacked_summaries_give_the_per_machine_list_form_bit_for_bit():
+    """Each aggregator on the stacked pair that one summarize_covariance call
+    returns equals, bit for bit, the per-machine list form: one
+    summarize_covariance call per machine, frames joined by concatenation,
+    full_pca pooled by a Python sum."""
+    cov, _ = spiked_covariance(20, 3, RngStream(14, 0))
+    gen = RngStream(14, 1).generator()
+    covs = [sample_cov(gaussian_samples(cov, 60, gen)) for _ in range(6)]
+    pairs = [summarize_covariance(c, 3) for c in covs]
+    stacked = summarize_covariance(np.stack(covs), 3)
+    idx = find_index(stacked.vectors[0], stacked.values[0], 3)
+    assert idx == find_index(pairs[0].vectors, pairs[0].values, 3)
+
+    def gram(frames):
+        joined = np.concatenate(frames, axis=1)
+        agg = (joined @ joined.T) / len(frames)
+        return 0.5 * (agg + agg.T)
+
+    lrc_mean = karcher_mean(anchor(np.stack([s.vectors * s.values for s in pairs]), idx))
+    pooled = sum(covs) / len(covs)
+    want = {
+        "full": _result(0.5 * (pooled + pooled.T), 3, "full", 6),
+        "lrc": _result(gram([lrc_mean.entries]), 3, "lrc", 6, idx),
+        "fan": _result(gram([s.vectors for s in pairs]), 3, "fan", 6),
+        "bw": _result(gram([s.vectors * np.sqrt(s.values) for s in pairs]), 3, "bw", 6),
+    }
+    got = {"full": full_pca(np.stack(covs), 3), "lrc": lrc_dpca(stacked, 3, idx),
+           "fan": dpca_fan(stacked, 3), "bw": dpca_bw(stacked, 3)}
+    for method, res in got.items():
+        ref = want[method]
+        assert (res.method, res.index_set_used) == (ref.method, ref.index_set_used)
+        assert np.array_equal(res.basis, ref.basis), method
+        assert np.array_equal(res.diagnostics["values"], ref.diagnostics["values"]), method
+        assert res.diagnostics["gap"] == ref.diagnostics["gap"], method
+        assert res.diagnostics["n_machines"] == 6
+
+
+def test_full_pca_rejects_a_ragged_or_empty_stack():
+    for covs in ([np.eye(3), np.eye(2)], [], np.ones((0, 3, 3)), [np.eye(2), "ab"]):
+        with pytest.raises(ShapeMismatchError, match="full_pca covariances"):
+            full_pca(covs, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +291,11 @@ def test_aggregators_match_dense_reference(p, k, n_machines):
     rng = np.random.default_rng(p * 100 + n_machines)
     summaries = _random_summaries(rng, p, k, n_machines)
     idx = IndexSet.canonical(k)
-    mean_factor = karcher_mean([anchor(s.vectors * s.values, idx) for s in summaries])
+    vectors, values = summaries.vectors, summaries.values
+    mean_factor = karcher_mean([anchor(v * w, idx) for v, w in zip(vectors, values)])
     frames = {
-        "fan": [s.vectors for s in summaries],
-        "bw": [s.vectors * np.sqrt(s.values) for s in summaries],
+        "fan": list(vectors),
+        "bw": [v * np.sqrt(w) for v, w in zip(vectors, values)],
         "lrc": [mean_factor.entries],
     }
     results = {"fan": dpca_fan(summaries, k), "bw": dpca_bw(summaries, k),
@@ -268,10 +339,8 @@ def test_factor_aggregates_form_no_per_sample_matrix(monkeypatch):
 def test_sign_flips_leave_all_aggregates_unchanged():
     rng = np.random.default_rng(7)
     summaries = _random_summaries(rng, 10, 3, 4)
-    flipped = [
-        SpectralPair(s.vectors * rng.choice([-1.0, 1.0], size=3), s.values)
-        for s in summaries
-    ]
+    flipped = SpectralPair(summaries.vectors * rng.choice([-1.0, 1.0], size=(4, 1, 3)),
+                           summaries.values)
     idx = IndexSet.canonical(3)
     assert _projector_gap(lrc_dpca(summaries, 3, idx).basis,
                           lrc_dpca(flipped, 3, idx).basis) < 1e-10
@@ -281,13 +350,16 @@ def test_sign_flips_leave_all_aggregates_unchanged():
                           dpca_bw(flipped, 3).basis) < 1e-10
 
 
+def _rotated(rng, summaries):
+    """Each machine's vectors times its own random K x K rotation."""
+    rots = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in summaries.vectors]
+    return SpectralPair(summaries.vectors @ np.stack(rots), summaries.values)
+
+
 def test_rotations_leave_projector_average_unchanged():
     rng = np.random.default_rng(8)
     summaries = _random_summaries(rng, 10, 3, 4)
-    rotated = [
-        SpectralPair(s.vectors @ np.linalg.qr(rng.normal(size=(3, 3)))[0], s.values)
-        for s in summaries
-    ]
+    rotated = _rotated(rng, summaries)
     assert _projector_gap(dpca_fan(summaries, 3).basis,
                           dpca_fan(rotated, 3).basis) < 1e-10
 
@@ -295,10 +367,7 @@ def test_rotations_leave_projector_average_unchanged():
 def test_rotations_with_flat_spectra_leave_all_aggregates_unchanged():
     rng = np.random.default_rng(9)
     summaries = _random_summaries(rng, 10, 3, 4, flat_values=True)
-    rotated = [
-        SpectralPair(s.vectors @ np.linalg.qr(rng.normal(size=(3, 3)))[0], s.values)
-        for s in summaries
-    ]
+    rotated = _rotated(rng, summaries)
     idx = IndexSet.canonical(3)
     assert _projector_gap(lrc_dpca(summaries, 3, idx).basis,
                           lrc_dpca(rotated, 3, idx).basis) < 1e-10
@@ -313,10 +382,7 @@ def test_rotations_with_flat_spectra_leave_all_aggregates_unchanged():
 def test_lrc_dpca_names_offending_machines():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
-    summaries = [
-        SpectralPair(e1, np.array([1.0])),
-        SpectralPair(e2, np.array([1.0])),
-    ]
+    summaries = _machines([e1, e2], [[1.0], [1.0]])
     with pytest.raises(NotInManifoldError, match=r"machines \[1\]"):
         lrc_dpca(summaries, 1, IndexSet((0,)))
 
@@ -324,10 +390,7 @@ def test_lrc_dpca_names_offending_machines():
 def test_zero_gap_warning_on_collapsed_aggregate():
     e1 = np.array([[1.0], [0.0], [0.0]])
     e2 = np.array([[0.0], [1.0], [0.0]])
-    summaries = [
-        SpectralPair(e1, np.array([1.0])),
-        SpectralPair(e2, np.array([1.0])),
-    ]
+    summaries = _machines([e1, e2], [[1.0], [1.0]])
     with pytest.warns(ZeroGapWarning):
         res = dpca_fan(summaries, 1)
     assert_allclose(res.basis.T @ res.basis, np.eye(1), atol=1e-12)
@@ -427,12 +490,10 @@ def test_find_index_plus_lrc_succeeds_reliably():
     n_trials = 1000
     for trial in range(n_trials):
         gen = RngStream(123, trial).generator()
-        summaries = []
-        for m in range(n_machines):
-            cov_hat = sample_cov(gaussian_samples(cov, n, gen))
-            summaries.append(summarize_covariance(cov_hat, k))
+        covs = [sample_cov(gaussian_samples(cov, n, gen)) for m in range(n_machines)]
+        summaries = summarize_covariance(np.stack(covs), k)
         try:
-            idx = find_index(summaries[0].vectors, summaries[0].values, k)
+            idx = find_index(summaries.vectors[0], summaries.values[0], k)
             lrc_dpca(summaries, k, idx)
         except NotInManifoldError:
             failures += 1

@@ -9,7 +9,6 @@ from psdk.exceptions import ConfigError, InsufficientPointsError, NotInManifoldE
 from psdk.experiments import (
     CSV_HEADER,
     _aggregate_or_skip,
-    _factor_distance,
     ExperimentConfig,
     RunRecord,
     default_config,
@@ -24,7 +23,7 @@ from psdk.experiments import (
     slope_fit,
     summarize_records,
 )
-from psdk.linalg import IndexSet
+from psdk.linalg import IndexSet, projector_distance
 from psdk.models import derive_stream_id
 
 # ---------------------------------------------------------------------------
@@ -312,16 +311,17 @@ def _tiny_extrinsic(**kwargs):
 
 @pytest.mark.parametrize("p, k", [(30, 4), (5, 3), (1, 1)])
 def test_factor_distance_is_the_frobenius_distance_of_the_matrices(p, k):
-    """The 2K x 2K form equals ||A A.T - B B.T||_F formed from p x p matrices
+    """projector_distance, which scores the averaging experiments' means, in
+    its 2K x 2K form equals ||A A.T - B B.T||_F formed from p x p matrices
     within 1e-12 relative, also where p < 2K, and reads 0 up to roundoff
     for two frames of one matrix."""
     gen = np.random.default_rng(p + k)
     for _ in range(5):
         a, b = gen.normal(size=(p, k)), gen.normal(size=(p, k))
         want = np.linalg.norm(a @ a.T - b @ b.T)
-        assert abs(_factor_distance(a, b) - want) <= 1e-12 * want
+        assert abs(projector_distance(a, b) - want) <= 1e-12 * want
     orth = np.linalg.qr(gen.normal(size=(k, k)))[0]
-    assert _factor_distance(a, a @ orth) <= 1e-13 * np.linalg.norm(a @ a.T)
+    assert projector_distance(a, a @ orth) <= 1e-13 * np.linalg.norm(a @ a.T)
 
 
 def test_run_extrinsic_shape():
@@ -404,7 +404,7 @@ class _NoFrames:
 
 def _zero_top_rows():
     # rank 2 with rows 0 and 1 zero: the pivot rule fails at the canonical rows
-    return [np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]])]
+    return np.array([[[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]]])
 
 
 def test_retry_policy_success_builds_no_matrices():
@@ -450,7 +450,7 @@ def test_retry_policy_no_failing_sample_skips():
     # every sample passes the pivot rule at (0, 1), so there is nothing to reselect from
     agg = _StubAggregate(failing=((0, 1),))
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), [np.eye(4)[:, :2]],
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), np.eye(4)[None, :, :2],
                              _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert agg.calls == [(0, 1)]

@@ -4,13 +4,27 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from psdk.exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from psdk.dpca import find_index, summarize_covariance
-from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
+from psdk.exceptions import (
+    ConfigError,
+    NotInManifoldError,
+    ShapeMismatchError,
+    SingularMatrixError,
+)
+from psdk.dpca import dpca_fan, euclid_rankk_mean, find_index, full_pca, summarize_covariance
+from psdk.models import derive_stream_id, gaussian_svd_signal, spiked_covariance
+from psdk.perturbation import (
+    eigvec_first_order,
+    equivalent_factor_noise,
+    factor_alignment,
+    karcher_factor_first_order,
+    lq_first_order,
+    skew_generator,
+)
 from psdk.linalg import (
     CholFactor,
     _solve_lower,
     IndexSet,
+    SpectralPair,
     anchor,
     check_symmetric,
     eigh_topk,
@@ -292,6 +306,10 @@ _ENTRY_POINTS = {
     "lq_first_order": lambda mat: lq_first_order(np.eye(2), np.eye(2), mat),
     "karcher_factor_first_order": lambda mat: karcher_factor_first_order(
         CholFactor(np.eye(2), IndexSet((0, 1))), [mat]),
+    "eigvec_first_order": lambda mat: eigvec_first_order(
+        np.array([2.0, 1.0]), mat, 1, np.zeros((2, 2))),
+    "factor_alignment": lambda mat: factor_alignment(
+        CholFactor(np.eye(2), IndexSet((0, 1))), SpectralPair(mat, np.ones(2))),
     # Stacks with one non-finite element among finite ones.
     "lq_givens_stack": lambda mat: lq_givens(np.stack([np.eye(2), mat, np.eye(2)])),
     "skew_generator_stack": lambda mat: skew_generator(np.eye(2), np.stack([np.eye(2), mat])),
@@ -307,6 +325,47 @@ _ENTRY_POINTS = {
 def test_non_finite_input_raises(entry, bad):
     with pytest.raises(ShapeMismatchError, match="must be finite"):
         _ENTRY_POINTS[entry](_NON_FINITE[bad])
+
+
+# ---------------------------------------------------------------------------
+# non-integer ranks, sizes, rows and labels at the public boundary
+
+_E1 = np.array([[1.0], [0.0], [0.0]])
+
+_NON_INTEGER = {
+    "eigh_topk": lambda: eigh_topk(np.eye(3), 1.5),
+    "summarize_covariance": lambda: summarize_covariance(np.eye(3), 2.0),
+    "spiked_covariance_rank": lambda: spiked_covariance(5, 2.0, 0),
+    "spiked_covariance_p": lambda: spiked_covariance(5.0, 2, 0),
+    "gaussian_svd_signal_rank": lambda: gaussian_svd_signal(4, 2.0, 0),
+    "gaussian_svd_signal_p": lambda: gaussian_svd_signal(4.0, 2, 0),
+    "euclid_rankk_mean": lambda: euclid_rankk_mean([CholFactor(_E1, IndexSet((0,)))], 1.5),
+    "equivalent_factor_noise": lambda: equivalent_factor_noise(
+        np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.0]), 1.5, np.eye(1)),
+    "eigvec_first_order": lambda: eigvec_first_order(
+        np.array([3.0, 2.0, 1.0]), np.eye(3), 1.5, np.zeros((3, 3))),
+    "dpca_fan": lambda: dpca_fan(SpectralPair(_E1[None], np.ones((1, 1))), 1.5),
+    "full_pca": lambda: full_pca(np.eye(3)[None], 1.5),
+    "index_set_floats": lambda: IndexSet((0.7, 2.9)),
+    "index_set_strings": lambda: IndexSet(("a",)),
+    "index_set_scalar": lambda: IndexSet(3),
+    "derive_stream_id": lambda: derive_stream_id(1.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NON_INTEGER))
+def test_non_integer_input_raises(entry):
+    """A float, string or scalar where an integer or a sequence of them is
+    due raises ConfigError at its owner: never a raw TypeError or
+    ValueError, and never a silent truncation."""
+    with pytest.raises(ConfigError, match="must be an integer|must be a sequence"):
+        _NON_INTEGER[entry]()
+
+
+def test_integer_like_numpy_values_still_pass():
+    assert IndexSet(np.array([2, 0])).indices == (2, 0)
+    assert eigh_topk(np.eye(3), np.int64(2)).vectors.shape == (3, 2)
+    assert derive_stream_id(np.int64(1), np.uint8(2)) == derive_stream_id(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -266,8 +266,8 @@ def test_factor_route_forms_no_p_by_p_matrix(monkeypatch):
     samples = models_mod.factor_noise_samples(
         base, [0.01 * gen.normal(size=(6, 2)) for _ in range(4)])
     assert karcher_mean(samples).index_set == idx
-    summaries = [SpectralPair(np.linalg.qr(gen.normal(size=(6, 2)))[0], np.array([2.0, 1.0]))
-                 for _ in range(3)]
+    summaries = SpectralPair(np.stack([np.linalg.qr(gen.normal(size=(6, 2)))[0]
+                                       for _ in range(3)]), np.tile([2.0, 1.0], (3, 1)))
     assert dpca_mod.lrc_dpca(summaries, 2, idx).method == "lrc"
 
 

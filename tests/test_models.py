@@ -223,8 +223,30 @@ def test_factor_noise_samples_argument_checks():
     factor = CholFactor(np.array([[1.0], [0.0]]), IndexSet.canonical(1))
     with pytest.raises(ShapeMismatchError):
         factor_noise_samples(factor, [])
-    with pytest.raises(ShapeMismatchError, match="sample 0"):
+    with pytest.raises(ShapeMismatchError, match="does not match factor shape"):
         factor_noise_samples(factor, [np.zeros((3, 1))])
+    with pytest.raises(ShapeMismatchError, match="does not match factor shape"):
+        factor_noise_samples(factor, np.zeros((2, 3, 2, 1)))
+
+
+@pytest.mark.parametrize("noises", [
+    [np.zeros((2, 1)), np.zeros((3, 1))],
+    [np.zeros((2, 1)), "ab"],
+    [[0.0, 0.0], np.zeros((2, 1))],
+], ids=["ragged", "not numbers", "mixed depth"])
+def test_factor_noise_samples_reject_a_ragged_sequence(noises):
+    factor = CholFactor(np.array([[1.0], [0.0]]), IndexSet.canonical(1))
+    with pytest.raises(ShapeMismatchError, match="noise matrices"):
+        factor_noise_samples(factor, noises)
+
+
+def test_factor_noise_samples_list_and_stack_agree():
+    """A list of (p, K) noises goes through the same np.asarray as the
+    (M, p, K) stack: the samples are bit-identical."""
+    factor = CholFactor(np.array([[2.0, 0.0], [1.0, 1.5], [0.3, -0.4]]), IndexSet.canonical(2))
+    noises = 0.01 * np.random.default_rng(8).normal(size=(4, 3, 2))
+    assert np.array_equal(factor_noise_samples(factor, list(noises)).entries,
+                          factor_noise_samples(factor, noises).entries)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,20 @@ def test_karcher_factor_requires_noise():
         karcher_factor_first_order(factor, [])
 
 
+@pytest.mark.parametrize("noises", [
+    [np.zeros((4, 2)), np.zeros((3, 2))],
+    [np.zeros((4, 2)), "ab"],
+    [[np.zeros((4, 2))], [np.zeros((4, 2)), np.zeros((4, 2))]],
+    np.zeros((1, 1, 1, 4, 2)),
+], ids=["ragged", "not numbers", "ragged sets", "five axes"])
+def test_karcher_factor_rejects_a_malformed_noise_set(noises):
+    """A ragged or non-numeric sequence and a stack of the wrong depth raise
+    ShapeMismatchError, never numpy's ValueError."""
+    factor = _random_factor(np.random.default_rng(12), 4, 2)
+    with pytest.raises(ShapeMismatchError, match="noise matrices"):
+        karcher_factor_first_order(factor, noises)
+
+
 # ---------------------------------------------------------------------------
 # eigenvector expansion
 
@@ -296,6 +310,11 @@ def test_eigvec_first_order_zero_gap():
     values = np.array([2.0, 2.0, 1.0])
     with pytest.raises(SingularMatrixError):
         eigvec_first_order(values, np.eye(3), 1, np.zeros((3, 3)))
+
+
+def test_eigvec_first_order_rejects_a_non_finite_spectrum():
+    with pytest.raises(ShapeMismatchError, match="must be finite"):
+        eigvec_first_order(np.array([2.0, np.nan]), np.eye(2), 1, np.zeros((2, 2)))
 
 
 def test_eigvec_first_order_rejects_unsorted():
