@@ -138,11 +138,11 @@ def lrc_dpca(summaries, rank, index_set):
     bad, reason = factors._pivot_rule()
     if reason is not None:
         raise NotInManifoldError(
-            f"machines {bad.tolist()} fail membership with index set {tuple(index_set)}; "
-            "reselect rows via find_index"
+            f"machines {bad.tolist()} fail membership with index set "
+            f"{factors.index_set.indices}; reselect rows via find_index"
         )
     agg = _frame_gram(karcher_mean(factors).entries[None])
-    return _result(agg, rank, "lrc", len(frames), index_set)
+    return _result(agg, rank, "lrc", len(frames), factors.index_set)
 
 
 def dpca_fan(summaries, rank):

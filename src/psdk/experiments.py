@@ -262,31 +262,51 @@ def slope_fit(points):
         raise InsufficientPointsError("no points to fit")
     xs = np.asarray([q[0] for q in points], dtype=float)
     ys = np.asarray([q[1] for q in points], dtype=float)
-    keep = (xs > 0) & (ys > 0)
-    xs, ys = xs[keep], ys[keep]
-    if xs.size < 2 or np.unique(xs).size < 2:
+    fit = _slope_fits(xs[None], ys[None])
+    if np.isnan(fit.slope[0]):
         raise InsufficientPointsError(
-            f"need >= 2 positive points with distinct x, got {xs.size}"
+            f"need >= 2 positive points with distinct x, got {fit.n_points[0]}"
         )
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    total = ly - ly.mean()
-    ss_tot = float(total @ total)
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
-    return SlopeFit(float(slope), float(intercept), r2, int(xs.size))
+    return SlopeFit(float(fit.slope[0]), float(fit.intercept[0]),
+                    float(fit.r_squared[0]), int(fit.n_points[0]))
+
+
+def _slope_fits(xs, ys):
+    """`slope_fit` of every curve of a stack at once: x and y arrays (C, n),
+    one curve per row, give a SlopeFit of arrays (C,). A point with a
+    nonpositive or NaN coordinate is left out (NaN pads short curves); a
+    curve left with fewer than two distinct x gets NaN for its fit."""
+    keep = (xs > 0) & (ys > 0)
+    count = keep.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lx, ly = np.log(np.where(keep, xs, 1.0)), np.log(np.where(keep, ys, 1.0))
+        mean_x = np.sum(lx * keep, axis=-1) / count
+        mean_y = np.sum(ly * keep, axis=-1) / count
+        dx = (lx - mean_x[:, None]) * keep
+        dy = (ly - mean_y[:, None]) * keep
+        slope = np.sum(dx * dy, axis=-1) / np.sum(dx * dx, axis=-1)
+        intercept = mean_y - slope * mean_x
+        resid = (ly - (slope[:, None] * lx + intercept[:, None])) * keep
+        ss_tot = np.sum(dy * dy, axis=-1)
+        r2 = np.where(ss_tot == 0.0, 1.0, 1.0 - np.sum(resid * resid, axis=-1) / ss_tot)
+    spread = (np.max(np.where(keep, xs, -np.inf), axis=-1)
+              > np.min(np.where(keep, xs, np.inf), axis=-1))
+    nan = np.where(spread, 0.0, np.nan)
+    return SlopeFit(slope + nan, intercept + nan, r2 + nan, count)
 
 
 # ---------------------------------------------------------------------------
 # runner plumbing
 
 class _Job(NamedTuple):
-    """One unit of work: a progress group, a label for logs and errors, and
-    the arguments of the experiment's work function."""
+    """One unit of work: a progress group, a label for logs and errors, the
+    arguments of the experiment's work function, and the number of
+    repetitions it covers, which the progress line counts."""
 
     group: str
     where: str
     args: tuple
+    repetitions: int = 1
 
 
 def _stream(cfg, *parts):
@@ -441,7 +461,7 @@ def _runner(experiment):
                 for note in notes:
                     _log(f"{job.where}: {note}")
                 done, count = elapsed.get(job.group, (0.0, 0))
-                elapsed[job.group] = (done + secs, count + 1)
+                elapsed[job.group] = (done + secs, count + job.repetitions)
             if progress:
                 for group, (secs, count) in elapsed.items():
                     _log(f"{experiment} {group}: {count} repetitions in {secs:.1f}s")
@@ -658,6 +678,10 @@ def run_extrinsic(cfg):
     return jobs, work
 
 
+# Samples per exact Karcher mean in `perturb_order`.
+_PERTURB_SAMPLES = 5
+
+
 @_runner("perturb_order")
 def run_perturb_order(cfg):
     """Remainder magnitudes of the first-order expansions across a noise grid.
@@ -665,41 +689,63 @@ def run_perturb_order(cfg):
     Per repetition, draws one random decomposition instance and one random
     Karcher instance, scales a fixed unit perturbation by each epsilon in
     the grid, and records max-norm remainders: prediction vs exact
-    recomputation. The sigma_sq column carries epsilon. Each job takes one
-    stacked pass over its whole noise grid; only the exact Karcher mean
-    runs once per epsilon.
+    recomputation. The sigma_sq column carries epsilon.
+
+    A job is a block of consecutive repetitions of one kind, as many as fit
+    their Karcher noise samples in `models.STACK_BYTES`. Each repetition
+    draws its instance from its own stream; the block's instances are then
+    stacked, and one batched pass over every repetition and epsilon of the
+    block runs the exact counterparts (one `lq_givens` call, the grouped
+    Karcher means) and the expansions. A block that fails is rerun one
+    repetition at a time, so the error names the repetition that fails.
     """
     kinds = ("lq", "karcher_factor")
-    jobs = [_Job(kinds[kind], f"perturb_order {kinds[kind]} repetition {rep}", (kind, rep))
-            for kind in (0, 1) for rep in range(cfg.repetitions)]
+    eps = np.asarray(cfg.eps_grid, dtype=float)
+    step = max(1, models.STACK_BYTES // (8 * eps.size * _PERTURB_SAMPLES * cfg.p * cfg.K))
+    blocks = [range(lo, min(lo + step, cfg.repetitions))
+              for lo in range(0, cfg.repetitions, step)]
+    jobs = [_Job(kinds[kind],
+                 f"perturb_order {kinds[kind]} repetitions {reps[0]} to {reps[-1]}",
+                 (kind, reps), len(reps))
+            for kind in (0, 1) for reps in blocks]
 
-    def work(notes, kind, rep):
-        stream = _stream(cfg, kind, rep)
-        gen = stream.generator()
-        row = RunRecord("perturb_order", "", cfg.p, cfg.K, 0, 0, 0.0, rep,
-                        stream.stream_id, 0.0)
-        recs = []
+    def block(kind, reps):
+        """The records of repetitions `reps`, in one stacked pass."""
+        gens = [_stream(cfg, kind, rep).generator() for rep in reps]
         if kind == 0:
-            rems = _lq_remainders(*_lq_instance(gen, cfg.K), cfg.eps_grid)
-            for eps, rot, tri in zip(cfg.eps_grid, *rems):
-                recs += [replace(row, method="lq_rotation", sigma_sq=eps, error=float(rot)),
-                         replace(row, method="lq_factor", sigma_sq=eps, error=float(tri))]
-            return recs
-        p, k, count = cfg.p, cfg.K, 5
-        entries = 0.5 * gen.normal(size=(p, k))
-        entries[:k, :] = np.tril(entries[:k, :])
-        entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(gen.normal(size=k))
-        factor = CholFactor(entries, IndexSet.canonical(k)).validate()
-        noises = gen.normal(size=(count, p, k))
-        noises /= np.max(np.abs(noises), axis=(1, 2), keepdims=True)
-        scaled = np.asarray(cfg.eps_grid)[:, None, None, None] * noises
-        samples = models.factor_noise_samples(factor, scaled.reshape(-1, p, k))
-        preds = perturbation.karcher_factor_first_order(factor, scaled)
-        for e, eps in enumerate(cfg.eps_grid):
-            exact = manifold.karcher_mean(samples[e * count:(e + 1) * count])
-            recs.append(replace(row, method="karcher_factor", M=count, sigma_sq=eps,
-                                error=float(np.max(np.abs(exact.entries - preds[e])))))
-        return recs
+            instances = map(np.stack, zip(*(_lq_instance(gen, cfg.K) for gen in gens)))
+            errors = dict(zip(("lq_rotation", "lq_factor"),
+                              _lq_remainders(*instances, eps)))
+            m_count = 0
+        else:
+            entries, noises = map(np.stack, zip(*(_karcher_instance(gen, cfg.p, cfg.K)
+                                                  for gen in gens)))
+            factor = CholFactor(entries, IndexSet.canonical(cfg.K)).validate()
+            m_count = _PERTURB_SAMPLES
+            # (B, E, M, p, K): every repetition's noise set at every epsilon
+            scaled = eps[:, None, None, None] * noises[:, None]
+            samples = models.factor_noise_samples(
+                factor, np.reshape(scaled, (len(reps), -1, cfg.p, cfg.K)))
+            exact = manifold._group_means(samples, m_count).entries
+            preds = perturbation.karcher_factor_first_order(factor, scaled)
+            errors = {"karcher_factor": np.max(np.abs(np.reshape(exact, preds.shape) - preds),
+                                               axis=(-2, -1))}
+        return [RunRecord("perturb_order", method, cfg.p, cfg.K, m_count, 0, e, rep,
+                          derive_stream_id(kind, rep), float(err[b, i]))
+                for b, rep in enumerate(reps)
+                for i, e in enumerate(cfg.eps_grid)
+                for method, err in errors.items()]
+
+    def work(notes, kind, reps):
+        try:
+            return block(kind, reps)
+        except PsdkError as err:
+            if len(reps) == 1:
+                raise type(err)(f"repetition {reps[0]}: {err}") from err
+            # one repetition at a time, so the error names the one that fails
+            for rep in reps:
+                work(notes, kind, range(rep, rep + 1))
+            raise
 
     return jobs, work
 
@@ -713,15 +759,28 @@ def _lq_instance(gen, k):
     return tril, orth, noise / np.max(np.abs(noise))
 
 
+def _karcher_instance(gen, p, k):
+    """A random p x k factor anchored at the first k rows, and
+    `_PERTURB_SAMPLES` noise matrices of unit max-norm each."""
+    entries = 0.5 * gen.normal(size=(p, k))
+    entries[:k, :] = np.tril(entries[:k, :])
+    entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(gen.normal(size=k))
+    noises = gen.normal(size=(_PERTURB_SAMPLES, p, k))
+    noises /= np.max(np.abs(noises), axis=(1, 2), keepdims=True)
+    return entries, noises
+
+
 def _lq_remainders(tril, orth, noise, eps_grid):
     """Max-norm remainders of `lq_first_order` against `lq_givens` at
     tril @ orth + eps * noise, for every eps of the grid in one stacked pass:
-    the (rotation, factor) arrays, one entry per eps."""
-    scaled = np.asarray(eps_grid, dtype=float)[:, None, None] * noise
-    exact_tri, exact_orth = lq_givens(tril @ orth + scaled)
+    the (rotation, factor) arrays, one entry per eps. The instance may be a
+    stack (B, K, K) of instances; the arrays are then (B, E)."""
+    scaled = np.asarray(eps_grid, dtype=float)[:, None, None] * noise[..., None, :, :]
+    exact_tri, exact_orth = lq_givens(
+        np.reshape((tril @ orth)[..., None, :, :] + scaled, (-1,) + scaled.shape[-2:]))
     pred_orth, pred_tri = perturbation.lq_first_order(tril, orth, scaled)
-    return (np.max(np.abs(exact_orth - pred_orth), axis=(1, 2)),
-            np.max(np.abs(exact_tri - pred_tri), axis=(1, 2)))
+    return (np.max(np.abs(np.reshape(exact_orth, scaled.shape) - pred_orth), axis=(-2, -1)),
+            np.max(np.abs(np.reshape(exact_tri, scaled.shape) - pred_tri), axis=(-2, -1)))
 
 
 RUNNERS = {
@@ -830,22 +889,19 @@ def _summarize_extrinsic(cfg, records):
 def _summarize_perturb_order(cfg, records):
     curves = {}
     for r in records:
-        curves.setdefault((r.method, r.repetition), []).append((r.sigma_sq, r.error))
+        curves.setdefault(r.method, {}).setdefault(r.repetition, []).append((r.sigma_sq, r.error))
     lines = []
-    for method in sorted({r.method for r in records}):
-        slopes = []
-        for rep in range(cfg.repetitions):
-            pts = curves.get((method, rep), [])
-            if len(pts) >= 2:
-                try:
-                    slopes.append(slope_fit(pts).slope)
-                except InsufficientPointsError:
-                    pass
-        if slopes:
-            arr = np.asarray(slopes)
+    for method in sorted(curves):
+        points = [curves[method].get(rep, []) for rep in range(cfg.repetitions)]
+        stack = np.full((len(points), max(map(len, points)), 2), np.nan)
+        for row, curve in zip(stack, points):
+            row[:len(curve)] = np.reshape(curve, (-1, 2))
+        slopes = _slope_fits(stack[..., 0], stack[..., 1]).slope
+        slopes = slopes[~np.isnan(slopes)]
+        if slopes.size:
             lines.append(
-                f"  method={method}: remainder slope over {arr.size} instances "
-                f"min={arr.min():.3f} median={np.median(arr):.3f} max={arr.max():.3f}"
+                f"  method={method}: remainder slope over {slopes.size} instances "
+                f"min={slopes.min():.3f} median={np.median(slopes):.3f} max={slopes.max():.3f}"
             )
     return lines
 

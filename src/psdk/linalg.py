@@ -63,7 +63,9 @@ def _check_rank(rank, p, top=None):
 def _sample_stack(items, what, shape=None, ndims=(3,)):
     """`items`, an array or a sequence of equal-shape arrays, through one
     `np.asarray` to a float array (..., M, *shape) of `ndims` axes, M >= 1
-    (`shape` None: square matrices); else ShapeMismatchError naming `what`."""
+    (`shape` None: square matrices); else ShapeMismatchError naming `what`.
+    The `shape` (B, r, c) of a stack of base points asks for (B, ..., M, r, c),
+    with `ndims` counted after its B axis."""
     try:
         stack = np.asarray(items, dtype=float)
     except (TypeError, ValueError):
@@ -71,7 +73,9 @@ def _sample_stack(items, what, shape=None, ndims=(3,)):
     if not stack.size:
         raise ShapeMismatchError(f"{what}: need at least one")
     want = f"factor shape {shape}" if shape else "square matrices"
-    if stack.ndim not in ndims or stack.shape[-2:] != (shape or stack.shape[-1:] * 2):
+    batch = tuple(shape[:-2]) if shape else ()
+    if (stack.ndim - len(batch) not in ndims or stack.shape[:len(batch)] != batch
+            or stack.shape[-2:] != (tuple(shape[-2:]) if shape else stack.shape[-1:] * 2)):
         raise ShapeMismatchError(f"{what}: shape {stack.shape} does not match {want} "
                                  f"(leading axes: {' or '.join(str(n - 2) for n in ndims)})")
     return stack
@@ -163,13 +167,20 @@ class IndexSet:
         return self
 
 
+def _as_index_set(rows):
+    """The edge of every function that takes an index set: an IndexSet
+    passes through; any other value, say a tuple of rows, goes through
+    `IndexSet(...)`, whose checks raise a PsdkError."""
+    return rows if isinstance(rows, IndexSet) else IndexSet(rows)
+
+
 def support_mask(p, rank, index_set):
     """Boolean (p, rank) mask of entries a reduced factor may populate.
 
     True everywhere except above the diagonal of the anchored block: row
     index_set[k] is False in columns k+1, ..., rank-1.
     """
-    index_set.validate_for(p)
+    index_set = _as_index_set(index_set).validate_for(p)
     if len(index_set) != rank:
         raise ShapeMismatchError(
             f"index set has {len(index_set)} rows, factor rank is {rank}"
@@ -303,7 +314,7 @@ def reduced_cholesky(mat, rank, index_set):
     rank : int
         Target rank K, 1 <= rank <= p.
     index_set : IndexSet
-        Anchor rows, length K.
+        Anchor rows, length K (a sequence of rows goes through `IndexSet`).
 
     Returns
     -------
@@ -320,6 +331,7 @@ def reduced_cholesky(mat, rank, index_set):
     mat = check_symmetric(mat)
     p = mat.shape[0]
     _check_rank(rank, p)
+    index_set = _as_index_set(index_set)
     if len(index_set) != rank:
         raise ShapeMismatchError(
             f"index set has {len(index_set)} rows, requested rank is {rank}"
@@ -365,12 +377,22 @@ def _cholesky_pivots(block, tau):
 
 def _solve_lower(tril, rhs):
     """X with tril @ X == rhs for a nonsingular K x K lower-triangular `tril`,
-    by forward substitution: K row steps; no checks. `rhs` may be a stack
-    (..., K, n) of right-hand sides."""
-    out = np.empty(np.shape(rhs))
-    for i in range(tril.shape[0]):
-        out[..., i, :] = (rhs[..., i, :] - tril[i, :i] @ out[..., :i, :]) / tril[i, i]
+    by forward substitution: K row steps; no checks. `tril` (..., K, K) and
+    `rhs` (..., K, n) may be stacks whose leading axes broadcast."""
+    lead = np.broadcast_shapes(np.shape(tril)[:-2], np.shape(rhs)[:-2])
+    out = np.empty(lead + np.shape(rhs)[-2:])
+    for i in range(tril.shape[-1]):
+        done = (tril[..., i:i + 1, :i] @ out[..., :i, :])[..., 0, :]
+        out[..., i, :] = (rhs[..., i, :] - done) / tril[..., i, i, None]
     return out
+
+
+def _lead_axes(base, ndim):
+    """`base` (*batch, r, c) as a view of `ndim` axes, with unit axes after
+    its batch axes: a stack of base points broadcast against the sets of
+    perturbations that follow the batch axes of a (*batch, *sets, r, c) array."""
+    shape = np.shape(base)
+    return np.reshape(base, shape[:-2] + (1,) * (ndim - len(shape)) + shape[-2:])
 
 
 def _lq(mat):
@@ -435,9 +457,10 @@ def anchor(frame, index_set):
     anchored factor comes back bit for bit; a stack of frames (M, p, K), the
     stacked factor. A near-singular anchor block does not raise
     (`CholFactor.pivot_failure` decides); a shape mismatch raises
-    ShapeMismatchError.
+    ShapeMismatchError. A sequence of rows goes through `IndexSet`.
     """
     frame = np.asarray(frame, dtype=float)
+    index_set = _as_index_set(index_set)
     if frame.ndim not in (2, 3) or len(index_set) != frame.shape[-1]:
         raise ShapeMismatchError(
             f"index set of {len(index_set)} rows does not fit a frame of shape {frame.shape}"

@@ -24,16 +24,18 @@ def membership(mat, rank, index_set):
     ----------
     mat : ndarray, shape (p, p)
     rank : int
-    index_set : IndexSet
+    index_set : IndexSet, or a sequence of rows
 
     Returns
     -------
     ok : bool
     diagnostics : dict
         Keys: symmetric, asymmetry, psd_ok, rank_ok, block_ok, lambda_rank,
-        lambda_next, min_pivot. Never raises; failures land in the flags.
+        lambda_next, min_pivot. Failures land in the flags; only an index
+        set that is not a sequence of rows raises (`IndexSet`'s PsdkError).
     """
     mat = np.asarray(mat, dtype=float)
+    index_set = linalg._as_index_set(index_set)
     diag = {
         "symmetric": False,
         "asymmetry": np.inf,
@@ -98,6 +100,7 @@ def factorize(mat, rank, index_set):
 
     Raises NotInManifoldError when the membership test fails.
     """
+    index_set = linalg._as_index_set(index_set)
     ok, diag = membership(mat, rank, index_set)
     if not ok:
         raise NotInManifoldError(_describe_failure(diag, index_set))
@@ -157,6 +160,7 @@ def exp_factor(log_entries, index_set):
     """Inverse of `log_factor`: exponentiate the anchored diagonal, of one
     p x K array or of each element of an (M, p, K) stack."""
     entries = np.array(log_entries, dtype=float, copy=True)
+    index_set = linalg._as_index_set(index_set)
     if entries.ndim not in (2, 3) or len(index_set) != entries.shape[-1]:
         raise ShapeMismatchError("log factor entries inconsistent with index set")
     diag = (..., index_set.validate_for(entries.shape[-2]).as_array(),
@@ -197,7 +201,16 @@ def karcher_mean(psds):
     failure = factors.pivot_failure()
     if failure is not None:
         raise NotInManifoldError(failure)
-    return exp_factor(np.mean(log_factor(factors), axis=0), factors.index_set)
+    return _group_means(factors, len(factors))[0]
+
+
+def _group_means(factors, size):
+    """The Karcher means of consecutive groups of `size` elements of a
+    (G * size, p, K) stack of chart points, as a (G, p, K) stack: the closed
+    form behind `karcher_mean`, without its checks."""
+    logs = log_factor(factors)
+    groups = np.reshape(logs, (-1, size) + logs.shape[-2:])
+    return exp_factor(np.mean(groups, axis=1), factors.index_set)
 
 
 def geodesic_distance(psd_a, psd_b):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import manifold
 from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from .linalg import (IndexSet, _check_integer, _check_rank, _sample_stack, anchor,
-                     check_symmetric, eigh_topk, support_mask)
+from .linalg import (IndexSet, _check_integer, _check_rank, _lead_axes, _sample_stack,
+                     anchor, check_symmetric, eigh_topk, support_mask)
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
 # into one integer, little-endian in this base; each label must fit below it.
@@ -34,10 +34,12 @@ STREAM_BASE = 1 << 20
 SPIKED_RIDGE = 0.3
 EXTRINSIC_RIDGE = 0.01
 
+# The byte cap of a working stack, shared by the batched simulators:
 # `extrinsic_samples` draws, forms and decomposes its sample covariances in
-# stacks of at most this many bytes of p x p matrices, so its memory does not
-# grow with the sample count.
-EXTRINSIC_STACK_BYTES = 1 << 18
+# stacks of at most this many bytes of p x p matrices, and `perturb_order`
+# stacks as many repetitions as fit their noise samples in it, so memory
+# does not grow with the sample or repetition count.
+STACK_BYTES = 1 << 18
 
 
 def derive_stream_id(*parts):
@@ -163,18 +165,22 @@ def factor_noise_samples(factor, noises):
     Parameters
     ----------
     factor : CholFactor
-        The signal factor N.
+        The signal factor N, or a stack (B, p, K) of B signals.
     noises : ndarray, shape (M, p, K)
-        One perturbation E_m per sample (or a sequence of M (p, K) arrays).
+        One perturbation E_m per sample (or a sequence of M (p, K) arrays);
+        for a stack of signals, (B, M, p, K): M samples around each.
 
     Returns
     -------
     CholFactor
-        The stack (M, p, K) of sample factors.
+        The stack (M, p, K) of sample factors; for a stack of signals, the
+        (B * M, p, K) stack of each signal's samples in turn, which is the
+        stack whose index a failure names.
     """
     factor.validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
-    samples = anchor(factor.entries + noises, factor.index_set)
+    frames = _lead_axes(factor.entries, noises.ndim) + noises
+    samples = anchor(np.reshape(frames, (-1,) + frames.shape[-2:]), factor.index_set)
     bad, reason = samples._pivot_rule()
     if reason is not None:
         raise NotInManifoldError(f"sample {bad[0]}: {reason}")
@@ -270,7 +276,7 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
     of a plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it
     or simulates n_inner x p data. The draws run in stream order. The
     covariances are formed by batched products and decomposed by stacked
-    `eigh_topk` calls, in stacks of at most EXTRINSIC_STACK_BYTES of
+    `eigh_topk` calls, in stacks of at most STACK_BYTES of
     covariances (the stack size changes no bit of the result), and the
     frames are anchored as one stack. A covariance whose K-th eigenvalue is
     not strictly positive raises SingularMatrixError, naming its stack of
@@ -285,7 +291,7 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
     draws = intrinsic_samples(psd, math.sqrt(sigma_sq), count, gen).entries
     ridge_root = math.sqrt(EXTRINSIC_RIDGE) * np.eye(psd.p)
     frames = np.empty_like(draws)
-    step = max(1, EXTRINSIC_STACK_BYTES // (8 * psd.p**2))
+    step = max(1, STACK_BYTES // (8 * psd.p**2))
     for lo in range(0, count, step):
         part = draws[lo:lo + step]
         ridge = np.broadcast_to(ridge_root, (len(part), psd.p, psd.p))

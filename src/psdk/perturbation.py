@@ -24,7 +24,9 @@ import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
 from .linalg import (
+    TAU_PIVOT_REL,
     _check_rank,
+    _lead_axes,
     _sample_stack,
     _solve_lower,
     check_finite,
@@ -46,25 +48,33 @@ def skew_generator(tril, noise):
     strictly-upper projection. The result F is skew-symmetric, linear in
     `noise`, and satisfies ||F||_F <= sqrt(2) ||tril^-1||_2 ||noise||_F.
     A stack of perturbations (E, K, K) sharing `tril` gives the stack of
-    generators (E, K, K).
+    generators (E, K, K). `tril` may be a stack (*batch, K, K) of factors;
+    `noise` then has the same leading axes, (*batch, K, K) or
+    (*batch, E, K, K), and each factor's generators come back in its place.
 
     Raises
     ------
     SingularMatrixError
-        If a diagonal entry of `tril` is numerically zero.
+        If a diagonal entry of `tril` is numerically zero, relative to the
+        max-norm of its own factor; for a stack the message names the first
+        such factor by its position in the flattened batch ("element b: ...").
     """
     tril = np.asarray(tril, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if tril.ndim != 2 or tril.shape[0] != tril.shape[1]:
+    if tril.ndim < 2 or tril.shape[-1] != tril.shape[-2]:
         raise ShapeMismatchError(f"expected a square factor, got shape {tril.shape}")
-    if noise.ndim not in (2, 3) or noise.shape[-2:] != tril.shape:
+    if (noise.ndim - tril.ndim not in (0, 1) or noise.shape[-2:] != tril.shape[-2:]
+            or noise.shape[:tril.ndim - 2] != tril.shape[:-2]):
         raise ShapeMismatchError(
             f"noise shape {noise.shape} does not match factor shape {tril.shape}"
         )
     check_finite("factor and noise entries", tril, noise)
-    if np.min(np.abs(np.diag(tril))) <= pivot_threshold(tril):
-        raise SingularMatrixError("triangular factor has a numerically zero diagonal")
-    scaled = _solve_lower(tril, noise)
+    pivots = np.min(np.abs(np.diagonal(tril, axis1=-2, axis2=-1)), axis=-1)
+    bad = np.flatnonzero(pivots <= TAU_PIVOT_REL * np.max(np.abs(tril), axis=(-2, -1)))
+    if bad.size:
+        where = "" if tril.ndim == 2 else f"element {bad[0]}: "
+        raise SingularMatrixError(f"{where}triangular factor has a numerically zero diagonal")
+    scaled = _solve_lower(_lead_axes(tril, noise.ndim), noise)
     upper = np.triu(scaled, 1)
     return upper - np.swapaxes(upper, -1, -2)
 
@@ -83,7 +93,9 @@ def lq_first_order(tril, orth, noise):
     remainder against the exact `linalg.lq_givens(M + noise)`.
 
     `tril` and `orth` are K x K; `noise` is K x K, or a stack (E, K, K) of
-    perturbations of the one pair, predicted in one pass.
+    perturbations of the one pair, predicted in one pass. The pair may be a
+    stack (*batch, K, K) of pairs; `noise` then has the same leading axes,
+    (*batch, K, K) or (*batch, E, K, K), as for `skew_generator`.
 
     Returns
     -------
@@ -92,15 +104,19 @@ def lq_first_order(tril, orth, noise):
     tril = np.asarray(tril, dtype=float)
     orth = np.asarray(orth, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if tril.shape != orth.shape or noise.ndim not in (2, 3) or noise.shape[-2:] != tril.shape:
+    if (tril.shape != orth.shape or tril.ndim < 2 or noise.ndim - tril.ndim not in (0, 1)
+            or noise.shape[-2:] != tril.shape[-2:]
+            or noise.shape[:tril.ndim - 2] != tril.shape[:-2]):
         raise ShapeMismatchError(
             f"shapes differ: {tril.shape}, {orth.shape}, {noise.shape}"
         )
     check_finite("factor, rotation and noise entries", tril, orth, noise)
-    rotated = noise @ orth.T
+    orth_b = _lead_axes(orth, noise.ndim)
+    rotated = noise @ np.swapaxes(orth_b, -1, -2)
     gen = skew_generator(tril, rotated)
-    orth_pred = orth + gen @ orth
-    tril_pred = tril + rotated - tril @ gen
+    orth_pred = orth_b + gen @ orth_b
+    tril_b = _lead_axes(tril, noise.ndim)
+    tril_pred = tril_b + rotated - tril_b @ gen
     return orth_pred, tril_pred
 
 
@@ -119,11 +135,13 @@ def karcher_factor_first_order(factor, noises):
     Parameters
     ----------
     factor : CholFactor
-        The noiseless factor N, p x K.
+        The noiseless factor N, p x K, or a stack (B, p, K) of B factors.
     noises : ndarray, shape (M, p, K) or (E, M, p, K)
         Unstructured perturbations E_m, one per sample (or a sequence of M
         (p, K) arrays). An (E, M, p, K) array holds E independent noise sets
         of M samples each; one (p, K) prediction per set comes back, (E, p, K).
+        For a stack of factors the noises lead with its axis, (B, M, p, K) or
+        (B, E, M, p, K), and the predictions do too.
     """
     factor.validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape, ndims=(3, 4))
@@ -131,7 +149,8 @@ def karcher_factor_first_order(factor, noises):
     mean_noise = np.mean(noises, axis=-3)
     anchor_mean = mean_noise[..., factor.index_set.as_array(), :]
     gen = skew_generator(factor.anchor_block(), anchor_mean)
-    return factor.entries + mean_noise - factor.entries @ gen
+    base = _lead_axes(factor.entries, mean_noise.ndim)
+    return base + mean_noise - base @ gen
 
 
 def eigvec_first_order(values, vectors, rank, noise):

@@ -6,7 +6,8 @@ factors themselves are drawn with numpy from the seed, with an anchor block
 whose diagonal is bounded away from zero so every draw is a chart point.
 A stack of M factors (M, p, K) must give, bit for bit, what its elements
 give one at a time; so must a stack of E perturbations fed to the
-expansions.
+expansions, and a stack of B base points with their perturbations behind
+them.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from psdk.linalg import CholFactor, IndexSet, anchor, lq_givens
-from psdk.manifold import exp_factor, karcher_mean, log_factor
+from psdk.manifold import _group_means, exp_factor, karcher_mean, log_factor
+from psdk.models import factor_noise_samples
 from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
 
 _settings = settings(max_examples=60, deadline=None, derandomize=True)
@@ -148,3 +150,35 @@ def test_stacked_expansions_are_bit_identical_per_element(shape, count, samples)
     assert np.array_equal(karcher_factor_first_order(factor, noises),
                           np.stack([karcher_factor_first_order(factor, list(es))
                                     for es in noises]))
+
+
+@_settings
+@given(shapes(), st.integers(1, 4), st.integers(1, 3), st.integers(1, 5))
+def test_stacked_base_points_are_bit_identical_per_element(shape, batch, count, samples):
+    """B base points (B, ..) with their perturbations behind them, (B, E, ..)
+    or (B, ..), give what each base point gives with its own perturbations."""
+    p, k, idx, seed = shape
+    gen = np.random.default_rng(seed)
+    factors = [_factor(gen, p, k, idx) for _ in range(batch)]
+    stack = CholFactor(np.stack([f.entries for f in factors]), idx)
+    trils = stack.anchor_block()
+    orths = np.stack([_orthogonal(gen, k) for _ in range(batch)])
+    for noise in (gen.normal(size=(batch, count, k, k)), gen.normal(size=(batch, k, k))):
+        assert np.array_equal(skew_generator(trils, noise),
+                              np.stack([skew_generator(t, e) for t, e in zip(trils, noise)]))
+        stacked = lq_first_order(trils, orths, noise)
+        looped = [lq_first_order(t, q, e) for t, q, e in zip(trils, orths, noise)]
+        for part in (0, 1):
+            assert np.array_equal(stacked[part], np.stack([pred[part] for pred in looped]))
+    for noises in (gen.normal(size=(batch, count, samples, p, k)),
+                   gen.normal(size=(batch, samples, p, k))):
+        assert np.array_equal(karcher_factor_first_order(stack, noises),
+                              np.stack([karcher_factor_first_order(f, e)
+                                        for f, e in zip(factors, noises)]))
+    noises = 0.05 * gen.normal(size=(batch, samples, p, k))
+    points = factor_noise_samples(stack, noises)
+    looped = [factor_noise_samples(f, e) for f, e in zip(factors, noises)]
+    assert np.array_equal(points.entries, np.concatenate([s.entries for s in looped]))
+    means = _group_means(points, samples)
+    assert means.index_set == idx
+    assert np.array_equal(means.entries, np.stack([karcher_mean(s).entries for s in looped]))

@@ -1,11 +1,17 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from psdk import experiments
-from psdk.exceptions import ConfigError, InsufficientPointsError, NotInManifoldError
+from psdk import experiments, models
+from psdk.exceptions import (
+    ConfigError,
+    InsufficientPointsError,
+    NotInManifoldError,
+    SingularMatrixError,
+)
 from psdk.experiments import (
     CSV_HEADER,
     _aggregate_or_skip,
@@ -43,6 +49,27 @@ def test_slope_fit_drops_nonpositive_pairs():
     fit = slope_fit(points)
     assert fit.n_points == 3
     assert abs(fit.slope - 1.0) < 1e-12
+
+
+def test_batched_slope_fits_follow_slope_fit():
+    """One pass over a stack of curves gives slope_fit's fit of each curve:
+    a nonpositive or NaN point drops out, and a curve left with fewer than
+    two distinct x gets NaN; the fit is np.polyfit's up to roundoff."""
+    xs = np.array([[1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0],
+                   [1.0, 1.0, 2.0, np.nan], [3.0, 3.0, 3.0, 3.0]])
+    ys = np.array([[2.0, 7.0, 33.0, 121.0], [1.0, -4.0, 16.0, 64.0],
+                   [1.0, 2.0, 0.0, 5.0], [1.0, 2.0, 3.0, 4.0]])
+    fits = experiments._slope_fits(xs, ys)
+    assert fits.n_points.tolist() == [4, 3, 2, 4]
+    assert np.isnan(fits.slope[2:]).all() and np.isnan(fits.r_squared[2:]).all()
+    for c in (0, 1):
+        keep = ys[c] > 0
+        one = slope_fit(zip(xs[c], ys[c]))
+        assert (one.slope, one.intercept, one.r_squared, one.n_points) == (
+            fits.slope[c], fits.intercept[c], fits.r_squared[c], fits.n_points[c])
+        want = np.polyfit(np.log(xs[c][keep]), np.log(ys[c][keep]), 1)
+        np.testing.assert_allclose([one.slope, one.intercept], want, rtol=1e-12, atol=1e-14)
+    assert fits.slope[1] == 2.0
 
 
 def test_slope_fit_insufficient_points():
@@ -370,6 +397,71 @@ def test_run_perturb_order_remainders_are_quadratic():
                    if r.method == method and r.repetition == rep]
             fit = slope_fit(pts)
             assert 1.7 < fit.slope < 2.3, (method, rep, fit.slope)
+
+
+def test_perturb_order_blocks_do_not_change_the_records(monkeypatch, capsys):
+    """Blocks of one repetition, or of all of them, give the records of the
+    default blocks (40 repetitions at p=10, K=4, so 45 leaves a short one),
+    and the progress lines still count repetitions."""
+    cfg = _tiny_perturb(repetitions=45)
+    records = run_perturb_order(cfg, progress=True)
+    err = capsys.readouterr().err
+    assert "perturb_order lq: 45 repetitions in " in err
+    assert "perturb_order karcher_factor: 45 repetitions in " in err
+    for stack_bytes in (1, 1 << 30):
+        monkeypatch.setattr(models, "STACK_BYTES", stack_bytes)
+        assert run_perturb_order(cfg) == records
+    assert len(records) == 45 * len(cfg.eps_grid) * 3
+    assert [r.repetition for r in records[:8]] == [0] * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_perturb_order_names_the_repetition_that_fails(monkeypatch, threads):
+    """A singular instance at repetition 7 of a block fails the stacked pass;
+    the error names that repetition, from the pool too."""
+    instance = experiments._lq_instance
+    bad_stream = derive_stream_id(0, 7)
+
+    def singular_at_7(gen, k):
+        tril, orth, noise = instance(gen, k)
+        if gen.bit_generator.seed_seq.entropy[1] == bad_stream:
+            return np.zeros((k, k)), orth, np.zeros((k, k))
+        return tril, orth, noise
+
+    monkeypatch.setattr(experiments, "_lq_instance", singular_at_7)
+    cfg = _tiny_perturb(repetitions=12, threads=threads)
+    with pytest.raises(SingularMatrixError, match=r"^perturb_order lq repetitions 0 to 11: "
+                       r"repetition 7: element 0: matrix numerically singular"):
+        run_perturb_order(cfg)
+
+
+def test_perturb_order_summary_skips_a_nonpositive_point():
+    """The summary fits every curve in one pass, as slope_fit would: a zero
+    remainder drops out of its curve, and a curve left with one point is
+    not counted."""
+    cfg = _tiny_perturb(repetitions=3)
+    records = run_perturb_order(cfg)
+    zero = next(i for i, r in enumerate(records)
+                if r.method == "karcher_factor" and r.repetition == 1)
+    records[zero] = replace(records[zero], error=0.0)
+    for i, r in enumerate(records):
+        if r.method == "lq_factor" and r.repetition == 2 and r.sigma_sq != cfg.eps_grid[0]:
+            records[i] = replace(r, error=-1.0)
+    slopes = {}
+    for method in ("karcher_factor", "lq_factor", "lq_rotation"):
+        for rep in range(3):
+            pts = [(r.sigma_sq, r.error) for r in records
+                   if r.method == method and r.repetition == rep]
+            try:
+                slopes.setdefault(method, []).append(slope_fit(pts).slope)
+            except InsufficientPointsError:
+                pass
+    assert [len(slopes[m]) for m in slopes] == [3, 2, 3]
+    text = summarize_records(cfg, records)
+    for method, found in slopes.items():
+        arr = np.asarray(found)
+        assert (f"method={method}: remainder slope over {arr.size} instances "
+                f"min={arr.min():.3f} median={np.median(arr):.3f} max={arr.max():.3f}") in text
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,19 @@ from numpy.testing import assert_allclose
 from psdk.exceptions import (
     ConfigError,
     NotInManifoldError,
+    PsdkError,
     ShapeMismatchError,
     SingularMatrixError,
 )
-from psdk.dpca import dpca_fan, euclid_rankk_mean, find_index, full_pca, summarize_covariance
+from psdk.dpca import (
+    dpca_fan,
+    euclid_rankk_mean,
+    find_index,
+    full_pca,
+    lrc_dpca,
+    summarize_covariance,
+)
+from psdk.manifold import exp_factor, factorize, log_factor, membership
 from psdk.models import derive_stream_id, gaussian_svd_signal, spiked_covariance
 from psdk.perturbation import (
     eigvec_first_order,
@@ -360,6 +369,36 @@ def test_non_integer_input_raises(entry):
     ValueError, and never a silent truncation."""
     with pytest.raises(ConfigError, match="must be an integer|must be a sequence"):
         _NON_INTEGER[entry]()
+
+
+def _index_set_entry_points():
+    """(name, call) for every public function that takes an index set; each
+    call maps the index set to something comparable."""
+    gen = np.random.default_rng(31)
+    frame = gen.normal(size=(6, 2))
+    mat = frame @ frame.T
+    pair = summarize_covariance(np.stack([mat + 0.1 * np.eye(6)] * 3), 2)
+    logs = log_factor(anchor(frame, IndexSet((3, 1))))
+    return {
+        "anchor": lambda rows: anchor(frame, rows).entries,
+        "support_mask": lambda rows: support_mask(6, 2, rows),
+        "reduced_cholesky": lambda rows: reduced_cholesky(mat, 2, rows).entries,
+        "factorize": lambda rows: factorize(mat, 2, rows).entries,
+        "membership": lambda rows: membership(mat, 2, rows)[0],
+        "exp_factor": lambda rows: exp_factor(logs, rows).entries,
+        "lrc_dpca": lambda rows: lrc_dpca(pair, 2, rows).basis,
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_index_set_entry_points()))
+def test_an_index_set_may_be_a_sequence_of_rows(entry):
+    """A tuple of rows acts as its IndexSet at every public edge; a value
+    that is no sequence of rows raises a PsdkError, never AttributeError."""
+    call = _index_set_entry_points()[entry]
+    assert np.array_equal(call((3, 1)), call(IndexSet((3, 1))))
+    for bad in (3, None, (1.5, 2)):
+        with pytest.raises(PsdkError):
+            call(bad)
 
 
 def test_integer_like_numpy_values_still_pass():

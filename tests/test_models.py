@@ -367,7 +367,7 @@ def test_extrinsic_samples_match_the_sample_by_sample_form(n_inner):
     assert np.max(np.abs(got.matrix - want.matrix)) < 1e-10 * scale
     for stack_bytes in (1, 8 * 10**2 * 7, 1 << 30):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(models, "EXTRINSIC_STACK_BYTES", stack_bytes)
+            patch.setattr(models, "STACK_BYTES", stack_bytes)
             again = extrinsic_samples(psd, 0.3, 40, RngStream(14, 1), n_inner=n_inner)
         assert np.array_equal(again.entries, got.entries)
 
@@ -376,7 +376,7 @@ def test_extrinsic_samples_name_a_covariance_without_k_positive_eigenvalues(monk
     """Without the ridge, n_inner = 2 < K = 3 data points give covariances of
     rank 2; the error names the stack of samples and the element in it."""
     monkeypatch.setattr(models, "EXTRINSIC_RIDGE", 0.0)
-    monkeypatch.setattr(models, "EXTRINSIC_STACK_BYTES", 8 * 8**2 * 3)
+    monkeypatch.setattr(models, "STACK_BYTES", 8 * 8**2 * 3)
     psd = gaussian_svd_signal(8, 3, RngStream(15, 0))
     with pytest.raises(SingularMatrixError, match=r"^samples 0 to 2: element 0: eigenvalue 3 is "):
         extrinsic_samples(psd, 0.1, 5, RngStream(15, 1), n_inner=2)

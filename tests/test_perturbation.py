@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from psdk import manifold, models
-from psdk.exceptions import ShapeMismatchError, SingularMatrixError
+from psdk.exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError
 from psdk.linalg import CholFactor, IndexSet, eigh_topk, lq_givens, procrustes_sign
 from psdk.perturbation import (
     eigvec_first_order,
@@ -117,6 +119,59 @@ def test_perturbed_stack_names_its_first_singular_element():
     eps = np.array([0.5, 0.25, 1.0, 2.0, 1.0])
     with pytest.raises(SingularMatrixError, match="^element 2: "):
         lq_givens(base + eps[:, None, None] * -base)
+
+
+def test_single_base_point_messages_are_unchanged():
+    """The messages of a 2-D base point, with one or E perturbations."""
+    tril = np.array([[1.0, 0.0], [5.0, 0.0]])
+    with pytest.raises(SingularMatrixError,
+                       match=r"^triangular factor has a numerically zero diagonal$"):
+        skew_generator(tril, np.ones((3, 2, 2)))
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "noise shape (2, 2) does not match factor shape (3, 3)")):
+        skew_generator(np.eye(3), np.eye(2))
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "shapes differ: (3, 3), (3, 3), (2, 4, 3, 3)")):
+        lq_first_order(np.eye(3), np.eye(3), np.ones((2, 4, 3, 3)))
+    factor = _random_factor(np.random.default_rng(13), 5, 3)
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "noise matrices: shape (2, 4, 3, 3) does not match factor shape (5, 3) "
+            "(leading axes: 1 or 2)")):
+        karcher_factor_first_order(factor, np.ones((2, 4, 3, 3)))
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "noise matrices: shape (2, 4, 5, 3) does not match factor shape (5, 3) "
+            "(leading axes: 1)")):
+        models.factor_noise_samples(factor, np.ones((2, 4, 5, 3)))
+
+
+def test_stacked_base_points_name_the_failing_one():
+    """A stack of B triangular factors names the first singular one; the
+    perturbations of a stack must lead with its axis."""
+    gen = np.random.default_rng(15)
+    trils = np.stack([_random_decomposition(gen, 3)[0] for _ in range(3)])
+    trils[1, 2, 2] = 0.0
+    with pytest.raises(SingularMatrixError,
+                       match="^element 1: triangular factor has a numerically zero diagonal"):
+        skew_generator(trils, np.ones((3, 4, 3, 3)))
+    with pytest.raises(ShapeMismatchError, match="does not match factor shape"):
+        skew_generator(trils, np.ones((2, 3, 3)))
+    with pytest.raises(ShapeMismatchError, match="shapes differ"):
+        lq_first_order(trils, trils, np.ones((3, 2, 4, 3, 3)))
+    factors = CholFactor(np.stack([_random_factor(gen, 5, 3).entries] * 2),
+                         IndexSet.canonical(3))
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "shape (3, 4, 5, 3) does not match factor shape (2, 5, 3)")):
+        karcher_factor_first_order(factors, np.ones((3, 4, 5, 3)))
+    with pytest.raises(ShapeMismatchError, match=re.escape(
+            "shape (3, 4, 5, 3) does not match factor shape (2, 5, 3)")):
+        models.factor_noise_samples(factors, np.ones((3, 4, 5, 3)))
+    with pytest.raises(ShapeMismatchError, match="noise matrices"):
+        models.factor_noise_samples(factors, np.ones((2, 3, 4, 5, 3)))
+    # sample 1 of signal 1 cancels its anchor block: sample 3 of the (2 * 2) stack
+    noises = np.zeros((2, 2, 5, 3))
+    noises[1, 1] = -factors.entries[1]
+    with pytest.raises(NotInManifoldError, match="^sample 3: "):
+        models.factor_noise_samples(factors, noises)
 
 
 # ---------------------------------------------------------------------------
