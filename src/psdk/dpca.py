@@ -3,10 +3,10 @@
 Machines summarize their local sample covariance by its top-K eigenpairs;
 M machines' summaries are one stacked `SpectralPair` (vectors (M, p, K),
 values (M, K)), which `summarize_covariance` returns for an (M, p, p) stack
-and `lrc_dpca`, `dpca_fan` and `dpca_bw` take. Every rank-K aggregate is
-the mean of F_m F_m.T over an (M, p, w) stack of frames, formed by
-`_frame_gram` as one product of the frames side by side, so no per-machine
-p x p matrix exists. The aggregators differ in the frames:
+and `lrc_dpca`, `dpca_fan` and `dpca_bw` take. Each aggregate gets one
+decomposition: `lrc_dpca` the SVD of its p x K Karcher-mean factor, the others
+one `np.linalg.eigh` of the mean of F_m F_m.T over an (M, p, w) stack of frames
+(`_frame_gram`, one product of the frames side by side). They differ in frames:
 
 * `lrc_dpca`: the Karcher mean, in log-Cholesky coordinates, of each
   machine's frame V diag(values) anchored at the index set (squaring keeps
@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
-from .linalg import (IndexSet, SpectralPair, _check_rank, _sample_stack, anchor, check_finite,
-                     eigh_topk, pivot_threshold)
+from .linalg import (IndexSet, SpectralPair, _check_rank, _eigh_desc, _sample_stack, _signed,
+                     anchor, check_finite, eigh_topk, pivot_threshold)
 from .manifold import _chart_factors, karcher_mean
 
 
@@ -57,8 +57,8 @@ def summarize_covariance(cov_hat, rank):
 
 
 def _machine_stack(summaries, caller):
-    """The (M, p, K) vectors and (M, K) values, M >= 1, of the stacked
-    SpectralPair `summaries`; anything else raises ShapeMismatchError."""
+    """The (M, p, K) vectors and (M, K) values, M >= 1, of the stacked SpectralPair
+    `summaries`; anything else, or a non-finite entry, raises ShapeMismatchError."""
     form = (f"{caller} takes one stacked SpectralPair, vectors (M, p, K) and values "
             "(M, K), as summarize_covariance returns for an (M, p, p) stack")
     if not isinstance(summaries, SpectralPair):
@@ -70,45 +70,39 @@ def _machine_stack(summaries, caller):
         raise ShapeMismatchError(f"{form}; got ragged or non-numeric entries") from None
     if vectors.ndim != 3 or not len(vectors) or values.shape != vectors.shape[::2]:
         raise ShapeMismatchError(f"{form}; got vectors {vectors.shape}, values {values.shape}")
+    check_finite(f"{caller} summaries", vectors, values)
     return vectors, values
 
 
 def _frame_gram(frames):
-    """The symmetrized mean of F F.T over the frames F of an (M, p, w) stack,
-    as one product G G.T / M of the frames side by side in G (p x Mw)."""
+    """The mean of F F.T over the frames F of an (M, p, w) stack, as one
+    product G G.T / M of the frames side by side in G (p x Mw)."""
     joined = np.swapaxes(frames, 0, 1).reshape(frames.shape[1], -1)
-    agg = (joined @ joined.T) / len(frames)
-    return 0.5 * (agg + agg.T)
+    return (joined @ joined.T) / len(frames)
 
 
-def _result(agg, rank, method, n_machines, index_set=None):
-    """Leading basis of an aggregated matrix, warning on a collapsed eigengap."""
-    p = agg.shape[0]
-    _check_rank(rank, p)
-    take = min(rank + 1, p)
-    pair = eigh_topk(agg, take)
+def _result(values, vectors, rank, method, n_machines, index_set=None):
+    """The leading `rank` of an aggregate's p descending eigenpairs, warning
+    on a collapsed eigengap; the basis takes `eigh_topk`'s sign rule."""
+    _check_rank(rank, len(values))
     gap = np.inf
-    if take > rank:
-        gap = float(pair.values[rank - 1] - pair.values[rank])
-        scale = max(abs(float(pair.values[0])), np.finfo(float).tiny)
-        if gap <= 1e-8 * scale:
-            warnings.warn(
-                f"{method}: eigengap below the retained block is {gap:.3e}; "
-                "the returned basis is the deterministic eigensolver output",
-                ZeroGapWarning,
-                stacklevel=3,
-            )
-    return DpcaResult(pair.vectors[:, :rank].copy(), method, index_set,
-                      {"values": pair.values[:rank].copy(), "gap": gap,
-                       "n_machines": n_machines})
+    if rank < len(values):
+        gap = float(values[rank - 1] - values[rank])
+        if gap <= 1e-8 * max(abs(float(values[0])), np.finfo(float).tiny):
+            warnings.warn(f"{method}: eigengap below the retained block is {gap:.3e}; "
+                          "the returned basis is the deterministic eigensolver output",
+                          ZeroGapWarning, stacklevel=3)
+    return DpcaResult(_signed(vectors[:, :rank].copy()), method, index_set,
+                      {"values": values[:rank].copy(), "gap": gap, "n_machines": n_machines})
 
 
 def full_pca(covariances, rank):
     """Top-`rank` eigenbasis of the pooled (averaged) covariances, an (M, p, p)
     stack (a sequence of equal-shape matrices goes through one `np.asarray`)."""
     covs = _sample_stack(covariances, "full_pca covariances")
+    check_finite("full_pca covariances", covs)
     agg = covs.sum(axis=0) / len(covs)
-    return _result(0.5 * (agg + agg.T), rank, "full", len(covs))
+    return _result(*_eigh_desc(0.5 * (agg + agg.T)), rank, "full", len(covs))
 
 
 def _lrc_frames(summaries):
@@ -124,7 +118,8 @@ def lrc_dpca(summaries, rank, index_set):
     Each machine's (V, values) of the stacked SpectralPair `summaries` stands
     for V diag(values)^2 V.T, the factor second-moment matrix consistent with
     its eigenpairs. The frames V diag(values) are anchored at `index_set` as
-    one stack; the top eigenbasis of their Karcher mean is returned.
+    one stack; the top eigenbasis of their Karcher mean N N.T is returned, from
+    the SVD of N (eigenvalues past K are exactly 0: a rank above K warns).
 
     Raises
     ------
@@ -134,22 +129,25 @@ def lrc_dpca(summaries, rank, index_set):
         stack, so the caller can reselect rows via `find_index`.
     """
     frames = _lrc_frames(summaries)
+    p, k = frames.shape[1:]
+    _check_rank(rank, p)
     factors = anchor(frames, index_set)
     bad, reason = factors._pivot_rule()
     if reason is not None:
-        raise NotInManifoldError(
-            f"machines {bad.tolist()} fail membership with index set "
-            f"{factors.index_set.indices}; reselect rows via find_index"
-        )
-    agg = _frame_gram(karcher_mean(factors).entries[None])
-    return _result(agg, rank, "lrc", len(frames), factors.index_set)
+        raise NotInManifoldError(f"machines {bad.tolist()} fail membership with index set "
+                                 f"{factors.index_set.indices}; reselect rows via find_index")
+    # zero columns past K give the singular vectors that complete a wider basis
+    mean = np.pad(karcher_mean(factors).entries, ((0, 0), (0, max(rank - k, 0))))
+    left, sing, _ = np.linalg.svd(mean, full_matrices=False)
+    return _result(np.pad(sing[:k] ** 2, (0, p - k)), left, rank, "lrc", len(frames),
+                   factors.index_set)
 
 
 def dpca_fan(summaries, rank):
     """Projector-averaging aggregation: mean of V V.T over the machines of the
     stacked SpectralPair `summaries`."""
     vectors, _ = _machine_stack(summaries, "dpca_fan")
-    return _result(_frame_gram(vectors), rank, "fan", len(vectors))
+    return _result(*_eigh_desc(_frame_gram(vectors)), rank, "fan", len(vectors))
 
 
 def dpca_bw(summaries, rank):
@@ -161,7 +159,7 @@ def dpca_bw(summaries, rank):
     if np.min(values) < 0.0:
         raise SingularMatrixError("dpca_bw needs nonnegative eigenvalues")
     frames = vectors * np.sqrt(values)[:, None, :]
-    return _result(_frame_gram(frames), rank, "bw", len(vectors))
+    return _result(*_eigh_desc(_frame_gram(frames)), rank, "bw", len(vectors))
 
 
 def euclid_rankk_mean(psds, rank):
@@ -174,8 +172,10 @@ def euclid_rankk_mean(psds, rank):
     values count as zero); no pivot rule is enforced on it.
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
-    pair = eigh_topk(_frame_gram(factors.entries), rank)
-    frame = pair.vectors * np.sqrt(np.maximum(pair.values, 0.0))
+    check_finite("euclid_rankk_mean factors", factors.entries)
+    values, vectors = _eigh_desc(_frame_gram(factors.entries))
+    _check_rank(rank, len(values))
+    frame = _signed(vectors[:, :rank]) * np.sqrt(np.maximum(values[:rank], 0.0))
     return anchor(frame, factors.index_set)
 
 

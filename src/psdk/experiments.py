@@ -179,7 +179,10 @@ def load_config(experiment, path=None, quick=False, overrides=None):
     """Defaults for `experiment`, then config-file values, then CLI overrides."""
     cfg = default_config(experiment, quick=quick)
     if path is not None:
-        for key, text in parse_config_file(path).items():
+        entries = parse_config_file(path)
+        if "p" in entries:  # the file's p is the p grid unless the file sets one
+            entries = {"p_grid": "", **entries}
+        for key, text in entries.items():
             if key == "experiment":
                 if text != experiment:
                     print(

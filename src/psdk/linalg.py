@@ -483,9 +483,9 @@ def eigh_topk(mat, rank, require_positive=False):
     max|A V - V diag(theta)| <= EIGH_RESID_REL * max|A|, and the smallest
     kept value exceeds sqrt(||A||_F^2 - sum theta^2), which bounds every
     eigenvalue outside the block, so the block holds the top `rank`. A
-    matrix not certified within EIGH_BUDGET iterations, or whose residual
-    decay shows that it cannot be, gets the full `np.linalg.eigh` instead.
-    Which path a matrix takes depends on that matrix alone.
+    matrix not certified within EIGH_BUDGET iterations gets the full
+    `np.linalg.eigh` instead. Which path a matrix takes depends on that
+    matrix alone.
 
     Parameters
     ----------
@@ -518,13 +518,9 @@ def eigh_topk(mat, rank, require_positive=False):
     mat = _sample_stack(mat, "eigh_topk matrices", ndims=(2, 3))
     mats = mat if mat.ndim == 3 else mat[None]
     scales = _symmetric_scales(mats, stacked=mat.ndim == 3)
-    p = mats.shape[-1]
-    _check_rank(rank, p)
+    _check_rank(rank, mats.shape[-1])
     values, vectors = _topk(mats, rank, scales)
-    mags = np.abs(vectors)
-    rows = np.argmax(mags >= (1.0 - SIGN_TIE_REL) * mags.max(axis=1, keepdims=True), axis=1)
-    leads = vectors[np.arange(len(vectors))[:, None], rows, np.arange(rank)]
-    vectors *= np.where(leads < 0.0, -1.0, 1.0)[:, None, :]
+    _signed(vectors)
     if require_positive:
         bad = np.flatnonzero(values[:, -1] <= TAU_PIVOT_REL * scales)
         if bad.size:
@@ -535,6 +531,20 @@ def eigh_topk(mat, rank, require_positive=False):
     if mat.ndim == 2:
         return SpectralPair(vectors[0], values[0])
     return SpectralPair(vectors, values)
+
+
+def _signed(vectors):
+    """`vectors` (..., p, k), column signs fixed in place by `eigh_topk`'s rule."""
+    mags = np.abs(vectors)
+    rows = np.argmax(mags >= (1.0 - SIGN_TIE_REL) * mags.max(axis=-2, keepdims=True), axis=-2)
+    vectors *= np.where(np.take_along_axis(vectors, rows[..., None, :], axis=-2) < 0.0, -1.0, 1.0)
+    return vectors
+
+
+def _eigh_desc(mats):
+    """`np.linalg.eigh` of a symmetric (..., p, p), descending; no checks."""
+    values, vectors = np.linalg.eigh(mats)
+    return values[..., ::-1], vectors[..., ::-1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -554,11 +564,9 @@ def _topk(mats, rank, scales):
     block is from invariant by G = A Q - Q (Q.T A Q): the Ritz residual
     A V - V diag(theta) is G times the Ritz rotation, so its max-norm lies in
     [||G||_F / sqrt(p rank), ||G||_F]. The Ritz pairs are formed only where
-    that range reaches the tolerance. An element leaves the iteration when
-    they are certified (see `eigh_topk`), or when it cannot be within the
-    budget: its residual has converged yet the tail bound fails, or ||G||_F,
-    shrinking at its last observed rate, would still be too large after the
-    remaining iterations. Those go to `np.linalg.eigh`.
+    that range reaches the tolerance. An element leaves when they are
+    certified (see `eigh_topk`), when its residual has converged yet the tail
+    bound fails, or at the end of the budget; the rest go to `np.linalg.eigh`.
     """
     count, p, _ = mats.shape
     # Work in units of 2^e >= max|A| per element: a power of two changes no
@@ -570,21 +578,15 @@ def _topk(mats, rank, scales):
     scaled = np.reshape(mats, (count, -1)) * unit[:, None]
     fro_sq = np.einsum("mk,mk->m", scaled, scaled)
     del scaled
-    values = np.empty((count, rank))
-    vectors = np.empty((count, p, rank))
-    live, sub, prev = np.arange(count), mats, np.inf
-    fallback = []
-    # One product before the first step: the start block's own residual
-    # says nothing about the rate at which the iteration converges.
+    values, vectors = np.empty((count, rank)), np.empty((count, p, rank))
+    live, sub, certified = np.arange(count), mats, np.zeros(count, dtype=bool)
     orth = np.linalg.qr(mats @ _start_block(p, rank))[0]
     for step in range(1, EIGH_BUDGET + 1):
         image = (sub @ orth) * unit[:, None, None]
         proj = np.swapaxes(orth, -1, -2) @ image
         off = image - orth @ proj
         frob = np.sqrt(np.einsum("mij,mij->m", off, off))
-        # leave when the rate of decay says the budget cannot be met
-        leave = ~(frob * (frob / prev) ** (EIGH_BUDGET - step) <= loose) | (step == EIGH_BUDGET)
-        failed = leave
+        keep = np.ones(len(live), dtype=bool)
         trial = np.flatnonzero(frob <= loose)
         if trial.size:
             # Rayleigh-Ritz, ascending: ritz[:, 0] is the smallest kept value
@@ -593,26 +595,21 @@ def _topk(mats, rank, scales):
             tail = np.sqrt(np.maximum(fro_sq[trial] - np.einsum("mk,mk->m", ritz, ritz), 0.0))
             converged = resid <= tol[trial]
             ok = converged & (ritz[:, 0] > tail)
+            certified[live[trial]] = ok
             values[live[trial[ok]]] = ritz[ok, ::-1] / unit[trial[ok], None]
             vectors[live[trial[ok]]] = orth[trial[ok]] @ rot[ok, :, ::-1]
             # a converged element leaves: certified, or failing the tail bound for good
-            leave[trial] |= converged
-            failed = leave.copy()
-            failed[trial[ok]] = False
-        fallback.extend(live[failed])
-        if leave.all():
+            keep[trial[converged]] = False
+        if step == EIGH_BUDGET or not keep.any():
             break
-        if leave.any():
-            keep = ~leave
-            live, sub, image, frob = live[keep], sub[keep], image[keep], frob[keep]
+        if not keep.all():
+            live, sub, image = live[keep], sub[keep], image[keep]
             tol, loose, fro_sq, unit = tol[keep], loose[keep], fro_sq[keep], unit[keep]
         orth = np.linalg.qr(image)[0]
-        prev = frob
-    if fallback:
-        full_values, full_vectors = np.linalg.eigh(mats[fallback])
-        # Reverse first, then slice: descending order, and rank == p keeps all.
-        values[fallback] = full_values[:, ::-1][:, :rank]
-        vectors[fallback] = full_vectors[:, :, ::-1][:, :, :rank]
+    fallback = np.flatnonzero(~certified)
+    if fallback.size:
+        full_values, full_vectors = _eigh_desc(mats[fallback])
+        values[fallback], vectors[fallback] = full_values[:, :rank], full_vectors[..., :rank]
     return values, vectors
 
 

@@ -36,6 +36,17 @@ def test_perturb_order_run(tmp_path, capsys):
     assert f"wrote {len(lines) - 1} records to {out}" in captured.out
 
 
+def test_a_config_file_p_without_p_grid_is_the_intrinsic_p(tmp_path, capsys):
+    """A file that sets p but not p_grid runs intrinsic_avg at that p alone,
+    not at the default p grid (100, 200, 300, 400)."""
+    out = tmp_path / "intrinsic.csv"
+    cfg = _cfg(tmp_path, "p = 12\nK = 2\nM_grid = 3\nrepetitions = 1\n")
+    code = main(["intrinsic-avg", "--config", cfg, "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+    assert rows and {row[CSV_HEADER.split(",").index("p")] for row in rows} == {"12"}
+
+
 def test_dpca_run_is_byte_reproducible(tmp_path, capsys):
     cfg = _cfg(tmp_path, TINY_DPCA)
     outs = []

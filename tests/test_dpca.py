@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from psdk import dpca, linalg
 from psdk.dpca import (
     DpcaResult,
     _result,
@@ -19,7 +20,8 @@ from psdk.exceptions import (
     SingularMatrixError,
     ZeroGapWarning,
 )
-from psdk.linalg import CholFactor, IndexSet, SpectralPair, anchor, eigh_topk, projector_distance
+from psdk.linalg import (CholFactor, IndexSet, SpectralPair, _eigh_desc, anchor, eigh_topk,
+                         projector_distance)
 from psdk.manifold import karcher_mean
 from psdk.models import RngStream, gaussian_samples, sample_cov, spiked_covariance
 
@@ -250,12 +252,14 @@ def test_stacked_summaries_give_the_per_machine_list_form_bit_for_bit():
         return 0.5 * (agg + agg.T)
 
     lrc_mean = karcher_mean(anchor(np.stack([s.vectors * s.values for s in pairs]), idx))
+    left, sing, _ = np.linalg.svd(lrc_mean.entries, full_matrices=False)
     pooled = sum(covs) / len(covs)
     want = {
-        "full": _result(0.5 * (pooled + pooled.T), 3, "full", 6),
-        "lrc": _result(gram([lrc_mean.entries]), 3, "lrc", 6, idx),
-        "fan": _result(gram([s.vectors for s in pairs]), 3, "fan", 6),
-        "bw": _result(gram([s.vectors * np.sqrt(s.values) for s in pairs]), 3, "bw", 6),
+        "full": _result(*_eigh_desc(0.5 * (pooled + pooled.T)), 3, "full", 6),
+        "lrc": _result(np.pad(sing ** 2, (0, len(left) - 3)), left, 3, "lrc", 6, idx),
+        "fan": _result(*_eigh_desc(gram([s.vectors for s in pairs])), 3, "fan", 6),
+        "bw": _result(*_eigh_desc(gram([s.vectors * np.sqrt(s.values) for s in pairs])),
+                      3, "bw", 6),
     }
     got = {"full": full_pca(np.stack(covs), 3), "lrc": lrc_dpca(stacked, 3, idx),
            "fan": dpca_fan(stacked, 3), "bw": dpca_bw(stacked, 3)}
@@ -304,6 +308,16 @@ def test_aggregators_match_dense_reference(p, k, n_machines):
         pair = eigh_topk(_dense_mean(frames[method]), k)
         assert _projector_gap(res.basis, pair.vectors) < 1e-10, method
         assert_allclose(res.diagnostics["values"], pair.values, rtol=1e-12, err_msg=method)
+    # the mean factor N is p x K, so N N.T has exactly p - K zero eigenvalues:
+    # at rank K the gap is lambda_K, at rank K + 1 it collapses
+    lrc = results["lrc"]
+    assert lrc.diagnostics["gap"] == lrc.diagnostics["values"][-1]
+    with pytest.warns(ZeroGapWarning):
+        wide = lrc_dpca(summaries, k + 1, idx)
+    assert wide.diagnostics["gap"] == 0.0 and wide.diagnostics["values"][-1] == 0.0
+    assert_allclose(wide.diagnostics["values"][:k], lrc.diagnostics["values"], rtol=1e-12)
+    assert _projector_gap(wide.basis[:, :k], lrc.basis) < 1e-10
+    assert_allclose(wide.basis.T @ wide.basis, np.eye(k + 1), atol=1e-12)
 
     samples = [anchor(rng.normal(size=(p, k)), idx) for _ in range(n_machines)]
     pair = eigh_topk(_dense_mean([s.entries for s in samples]), k)
@@ -324,6 +338,73 @@ def test_factor_aggregates_form_no_per_sample_matrix(monkeypatch):
     assert euclid_rankk_mean(samples, 2).entries.shape == (9, 2)
     summaries = _random_summaries(rng, 9, 2, 4)
     assert lrc_dpca(summaries, 2, idx).method == "lrc"
+
+
+def test_aggregators_never_call_eigh_topk(monkeypatch):
+    """Each aggregate gets one decomposition of its own; eigh_topk's iteration
+    is left to summarize_covariance's stacks of sample covariances."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an aggregator called eigh_topk")
+
+    rng = np.random.default_rng(15)
+    idx = IndexSet((3, 1))
+    summaries = _random_summaries(rng, 9, 2, 4)
+    covs = np.stack([g @ g.T for g in rng.normal(size=(4, 9, 9))])
+    samples = [anchor(rng.normal(size=(9, 2)), idx) for _ in range(4)]
+    monkeypatch.setattr(dpca, "eigh_topk", forbidden)
+    monkeypatch.setattr(linalg, "eigh_topk", forbidden)
+    results = [full_pca(covs, 2), lrc_dpca(summaries, 2, idx), dpca_fan(summaries, 2),
+               dpca_bw(summaries, 2)]
+    assert [res.method for res in results] == ["full", "lrc", "fan", "bw"]
+    assert euclid_rankk_mean(samples, 2).entries.shape == (9, 2)
+
+
+def _spoiled(kind):
+    """Two machines' summaries and covariances V diag(values) V.T, with one
+    NaN or Inf entry in machine 1 as `kind` says."""
+    summaries = _random_summaries(np.random.default_rng(16), 6, 2, 2)
+    covs = (summaries.vectors * summaries.values[:, None, :]) @ np.swapaxes(
+        summaries.vectors, 1, 2)
+    if kind == "NaN in vectors":
+        summaries.vectors[1, 4, 0] = np.nan
+    elif kind == "Inf in values":
+        summaries.values[1, 1] = np.inf
+    else:
+        covs[1, 2, 2] = np.nan
+    return summaries, covs
+
+
+_TAKERS = {
+    "lrc": lambda summaries, covs: lrc_dpca(summaries, 2, IndexSet((0, 1))),
+    "fan": lambda summaries, covs: dpca_fan(summaries, 2),
+    "bw": lambda summaries, covs: dpca_bw(summaries, 2),
+    "full": lambda summaries, covs: full_pca(covs, 2),
+}
+
+
+@pytest.mark.parametrize("kind", ["NaN in vectors", "Inf in values", "NaN in a covariance"])
+@pytest.mark.parametrize("method", sorted(_TAKERS))
+def test_aggregators_reject_non_finite_input_at_their_edge(method, kind):
+    """A NaN or Inf in what an aggregator takes is a ShapeMismatchError at its
+    own edge: not a NotInManifoldError after a RuntimeWarning, a raw
+    LinAlgError or a silent result. full_pca takes the covariances, the
+    others the summaries, so each rejects the kinds that reach its input and
+    returns a finite basis for the rest."""
+    summaries, covs = _spoiled(kind)
+    spoils_input = (method == "full") == (kind == "NaN in a covariance")
+    if spoils_input:
+        with pytest.raises(ShapeMismatchError, match="must be finite"):
+            _TAKERS[method](summaries, covs)
+    else:
+        assert np.all(np.isfinite(_TAKERS[method](summaries, covs).basis))
+
+
+def test_euclid_rankk_mean_rejects_a_non_finite_factor():
+    entries = np.ones((2, 3, 1))
+    entries[1, 2, 0] = np.inf
+    with pytest.raises(ShapeMismatchError, match="must be finite"):
+        euclid_rankk_mean(CholFactor(entries, IndexSet((0,))), 1)
 
 
 # ---------------------------------------------------------------------------

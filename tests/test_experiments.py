@@ -151,7 +151,7 @@ def test_load_config_precedence(tmp_path):
     assert cfg.repetitions == 5
     assert cfg.master_seed == 9     # override beats file
     assert cfg.output_path == ""    # None overrides are skipped
-    assert cfg.p_grid == (50,)      # untouched quick default
+    assert cfg.p_grid == ()         # the file's p clears the default p grid
 
 
 def test_load_config_experiment_mismatch_warns(tmp_path, capsys):
