@@ -40,114 +40,50 @@ dpca
 experiments, cli
     Reproducible experiment drivers with CSV output, and `python -m psdk`;
     this plumbing is imported from `psdk.experiments`, not from `psdk`.
+
+`import psdk` is lazy: it loads none of these modules, and so no numpy,
+until a public name or submodule is first looked up on the package. The
+CLI relies on that to load OpenBLAS single-threaded (see `psdk.cli`).
 """
 
-from .dpca import (
-    DpcaResult,
-    dpca_bw,
-    dpca_fan,
-    euclid_rankk_mean,
-    find_index,
-    full_pca,
-    lrc_dpca,
-    summarize_covariance,
-)
-from .exceptions import (
-    ConfigError,
-    InsufficientPointsError,
-    NotInManifoldError,
-    PsdkError,
-    ShapeMismatchError,
-    SingularMatrixError,
-    ZeroGapWarning,
-)
-from .linalg import (
-    CholFactor,
-    IndexSet,
-    anchor,
-    SpectralPair,
-    eigh_topk,
-    lq_givens,
-    procrustes_sign,
-    projector_distance,
-    reduced_cholesky,
-    support_mask,
-)
-from .manifold import (
-    exp_factor,
-    factorize,
-    geodesic_distance,
-    karcher_mean,
-    log_factor,
-    membership,
-)
-from .models import (
-    RngStream,
-    derive_stream_id,
-    extrinsic_samples,
-    factor_noise_samples,
-    gaussian_samples,
-    gaussian_svd_signal,
-    intrinsic_samples,
-    sample_cov,
-    spiked_covariance,
-)
-from .perturbation import (
-    eigvec_first_order,
-    equivalent_factor_noise,
-    factor_alignment,
-    karcher_factor_first_order,
-    lq_first_order,
-    skew_generator,
-)
+import importlib
+
+# Each public name and the submodule that defines it, imported on first use.
+_EXPORTS = {
+    "dpca": ("DpcaResult", "dpca_bw", "dpca_fan", "euclid_rankk_mean", "find_index",
+             "full_pca", "lrc_dpca", "summarize_covariance"),
+    "exceptions": ("ConfigError", "InsufficientPointsError", "NotInManifoldError",
+                   "PsdkError", "ShapeMismatchError", "SingularMatrixError",
+                   "ZeroGapWarning"),
+    "linalg": ("CholFactor", "IndexSet", "anchor", "SpectralPair", "eigh_topk",
+               "lq_givens", "procrustes_sign", "projector_distance", "reduced_cholesky",
+               "support_mask"),
+    "manifold": ("exp_factor", "factorize", "geodesic_distance", "karcher_mean",
+                 "log_factor", "membership"),
+    "models": ("RngStream", "derive_stream_id", "extrinsic_samples",
+               "factor_noise_samples", "gaussian_samples", "gaussian_svd_signal",
+               "intrinsic_samples", "sample_cov", "spiked_covariance"),
+    "perturbation": ("eigvec_first_order", "equivalent_factor_noise", "factor_alignment",
+                     "karcher_factor_first_order", "lq_first_order", "skew_generator"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CholFactor",
-    "ConfigError",
-    "DpcaResult",
-    "IndexSet",
-    "InsufficientPointsError",
-    "NotInManifoldError",
-    "PsdkError",
-    "RngStream",
-    "ShapeMismatchError",
-    "SingularMatrixError",
-    "SpectralPair",
-    "ZeroGapWarning",
-    "anchor",
-    "derive_stream_id",
-    "dpca_bw",
-    "dpca_fan",
-    "eigh_topk",
-    "eigvec_first_order",
-    "equivalent_factor_noise",
-    "euclid_rankk_mean",
-    "exp_factor",
-    "extrinsic_samples",
-    "factor_alignment",
-    "factor_noise_samples",
-    "factorize",
-    "find_index",
-    "full_pca",
-    "gaussian_samples",
-    "gaussian_svd_signal",
-    "geodesic_distance",
-    "intrinsic_samples",
-    "karcher_factor_first_order",
-    "karcher_mean",
-    "log_factor",
-    "lq_first_order",
-    "lq_givens",
-    "lrc_dpca",
-    "membership",
-    "procrustes_sign",
-    "projector_distance",
-    "reduced_cholesky",
-    "sample_cov",
-    "skew_generator",
-    "spiked_covariance",
-    "summarize_covariance",
-    "support_mask",
-]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    """A public name, or one of the submodules above, imported on first use
+    and kept in the package namespace."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SOURCE[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,12 +3,21 @@
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, an output path that cannot be written), 2 for numerical
 failures (the offending grid point is reported on stderr).
+
+Every run uses one BLAS thread. Imported before numpy, as by `python -m
+psdk` or the `psdk` script (`import psdk` loads no numpy), this module sets
+OPENBLAS_NUM_THREADS=1 first, so OpenBLAS loads single-threaded and never
+starts a worker thread; `main` pins a process that loaded numpy earlier.
 """
 
 import argparse
+import os
 import sys
 
-from . import experiments
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import experiments  # noqa: E402  (after the BLAS thread count is set)
 from .exceptions import ConfigError, PsdkError
 
 # Help per experiment; experiments.RUNNERS names ("_" as "-") and orders the commands.
@@ -63,10 +72,9 @@ def main(argv=None):
         print(f"psdk: error: {err}", file=sys.stderr)
         return 1
 
-    # Restoring BLAS thread counts after a forked run restarts BLAS thread
-    # pools (see experiments._blas_set) that this process, about to exit,
-    # has no use for. Pinned here for good, before any run (the selftest
-    # forks one too), no run has anything to restore.
+    # Pinned for good before any run (the selftest forks one too), no run
+    # has a BLAS thread count to restore. Where this module set the count
+    # before numpy loaded, the pin finds one thread and changes nothing.
     experiments.pin_blas()
     if args.command == "selftest":
         ok, lines = experiments.run_selftest()

@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
-from .linalg import (IndexSet, SpectralPair, _check_rank, _eigh_desc, _sample_stack, _signed,
-                     anchor, check_finite, eigh_topk, pivot_threshold)
+from .exceptions import (ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError,
+                         ZeroGapWarning)
+from .linalg import (IndexSet, SpectralPair, _check_integer, _check_rank, _eigh_desc,
+                     _sample_stack, _signed, anchor, check_finite, eigh_topk, pivot_threshold)
 from .manifold import _chart_factors, karcher_mean
 
 
@@ -163,18 +164,21 @@ def dpca_bw(summaries, rank):
 
 
 def euclid_rankk_mean(psds, rank):
-    """Best rank-`rank` approximation of the arithmetic mean of the inputs.
+    """Best rank-K approximation of the arithmetic mean of the inputs.
 
     Takes what `karcher_mean` takes (a stack, or a sequence of CholFactors)
     but not its pivot rule: the mean of the factors' N N.T is formed from
     the stacked factors. The output is the truncation's frame
-    V sqrt(values) anchored at the common index set (roundoff-negative
-    values count as zero); no pivot rule is enforced on it.
+    V sqrt(values) anchored at the common K-row index set (roundoff-negative
+    values count as zero); no pivot rule is enforced on it. `rank` must be
+    the inputs' K (ConfigError otherwise).
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
+    if _check_integer("rank", rank) != factors.rank:
+        raise ConfigError(f"euclid_rankk_mean: rank {rank} is not the inputs' K = "
+                          f"{factors.rank}; the mean is anchored at their index set")
     check_finite("euclid_rankk_mean factors", factors.entries)
     values, vectors = _eigh_desc(_frame_gram(factors.entries))
-    _check_rank(rank, len(values))
     frame = _signed(vectors[:, :rank]) * np.sqrt(np.maximum(values[:rank], 0.0))
     return anchor(frame, factors.index_set)
 

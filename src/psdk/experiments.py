@@ -383,9 +383,10 @@ def _blas_threads():
 
 def _blas_set(count):
     """Set numpy's BLAS thread count and return the prior one (None without
-    a thread control). An equal count is left alone: after a fork, any set
-    restarts the library's thread pool, whose threads then spin for a while
-    before they sleep."""
+    a thread control). An equal count is left alone: any set restarts the
+    library's thread pool (after a fork too), whose threads then spin for a
+    while before they sleep; OpenBLAS loaded at one thread, as the CLI
+    loads it, has no pool, and pinning it to one changes nothing."""
     control = _blas_threads()
     if control is None:
         return None
@@ -398,7 +399,9 @@ def _blas_set(count):
 
 def pin_blas():
     """Pin numpy's OpenBLAS to one thread for the rest of the process; a
-    no-op where its thread control is not found."""
+    no-op where its thread control is not found, or where OpenBLAS loaded
+    at one thread (`psdk.cli` sets that before numpy loads). The CLI's
+    fallback for callers that loaded numpy first."""
     _blas_set(1)
 
 
@@ -408,9 +411,11 @@ def _blas_pinned():
 
     Jobs are many small numpy calls; BLAS threads beside them, or beside
     each forked worker, only oversubscribe the cores. A pool forked inside
-    the block inherits the pin. Library callers get their prior count
-    back; after a forked run that set restarts the BLAS thread pool, so the
-    CLI calls `pin_blas` first, which leaves nothing to restore.
+    the block inherits the pin. Library callers, whose `import psdk` leaves
+    numpy's thread count alone, get their prior count back; after a forked
+    run that set restarts the BLAS thread pool. The CLI loads OpenBLAS at
+    one thread, or calls `pin_blas` first, so its runs have nothing to
+    restore.
     """
     prior = _blas_set(1)
     try:

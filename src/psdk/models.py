@@ -23,7 +23,7 @@ import numpy as np
 from . import manifold
 from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
 from .linalg import (IndexSet, _check_integer, _check_rank, _lead_axes, _sample_stack,
-                     anchor, check_symmetric, eigh_topk, support_mask)
+                     anchor, check_finite, check_symmetric, eigh_topk, support_mask)
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
 # into one integer, little-endian in this base; each label must fit below it.
@@ -213,11 +213,16 @@ def gaussian_samples(cov, n, rng):
 
 
 def sample_cov(data):
-    """Uncentered second-moment matrix data.T @ data / n."""
+    """Uncentered second-moment matrix data.T @ data / n.
+
+    ShapeMismatchError on a non-finite result, which any NaN or Inf in
+    `data` gives (on its column's diagonal entry): checking the p x p
+    result costs no pass over the n x p data."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[0] < 1:
         raise ShapeMismatchError(f"expected a nonempty (n, p) array, got {data.shape}")
     cov = data.T @ data / data.shape[0]
+    check_finite("sample_cov data and its second moments", cov)
     return 0.5 * (cov + cov.T)
 
 

@@ -19,3 +19,12 @@ def child_env():
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")
     return env
+
+
+@pytest.fixture
+def blas_free_env(child_env):
+    """`child_env` without the BLAS thread variables, so that a child sees
+    OpenBLAS's own default thread count, as a user's shell does."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        child_env.pop(name, None)
+    return child_env

@@ -1,9 +1,12 @@
+import importlib
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import psdk
 from psdk import experiments
 from psdk.cli import build_parser, main
 from psdk.experiments import CSV_HEADER
@@ -144,6 +147,108 @@ def test_cli_runs_all_experiments_without_scipy(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_CHILD], cwd=tmp_path,
                           env=child_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _child_json(code, cwd, env):
+    """Run `code` in a fresh interpreter and return the JSON it prints last."""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_LAZY_PACKAGE_CHILD = """
+import json, sys
+import psdk
+loaded, listed = "numpy" in sys.modules, dir(psdk)
+names = {}
+exec("from psdk import *", names)
+print(json.dumps({"numpy": loaded, "dir": listed,
+                  "star": sorted(n for n in names if n != "__builtins__"),
+                  "models": psdk.models is sys.modules["psdk.models"],
+                  "linalg": psdk.linalg is sys.modules["psdk.linalg"]}))
+"""
+
+
+def test_import_psdk_loads_no_numpy(tmp_path, blas_free_env):
+    """The package imports its submodules, and with them numpy, on first use;
+    `dir`, star imports and submodule attributes still see every name."""
+    got = _child_json(_LAZY_PACKAGE_CHILD, tmp_path, blas_free_env)
+    assert got["numpy"] is False
+    assert set(psdk.__all__) <= set(got["dir"])
+    assert got["star"] == sorted(psdk.__all__)
+    assert got["models"] and got["linalg"]
+
+
+def test_every_public_name_is_its_submodules_object():
+    for name in psdk.__all__:
+        module = importlib.import_module(f"psdk.{psdk._SOURCE[name]}")
+        assert getattr(psdk, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        psdk.nope
+
+
+_CLI_LOAD_CHILD = """
+import json, os
+import psdk.cli
+import numpy as np
+from psdk import experiments
+control = experiments._blas_threads()
+a = np.ones((300, 300))
+a @ a
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({"control": control is not None,
+                  "count": control[0]() if control else None, "tasks": tasks}))
+"""
+
+
+def test_cli_loads_blas_single_threaded(tmp_path, blas_free_env):
+    """Imported before numpy, the CLI has OpenBLAS load at one thread, so a
+    BLAS product starts no worker thread: the process keeps its one thread."""
+    got = _child_json(_CLI_LOAD_CHILD, tmp_path, blas_free_env)
+    if not got["control"]:
+        pytest.skip("numpy loads no scipy-openblas thread control")
+    assert got["count"] == 1
+    if got["tasks"] is None:
+        pytest.skip("no /proc/self/task to count the process's threads")
+    assert got["tasks"] == 1
+
+
+_NUMPY_FIRST_CHILD = """
+import json, os, sys
+import numpy
+import psdk.cli
+from psdk import experiments
+control = experiments._blas_threads()
+if control is None:
+    print(json.dumps({"control": False}))
+    sys.exit()
+get = control[0]
+seen = []
+run_ordered = experiments._run_ordered
+
+def spy(worker, jobs, threads):
+    seen.append(get())
+    return run_ordered(worker, jobs, threads)
+
+experiments._run_ordered = spy
+with open("run.cfg", "w") as fh:
+    fh.write("p = 8\\nK = 3\\nrepetitions = 1\\n")
+code = psdk.cli.main(["perturb-order", "--config", "run.cfg", "--out", "o.csv"])
+print(json.dumps({"control": True, "code": code, "seen": seen, "after": get(),
+                  "env": "OPENBLAS_NUM_THREADS" in os.environ}))
+"""
+
+
+def test_cli_pins_blas_when_numpy_loaded_first(tmp_path, blas_free_env):
+    """A caller that loaded numpy before psdk.cli keeps its environment, and
+    `main` still runs the experiment at one BLAS thread and leaves it there."""
+    got = _child_json(_NUMPY_FIRST_CHILD, tmp_path, blas_free_env)
+    if not got["control"]:
+        pytest.skip("numpy loads no scipy-openblas thread control")
+    assert got["code"] == 0
+    assert got["env"] is False
+    assert got["seen"] == [1] and got["after"] == 1
 
 
 def test_parser_offers_one_command_per_runner():

@@ -15,6 +15,7 @@ from psdk.dpca import (
     summarize_covariance,
 )
 from psdk.exceptions import (
+    ConfigError,
     NotInManifoldError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -398,6 +399,16 @@ def test_aggregators_reject_non_finite_input_at_their_edge(method, kind):
             _TAKERS[method](summaries, covs)
     else:
         assert np.all(np.isfinite(_TAKERS[method](summaries, covs).basis))
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_euclid_rankk_mean_rejects_a_rank_other_than_k(rank):
+    """The mean is anchored at the inputs' K-row index set, so only rank K
+    fits; another rank is named against K before any decomposition."""
+    rng = np.random.default_rng(8)
+    factors = [anchor(rng.normal(size=(6, 2)), IndexSet.canonical(2)) for _ in range(3)]
+    with pytest.raises(ConfigError, match=f"rank {rank} is not the inputs' K = 2"):
+        euclid_rankk_mean(factors, rank)
 
 
 def test_euclid_rankk_mean_rejects_a_non_finite_factor():

@@ -287,6 +287,14 @@ def test_sample_cov_rejects_empty():
         sample_cov(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_cov_rejects_non_finite_data(bad):
+    data = np.ones((4, 3))
+    data[2, 1] = bad
+    with pytest.raises(ShapeMismatchError, match="must be finite"):
+        sample_cov(data)
+
+
 # ---------------------------------------------------------------------------
 # extrinsic observation model
 

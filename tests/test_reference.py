@@ -11,6 +11,8 @@ sweeps of `extrinsic_avg` meet at one (M, sigma_sq) point.
 """
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,24 @@ def test_reference_output(name, retries, skips, tmp_path, capsys):
     assert err.count(" skipped: ") == skips
     counts = re.findall(r": (\d+) repetitions in ", err)
     assert counts and {int(c) for c in counts} == {int(parse_config_file(cfg)["repetitions"])}
+    _assert_matches_reference(out, name)
 
+
+def test_a_fresh_cli_process_writes_the_reference(tmp_path, blas_free_env):
+    """`python -m psdk` in a new interpreter, where the CLI loads OpenBLAS
+    at one thread before numpy, writes the reference; dpca forks its pool."""
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-m", "psdk", "dpca", "--config",
+                           str(REFERENCE / "dpca.cfg"), "--out", str(out)],
+                          cwd=tmp_path, env=blas_free_env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _assert_matches_reference(out, "dpca")
+
+
+def _assert_matches_reference(out, name):
+    """The CSV at `out` is `name`'s reference: every column but `error`
+    exactly, `error` within ERROR_RTOL."""
     header, rows = _read(out)
     ref_header, ref_rows = _read(REFERENCE / f"{name}.csv")
     assert header == ref_header == CSV_HEADER
