@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 for configuration problems (bad flags, bad
 config file, an output path that cannot be written), 2 for numerical
-failures (the offending grid point is reported on stderr).
+failures (the offending grid point is reported on stderr), 141 when the
+reader of standard output closed it early (`psdk ... | head`), after the
+CSV was written; 141 is what a shell reports for a program that SIGPIPE
+ended.
 
 Every run uses one BLAS thread. Imported before numpy, as by `python -m
 psdk` or the `psdk` script (`import psdk` loads no numpy), this module sets
@@ -27,6 +30,27 @@ _HELP = {
     "extrinsic_avg": "average data-observed factor-noise samples",
     "perturb_order": "remainder decay of the first-order expansions",
 }
+
+
+# Exit status when standard output was closed early: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
+
+
+def _print_lines(lines):
+    """Print `lines` to standard output and flush it; False when its reader
+    has closed it. Standard output then points at devnull, so the flush at
+    exit raises no second error (the SIGPIPE note of Python's `signal`
+    docs)."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+    return True
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,9 +102,10 @@ def main(argv=None):
     experiments.pin_blas()
     if args.command == "selftest":
         ok, lines = experiments.run_selftest()
-        for line in lines:
-            print(line)
-        return 0 if ok else 2
+        printed = _print_lines(lines)
+        if not ok:
+            return 2
+        return 0 if printed else EXIT_BROKEN_PIPE
 
     experiment = args.command.replace("-", "_")
     try:
@@ -110,8 +135,9 @@ def main(argv=None):
     except OSError as err:
         print(f"psdk: error: cannot write {out_path}: {err}", file=sys.stderr)
         return 1
-    print(experiments.summarize_records(cfg, records))
-    print(f"wrote {len(records)} records to {out_path}")
+    if not _print_lines([experiments.summarize_records(cfg, records),
+                         f"wrote {len(records)} records to {out_path}"]):
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -603,13 +603,17 @@ def run_dpca(cfg):
     """One-shot distributed PCA over an (M, n) grid on spiked-covariance data.
 
     One population covariance is drawn per run. Per repetition and grid
-    point, M machines each observe n Gaussian samples; the four aggregators
-    run on the same draws and are scored by projector distance to the true
-    leading eigenspace. A Karcher aggregation that fails membership is
-    retried once with rows reselected from the first offending machine,
-    unless the index mode is canonical; if that is impossible or fails too,
-    it is logged to stderr and its row skipped. The other methods still
-    report.
+    point, M machines each observe n Gaussian samples from their own
+    streams. A machine's sample covariance is R (Z.T Z / n) R.T, from the
+    Gram matrix of its n x p standard normals Z and the covariance's root R,
+    which is checked and factored once per repetition and grid point
+    (`models._sample_covariances`); the data Z R.T is never formed. The four
+    aggregators run on the same draws and are scored by projector distance
+    to the true leading eigenspace. A Karcher aggregation that fails
+    membership is retried once with rows reselected from the first offending
+    machine, unless the index mode is canonical; if that is impossible or
+    fails too, it is logged to stderr and its row skipped. The other methods
+    still report.
     """
     cov, basis = models.spiked_covariance(cfg.p, cfg.K, _stream(cfg, 0, 0, 0))
     oracle_idx = None
@@ -626,10 +630,8 @@ def run_dpca(cfg):
     ]
 
     def work(notes, gi, m_count, n, rep):
-        covs = np.empty((m_count, cfg.p, cfg.p))
-        for m in range(m_count):
-            data = models.gaussian_samples(cov, n, _stream(cfg, 2, gi, rep, m))
-            covs[m] = models.sample_cov(data)
+        covs = models._sample_covariances(
+            cov, n, [_stream(cfg, 2, gi, rep, m) for m in range(m_count)])
         summaries = dpca_mod.summarize_covariance(covs, cfg.K)
         if cfg.index_mode == "canonical":
             idx = IndexSet.canonical(cfg.K)
@@ -823,12 +825,25 @@ _DEFAULTS = {
 # ---------------------------------------------------------------------------
 # summaries
 
+def _median(values):
+    """The median of a nonempty sequence of floats, as `np.median` gives it
+    (NaN if any value is NaN), by a plain sort: `np.median` checks for NaN
+    through numpy.ma, which it imports on first use."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(ordered[-1]):
+        return math.nan
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def _mean_median(records, key_fn):
     groups = {}
     for rec in records:
         groups.setdefault(key_fn(rec), []).append(rec.error)
     return {
-        key: (float(np.mean(errs)), float(np.median(errs)), len(errs))
+        key: (float(np.mean(errs)), _median(errs), len(errs))
         for key, errs in sorted(groups.items())
     }
 
@@ -909,7 +924,7 @@ def _summarize_perturb_order(cfg, records):
         if slopes.size:
             lines.append(
                 f"  method={method}: remainder slope over {slopes.size} instances "
-                f"min={slopes.min():.3f} median={np.median(slopes):.3f} max={slopes.max():.3f}"
+                f"min={slopes.min():.3f} median={_median(slopes):.3f} max={slopes.max():.3f}"
             )
     return lines
 

@@ -10,6 +10,11 @@ Two noise models produce collections of rank-K PSD matrices around a signal:
   surrogate. That sample covariance is drawn exactly from its Wishart law
   in factor form, without simulating the data (`extrinsic_samples`).
 
+The distributed-PCA machines observe N(0, Sigma) data. `gaussian_samples`
+returns such data; `_sample_covariances` gives a stack of machines their
+sample covariances from the same normals, R (Z.T Z / n) R.T for the root
+R R.T = Sigma, without forming the data.
+
 All randomness flows through `RngStream`, a pure function of
 (master_seed, stream_id), so every experiment repetition can own an
 independent, replayable stream.
@@ -187,19 +192,17 @@ def factor_noise_samples(factor, noises):
     return samples
 
 
-def gaussian_samples(cov, n, rng):
-    """n i.i.d. rows from N(0, cov), via the Cholesky transform of standard normals.
-
-    Falls back to an eigenvalue square root when `cov` is PSD but singular.
-    Raises SingularMatrixError on genuinely negative spectrum.
+def _cov_root(cov, n):
+    """A root R of the covariance of a draw of n rows, R R.T = cov: its
+    Cholesky factor, or an eigenvalue square root when `cov` is PSD but
+    singular. Raises SingularMatrixError on genuinely negative spectrum.
     """
     cov = check_symmetric(cov)
     _check_integer("n", n)
     if n < 1:
         raise ShapeMismatchError("need at least one data point")
-    gen = _as_generator(rng)
     try:
-        root = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         values, vectors = np.linalg.eigh(cov)
         scale = max(abs(values[0]), abs(values[-1]))
@@ -207,9 +210,43 @@ def gaussian_samples(cov, n, rng):
             raise SingularMatrixError(
                 f"covariance has negative eigenvalue {values[0]:.3e}"
             ) from None
-        root = vectors * np.sqrt(np.clip(values, 0.0, None))
-    z = gen.standard_normal((n, cov.shape[0]))
+        return vectors * np.sqrt(np.clip(values, 0.0, None))
+
+
+def gaussian_samples(cov, n, rng):
+    """n i.i.d. rows from N(0, cov), via the Cholesky transform of standard normals.
+
+    Falls back to an eigenvalue square root when `cov` is PSD but singular.
+    Raises SingularMatrixError on genuinely negative spectrum.
+    """
+    root = _cov_root(cov, n)
+    z = _as_generator(rng).standard_normal((n, root.shape[0]))
     return z @ root.T
+
+
+def _sample_covariances(cov, n, rngs):
+    """The (M, p, p) stack of second moments of n i.i.d. N(0, cov) rows, one
+    per random source in `rngs`: element m is
+    `sample_cov(gaussian_samples(cov, n, rngs[m]))` up to roundoff.
+
+    `cov` is checked and rooted once, R R.T = cov, as by `gaussian_samples`.
+    Each element draws its n x p standard normals Z_m from its own source,
+    exactly as `gaussian_samples` does, and is R (Z_m.T Z_m / n) R.T: the
+    data Z_m R.T is never formed. The Gram matrices go through numpy's
+    symmetric rank-n update; the two root products and the symmetrization
+    run over the stack, with at most two stacks alive.
+    """
+    root = _cov_root(cov, n)
+    p = root.shape[0]
+    grams = np.empty((len(rngs), p, p))
+    for gram, rng in zip(grams, rngs):
+        z = _as_generator(rng).standard_normal((n, p))
+        np.matmul(z.T, z, out=gram)
+    covs = grams @ root.T
+    np.matmul(root, covs, out=grams)
+    np.add(grams, np.swapaxes(grams, -1, -2), out=covs)
+    covs *= 0.5 / n
+    return covs
 
 
 def sample_cov(data):

@@ -180,6 +180,39 @@ def test_import_psdk_loads_no_numpy(tmp_path, blas_free_env):
     assert got["models"] and got["linalg"]
 
 
+_NO_MASKED_ARRAYS_CHILD = """
+import json, sys
+from psdk.cli import main
+codes = [main([command, "--config", cfg, "--out", "out.csv"])
+         for command, cfg in (("perturb-order", "perturb.cfg"), ("dpca", "dpca.cfg"))]
+print(json.dumps({"codes": codes, "ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_a_cli_run_loads_no_masked_arrays(tmp_path, blas_free_env):
+    """The summaries' medians do not go through `np.median`, whose NaN check
+    imports numpy.ma."""
+    _cfg(tmp_path, TINY_PERTURB, "perturb.cfg")
+    _cfg(tmp_path, TINY_DPCA, "dpca.cfg")
+    got = _child_json(_NO_MASKED_ARRAYS_CHILD, tmp_path, blas_free_env)
+    assert got == {"codes": [0, 0], "ma": False}
+
+
+def test_closed_stdout_exits_quietly_after_the_csv(tmp_path, blas_free_env):
+    """A reader that closes standard output before the summary is printed
+    (`psdk ... | head`) gets the CSV written, no traceback and exit 141."""
+    out = tmp_path / "orders.csv"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "psdk", "perturb-order", "--config",
+         _cfg(tmp_path, TINY_PERTURB), "--out", str(out)],
+        cwd=tmp_path, env=blas_free_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert out.read_text().startswith(CSV_HEADER)
+
+
 def test_every_public_name_is_its_submodules_object():
     for name in psdk.__all__:
         module = importlib.import_module(f"psdk.{psdk._SOURCE[name]}")

@@ -316,6 +316,18 @@ def test_run_dpca_index_modes():
         assert {r.method for r in records} == {"full", "lrc", "fan", "bw"}
 
 
+def test_run_dpca_draws_no_data(monkeypatch):
+    """A machine's covariance comes from the Gram matrix of its normals, not
+    from simulated data and its second moment."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_dpca simulated a machine's data")
+
+    monkeypatch.setattr(models, "gaussian_samples", forbidden)
+    monkeypatch.setattr(models, "sample_cov", forbidden)
+    assert len(run_dpca(_tiny_dpca())) == 2 * 3 * 4
+
+
 def test_run_dpca_thread_count_invisible():
     a = render_csv(run_dpca(_tiny_dpca(index_mode="find_index_machine1")))
     b = render_csv(run_dpca(_tiny_dpca(index_mode="find_index_machine1", threads=4)))
@@ -653,6 +665,12 @@ def test_job_error_in_a_worker_process_reaches_the_caller():
 
 # ---------------------------------------------------------------------------
 # summaries and selftest
+
+
+@pytest.mark.parametrize("values", [[3.0], [4.0, 1.0], [5.0, 1.0, 3.0, 2.0],
+                                    [2.0, np.nan, 1.0], [0.1, 0.7, 0.2, 0.3, 1e-17]])
+def test_summary_median_is_numpys(values):
+    assert np.array_equal(experiments._median(values), np.median(values), equal_nan=True)
 
 
 def test_summarize_records_mentions_methods_and_slopes():

@@ -295,6 +295,52 @@ def test_sample_cov_rejects_non_finite_data(bad):
         sample_cov(data)
 
 
+def _covariance(kind):
+    """A positive-definite covariance, or a singular PSD one on which
+    Cholesky fails, so the draw takes the eigenvalue root."""
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(6, 6))
+    cov = g @ g.T + 0.1 * np.eye(6)
+    if kind == "singular":
+        cov[4:], cov[:, 4:] = 0.0, 0.0
+        order = rng.permutation(6)
+        cov = cov[np.ix_(order, order)]
+    return cov
+
+
+@pytest.mark.parametrize("kind", ["definite", "singular"])
+def test_sample_covariances_are_the_per_machine_draws(kind, monkeypatch):
+    """Machine m's covariance is sample_cov(gaussian_samples(...)) of its own
+    stream, to roundoff, from one check and root of the covariance."""
+    cov = _covariance(kind)
+    streams = [RngStream(18, m) for m in range(5)]
+    want = np.stack([sample_cov(gaussian_samples(cov, 40, s)) for s in streams])
+    cholesky, calls = np.linalg.cholesky, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    got = models._sample_covariances(cov, 40, streams)
+    assert calls == [(6, 6)]
+    if kind == "singular":
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(cov)
+    assert got.shape == (5, 6, 6)
+    assert np.array_equal(got, np.swapaxes(got, 1, 2))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_sample_covariances_reject_what_gaussian_samples_rejects():
+    message = r"^covariance has negative eigenvalue -1\.000e\+00$"
+    for draw in (gaussian_samples, lambda *args: models._sample_covariances(*args[:2], [args[2]])):
+        with pytest.raises(SingularMatrixError, match=message):
+            draw(np.diag([1.0, -1.0]), 10, RngStream(8, 2))
+        with pytest.raises(ShapeMismatchError, match="at least one data point"):
+            draw(np.eye(2), 0, RngStream(8, 3))
+
+
 # ---------------------------------------------------------------------------
 # extrinsic observation model
 
