@@ -23,15 +23,6 @@ if "numpy" not in sys.modules:
 from . import experiments  # noqa: E402  (after the BLAS thread count is set)
 from .exceptions import ConfigError, PsdkError
 
-# Help per experiment; experiments.RUNNERS names ("_" as "-") and orders the commands.
-_HELP = {
-    "intrinsic_avg": "average log-factor-noise samples (Karcher vs Euclidean)",
-    "dpca": "one-shot distributed PCA over an (M, n) grid",
-    "extrinsic_avg": "average data-observed factor-noise samples",
-    "perturb_order": "remainder decay of the first-order expansions",
-}
-
-
 # Exit status when standard output was closed early: 128 + SIGPIPE.
 EXIT_BROKEN_PIPE = 141
 
@@ -68,9 +59,9 @@ def build_parser():
         "averaging and distributed PCA.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for experiment in experiments.RUNNERS:
-        text = _HELP[experiment]
-        cmd = sub.add_parser(experiment.replace("_", "-"), help=text, description=text)
+    for experiment, spec in experiments._EXPERIMENTS.items():
+        cmd = sub.add_parser(experiment.replace("_", "-"), help=spec.help,
+                             description=spec.help)
         cmd.add_argument("--config", metavar="FILE",
                          help="key = value overrides file")
         cmd.add_argument("--seed", type=int, metavar="N",

@@ -1,16 +1,8 @@
 """Seeded experiment drivers with deterministic CSV output.
 
-Four experiments exercise the library end to end:
-
-* intrinsic_avg: Karcher vs Euclidean averaging of samples drawn in
-  log-factor coordinates; error is the Frobenius distance to the signal.
-* dpca: one-shot distributed PCA (pooled, Karcher, projector-average,
-  surrogate-average aggregators) on spiked-covariance data; error is the
-  projector distance to the true eigenspace.
-* extrinsic_avg: Karcher vs Euclidean averaging when factor-noise samples
-  are only observed through finite Gaussian data.
-* perturb_order: measured remainders of the first-order expansions against
-  their exact counterparts across a geometric noise-scale grid.
+Four experiments exercise the library end to end: intrinsic_avg, dpca,
+extrinsic_avg and perturb_order. Each is defined once, beside its plan
+(`_define`), and its runner's docstring says what it measures.
 
 Every repetition owns an RngStream derived from (master_seed, packed labels),
 so reruns with the same config are bit-identical regardless of the worker
@@ -29,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from operator import attrgetter
-from typing import NamedTuple, get_args, get_origin
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -77,7 +69,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def validate(self):
-        if self.experiment not in RUNNERS:
+        """Check each field's range, whatever the experiment, then what the
+        experiment needs (`_Experiment`); returns self."""
+        spec = _EXPERIMENTS.get(self.experiment)
+        if spec is None:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}, expected one of {tuple(RUNNERS)}"
             )
@@ -95,59 +90,50 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown index_mode {self.index_mode!r}, expected one of {INDEX_MODES}"
             )
-        if self.index_mode == "find_index_machine1" and self.experiment != "dpca":
-            raise ConfigError("index_mode find_index_machine1 needs machines (dpca only)")
         for name in ("p_grid", "M_grid", "n_grid"):
             grid = getattr(self, name)
             if any(int(v) < 1 for v in grid):
                 raise ConfigError(f"{name} entries must be positive, got {grid}")
-        for p in self.p_grid:
-            if p < self.K:
-                raise ConfigError(f"p_grid entry {p} smaller than K={self.K}")
-        if self.experiment == "intrinsic_avg" and not self.M_grid:
-            raise ConfigError("intrinsic_avg needs a nonempty M_grid")
-        if self.experiment == "dpca" and (not self.M_grid or not self.n_grid):
-            raise ConfigError("dpca needs nonempty M_grid and n_grid")
-        if self.experiment == "extrinsic_avg":
-            if not self.M_grid and not self.sigma_grid:
-                raise ConfigError("extrinsic_avg needs M_grid or sigma_grid")
-            if not all(math.isfinite(s) and s >= 0 for s in self.sigma_grid):
-                raise ConfigError(
-                    f"sigma_grid entries must be finite and nonnegative: {self.sigma_grid}"
-                )
-            if self.sigma_grid and not 1 <= self.M_fixed < models.STREAM_BASE:
-                raise ConfigError(f"M_fixed out of range: {self.M_fixed}")
-            if self.n_inner < 1:
-                raise ConfigError(f"n_inner must be positive, got {self.n_inner}")
-        if self.experiment == "perturb_order":
-            if len(self.eps_grid) < 4:
-                raise ConfigError("perturb_order needs an eps_grid with >= 4 points")
-            if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
-                raise ConfigError(
-                    f"eps_grid entries must be finite and positive: {self.eps_grid}"
-                )
-            if self.K < 2:
-                raise ConfigError("perturb_order needs K >= 2")
-        largest_m = max(list(self.M_grid) + [self.M_fixed if self.sigma_grid else 1])
-        if largest_m >= models.STREAM_BASE:
+        # a rank-K estimate needs p >= K, and n >= K points
+        for name in ("p_grid", "n_grid"):
+            for size in getattr(self, name):
+                if size < self.K:
+                    raise ConfigError(f"{name} entry {size} smaller than K={self.K}")
+        if any(m >= models.STREAM_BASE for m in self.M_grid):
             raise ConfigError(f"machine counts must stay below {models.STREAM_BASE}")
+        if not 1 <= self.M_fixed < models.STREAM_BASE:
+            raise ConfigError(f"M_fixed out of range: {self.M_fixed}")
+        if self.n_inner < 1:
+            raise ConfigError(f"n_inner must be positive, got {self.n_inner}")
+        if not all(math.isfinite(s) and s >= 0 for s in self.sigma_grid):
+            raise ConfigError(
+                f"sigma_grid entries must be finite and nonnegative: {self.sigma_grid}")
+        if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+            raise ConfigError(f"eps_grid entries must be finite and positive: {self.eps_grid}")
+        if self.index_mode == "find_index_machine1" and not spec.machines:
+            owners = ", ".join(name for name, e in _EXPERIMENTS.items() if e.machines)
+            raise ConfigError(f"index_mode find_index_machine1 needs machines ({owners} only)")
+        for holds, message in spec.needs:
+            if not holds(self):
+                raise ConfigError(message)
         return self
 
 
 def default_config(experiment, quick=False):
-    """Full-scale defaults per experiment (`_DEFAULTS`); `quick` shrinks to desk scale."""
-    if experiment not in _DEFAULTS:
+    """The experiment's full-scale defaults; `quick` shrinks them to desk scale."""
+    spec = _EXPERIMENTS.get(experiment)
+    if spec is None:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    full, desk = _DEFAULTS[experiment]
-    return ExperimentConfig(experiment, **{**full, **(desk if quick else {})})
+    return ExperimentConfig(experiment, **{**spec.defaults, **(spec.quick if quick else {})})
 
 
 # ---------------------------------------------------------------------------
 # config files
 
 def parse_config_file(path):
-    """Read a flat `key = value` file; '#' starts a comment, blanks ignored."""
-    values = {}
+    """Read a flat `key = value` file; '#' starts a comment, blanks ignored,
+    and a key set twice is a ConfigError naming both lines."""
+    values, linenos = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -156,7 +142,11 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in linenos:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} set again, first set on line {linenos[key]}")
+            values[key], linenos[key] = val.strip(), lineno
     return values
 
 
@@ -440,7 +430,7 @@ def _runner(experiment):
     in job order. Each job appends its retry and skip lines to its own
     `notes` list; they go to stderr after the run, in job order, prefixed
     with the job's `where`. With `progress`, the measured time per job group
-    follows.
+    follows. The runner's `experiment` attribute names it.
     """
 
     def decorate(plan):
@@ -475,9 +465,40 @@ def _runner(experiment):
                     _log(f"{experiment} {group}: {count} repetitions in {secs:.1f}s")
             return records
 
+        run.experiment = experiment
         return run
 
     return decorate
+
+
+class _Experiment(NamedTuple):
+    """One experiment: CLI help, the full-scale config fields that differ
+    from ExperimentConfig's, their `--quick` overrides, summary lines after
+    the record count, what its config needs beyond each field's range as
+    (holds(cfg), message) pairs, and whether it runs machines."""
+
+    help: str
+    defaults: dict
+    quick: dict
+    summary: Callable
+    needs: tuple
+    machines: bool = False
+
+
+# Name -> _Experiment and name -> runner, in the CLI's command order.
+_EXPERIMENTS = {}
+RUNNERS = {}
+
+
+def _define(name, **definition):
+    """Register the decorated plan as experiment `name`; returns its runner."""
+
+    def register(plan):
+        _EXPERIMENTS[name] = _Experiment(**definition)
+        RUNNERS[name] = _runner(name)(plan)
+        return RUNNERS[name]
+
+    return register
 
 
 def _frame_rows(frame, rank):
@@ -557,9 +578,67 @@ def _mean_rows(cfg, notes, samples, truth, row):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# summaries
 
-@_runner("intrinsic_avg")
+def _median(values):
+    """The median of a nonempty sequence of floats, as `np.median` gives it
+    (NaN if any value is NaN), by a plain sort: `np.median` checks for NaN
+    through numpy.ma, which it imports on first use."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(ordered[-1]):
+        return math.nan
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2)
+
+
+def _mean_median(records, key_fn):
+    groups = {}
+    for rec in records:
+        groups.setdefault(key_fn(rec), []).append(rec.error)
+    return {key: (float(np.mean(errs)), _median(errs)) for key, errs in sorted(groups.items())}
+
+
+def _slope_line(stats, points, head):
+    """`head` and the log-log slope of the mean errors at `points`.
+
+    `points` pairs each x with its `stats` key; keys without records (every
+    row skipped there) drop out. Returns None when no fit is possible.
+    """
+    points = [(x, stats[key][0]) for x, key in points if key in stats]
+    try:
+        fit = slope_fit(points)
+    except InsufficientPointsError:
+        return None
+    return f"{head} = {fit.slope:.3f} (r2={fit.r_squared:.3f})"
+
+
+def summarize_records(cfg, records):
+    """Human-readable per-grid-point stats and log-log slope fits."""
+    lines = [f"{cfg.experiment}: {len(records)} records"]
+    lines += _EXPERIMENTS[cfg.experiment].summary(cfg, records)
+    return "\n".join(line for line in lines if line is not None)
+
+
+# ---------------------------------------------------------------------------
+# experiments: each one's summary, then its plan under its definition
+
+def _summarize_intrinsic(cfg, records):
+    stats = _mean_median(records, lambda r: (r.p, r.method, r.M))
+    lines = [_slope_line(stats, [(m, (p, method, m)) for m in cfg.M_grid],
+                         f"  p={p} method={method}: slope of mean error vs M")
+             for (p, method) in sorted({(r.p, r.method) for r in records})]
+    lines.append("  p M method mean median")
+    for (p, method, m), (mean, med) in stats.items():
+        lines.append(f"  {p} {m} {method} {mean:.6g} {med:.6g}")
+    return lines
+
+
+@_define("intrinsic_avg", help="average log-factor-noise samples (Karcher vs Euclidean)",
+         defaults=dict(p_grid=(100, 200, 300, 400), M_grid=tuple(range(30, 271, 30))),
+         quick=dict(p=50, p_grid=(50,)), summary=_summarize_intrinsic,
+         needs=((lambda c: c.M_grid, "intrinsic_avg needs a nonempty M_grid"),))
 def run_intrinsic(cfg):
     """Karcher vs Euclidean averaging under log-factor noise.
 
@@ -567,9 +646,8 @@ def run_intrinsic(cfg):
     each M in the M grid, draws M samples and records the Frobenius error of
     the Karcher mean ("karcher") and of the best rank-K approximation of the
     arithmetic mean ("euclid"). A Karcher mean that fails membership (heavy
-    noise can push an anchor pivot below threshold) is retried with
-    reselected rows when the index mode permits, else logged and skipped;
-    the Euclidean row is recorded either way.
+    noise can push an anchor pivot below threshold) follows
+    `_aggregate_or_skip`; the Euclidean row is recorded either way.
     """
     p_grid = cfg.p_grid or (cfg.p,)
     sigma = math.sqrt(cfg.sigma_sq)
@@ -580,7 +658,7 @@ def run_intrinsic(cfg):
     }
     jobs = [
         _Job(f"p={p} M={m_count}",
-             f"intrinsic_avg grid point p={p}, M={m_count}, repetition {rep}",
+             f"{cfg.experiment} grid point p={p}, M={m_count}, repetition {rep}",
              (pi, p, mi, m_count, rep))
         for pi, p in enumerate(p_grid)
         for mi, m_count in enumerate(cfg.M_grid)
@@ -591,29 +669,45 @@ def run_intrinsic(cfg):
         sig = signals[(pi, rep)]
         stream = _stream(cfg, 1, pi, mi, rep)
         samples = models.intrinsic_samples(sig, sigma, m_count, stream)
-        row = RunRecord("intrinsic_avg", "", p, cfg.K, m_count, 0, cfg.sigma_sq,
+        row = RunRecord(cfg.experiment, "", p, cfg.K, m_count, 0, cfg.sigma_sq,
                         rep, stream.stream_id, 0.0)
         return _mean_rows(cfg, notes, samples, sig, row)
 
     return jobs, work
 
 
-@_runner("dpca")
+def _summarize_dpca(cfg, records):
+    stats = _mean_median(records, lambda r: (r.M, r.n, r.method))
+    methods = sorted({r.method for r in records})
+    lines = [_slope_line(stats, [(n, (m_count, n, method)) for n in cfg.n_grid],
+                         f"  M={m_count} method={method}: slope vs n")
+             for m_count in cfg.M_grid for method in methods]
+    lines += [_slope_line(stats, [(m_count, (m_count, n, method)) for m_count in cfg.M_grid],
+                          f"  n={n} method={method}: slope vs M")
+              for n in cfg.n_grid for method in methods]
+    lines.append("  M n method mean median")
+    for (m_count, n, method), (mean, med) in stats.items():
+        lines.append(f"  {m_count} {n} {method} {mean:.6g} {med:.6g}")
+    return lines
+
+
+@_define("dpca", help="one-shot distributed PCA over an (M, n) grid",
+         defaults=dict(sigma_sq=0.0, M_grid=(50,), n_grid=(500, 1000, 1500, 2000, 2500),
+                       repetitions=100, index_mode="find_index_machine1"),
+         quick=dict(p=50, M_grid=(20,), n_grid=(500, 1000, 2000), repetitions=20),
+         summary=_summarize_dpca, machines=True,
+         needs=((lambda c: c.M_grid and c.n_grid, "dpca needs nonempty M_grid and n_grid"),))
 def run_dpca(cfg):
     """One-shot distributed PCA over an (M, n) grid on spiked-covariance data.
 
     One population covariance is drawn per run. Per repetition and grid
     point, M machines each observe n Gaussian samples from their own
-    streams. A machine's sample covariance is R (Z.T Z / n) R.T, from the
-    Gram matrix of its n x p standard normals Z and the covariance's root R,
-    which is checked and factored once per repetition and grid point
-    (`models._sample_covariances`); the data Z R.T is never formed. The four
-    aggregators run on the same draws and are scored by projector distance
-    to the true leading eigenspace. A Karcher aggregation that fails
-    membership is retried once with rows reselected from the first offending
-    machine, unless the index mode is canonical; if that is impossible or
-    fails too, it is logged to stderr and its row skipped. The other methods
-    still report.
+    streams, as the sample covariances of data that is never formed
+    (`models._sample_covariances`). The four aggregators run on the same
+    draws and are scored by projector distance to the true leading
+    eigenspace. A Karcher aggregation that fails membership follows
+    `_aggregate_or_skip`, with rows reselected from the first offending
+    machine; the other methods still report.
     """
     cov, basis = models.spiked_covariance(cfg.p, cfg.K, _stream(cfg, 0, 0, 0))
     oracle_idx = None
@@ -623,7 +717,7 @@ def run_dpca(cfg):
     grid = [(m_count, n) for m_count in cfg.M_grid for n in cfg.n_grid]
     jobs = [
         _Job(f"M={m_count} n={n}",
-             f"dpca grid point M={m_count}, n={n}, repetition {rep}",
+             f"{cfg.experiment} grid point M={m_count}, n={n}, repetition {rep}",
              (gi, m_count, n, rep))
         for gi, (m_count, n) in enumerate(grid)
         for rep in range(cfg.repetitions)
@@ -648,7 +742,7 @@ def run_dpca(cfg):
         if lrc is not None:
             results.append(lrc)
         results += [dpca_mod.dpca_fan(summaries, cfg.K), dpca_mod.dpca_bw(summaries, cfg.K)]
-        row = RunRecord("dpca", "", cfg.p, cfg.K, m_count, n, cfg.sigma_sq, rep,
+        row = RunRecord(cfg.experiment, "", cfg.p, cfg.K, m_count, n, cfg.sigma_sq, rep,
                         derive_stream_id(2, gi, rep, 0), 0.0)
         return [replace(row, method=res.method, error=projector_distance(res.basis, basis))
                 for res in results]
@@ -656,7 +750,27 @@ def run_dpca(cfg):
     return jobs, work
 
 
-@_runner("extrinsic_avg")
+def _summarize_extrinsic(cfg, records):
+    stats = _mean_median(records, lambda r: (r.M, r.sigma_sq, r.method))
+    lines = ["  M sigma_sq method mean median"]
+    for (m_count, s2, method), (mean, med) in stats.items():
+        lines.append(f"  {m_count} {s2:g} {method} {mean:.6g} {med:.6g}")
+    for (m_count, s2) in sorted({(r.M, r.sigma_sq) for r in records}):
+        karcher, euclid = (stats.get((m_count, s2, m)) for m in ("karcher", "euclid"))
+        if karcher and euclid and euclid[0] > 0:
+            lines.append(f"  M={m_count} sigma_sq={s2:g}: karcher/euclid mean ratio = "
+                         f"{karcher[0] / euclid[0]:.3f}")
+    return lines
+
+
+@_define("extrinsic_avg", help="average data-observed factor-noise samples",
+         defaults=dict(sigma_sq=0.5, M_grid=tuple(range(100, 1001, 100)),
+                       sigma_grid=tuple(round(0.1 * i, 10) for i in range(8))),
+         quick=dict(p=50, M_grid=(100, 400, 1000), sigma_grid=(0.0, 0.7)),
+         summary=_summarize_extrinsic,
+         needs=((lambda c: c.M_grid or c.sigma_grid, "extrinsic_avg needs M_grid or sigma_grid"),
+                # a covariance of n_inner < K points has rank n_inner < K
+                (lambda c: c.n_inner >= c.K, "extrinsic_avg needs n_inner >= K")))
 def run_extrinsic(cfg):
     """Karcher vs Euclidean averaging of data-observed factor-noise samples.
 
@@ -671,7 +785,7 @@ def run_extrinsic(cfg):
                for rep in range(cfg.repetitions)]
     jobs = [
         _Job(f"{sweep} sweep M={m_count} sigma_sq={s2}",
-             f"extrinsic_avg grid point M={m_count}, sigma_sq={s2}, repetition {rep}",
+             f"{cfg.experiment} grid point M={m_count}, sigma_sq={s2}, repetition {rep}",
              (gi, m_count, s2, rep))
         for gi, (sweep, m_count, s2) in enumerate(grid)
         for rep in range(cfg.repetitions)
@@ -681,7 +795,7 @@ def run_extrinsic(cfg):
         sig = signals[rep]
         stream = _stream(cfg, 1, gi, rep)
         samples = models.extrinsic_samples(sig, s2, m_count, stream, n_inner=cfg.n_inner)
-        row = RunRecord("extrinsic_avg", "", cfg.p, cfg.K, m_count, cfg.n_inner, s2,
+        row = RunRecord(cfg.experiment, "", cfg.p, cfg.K, m_count, cfg.n_inner, s2,
                         rep, stream.stream_id, 0.0)
         return _mean_rows(cfg, notes, samples, sig, row)
 
@@ -692,7 +806,31 @@ def run_extrinsic(cfg):
 _PERTURB_SAMPLES = 5
 
 
-@_runner("perturb_order")
+def _summarize_perturb_order(cfg, records):
+    curves = {}
+    for r in records:
+        curves.setdefault(r.method, {}).setdefault(r.repetition, []).append((r.sigma_sq, r.error))
+    lines = []
+    for method in sorted(curves):
+        points = [curves[method].get(rep, []) for rep in range(cfg.repetitions)]
+        stack = np.full((len(points), max(map(len, points)), 2), np.nan)
+        for row, curve in zip(stack, points):
+            row[:len(curve)] = np.reshape(curve, (-1, 2))
+        slopes = _slope_fits(stack[..., 0], stack[..., 1]).slope
+        slopes = slopes[~np.isnan(slopes)]
+        if slopes.size:
+            lines.append(
+                f"  method={method}: remainder slope over {slopes.size} instances "
+                f"min={slopes.min():.3f} median={_median(slopes):.3f} max={slopes.max():.3f}")
+    return lines
+
+
+@_define("perturb_order", help="remainder decay of the first-order expansions",
+         defaults=dict(p=20, sigma_sq=0.0), quick={},
+         summary=_summarize_perturb_order,
+         needs=((lambda c: len(c.eps_grid) >= 4,
+                 "perturb_order needs an eps_grid with >= 4 points"),
+                (lambda c: c.K >= 2, "perturb_order needs K >= 2")))
 def run_perturb_order(cfg):
     """Remainder magnitudes of the first-order expansions across a noise grid.
 
@@ -715,7 +853,7 @@ def run_perturb_order(cfg):
     blocks = [range(lo, min(lo + step, cfg.repetitions))
               for lo in range(0, cfg.repetitions, step)]
     jobs = [_Job(kinds[kind],
-                 f"perturb_order {kinds[kind]} repetitions {reps[0]} to {reps[-1]}",
+                 f"{cfg.experiment} {kinds[kind]} repetitions {reps[0]} to {reps[-1]}",
                  (kind, reps), len(reps))
             for kind in (0, 1) for reps in blocks]
 
@@ -740,7 +878,7 @@ def run_perturb_order(cfg):
             preds = perturbation.karcher_factor_first_order(factor, scaled)
             errors = {"karcher_factor": np.max(np.abs(np.reshape(exact, preds.shape) - preds),
                                                axis=(-2, -1))}
-        return [RunRecord("perturb_order", method, cfg.p, cfg.K, m_count, 0, e, rep,
+        return [RunRecord(cfg.experiment, method, cfg.p, cfg.K, m_count, 0, e, rep,
                           derive_stream_id(kind, rep), float(err[b, i]))
                 for b, rep in enumerate(reps)
                 for i, e in enumerate(cfg.eps_grid)
@@ -791,158 +929,6 @@ def _lq_remainders(tril, orth, noise, eps_grid):
     pred_orth, pred_tri = perturbation.lq_first_order(tril, orth, scaled)
     return (np.max(np.abs(np.reshape(exact_orth, scaled.shape) - pred_orth), axis=(-2, -1)),
             np.max(np.abs(np.reshape(exact_tri, scaled.shape) - pred_tri), axis=(-2, -1)))
-
-
-RUNNERS = {
-    "intrinsic_avg": run_intrinsic,
-    "dpca": run_dpca,
-    "extrinsic_avg": run_extrinsic,
-    "perturb_order": run_perturb_order,
-}
-
-# Per experiment: the full-scale config fields, and the `--quick` overrides.
-_DEFAULTS = {
-    "intrinsic_avg": (
-        dict(p=100, sigma_sq=1.0, p_grid=(100, 200, 300, 400),
-             M_grid=tuple(range(30, 271, 30)), repetitions=20),
-        dict(p=50, p_grid=(50,)),
-    ),
-    "dpca": (
-        dict(p=100, sigma_sq=0.0, M_grid=(50,), n_grid=(500, 1000, 1500, 2000, 2500),
-             repetitions=100, index_mode="find_index_machine1"),
-        dict(p=50, M_grid=(20,), n_grid=(500, 1000, 2000), repetitions=20),
-    ),
-    "extrinsic_avg": (
-        dict(p=100, sigma_sq=0.5, M_grid=tuple(range(100, 1001, 100)),
-             sigma_grid=tuple(round(0.1 * i, 10) for i in range(8)), M_fixed=400,
-             n_inner=2000, repetitions=20),
-        dict(p=50, M_grid=(100, 400, 1000), sigma_grid=(0.0, 0.7)),
-    ),
-    "perturb_order": (dict(p=20, K=5, sigma_sq=0.0, repetitions=20), {}),
-}
-
-
-# ---------------------------------------------------------------------------
-# summaries
-
-def _median(values):
-    """The median of a nonempty sequence of floats, as `np.median` gives it
-    (NaN if any value is NaN), by a plain sort: `np.median` checks for NaN
-    through numpy.ma, which it imports on first use."""
-    ordered = np.sort(np.asarray(values, dtype=float))
-    if np.isnan(ordered[-1]):
-        return math.nan
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return float(ordered[mid])
-    return float((ordered[mid - 1] + ordered[mid]) / 2)
-
-
-def _mean_median(records, key_fn):
-    groups = {}
-    for rec in records:
-        groups.setdefault(key_fn(rec), []).append(rec.error)
-    return {
-        key: (float(np.mean(errs)), _median(errs), len(errs))
-        for key, errs in sorted(groups.items())
-    }
-
-
-def _slope_line(stats, points, head):
-    """`head` and the log-log slope of the mean errors at `points`.
-
-    `points` pairs each x with its `stats` key; keys without records (every
-    row skipped there) drop out. Returns None when no fit is possible.
-    """
-    points = [(x, stats[key][0]) for x, key in points if key in stats]
-    try:
-        fit = slope_fit(points)
-    except InsufficientPointsError:
-        return None
-    return f"{head} = {fit.slope:.3f} (r2={fit.r_squared:.3f})"
-
-
-def _summarize_intrinsic(cfg, records):
-    stats = _mean_median(records, lambda r: (r.p, r.method, r.M))
-    lines = [_slope_line(stats, [(m, (p, method, m)) for m in cfg.M_grid],
-                         f"  p={p} method={method}: slope of mean error vs M")
-             for (p, method) in sorted({(r.p, r.method) for r in records})]
-    lines.append("  p M method mean median")
-    for (p, method, m), (mean, med, _) in stats.items():
-        lines.append(f"  {p} {m} {method} {mean:.6g} {med:.6g}")
-    return lines
-
-
-def _summarize_dpca(cfg, records):
-    stats = _mean_median(records, lambda r: (r.M, r.n, r.method))
-    methods = sorted({r.method for r in records})
-    lines = []
-    for m_count in cfg.M_grid:
-        for method in methods:
-            lines.append(_slope_line(
-                stats, [(n, (m_count, n, method)) for n in cfg.n_grid],
-                f"  M={m_count} method={method}: slope vs n"))
-    for n in cfg.n_grid:
-        for method in methods:
-            lines.append(_slope_line(
-                stats, [(m_count, (m_count, n, method)) for m_count in cfg.M_grid],
-                f"  n={n} method={method}: slope vs M"))
-    lines.append("  M n method mean median")
-    for (m_count, n, method), (mean, med, _) in stats.items():
-        lines.append(f"  {m_count} {n} {method} {mean:.6g} {med:.6g}")
-    return lines
-
-
-def _summarize_extrinsic(cfg, records):
-    stats = _mean_median(records, lambda r: (r.M, r.sigma_sq, r.method))
-    lines = ["  M sigma_sq method mean median"]
-    for (m_count, s2, method), (mean, med, _) in stats.items():
-        lines.append(f"  {m_count} {s2:g} {method} {mean:.6g} {med:.6g}")
-    for (m_count, s2) in sorted({(r.M, r.sigma_sq) for r in records}):
-        kk = (m_count, s2, "karcher")
-        ee = (m_count, s2, "euclid")
-        if kk in stats and ee in stats and stats[ee][0] > 0:
-            lines.append(
-                f"  M={m_count} sigma_sq={s2:g}: karcher/euclid mean ratio = "
-                f"{stats[kk][0] / stats[ee][0]:.3f}"
-            )
-    return lines
-
-
-def _summarize_perturb_order(cfg, records):
-    curves = {}
-    for r in records:
-        curves.setdefault(r.method, {}).setdefault(r.repetition, []).append((r.sigma_sq, r.error))
-    lines = []
-    for method in sorted(curves):
-        points = [curves[method].get(rep, []) for rep in range(cfg.repetitions)]
-        stack = np.full((len(points), max(map(len, points)), 2), np.nan)
-        for row, curve in zip(stack, points):
-            row[:len(curve)] = np.reshape(curve, (-1, 2))
-        slopes = _slope_fits(stack[..., 0], stack[..., 1]).slope
-        slopes = slopes[~np.isnan(slopes)]
-        if slopes.size:
-            lines.append(
-                f"  method={method}: remainder slope over {slopes.size} instances "
-                f"min={slopes.min():.3f} median={_median(slopes):.3f} max={slopes.max():.3f}"
-            )
-    return lines
-
-
-# Per experiment: the summary lines after the record count.
-_SUMMARIES = {
-    "intrinsic_avg": _summarize_intrinsic,
-    "dpca": _summarize_dpca,
-    "extrinsic_avg": _summarize_extrinsic,
-    "perturb_order": _summarize_perturb_order,
-}
-
-
-def summarize_records(cfg, records):
-    """Human-readable per-grid-point stats and log-log slope fits."""
-    lines = [f"{cfg.experiment}: {len(records)} records"]
-    lines += _SUMMARIES[cfg.experiment](cfg, records)
-    return "\n".join(line for line in lines if line is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1016,7 @@ def _selftest_orders():
 
 def _selftest_determinism():
     cfg = ExperimentConfig(
-        "dpca", p=12, K=2, sigma_sq=0.0, M_grid=(4,), n_grid=(80,),
+        run_dpca.experiment, p=12, K=2, sigma_sq=0.0, M_grid=(4,), n_grid=(80,),
         repetitions=3, master_seed=7, index_mode="canonical",
     ).validate()
     first = render_csv(run_dpca(cfg))

@@ -7,16 +7,20 @@ threads)` positionally, would crash `bench/run.py --trace 1`. The tracer is
 loaded from its file, unchanged, so this test follows the table as it is
 edited. `bench/checks.py` regenerates random draws through `psdk.models`
 calls with positional arguments, which must keep binding. The tracer and
-the checker also iterate over the samplers' stacked factors; the last test
-runs both uses on a stack.
+the checker also iterate over the samplers' stacked factors; a test runs
+both uses on a stack. The last test runs the CLI under the tracer.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACE_CHILD = ROOT / "bench" / "trace_child.py"
 
 
 def _trace_child():
@@ -86,3 +90,19 @@ def test_tracer_and_checker_read_a_stack_of_samples():
     assert span[6] == 8 * count * p * p
     mats = [s.matrix for s in samples]
     assert len(mats) == count and all(m.shape == (p, p) for m in mats)
+
+
+def test_the_cli_runs_under_the_tracer(tmp_path, child_env):
+    """`trace_child` rewrites RUNNERS' entries before the CLI builds its
+    parser and runs; the traced run exits 0 and records its runner span."""
+    spans = tmp_path / "spans.json"
+    out = tmp_path / "o.csv"
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_CHILD), str(spans), "--", "perturb-order",
+         "--config", str(ROOT / "tests" / "reference" / "perturb_order.cfg"), "--out", str(out)],
+        env=child_env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[1] for span in json.loads(spans.read_text())["spans"]]
+    assert names and "experiments.runner" in names
+    assert out.read_text().startswith("experiment,")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import psdk
-from psdk import experiments
+from psdk import experiments, models
 from psdk.cli import build_parser, main
 from psdk.experiments import CSV_HEADER
 
@@ -360,29 +360,53 @@ def test_config_experiment_mismatch_warns_and_wins(tmp_path, capsys):
     assert out.read_text().split("\n")[1].startswith("perturb_order,")
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("dpca", "p = 12\nK = 3\nM_grid = 4\nn_grid = 2\n", "n_grid entry 2 smaller than K=3"),
+    ("extrinsic-avg", "p = 12\nK = 3\nM_grid = 4\nn_inner = 2\n",
+     "extrinsic_avg needs n_inner >= K"),
+])
+def test_too_few_points_for_rank_k_is_a_config_error(tmp_path, capsys, command, text, message):
+    """Fewer points than K give every sample covariance a zero K-th
+    eigenvalue; such a config is refused when it loads, before any run."""
+    out = tmp_path / "o.csv"
+    code = main([command, "--config", _cfg(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"psdk: error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: numerical failures
 
 
-def test_numerical_failure_names_grid_point(tmp_path, capsys):
-    # two observations cannot support a positive rank-3 spectrum
+def _machines_see_nothing(monkeypatch):
+    """Every machine's sample covariance is 0, as if it observed no signal:
+    no positive eigenvalue to summarize."""
+    monkeypatch.setattr(models, "_sample_covariances",
+                        lambda cov, n, rngs: np.zeros((len(rngs),) + cov.shape))
+
+
+def test_numerical_failure_names_grid_point(tmp_path, capsys, monkeypatch):
+    _machines_see_nothing(monkeypatch)
     cfg = _cfg(
         tmp_path,
-        "p = 8\nK = 3\nM_grid = 2\nn_grid = 2\nrepetitions = 1\n"
+        "p = 8\nK = 3\nM_grid = 2\nn_grid = 4\nrepetitions = 1\n"
         "index_mode = canonical\n",
     )
     code = main(["dpca", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     captured = capsys.readouterr()
     assert code == 2
     assert "psdk: numerical failure:" in captured.err
-    assert "grid point M=2, n=2" in captured.err
+    assert "grid point M=2, n=4" in captured.err
 
 
-def test_failed_run_writes_no_csv(tmp_path, capsys):
+def test_failed_run_writes_no_csv(tmp_path, capsys, monkeypatch):
+    _machines_see_nothing(monkeypatch)
     out = tmp_path / "o.csv"
     cfg = _cfg(
         tmp_path,
-        "p = 8\nK = 3\nM_grid = 2\nn_grid = 2\nrepetitions = 1\n"
+        "p = 8\nK = 3\nM_grid = 2\nn_grid = 4\nrepetitions = 1\n"
         "index_mode = canonical\n",
     )
     assert main(["dpca", "--config", cfg, "--out", str(out)]) == 2

@@ -117,16 +117,11 @@ def test_csv_newlines():
 
 
 def test_default_configs_validate():
-    for experiment in ("intrinsic_avg", "dpca", "extrinsic_avg", "perturb_order"):
+    assert list(experiments.RUNNERS) == [
+        "intrinsic_avg", "dpca", "extrinsic_avg", "perturb_order"]
+    for experiment in experiments.RUNNERS:
         default_config(experiment).validate()
         default_config(experiment, quick=True).validate()
-
-
-def test_every_runner_has_defaults_and_a_summary():
-    """A runner without an entry in either table would get a subcommand
-    whose every run fails, or a summary of its record count alone."""
-    assert set(experiments._DEFAULTS) == set(experiments.RUNNERS)
-    assert set(experiments._SUMMARIES) == set(experiments.RUNNERS)
 
 
 def test_parse_config_file(tmp_path):
@@ -140,6 +135,13 @@ def test_parse_config_file(tmp_path):
     )
     values = parse_config_file(path)
     assert values == {"p": "40", "M_grid": "10, 20,30", "sigma_sq": "0.25"}
+
+
+def test_parse_config_file_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("p = 40\nK = 3\n\n  p=50  # again\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:4: key 'p' set again, first set on line 1$"):
+        parse_config_file(path)
 
 
 def test_load_config_precedence(tmp_path):
@@ -214,10 +216,26 @@ def test_config_validation_errors():
         dict(experiment="perturb_order", p=10, K=2, repetitions=2,
              eps_grid=(1e-2, 1e-3, math.nan, 1e-4)),
         dict(experiment="perturb_order", p=10, K=1, repetitions=2),
+        # rank at most n < K: the K-th eigenvalue of every estimate is 0
+        dict(experiment="dpca", **{**base, "n_grid": (50, 1)}),
+        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2, M_grid=(3,), n_inner=1),
+        # each field's range is checked whatever the experiment reads
+        dict(experiment="intrinsic_avg", **{**base, "sigma_grid": (-0.1,)}),
+        dict(experiment="intrinsic_avg", **{**base, "eps_grid": (1e-2, 1e-3, 1e-4, 0.0)}),
+        dict(experiment="perturb_order", p=10, K=2, repetitions=2, M_fixed=0),
+        dict(experiment="perturb_order", p=10, K=2, repetitions=2, n_inner=0),
+        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2, M_grid=(3,), M_fixed=0),
     ]
     for kwargs in cases:
         with pytest.raises(ConfigError):
             ExperimentConfig(**kwargs).validate()
+
+
+def test_find_index_machine1_names_the_experiments_with_machines():
+    cfg = replace(default_config("extrinsic_avg", quick=True), index_mode="find_index_machine1")
+    with pytest.raises(ConfigError) as err:
+        cfg.validate()
+    assert str(err.value) == "index_mode find_index_machine1 needs machines (dpca only)"
 
 
 def test_runner_rejects_foreign_config():
@@ -481,7 +499,7 @@ def test_perturb_order_summary_skips_a_nonpositive_point():
 
 
 def _policy_cfg(index_mode):
-    return ExperimentConfig("dpca", p=4, K=2, M_grid=(1,), n_grid=(1,),
+    return ExperimentConfig("dpca", p=4, K=2, M_grid=(1,), n_grid=(2,),
                             index_mode=index_mode).validate()
 
 
