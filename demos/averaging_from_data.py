@@ -32,7 +32,7 @@ def mean_errors(sigma_sq, m_count):
         )
         mean = karcher_mean(samples)
         err_k.append(np.linalg.norm(mean.matrix - signal.matrix))
-        euclid = euclid_rankk_mean(samples, K)
+        euclid = euclid_rankk_mean(samples)
         err_e.append(np.linalg.norm(euclid.matrix - signal.matrix))
     return float(np.mean(err_k)), float(np.mean(err_e))
 

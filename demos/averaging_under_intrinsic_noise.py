@@ -35,7 +35,7 @@ def main():
             )
             mean = karcher_mean(samples)
             err_k.append(np.linalg.norm(mean.matrix - signal.matrix))
-            euclid = euclid_rankk_mean(samples, K)
+            euclid = euclid_rankk_mean(samples)
             err_e.append(np.linalg.norm(euclid.matrix - signal.matrix))
         rows.append((m_count, float(np.mean(err_k)), float(np.mean(err_e))))
 

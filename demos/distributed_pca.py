@@ -36,15 +36,16 @@ N_GRID = (250, 1000, 4000)
 def one_round(cov, n, rng):
     covs = np.stack([sample_cov(gaussian_samples(cov, n, rng)) for _ in range(M)])
     # one call summarizes all M machines: a stacked SpectralPair with
-    # vectors (M, p, K) and values (M, K), which the aggregators take as it is
+    # vectors (M, p, K) and values (M, K), which the aggregators take as it is;
+    # they and find_index read K from its width
     summaries = summarize_covariance(covs, K)
     # anchor rows chosen from machine 0's frame and shared with everyone
-    idx = find_index(summaries.vectors[0], summaries.values[0], K)
+    idx = find_index(summaries.vectors[0], summaries.values[0])
     return {
         "full": full_pca(covs, K).basis,
-        "lrc": lrc_dpca(summaries, K, idx).basis,
-        "fan": dpca_fan(summaries, K).basis,
-        "bw": dpca_bw(summaries, K).basis,
+        "lrc": lrc_dpca(summaries, idx).basis,
+        "fan": dpca_fan(summaries).basis,
+        "bw": dpca_bw(summaries).basis,
     }
 
 

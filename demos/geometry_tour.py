@@ -28,7 +28,7 @@ np.set_printoptions(precision=4, suppress=True)
 def main():
     print("=== a rank-1 matrix and its factor ===")
     mat = np.array([[4.0, 2.0], [2.0, 1.0]])
-    factor = factorize(mat, rank=1, index_set=IndexSet((0,)))
+    factor = factorize(mat, IndexSet((0,)))  # one anchor row: rank K = 1
     print("matrix:\n", mat)
     print("reduced Cholesky factor (anchored at row 0):\n", factor.entries)
     print("factor @ factor.T reproduces it:\n", factor.entries @ factor.entries.T)
@@ -37,11 +37,11 @@ def main():
     # this matrix vanishes on row 0, so row 0 cannot anchor it ...
     mat = np.array([[0.0, 0.0], [0.0, 4.0]])
     try:
-        reduced_cholesky(mat, 1, IndexSet((0,)))
+        reduced_cholesky(mat, IndexSet((0,)))
     except Exception as err:
         print("anchoring at row 0 fails:", err)
     # ... but row 1 works fine
-    factor = reduced_cholesky(mat, 1, IndexSet((1,)))
+    factor = reduced_cholesky(mat, IndexSet((1,)))
     print("anchored at row 1:\n", factor.entries)
 
     print("\n=== any frame of the matrix gives the same factor ===")

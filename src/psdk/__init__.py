@@ -7,7 +7,7 @@ block with positive diagonal; taking logs of that diagonal gives a global
 chart in which the Karcher mean is an entrywise average, i.e. closed form.
 
 The anchored factor (`CholFactor`, p x K) is the package's one PSD type:
-`anchor` turns any p x K frame into it, `factorize(mat, rank, index_set)`
+`anchor` turns any p x K frame into it, `factorize(mat, index_set)`
 turns a p x p matrix into it, signals and samples are factors, and
 `karcher_mean`, `geodesic_distance` and `euclid_rankk_mean` take factors
 only. A `CholFactor` may also hold a stack (M, p, K) of M factors sharing

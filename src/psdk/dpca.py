@@ -3,10 +3,11 @@
 Machines summarize their local sample covariance by its top-K eigenpairs;
 M machines' summaries are one stacked `SpectralPair` (vectors (M, p, K),
 values (M, K)), which `summarize_covariance` returns for an (M, p, p) stack
-and `lrc_dpca`, `dpca_fan` and `dpca_bw` take. Each aggregate gets one
-decomposition: `lrc_dpca` the SVD of its p x K Karcher-mean factor, the others
-one `np.linalg.eigh` of the mean of F_m F_m.T over an (M, p, w) stack of frames
-(`_frame_gram`, one product of the frames side by side). They differ in frames:
+and `lrc_dpca`, `dpca_fan` and `dpca_bw` take; their width K is the rank of
+every aggregate. Each aggregate gets one decomposition: `lrc_dpca` the SVD
+of its p x K Karcher-mean factor, the others one `np.linalg.eigh` of the
+mean of F_m F_m.T over an (M, p, w) stack of frames (`_frame_gram`, one
+product of the frames side by side). They differ in frames:
 
 * `lrc_dpca`: the Karcher mean, in log-Cholesky coordinates, of each
   machine's frame V diag(values) anchored at the index set (squaring keeps
@@ -27,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError,
-                         ZeroGapWarning)
-from .linalg import (IndexSet, SpectralPair, _check_integer, _check_rank, _eigh_desc,
-                     _sample_stack, _signed, anchor, check_finite, eigh_topk, pivot_threshold)
+from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
+from .linalg import (IndexSet, SpectralPair, _check_rank, _eigh_desc, _sample_stack, _signed,
+                     anchor, check_finite, eigh_topk, pivot_threshold)
 from .manifold import _chart_factors, karcher_mean
 
 
@@ -58,8 +58,9 @@ def summarize_covariance(cov_hat, rank):
 
 
 def _machine_stack(summaries, caller):
-    """The (M, p, K) vectors and (M, K) values, M >= 1, of the stacked SpectralPair
-    `summaries`; anything else, or a non-finite entry, raises ShapeMismatchError."""
+    """The (M, p, K) vectors and (M, K) values, M >= 1 and 1 <= K <= p, of the
+    stacked SpectralPair `summaries`, whose width K is the aggregate's rank;
+    anything else, or a non-finite entry, raises ShapeMismatchError."""
     form = (f"{caller} takes one stacked SpectralPair, vectors (M, p, K) and values "
             "(M, K), as summarize_covariance returns for an (M, p, p) stack")
     if not isinstance(summaries, SpectralPair):
@@ -69,7 +70,8 @@ def _machine_stack(summaries, caller):
         values = np.asarray(summaries.values, dtype=float)
     except (TypeError, ValueError):
         raise ShapeMismatchError(f"{form}; got ragged or non-numeric entries") from None
-    if vectors.ndim != 3 or not len(vectors) or values.shape != vectors.shape[::2]:
+    if (vectors.ndim != 3 or not len(vectors) or values.shape != vectors.shape[::2]
+            or not 1 <= vectors.shape[2] <= vectors.shape[1]):
         raise ShapeMismatchError(f"{form}; got vectors {vectors.shape}, values {values.shape}")
     check_finite(f"{caller} summaries", vectors, values)
     return vectors, values
@@ -85,7 +87,6 @@ def _frame_gram(frames):
 def _result(values, vectors, rank, method, n_machines, index_set=None):
     """The leading `rank` of an aggregate's p descending eigenpairs, warning
     on a collapsed eigengap; the basis takes `eigh_topk`'s sign rule."""
-    _check_rank(rank, len(values))
     gap = np.inf
     if rank < len(values):
         gap = float(values[rank - 1] - values[rank])
@@ -102,6 +103,7 @@ def full_pca(covariances, rank):
     stack (a sequence of equal-shape matrices goes through one `np.asarray`)."""
     covs = _sample_stack(covariances, "full_pca covariances")
     check_finite("full_pca covariances", covs)
+    _check_rank(rank, covs.shape[-1])
     agg = covs.sum(axis=0) / len(covs)
     return _result(*_eigh_desc(0.5 * (agg + agg.T)), rank, "full", len(covs))
 
@@ -113,14 +115,14 @@ def _lrc_frames(summaries):
     return vectors * values[:, None, :]
 
 
-def lrc_dpca(summaries, rank, index_set):
+def lrc_dpca(summaries, index_set):
     """Karcher-mean aggregation of the machines' rank-K covariance surrogates.
 
     Each machine's (V, values) of the stacked SpectralPair `summaries` stands
     for V diag(values)^2 V.T, the factor second-moment matrix consistent with
-    its eigenpairs. The frames V diag(values) are anchored at `index_set` as
-    one stack; the top eigenbasis of their Karcher mean N N.T is returned, from
-    the SVD of N (eigenvalues past K are exactly 0: a rank above K warns).
+    its eigenpairs. The frames V diag(values) are anchored at the K-row
+    `index_set` as one stack; the rank-K eigenbasis of their Karcher mean N N.T
+    is returned, from the SVD of N (eigenvalues past K are exactly 0).
 
     Raises
     ------
@@ -130,75 +132,68 @@ def lrc_dpca(summaries, rank, index_set):
         stack, so the caller can reselect rows via `find_index`.
     """
     frames = _lrc_frames(summaries)
-    p, k = frames.shape[1:]
-    _check_rank(rank, p)
     factors = anchor(frames, index_set)
     bad, reason = factors._pivot_rule()
     if reason is not None:
         raise NotInManifoldError(f"machines {bad.tolist()} fail membership with index set "
                                  f"{factors.index_set.indices}; reselect rows via find_index")
-    # zero columns past K give the singular vectors that complete a wider basis
-    mean = np.pad(karcher_mean(factors).entries, ((0, 0), (0, max(rank - k, 0))))
-    left, sing, _ = np.linalg.svd(mean, full_matrices=False)
-    return _result(np.pad(sing[:k] ** 2, (0, p - k)), left, rank, "lrc", len(frames),
-                   factors.index_set)
+    left, sing, _ = np.linalg.svd(karcher_mean(factors).entries, full_matrices=False)
+    p, k = frames.shape[1:]
+    return _result(np.pad(sing**2, (0, p - k)), left, k, "lrc", len(frames), factors.index_set)
 
 
-def dpca_fan(summaries, rank):
-    """Projector-averaging aggregation: mean of V V.T over the machines of the
-    stacked SpectralPair `summaries`."""
+def dpca_fan(summaries):
+    """Projector-averaging aggregation: the rank-K eigenbasis of the mean of
+    V V.T over the machines of the stacked SpectralPair `summaries`."""
     vectors, _ = _machine_stack(summaries, "dpca_fan")
-    return _result(*_eigh_desc(_frame_gram(vectors)), rank, "fan", len(vectors))
+    return _result(*_eigh_desc(_frame_gram(vectors)), vectors.shape[2], "fan", len(vectors))
 
 
-def dpca_bw(summaries, rank):
-    """Surrogate-averaging aggregation: mean of V diag(values) V.T, unsquared,
-    over the machines of the stacked SpectralPair `summaries`.
+def dpca_bw(summaries):
+    """Surrogate-averaging aggregation: the rank-K eigenbasis of the mean of
+    V diag(values) V.T, unsquared, over the machines of the stacked
+    SpectralPair `summaries`.
 
     Raises SingularMatrixError on a negative eigenvalue."""
     vectors, values = _machine_stack(summaries, "dpca_bw")
     if np.min(values) < 0.0:
         raise SingularMatrixError("dpca_bw needs nonnegative eigenvalues")
     frames = vectors * np.sqrt(values)[:, None, :]
-    return _result(*_eigh_desc(_frame_gram(frames)), rank, "bw", len(vectors))
+    return _result(*_eigh_desc(_frame_gram(frames)), vectors.shape[2], "bw", len(vectors))
 
 
-def euclid_rankk_mean(psds, rank):
+def euclid_rankk_mean(psds):
     """Best rank-K approximation of the arithmetic mean of the inputs.
 
     Takes what `karcher_mean` takes (a stack, or a sequence of CholFactors)
     but not its pivot rule: the mean of the factors' N N.T is formed from
-    the stacked factors. The output is the truncation's frame
-    V sqrt(values) anchored at the common K-row index set (roundoff-negative
-    values count as zero); no pivot rule is enforced on it. `rank` must be
-    the inputs' K (ConfigError otherwise).
+    the stacked factors. The output is the rank-K truncation's frame
+    V sqrt(values), K the factors' rank, anchored at their common K-row index
+    set (roundoff-negative values count as zero); no pivot rule is enforced
+    on it.
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
-    if _check_integer("rank", rank) != factors.rank:
-        raise ConfigError(f"euclid_rankk_mean: rank {rank} is not the inputs' K = "
-                          f"{factors.rank}; the mean is anchored at their index set")
     check_finite("euclid_rankk_mean factors", factors.entries)
     values, vectors = _eigh_desc(_frame_gram(factors.entries))
+    rank = factors.rank
     frame = _signed(vectors[:, :rank]) * np.sqrt(np.maximum(values[:rank], 0.0))
     return anchor(frame, factors.index_set)
 
 
-def find_index(vectors, values, rank):
+def find_index(vectors, values):
     """Greedy anchor-row selection maximizing the smallest singular value.
 
     Works on the weighted frame T = vectors @ diag(values). Column by column,
     appends the row index (excluding rows already chosen) that maximizes the
     smallest singular value of the growing anchor block T[chosen, :k+1]; ties
-    break toward the smallest row index.
+    break toward the smallest row index. One row is chosen per column.
 
     Parameters
     ----------
-    vectors : ndarray, shape (p, K)
+    vectors : ndarray, shape (p, K), 1 <= K <= p
         Orthonormal leading eigenvectors.
     values : ndarray, shape (K,)
         Matching eigenvalues, descending.
-    rank : int
-        Number of rows to select.
 
     Returns
     -------
@@ -214,17 +209,17 @@ def find_index(vectors, values, rank):
     """
     vectors = np.asarray(vectors, dtype=float)
     values = np.asarray(values, dtype=float)
-    if vectors.ndim != 2 or values.ndim != 1 or vectors.shape[1] != values.shape[0]:
+    if (vectors.ndim != 2 or values.shape != vectors.shape[1:]
+            or not 1 <= len(values) <= len(vectors)):
         raise ShapeMismatchError(
             f"got vectors {vectors.shape} and values {values.shape}"
         )
-    p = vectors.shape[0]
-    _check_rank(rank, p, top=min(vectors.shape))
-    target = vectors[:, :rank] * values[:rank]
+    p = len(vectors)
+    target = vectors * values
     check_finite("find_index frame", target)
     tau = pivot_threshold(target)
     chosen = []
-    for k in range(rank):
+    for k in range(len(values)):
         # one batched SVD scores every candidate: blocks[i] = T[chosen + [i], :k+1]
         blocks = np.concatenate(
             [np.broadcast_to(target[chosen, : k + 1], (p, k, k + 1)),

@@ -501,14 +501,14 @@ def _define(name, **definition):
     return register
 
 
-def _frame_rows(frame, rank):
+def _frame_rows(frame):
     """`find_index` rows of F @ F.T for a p x K frame F, from the thin SVD of F
     (its left singular vectors and squared singular values are the eigenpairs)."""
     left, sing, _ = np.linalg.svd(frame, full_matrices=False)
-    return dpca_mod.find_index(left, sing**2, rank)
+    return dpca_mod.find_index(left, sing**2)
 
 
-def _reselect_index(frames, rank, failed_idx):
+def _reselect_index(frames, failed_idx):
     """Anchor rows from the first sample that fails the pivot rule at `failed_idx`.
 
     `frames` is the (M, p, K) stack of the samples' frames, anchored as one
@@ -519,7 +519,7 @@ def _reselect_index(frames, rank, failed_idx):
     if reason is None:
         return None
     try:
-        return _frame_rows(frames[bad[0]], rank)
+        return _frame_rows(frames[bad[0]])
     except NotInManifoldError:
         return None
 
@@ -539,7 +539,7 @@ def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
     except NotInManifoldError as err:
         last = err
     if cfg.index_mode != "canonical":
-        alt = _reselect_index(frames, cfg.K, index_set)
+        alt = _reselect_index(frames, index_set)
         if alt is not None and alt != index_set:
             try:
                 result = aggregate(alt)
@@ -555,7 +555,7 @@ def _signal(cfg, p, stream):
     """A Gaussian-SVD signal factor, anchored at its own find_index rows in oracle mode."""
     sig = models.gaussian_svd_signal(p, cfg.K, stream)
     if cfg.index_mode == "find_index_oracle":
-        sig = anchor(sig.entries, _frame_rows(sig.entries, cfg.K))
+        sig = anchor(sig.entries, _frame_rows(sig.entries))
     return sig
 
 
@@ -572,7 +572,7 @@ def _mean_rows(cfg, notes, samples, truth, row):
     karcher = _aggregate_or_skip(aggregate, samples.index_set, samples.entries,
                                  cfg, notes, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
-    means.append(("euclid", dpca_mod.euclid_rankk_mean(samples, cfg.K)))
+    means.append(("euclid", dpca_mod.euclid_rankk_mean(samples)))
     return [replace(row, method=method, error=projector_distance(mean.entries, truth.entries))
             for method, mean in means]
 
@@ -696,7 +696,9 @@ def _summarize_dpca(cfg, records):
                        repetitions=100, index_mode="find_index_machine1"),
          quick=dict(p=50, M_grid=(20,), n_grid=(500, 1000, 2000), repetitions=20),
          summary=_summarize_dpca, machines=True,
-         needs=((lambda c: c.M_grid and c.n_grid, "dpca needs nonempty M_grid and n_grid"),))
+         needs=((lambda c: c.M_grid and c.n_grid, "dpca needs nonempty M_grid and n_grid"),
+                (lambda c: c.sigma_sq == 0,
+                 "dpca needs sigma_sq = 0: its noise is the spiked covariance's fixed ridge")))
 def run_dpca(cfg):
     """One-shot distributed PCA over an (M, n) grid on spiked-covariance data.
 
@@ -713,7 +715,7 @@ def run_dpca(cfg):
     oracle_idx = None
     if cfg.index_mode == "find_index_oracle":
         pair = eigh_topk(cov, cfg.K)
-        oracle_idx = dpca_mod.find_index(pair.vectors, pair.values, cfg.K)
+        oracle_idx = dpca_mod.find_index(pair.vectors, pair.values)
     grid = [(m_count, n) for m_count in cfg.M_grid for n in cfg.n_grid]
     jobs = [
         _Job(f"M={m_count} n={n}",
@@ -732,16 +734,16 @@ def run_dpca(cfg):
         elif cfg.index_mode == "find_index_oracle":
             idx = oracle_idx
         else:
-            idx = dpca_mod.find_index(summaries.vectors[0], summaries.values[0], cfg.K)
+            idx = dpca_mod.find_index(summaries.vectors[0], summaries.values[0])
 
         results = [dpca_mod.full_pca(covs, cfg.K)]
         lrc = _aggregate_or_skip(
-            lambda rows: dpca_mod.lrc_dpca(summaries, cfg.K, rows),
+            lambda rows: dpca_mod.lrc_dpca(summaries, rows),
             idx, dpca_mod._lrc_frames(summaries), cfg, notes, "lrc",
         )
         if lrc is not None:
             results.append(lrc)
-        results += [dpca_mod.dpca_fan(summaries, cfg.K), dpca_mod.dpca_bw(summaries, cfg.K)]
+        results += [dpca_mod.dpca_fan(summaries), dpca_mod.dpca_bw(summaries)]
         row = RunRecord(cfg.experiment, "", cfg.p, cfg.K, m_count, n, cfg.sigma_sq, rep,
                         derive_stream_id(2, gi, rep, 0), 0.0)
         return [replace(row, method=res.method, error=projector_distance(res.basis, basis))
@@ -963,7 +965,7 @@ def _selftest_roundtrip():
         k = int(gen.integers(1, min(p, 6) + 1))
         idx = IndexSet(gen.permutation(p)[:k])
         factor = anchor(gen.normal(size=(p, k)), idx).validate()
-        back = manifold.factorize(factor.matrix, k, idx)
+        back = manifold.factorize(factor.matrix, idx)
         worst = max(worst, float(np.max(np.abs(back.entries - factor.entries))))
     if worst > 1e-8:
         raise AssertionError(f"round-trip error {worst:.3e} above 1e-8")

@@ -53,10 +53,9 @@ def _check_integer(name, value):
     return int(value)
 
 
-def _check_rank(rank, p, top=None):
-    """Raise unless `rank` is an integer (ConfigError) in [1, top], top
-    defaulting to p (ShapeMismatchError)."""
-    if not 1 <= _check_integer("rank", rank) <= (p if top is None else top):
+def _check_rank(rank, p):
+    """Raise unless `rank` is an integer (ConfigError) in [1, p] (ShapeMismatchError)."""
+    if not 1 <= _check_integer("rank", rank) <= p:
         raise ShapeMismatchError(f"rank {rank} invalid for p = {p}")
 
 
@@ -174,17 +173,15 @@ def _as_index_set(rows):
     return rows if isinstance(rows, IndexSet) else IndexSet(rows)
 
 
-def support_mask(p, rank, index_set):
-    """Boolean (p, rank) mask of entries a reduced factor may populate.
+def support_mask(p, index_set):
+    """Boolean (p, K) mask of entries a factor anchored at the K-row
+    `index_set` may populate.
 
     True everywhere except above the diagonal of the anchored block: row
-    index_set[k] is False in columns k+1, ..., rank-1.
+    index_set[k] is False in columns k+1, ..., K-1.
     """
     index_set = _as_index_set(index_set).validate_for(p)
-    if len(index_set) != rank:
-        raise ShapeMismatchError(
-            f"index set has {len(index_set)} rows, factor rank is {rank}"
-        )
+    rank = len(index_set)
     mask = np.ones((p, rank), dtype=bool)
     mask[index_set.as_array()] = np.tril(np.ones((rank, rank), dtype=bool))
     return mask
@@ -288,6 +285,15 @@ class CholFactor:
         return self
 
 
+def _as_factor(factor, what="factor"):
+    """`factor` if it is a CholFactor; any other value raises
+    ShapeMismatchError naming `what`."""
+    if not isinstance(factor, CholFactor):
+        raise ShapeMismatchError(f"{what} is a {type(factor).__name__}, not a CholFactor; "
+                                 "factor a p x p matrix with factorize")
+    return factor
+
+
 @dataclass
 class SpectralPair:
     """Top-K eigenpair bundle: orthonormal vectors (p, K), values (K,)
@@ -298,8 +304,8 @@ class SpectralPair:
     values: np.ndarray
 
 
-def reduced_cholesky(mat, rank, index_set):
-    """Reduced Cholesky factor of a rank-`rank` PSD matrix.
+def reduced_cholesky(mat, index_set):
+    """Reduced Cholesky factor of a rank-K PSD matrix, K the length of `index_set`.
 
     Computes the unique p x K matrix N with N @ N.T == mat whose anchor rows
     N[index_set, :] are lower triangular with positive diagonal. The anchor
@@ -309,12 +315,10 @@ def reduced_cholesky(mat, rank, index_set):
     Parameters
     ----------
     mat : ndarray, shape (p, p)
-        Symmetric PSD matrix of numerical rank `rank` whose anchor block
+        Symmetric PSD matrix of numerical rank K whose anchor block
         mat[index_set][:, index_set] is nonsingular.
-    rank : int
-        Target rank K, 1 <= rank <= p.
     index_set : IndexSet
-        Anchor rows, length K (a sequence of rows goes through `IndexSet`).
+        The K anchor rows (a sequence of rows goes through `IndexSet`).
 
     Returns
     -------
@@ -329,14 +333,7 @@ def reduced_cholesky(mat, rank, index_set):
         On inconsistent dimensions, or if max|mat - mat.T| exceeds tolerance.
     """
     mat = check_symmetric(mat)
-    p = mat.shape[0]
-    _check_rank(rank, p)
-    index_set = _as_index_set(index_set)
-    if len(index_set) != rank:
-        raise ShapeMismatchError(
-            f"index set has {len(index_set)} rows, requested rank is {rank}"
-        )
-    index_set.validate_for(p)
+    index_set = _as_index_set(index_set).validate_for(mat.shape[0])
 
     rows = index_set.as_array()
     block = mat[np.ix_(rows, rows)]

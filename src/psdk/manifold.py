@@ -17,14 +17,14 @@ from .exceptions import NotInManifoldError, ShapeMismatchError
 from .linalg import CholFactor
 
 
-def membership(mat, rank, index_set):
-    """Test whether `mat` is PSD of numerical rank `rank` with a nonsingular anchor block.
+def membership(mat, index_set):
+    """Test whether `mat` is PSD of numerical rank K with a nonsingular anchor
+    block, K the length of `index_set`.
 
     Parameters
     ----------
     mat : ndarray, shape (p, p)
-    rank : int
-    index_set : IndexSet, or a sequence of rows
+    index_set : IndexSet, or a sequence of K rows
 
     Returns
     -------
@@ -48,8 +48,8 @@ def membership(mat, rank, index_set):
     }
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return False, diag
-    p = mat.shape[0]
-    if not (1 <= rank <= p) or len(index_set) != rank or max(index_set) >= p:
+    p, rank = mat.shape[0], len(index_set)
+    if max(index_set) >= p:
         return False, diag
 
     scale = float(np.max(np.abs(mat))) if mat.size else 0.0
@@ -95,16 +95,17 @@ def _describe_failure(diag, index_set):
     return "membership failed: " + "; ".join(reasons or ["unknown"])
 
 
-def factorize(mat, rank, index_set):
-    """Chart map at the p x p edge: the unique factor of `mat` anchored at `index_set`.
+def factorize(mat, index_set):
+    """Chart map at the p x p edge: the unique factor of `mat` anchored at the
+    K-row `index_set`, for `mat` of rank K.
 
     Raises NotInManifoldError when the membership test fails.
     """
     index_set = linalg._as_index_set(index_set)
-    ok, diag = membership(mat, rank, index_set)
+    ok, diag = membership(mat, index_set)
     if not ok:
         raise NotInManifoldError(_describe_failure(diag, index_set))
-    return linalg.reduced_cholesky(mat, rank, index_set)
+    return linalg.reduced_cholesky(mat, index_set)
 
 
 def _chart_factors(factors, caller):
@@ -124,11 +125,7 @@ def _chart_factors(factors, caller):
         raise ShapeMismatchError(f"{caller} needs at least one factor")
     base = factors[0]
     for m, factor in enumerate(factors):
-        if not isinstance(factor, CholFactor):
-            raise ShapeMismatchError(
-                f"element {m} is a {type(factor).__name__}, not a CholFactor; "
-                "factor a p x p matrix with factorize"
-            )
+        linalg._as_factor(factor, f"element {m}")
         shape = np.shape(factor.entries)
         if (len(shape) != 2 or len(factor.index_set) != shape[1]
                 or max(factor.index_set) >= shape[0]):
@@ -149,7 +146,7 @@ def _chart_factors(factors, caller):
 def log_factor(factor):
     """Log coordinates of a factor: a p x K array, anchored diagonal logged.
     A stack gives its (M, p, K) stack of log coordinates."""
-    factor.validate()
+    linalg._as_factor(factor).validate()
     entries = np.array(factor.entries, dtype=float, copy=True)
     diag = (..., factor.index_set.as_array(), np.arange(factor.rank))
     entries[diag] = np.log(entries[diag])

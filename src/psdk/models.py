@@ -27,8 +27,9 @@ import numpy as np
 
 from . import manifold
 from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from .linalg import (IndexSet, _check_integer, _check_rank, _lead_axes, _sample_stack,
-                     anchor, check_finite, check_symmetric, eigh_topk, support_mask)
+from .linalg import (IndexSet, _as_factor, _check_integer, _check_rank, _lead_axes,
+                     _sample_stack, anchor, check_finite, check_symmetric, eigh_topk,
+                     support_mask)
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
 # into one integer, little-endian in this base; each label must fit below it.
@@ -148,12 +149,12 @@ def intrinsic_samples(psd, sigma, count, rng):
     _check_integer("count", count)
     if count < 1:
         raise ShapeMismatchError("need at least one sample")
-    failure = psd.pivot_failure()
+    failure = _as_factor(psd, "signal").pivot_failure()
     if failure is not None:
         raise NotInManifoldError(f"signal: {failure}")
     gen = _as_generator(rng)
     base = manifold.log_factor(psd)
-    mask = support_mask(psd.p, psd.rank, psd.index_set)
+    mask = support_mask(psd.p, psd.index_set)
     noise = np.zeros((count, psd.p, psd.rank))
     if sigma > 0:
         noise[:, mask] = gen.normal(scale=sigma, size=(count, int(mask.sum())))
@@ -182,7 +183,7 @@ def factor_noise_samples(factor, noises):
         (B * M, p, K) stack of each signal's samples in turn, which is the
         stack whose index a failure names.
     """
-    factor.validate()
+    _as_factor(factor).validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
     frames = _lead_axes(factor.entries, noises.ndim) + noises
     samples = anchor(np.reshape(frames, (-1,) + frames.shape[-2:]), factor.index_set)

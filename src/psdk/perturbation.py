@@ -23,18 +23,9 @@ factor expansions above speak about PCA aggregation.
 import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
-from .linalg import (
-    TAU_PIVOT_REL,
-    _check_rank,
-    _lead_axes,
-    _sample_stack,
-    _solve_lower,
-    check_finite,
-    check_symmetric,
-    eigh_topk,
-    pivot_threshold,
-    procrustes_sign,
-)
+from .linalg import (TAU_PIVOT_REL, SpectralPair, _as_factor, _check_rank, _lead_axes,
+                     _sample_stack, _solve_lower, check_finite, check_symmetric, eigh_topk,
+                     pivot_threshold, procrustes_sign)
 
 # Max-norm bound on Q.T Q - I for `factor_alignment`'s orthogonality check.
 ALIGNMENT_TOL = 1e-8
@@ -143,7 +134,7 @@ def karcher_factor_first_order(factor, noises):
         For a stack of factors the noises lead with its axis, (B, M, p, K) or
         (B, E, M, p, K), and the predictions do too.
     """
-    factor.validate()
+    _as_factor(factor).validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape, ndims=(3, 4))
     check_finite("noise entries", noises)
     mean_noise = np.mean(noises, axis=-3)
@@ -184,10 +175,10 @@ def eigvec_first_order(values, vectors, rank, noise):
     vectors = np.asarray(vectors, dtype=float)
     check_finite("eigenpair entries", values, vectors)
     noise = check_symmetric(noise)
-    p = values.shape[0]
-    if vectors.shape != (p, p):
+    p = values.size
+    if values.ndim != 1 or vectors.shape != (p, p):
         raise ShapeMismatchError(
-            f"vectors shape {vectors.shape} does not match {p} eigenvalues"
+            f"vectors shape {vectors.shape} does not match eigenvalues of shape {values.shape}"
         )
     if noise.shape != (p, p):
         raise ShapeMismatchError(f"noise shape {noise.shape} does not match p = {p}")
@@ -208,7 +199,7 @@ def eigvec_first_order(values, vectors, rank, noise):
     return head - tail @ (coeffs / denoms)
 
 
-def equivalent_factor_noise(cov_hat, cov, rank, alignment):
+def equivalent_factor_noise(cov_hat, cov, alignment):
     """Additive factor perturbation equivalent to a covariance estimate.
 
     Maps a sample covariance `cov_hat` to the p x K matrix
@@ -220,10 +211,13 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
     the reduced factor of the rank-K surrogate of `cov` and `alignment` its
     frame alignment, N + E reproduces the rank-K spectral surrogate of
     `cov_hat` exactly: (N + E)(N + E).T equals V_hat diag(values_hat)^2
-    V_hat.T.
+    V_hat.T. K is the size of the K x K `alignment`, 1 <= K < p.
 
     Raises
     ------
+    ShapeMismatchError
+        On covariances of different shapes, or an alignment that is not a
+        finite K x K matrix with 1 <= K < p.
     SingularMatrixError
         If the eigengap of `cov` below the retained block is numerically
         zero, or (from the Procrustes sign) when the bases are orthogonal.
@@ -234,8 +228,12 @@ def equivalent_factor_noise(cov_hat, cov, rank, alignment):
         raise ShapeMismatchError(
             f"covariance shapes differ: {cov_hat.shape} vs {cov.shape}"
         )
-    p = cov.shape[0]
-    _check_rank(rank, p, top=p - 1)
+    alignment = np.asarray(alignment, dtype=float)
+    p, rank = len(cov), len(alignment) if alignment.ndim else 0
+    if alignment.shape != (rank, rank) or not 1 <= rank < p:
+        raise ShapeMismatchError(f"alignment of shape {alignment.shape} is not K x K "
+                                 f"with 1 <= K < p = {p}")
+    check_finite("alignment entries", alignment)
     wide = eigh_topk(cov, rank + 1)
     gap = wide.values[rank - 1] - wide.values[rank]
     if gap <= pivot_threshold(cov):
@@ -256,22 +254,23 @@ def factor_alignment(factor, pair):
     SingularMatrixError
         If any provided eigenvalue is not strictly positive.
     ShapeMismatchError
-        If the frame shapes differ, or if the computed alignment fails
-        ||Q.T Q - I||_max <= ALIGNMENT_TOL (1e-8), which signals that
-        `factor` and `pair` do not describe the same matrix.
+        If `factor` is not a CholFactor or `pair` not a SpectralPair, if the
+        frame shapes differ or the values are not K, or if the computed
+        alignment fails ||Q.T Q - I||_max <= ALIGNMENT_TOL (1e-8), which
+        signals that `factor` and `pair` do not describe the same matrix.
     """
-    factor.validate()
+    _as_factor(factor).validate()
+    if not isinstance(pair, SpectralPair):
+        raise ShapeMismatchError(f"pair is a {type(pair).__name__}, not a SpectralPair")
     values = np.asarray(pair.values, dtype=float)
     vectors = np.asarray(pair.vectors, dtype=float)
     check_finite("eigenpair entries", values, vectors)
+    if vectors.shape != factor.entries.shape or values.shape != vectors.shape[1:]:
+        raise ShapeMismatchError(f"spectral frame shape {vectors.shape} and values shape "
+                                 f"{values.shape} do not match factor shape {factor.entries.shape}")
     if values[-1] <= 0.0:
         raise SingularMatrixError(
             f"alignment needs positive eigenvalues, got min = {values[-1]:.3e}"
-        )
-    if vectors.shape != factor.entries.shape:
-        raise ShapeMismatchError(
-            f"spectral frame shape {vectors.shape} does not match factor "
-            f"shape {factor.entries.shape}"
         )
     align = (vectors.T @ factor.entries) / values[:, None]
     resid = np.max(np.abs(align.T @ align - np.eye(align.shape[0])))

@@ -96,13 +96,11 @@ def test_01_chart_roundtrip():
         factor = _random_instance(gen, p, k)
         mat = factor.matrix
 
-        logs = manifold.log_factor(manifold.factorize(mat, k, factor.index_set))
+        logs = manifold.log_factor(manifold.factorize(mat, factor.index_set))
         back = manifold.exp_factor(logs, factor.index_set)
         worst_chart = max(worst_chart, float(np.max(np.abs(back.matrix - mat))))
 
-        refactored = reduced_cholesky(
-            factor.entries @ factor.entries.T, k, factor.index_set
-        )
+        refactored = reduced_cholesky(factor.entries @ factor.entries.T, factor.index_set)
         worst_refactor = max(
             worst_refactor, float(np.max(np.abs(refactored.entries - factor.entries)))
         )
@@ -139,7 +137,7 @@ def test_02_karcher_minimizes_frechet():
             return sum(float(np.sum((entries - l) ** 2)) for l in logs)
 
         best = objective(mean_log)
-        mask = support_mask(p, k, idx)
+        mask = support_mask(p, idx)
         for j in range(200):
             bump = np.zeros((p, k))
             bump[mask] = scales[j % 3] * gen.normal(size=int(mask.sum()))
@@ -240,14 +238,12 @@ def test_06_equivalent_noise_identity():
         cov, _ = models.spiked_covariance(p, k, RngStream(106, block))
         pair = eigh_topk(cov, k)
         surrogate = (pair.vectors * pair.values**2) @ pair.vectors.T
-        factor = manifold.factorize(
-            0.5 * (surrogate + surrogate.T), k, IndexSet.canonical(k)
-        )
+        factor = manifold.factorize(0.5 * (surrogate + surrogate.T), IndexSet.canonical(k))
         alignment = perturbation.factor_alignment(factor, pair)
         gen = RngStream(107, block).generator()
         for _ in range(10):
             cov_hat = models.sample_cov(models.gaussian_samples(cov, n, gen))
-            noise = perturbation.equivalent_factor_noise(cov_hat, cov, k, alignment)
+            noise = perturbation.equivalent_factor_noise(cov_hat, cov, alignment)
             bumped = factor.entries + noise
             pair_hat = eigh_topk(cov_hat, k)
             target = (pair_hat.vectors * pair_hat.values**2) @ pair_hat.vectors.T
@@ -345,7 +341,7 @@ def test_09_noise_decay_with_n():
     cov, _ = models.spiked_covariance(p, k, RngStream(109, 0))
     pair = eigh_topk(cov, k)
     surrogate = (pair.vectors * pair.values**2) @ pair.vectors.T
-    factor = manifold.factorize(0.5 * (surrogate + surrogate.T), k, IndexSet.canonical(k))
+    factor = manifold.factorize(0.5 * (surrogate + surrogate.T), IndexSet.canonical(k))
     alignment = perturbation.factor_alignment(factor, pair)
 
     medians = {}
@@ -356,9 +352,7 @@ def test_09_noise_decay_with_n():
             worst = 0.0
             for _ in range(machines):
                 cov_hat = models.sample_cov(models.gaussian_samples(cov, n, gen))
-                noise = perturbation.equivalent_factor_noise(
-                    cov_hat, cov, k, alignment
-                )
+                noise = perturbation.equivalent_factor_noise(cov_hat, cov, alignment)
                 worst = max(worst, float(np.max(np.abs(noise))))
             stats.append(worst)
         medians[n] = float(np.median(stats))
@@ -394,7 +388,7 @@ def test_10_row_selection_under_zero_rows():
         target = frame * values
 
         try:
-            idx = find_index(frame, values, k)
+            idx = find_index(frame, values)
         except Exception as err:  # noqa: BLE001 - tally, keep scanning
             failures.append((trial, f"find_index: {err}"))
             continue
@@ -409,7 +403,7 @@ def test_10_row_selection_under_zero_rows():
         summaries = SpectralPair(np.stack([frame] * 3),
                                  np.stack([values * gen.uniform(0.8, 1.2) for _ in range(3)]))
         try:
-            lrc_dpca(summaries, k, idx)
+            lrc_dpca(summaries, idx)
         except NotInManifoldError as err:
             failures.append((trial, f"lrc: {err}"))
     elapsed = time.perf_counter() - tick

@@ -8,7 +8,8 @@ loaded from its file, unchanged, so this test follows the table as it is
 edited. `bench/checks.py` regenerates random draws through `psdk.models`
 calls with positional arguments, which must keep binding. The tracer and
 the checker also iterate over the samplers' stacked factors; a test runs
-both uses on a stack. The last test runs the CLI under the tracer.
+both uses on a stack. Two tests run the CLI under the tracer and the
+checker's own self-test, `bench/test_checks.py`, as they are.
 """
 
 import importlib
@@ -106,3 +107,14 @@ def test_the_cli_runs_under_the_tracer(tmp_path, child_env):
     names = [span[1] for span in json.loads(spans.read_text())["spans"]]
     assert names and "experiments.runner" in names
     assert out.read_text().startswith("experiment,")
+
+
+def test_the_checker_self_test_passes(child_env):
+    """`bench/test_checks.py`, run unchanged from the repository root, accepts
+    each workload's clean CSV and rejects its corrupted copies."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "test_checks.py")],
+        cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert sum(line.startswith("ok - ") for line in proc.stdout.splitlines()) == 4, proc.stdout

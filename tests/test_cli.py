@@ -376,6 +376,18 @@ def test_too_few_points_for_rank_k_is_a_config_error(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+def test_dpca_with_a_noise_level_is_a_config_error(tmp_path, capsys):
+    """dpca's noise is the spiked covariance's fixed ridge: a sigma_sq other
+    than 0 would label every row with a noise level that did not produce it."""
+    out = tmp_path / "o.csv"
+    code = main(["dpca", "--config", _cfg(tmp_path, "sigma_sq = 5\n" + TINY_DPCA),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "psdk: error: dpca needs sigma_sq = 0: its noise is the spiked covariance's fixed ridge\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # exit code 2: numerical failures
 

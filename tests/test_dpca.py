@@ -15,7 +15,6 @@ from psdk.dpca import (
     summarize_covariance,
 )
 from psdk.exceptions import (
-    ConfigError,
     NotInManifoldError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -95,7 +94,7 @@ def test_full_pca_pools_covariances():
 def test_lrc_dpca_single_machine_spans_local_frame():
     cov, _ = spiked_covariance(9, 3, RngStream(3, 0))
     s = summarize_covariance(cov[None], 3)
-    res = lrc_dpca(s, 3, IndexSet.canonical(3))
+    res = lrc_dpca(s, IndexSet.canonical(3))
     assert res.method == "lrc"
     assert res.index_set_used == IndexSet.canonical(3)
     assert projector_distance(res.basis, s.vectors[0]) < 1e-10
@@ -104,7 +103,7 @@ def test_lrc_dpca_single_machine_spans_local_frame():
 def test_lrc_dpca_identical_machines_match_full_pca():
     cov, _ = spiked_covariance(9, 3, RngStream(4, 0))
     summaries = summarize_covariance(np.stack([cov] * 5), 3)
-    res = lrc_dpca(summaries, 3, IndexSet.canonical(3))
+    res = lrc_dpca(summaries, IndexSet.canonical(3))
     ref = full_pca([cov] * 5, 3)
     assert projector_distance(res.basis, ref.basis) < 1e-10
 
@@ -113,8 +112,8 @@ def test_fan_and_bw_identical_machines():
     cov, _ = spiked_covariance(8, 2, RngStream(5, 0))
     summaries = summarize_covariance(np.stack([cov] * 3), 2)
     local = summaries.vectors[0]
-    assert projector_distance(dpca_fan(summaries, 2).basis, local) < 1e-10
-    assert projector_distance(dpca_bw(summaries, 2).basis, local) < 1e-10
+    assert projector_distance(dpca_fan(summaries).basis, local) < 1e-10
+    assert projector_distance(dpca_bw(summaries).basis, local) < 1e-10
 
 
 def test_aggregators_by_hand_rank_one():
@@ -122,9 +121,9 @@ def test_aggregators_by_hand_rank_one():
     # arithmetic for bw (2.5) and geometric for the Karcher route (values
     # (1,2) square to surrogates diag(1,0), diag(4,0), whose mean is diag(2,0))
     e1 = np.array([[1.0], [0.0]])
-    bw = dpca_bw(_machines([e1, e1], [[1.0], [4.0]]), 1)
+    bw = dpca_bw(_machines([e1, e1], [[1.0], [4.0]]))
     assert_allclose(bw.diagnostics["values"], [2.5], atol=1e-14)
-    lrc = lrc_dpca(_machines([e1, e1], [[1.0], [2.0]]), 1, IndexSet((0,)))
+    lrc = lrc_dpca(_machines([e1, e1], [[1.0], [2.0]]), IndexSet((0,)))
     assert_allclose(lrc.diagnostics["values"], [2.0], atol=1e-12)
     assert _projector_gap(bw.basis, e1) < 1e-12
     assert _projector_gap(lrc.basis, e1) < 1e-12
@@ -135,7 +134,7 @@ def test_euclid_rankk_mean_by_hand():
         CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,))),
         CholFactor(np.array([[2.0], [0.0]]), IndexSet((0,))),
     ]
-    mean = euclid_rankk_mean(psds, 1)
+    mean = euclid_rankk_mean(psds)
     assert_allclose(mean.matrix, np.diag([2.5, 0.0]), atol=1e-14)
     assert mean.index_set == IndexSet((0,))
 
@@ -147,7 +146,7 @@ def test_euclid_rankk_mean_truncates():
     factors = [anchor(rng.normal(size=(5, 2)), IndexSet.canonical(2)) for _ in range(3)]
     full = np.mean([f.entries @ f.entries.T for f in factors], axis=0)
     assert np.linalg.matrix_rank(full) == 5
-    mean = euclid_rankk_mean(factors, 2)
+    mean = euclid_rankk_mean(factors)
     pair = eigh_topk(full, 2)
     assert_allclose(mean.matrix, (pair.vectors * pair.values) @ pair.vectors.T,
                     atol=1e-12)
@@ -160,7 +159,7 @@ def test_euclid_rankk_mean_names_malformed_factor():
                 CholFactor(np.ones((2, 1)), IndexSet((2,))),
                 CholFactor(np.ones(2), IndexSet((0,)))):
         with pytest.raises(ShapeMismatchError, match="element 1: index set"):
-            euclid_rankk_mean([good, bad], 1)
+            euclid_rankk_mean([good, bad])
 
 
 def test_euclid_rankk_mean_clips_roundoff_negative_values():
@@ -168,7 +167,7 @@ def test_euclid_rankk_mean_clips_roundoff_negative_values():
     a negative one (-4e-16 here, with LAPACK's eigh) must give a zero column,
     not a NaN."""
     frame = np.outer([2.0, 1.0, 2.0], [1.0, 0.5])
-    mean = euclid_rankk_mean([CholFactor(frame, IndexSet((0, 1)))], 2)
+    mean = euclid_rankk_mean([CholFactor(frame, IndexSet((0, 1)))])
     assert np.all(np.isfinite(mean.entries))
     assert_allclose(mean.matrix, frame @ frame.T, atol=1e-14)
 
@@ -179,20 +178,20 @@ def test_euclid_rankk_mean_rejects_mixed_tags():
         CholFactor(np.array([[0.0], [1.0]]), IndexSet((1,))),
     ]
     with pytest.raises(ShapeMismatchError, match="element 1"):
-        euclid_rankk_mean(psds, 1)
+        euclid_rankk_mean(psds)
 
 
 def test_aggregators_reject_empty():
     with pytest.raises(ShapeMismatchError):
         full_pca([], 1)
     with pytest.raises(ShapeMismatchError):
-        lrc_dpca([], 1, IndexSet((0,)))
+        lrc_dpca([], IndexSet((0,)))
     with pytest.raises(ShapeMismatchError):
-        dpca_fan([], 1)
+        dpca_fan([])
     with pytest.raises(ShapeMismatchError):
-        dpca_bw([], 1)
+        dpca_bw([])
     with pytest.raises(ShapeMismatchError):
-        euclid_rankk_mean([], 1)
+        euclid_rankk_mean([])
 
 
 def test_aggregators_reject_malformed_input():
@@ -202,11 +201,7 @@ def test_aggregators_reject_malformed_input():
         full_pca(np.ones((2, 3, 4)), 1)
     e1 = np.array([[1.0], [0.0]])
     with pytest.raises(SingularMatrixError, match="nonnegative"):
-        dpca_bw(_machines([e1, e1], [[1.0], [-1.0]]), 1)
-    e3 = np.array([[1.0], [0.0], [0.0]])
-    for aggregate in (dpca_fan, dpca_bw):
-        with pytest.raises(ShapeMismatchError, match="rank 5 invalid for p = 3"):
-            aggregate(_machines([e3], [[1.0]]), 5)
+        dpca_bw(_machines([e1, e1], [[1.0], [-1.0]]))
 
 
 _MALFORMED_SUMMARIES = {
@@ -217,18 +212,20 @@ _MALFORMED_SUMMARIES = {
     "no machines": SpectralPair(np.ones((0, 3, 1)), np.ones((0, 1))),
     "ragged vectors": SpectralPair([np.ones((3, 1)), np.ones((2, 1))], np.ones((2, 1))),
     "arrays": (np.ones((2, 3, 1)), np.ones((2, 1))),
+    "wider than tall": SpectralPair(np.ones((1, 3, 5)), np.ones((1, 5))),
+    "no columns": SpectralPair(np.ones((1, 3, 0)), np.ones((1, 0))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_SUMMARIES))
 @pytest.mark.parametrize("aggregate", [
-    lambda s: lrc_dpca(s, 1, IndexSet((0,))),
-    lambda s: dpca_fan(s, 1),
-    lambda s: dpca_bw(s, 1),
+    lambda s: lrc_dpca(s, IndexSet((0,))),
+    dpca_fan,
+    dpca_bw,
 ], ids=["lrc", "fan", "bw"])
 def test_aggregators_reject_malformed_stacks(aggregate, case):
     """Only a stacked SpectralPair, vectors (M, p, K) and values (M, K) with
-    M >= 1, gets in; anything else is a ShapeMismatchError that names that
+    M >= 1 and 1 <= K <= p, gets in; anything else is a ShapeMismatchError that names that
     form, never a raw AttributeError, TypeError or ValueError."""
     with pytest.raises(ShapeMismatchError, match="takes one stacked SpectralPair"):
         aggregate(_MALFORMED_SUMMARIES[case])
@@ -244,8 +241,8 @@ def test_stacked_summaries_give_the_per_machine_list_form_bit_for_bit():
     covs = [sample_cov(gaussian_samples(cov, 60, gen)) for _ in range(6)]
     pairs = [summarize_covariance(c, 3) for c in covs]
     stacked = summarize_covariance(np.stack(covs), 3)
-    idx = find_index(stacked.vectors[0], stacked.values[0], 3)
-    assert idx == find_index(pairs[0].vectors, pairs[0].values, 3)
+    idx = find_index(stacked.vectors[0], stacked.values[0])
+    assert idx == find_index(pairs[0].vectors, pairs[0].values)
 
     def gram(frames):
         joined = np.concatenate(frames, axis=1)
@@ -262,8 +259,8 @@ def test_stacked_summaries_give_the_per_machine_list_form_bit_for_bit():
         "bw": _result(*_eigh_desc(gram([s.vectors * np.sqrt(s.values) for s in pairs])),
                       3, "bw", 6),
     }
-    got = {"full": full_pca(np.stack(covs), 3), "lrc": lrc_dpca(stacked, 3, idx),
-           "fan": dpca_fan(stacked, 3), "bw": dpca_bw(stacked, 3)}
+    got = {"full": full_pca(np.stack(covs), 3), "lrc": lrc_dpca(stacked, idx),
+           "fan": dpca_fan(stacked), "bw": dpca_bw(stacked)}
     for method, res in got.items():
         ref = want[method]
         assert (res.method, res.index_set_used) == (ref.method, ref.index_set_used)
@@ -303,26 +300,20 @@ def test_aggregators_match_dense_reference(p, k, n_machines):
         "bw": [v * np.sqrt(w) for v, w in zip(vectors, values)],
         "lrc": [mean_factor.entries],
     }
-    results = {"fan": dpca_fan(summaries, k), "bw": dpca_bw(summaries, k),
-               "lrc": lrc_dpca(summaries, k, idx)}
+    results = {"fan": dpca_fan(summaries), "bw": dpca_bw(summaries),
+               "lrc": lrc_dpca(summaries, idx)}
     for method, res in results.items():
         pair = eigh_topk(_dense_mean(frames[method]), k)
         assert _projector_gap(res.basis, pair.vectors) < 1e-10, method
         assert_allclose(res.diagnostics["values"], pair.values, rtol=1e-12, err_msg=method)
     # the mean factor N is p x K, so N N.T has exactly p - K zero eigenvalues:
-    # at rank K the gap is lambda_K, at rank K + 1 it collapses
+    # the gap below the rank-K block is lambda_K
     lrc = results["lrc"]
     assert lrc.diagnostics["gap"] == lrc.diagnostics["values"][-1]
-    with pytest.warns(ZeroGapWarning):
-        wide = lrc_dpca(summaries, k + 1, idx)
-    assert wide.diagnostics["gap"] == 0.0 and wide.diagnostics["values"][-1] == 0.0
-    assert_allclose(wide.diagnostics["values"][:k], lrc.diagnostics["values"], rtol=1e-12)
-    assert _projector_gap(wide.basis[:, :k], lrc.basis) < 1e-10
-    assert_allclose(wide.basis.T @ wide.basis, np.eye(k + 1), atol=1e-12)
 
     samples = [anchor(rng.normal(size=(p, k)), idx) for _ in range(n_machines)]
     pair = eigh_topk(_dense_mean([s.entries for s in samples]), k)
-    assert_allclose(euclid_rankk_mean(samples, k).matrix,
+    assert_allclose(euclid_rankk_mean(samples).matrix,
                     (pair.vectors * pair.values) @ pair.vectors.T, atol=1e-12)
 
 
@@ -336,9 +327,9 @@ def test_factor_aggregates_form_no_per_sample_matrix(monkeypatch):
     rng = np.random.default_rng(13)
     idx = IndexSet((3, 1))
     samples = [anchor(rng.normal(size=(9, 2)), idx) for _ in range(4)]
-    assert euclid_rankk_mean(samples, 2).entries.shape == (9, 2)
+    assert euclid_rankk_mean(samples).entries.shape == (9, 2)
     summaries = _random_summaries(rng, 9, 2, 4)
-    assert lrc_dpca(summaries, 2, idx).method == "lrc"
+    assert lrc_dpca(summaries, idx).method == "lrc"
 
 
 def test_aggregators_never_call_eigh_topk(monkeypatch):
@@ -355,10 +346,10 @@ def test_aggregators_never_call_eigh_topk(monkeypatch):
     samples = [anchor(rng.normal(size=(9, 2)), idx) for _ in range(4)]
     monkeypatch.setattr(dpca, "eigh_topk", forbidden)
     monkeypatch.setattr(linalg, "eigh_topk", forbidden)
-    results = [full_pca(covs, 2), lrc_dpca(summaries, 2, idx), dpca_fan(summaries, 2),
-               dpca_bw(summaries, 2)]
+    results = [full_pca(covs, 2), lrc_dpca(summaries, idx), dpca_fan(summaries),
+               dpca_bw(summaries)]
     assert [res.method for res in results] == ["full", "lrc", "fan", "bw"]
-    assert euclid_rankk_mean(samples, 2).entries.shape == (9, 2)
+    assert euclid_rankk_mean(samples).entries.shape == (9, 2)
 
 
 def _spoiled(kind):
@@ -377,9 +368,9 @@ def _spoiled(kind):
 
 
 _TAKERS = {
-    "lrc": lambda summaries, covs: lrc_dpca(summaries, 2, IndexSet((0, 1))),
-    "fan": lambda summaries, covs: dpca_fan(summaries, 2),
-    "bw": lambda summaries, covs: dpca_bw(summaries, 2),
+    "lrc": lambda summaries, covs: lrc_dpca(summaries, IndexSet((0, 1))),
+    "fan": lambda summaries, covs: dpca_fan(summaries),
+    "bw": lambda summaries, covs: dpca_bw(summaries),
     "full": lambda summaries, covs: full_pca(covs, 2),
 }
 
@@ -401,21 +392,11 @@ def test_aggregators_reject_non_finite_input_at_their_edge(method, kind):
         assert np.all(np.isfinite(_TAKERS[method](summaries, covs).basis))
 
 
-@pytest.mark.parametrize("rank", [1, 3])
-def test_euclid_rankk_mean_rejects_a_rank_other_than_k(rank):
-    """The mean is anchored at the inputs' K-row index set, so only rank K
-    fits; another rank is named against K before any decomposition."""
-    rng = np.random.default_rng(8)
-    factors = [anchor(rng.normal(size=(6, 2)), IndexSet.canonical(2)) for _ in range(3)]
-    with pytest.raises(ConfigError, match=f"rank {rank} is not the inputs' K = 2"):
-        euclid_rankk_mean(factors, rank)
-
-
 def test_euclid_rankk_mean_rejects_a_non_finite_factor():
     entries = np.ones((2, 3, 1))
     entries[1, 2, 0] = np.inf
     with pytest.raises(ShapeMismatchError, match="must be finite"):
-        euclid_rankk_mean(CholFactor(entries, IndexSet((0,))), 1)
+        euclid_rankk_mean(CholFactor(entries, IndexSet((0,))))
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +415,9 @@ def test_sign_flips_leave_all_aggregates_unchanged():
     flipped = SpectralPair(summaries.vectors * rng.choice([-1.0, 1.0], size=(4, 1, 3)),
                            summaries.values)
     idx = IndexSet.canonical(3)
-    assert _projector_gap(lrc_dpca(summaries, 3, idx).basis,
-                          lrc_dpca(flipped, 3, idx).basis) < 1e-10
-    assert _projector_gap(dpca_fan(summaries, 3).basis,
-                          dpca_fan(flipped, 3).basis) < 1e-10
-    assert _projector_gap(dpca_bw(summaries, 3).basis,
-                          dpca_bw(flipped, 3).basis) < 1e-10
+    assert _projector_gap(lrc_dpca(summaries, idx).basis, lrc_dpca(flipped, idx).basis) < 1e-10
+    assert _projector_gap(dpca_fan(summaries).basis, dpca_fan(flipped).basis) < 1e-10
+    assert _projector_gap(dpca_bw(summaries).basis, dpca_bw(flipped).basis) < 1e-10
 
 
 def _rotated(rng, summaries):
@@ -452,8 +430,7 @@ def test_rotations_leave_projector_average_unchanged():
     rng = np.random.default_rng(8)
     summaries = _random_summaries(rng, 10, 3, 4)
     rotated = _rotated(rng, summaries)
-    assert _projector_gap(dpca_fan(summaries, 3).basis,
-                          dpca_fan(rotated, 3).basis) < 1e-10
+    assert _projector_gap(dpca_fan(summaries).basis, dpca_fan(rotated).basis) < 1e-10
 
 
 def test_rotations_with_flat_spectra_leave_all_aggregates_unchanged():
@@ -461,10 +438,8 @@ def test_rotations_with_flat_spectra_leave_all_aggregates_unchanged():
     summaries = _random_summaries(rng, 10, 3, 4, flat_values=True)
     rotated = _rotated(rng, summaries)
     idx = IndexSet.canonical(3)
-    assert _projector_gap(lrc_dpca(summaries, 3, idx).basis,
-                          lrc_dpca(rotated, 3, idx).basis) < 1e-10
-    assert _projector_gap(dpca_bw(summaries, 3).basis,
-                          dpca_bw(rotated, 3).basis) < 1e-10
+    assert _projector_gap(lrc_dpca(summaries, idx).basis, lrc_dpca(rotated, idx).basis) < 1e-10
+    assert _projector_gap(dpca_bw(summaries).basis, dpca_bw(rotated).basis) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +451,7 @@ def test_lrc_dpca_names_offending_machines():
     e2 = np.array([[0.0], [1.0]])
     summaries = _machines([e1, e2], [[1.0], [1.0]])
     with pytest.raises(NotInManifoldError, match=r"machines \[1\]"):
-        lrc_dpca(summaries, 1, IndexSet((0,)))
+        lrc_dpca(summaries, IndexSet((0,)))
 
 
 def test_zero_gap_warning_on_collapsed_aggregate():
@@ -484,7 +459,7 @@ def test_zero_gap_warning_on_collapsed_aggregate():
     e2 = np.array([[0.0], [1.0], [0.0]])
     summaries = _machines([e1, e2], [[1.0], [1.0]])
     with pytest.warns(ZeroGapWarning):
-        res = dpca_fan(summaries, 1)
+        res = dpca_fan(summaries)
     assert_allclose(res.basis.T @ res.basis, np.eye(1), atol=1e-12)
 
 
@@ -494,25 +469,25 @@ def test_zero_gap_warning_on_collapsed_aggregate():
 
 def test_find_index_identity_frame():
     frame = np.vstack([np.eye(3), np.zeros((4, 3))])
-    idx = find_index(frame, np.array([3.0, 2.0, 1.0]), 3)
+    idx = find_index(frame, np.array([3.0, 2.0, 1.0]))
     assert idx.indices == (0, 1, 2)
 
 
 def test_find_index_single_column():
-    idx = find_index(np.array([[0.0], [1.0]]), np.array([1.0]), 1)
+    idx = find_index(np.array([[0.0], [1.0]]), np.array([1.0]))
     assert idx.indices == (1,)
 
 
 def test_find_index_planted_rows():
     frame = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    idx = find_index(frame, np.array([1.0, 1.0]), 2)
+    idx = find_index(frame, np.array([1.0, 1.0]))
     assert idx.indices == (1, 2)
 
 
 def test_find_index_tie_breaks_to_smallest():
     r = np.sqrt(0.5)
     frame = np.array([[r, r], [r, -r]])
-    idx = find_index(frame, np.array([1.0, 1.0]), 2)
+    idx = find_index(frame, np.array([1.0, 1.0]))
     assert idx.indices[0] == 0
 
 
@@ -522,7 +497,7 @@ def test_find_index_never_reuses_rows():
         p, k = 8, 3
         frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
         values = np.sort(rng.uniform(0.5, 2.0, size=k))[::-1]
-        idx = find_index(frame, values, k)
+        idx = find_index(frame, values)
         assert len(set(idx.indices)) == k
 
 
@@ -532,7 +507,7 @@ def test_find_index_selection_is_nonsingular():
         p, k = 10, 4
         frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
         values = np.sort(rng.uniform(0.5, 2.0, size=k))[::-1]
-        idx = find_index(frame, values, k)
+        idx = find_index(frame, values)
         block = (frame * values)[list(idx.indices), :]
         assert np.linalg.svd(block, compute_uv=False)[-1] > 1e-10
 
@@ -547,7 +522,7 @@ def test_find_index_beats_random_subsets():
         frame = np.linalg.qr(rng.normal(size=(p, k)))[0]
         values = np.sort(rng.uniform(0.5, 2.0, size=k))[::-1]
         target = frame * values
-        idx = find_index(frame, values, k)
+        idx = find_index(frame, values)
         greedy = np.linalg.svd(target[list(idx.indices), :], compute_uv=False)[-1]
         for _ in range(100):
             rows = rng.choice(p, size=k, replace=False)
@@ -560,14 +535,14 @@ def test_find_index_beats_random_subsets():
 def test_find_index_degenerate_rows():
     frame = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NotInManifoldError):
-        find_index(frame, np.array([1.0, 1.0]), 2)
+        find_index(frame, np.array([1.0, 1.0]))
 
 
 def test_find_index_shape_checks():
     with pytest.raises(ShapeMismatchError):
-        find_index(np.eye(3), np.ones(2), 2)
+        find_index(np.eye(3), np.ones(2))
     with pytest.raises(ShapeMismatchError):
-        find_index(np.eye(3), np.ones(3), 4)
+        find_index(np.ones((3, 4)), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +560,8 @@ def test_find_index_plus_lrc_succeeds_reliably():
         covs = [sample_cov(gaussian_samples(cov, n, gen)) for m in range(n_machines)]
         summaries = summarize_covariance(np.stack(covs), k)
         try:
-            idx = find_index(summaries.vectors[0], summaries.values[0], k)
-            lrc_dpca(summaries, k, idx)
+            idx = find_index(summaries.vectors[0], summaries.values[0])
+            lrc_dpca(summaries, idx)
         except NotInManifoldError:
             failures += 1
     assert failures <= n_trials // 100, f"{failures} failures in {n_trials} trials"

@@ -218,6 +218,8 @@ def test_config_validation_errors():
         dict(experiment="perturb_order", p=10, K=1, repetitions=2),
         # rank at most n < K: the K-th eigenvalue of every estimate is 0
         dict(experiment="dpca", **{**base, "n_grid": (50, 1)}),
+        # the dpca model's noise is fixed, so a sigma_sq would only mislabel its rows
+        dict(experiment="dpca", **{**base, "n_grid": (50,), "sigma_sq": 5.0}),
         dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2, M_grid=(3,), n_inner=1),
         # each field's range is checked whatever the experiment reads
         dict(experiment="intrinsic_avg", **{**base, "sigma_grid": (-0.1,)}),
@@ -499,7 +501,7 @@ def test_perturb_order_summary_skips_a_nonpositive_point():
 
 
 def _policy_cfg(index_mode):
-    return ExperimentConfig("dpca", p=4, K=2, M_grid=(1,), n_grid=(2,),
+    return ExperimentConfig("dpca", p=4, K=2, sigma_sq=0.0, M_grid=(1,), n_grid=(2,),
                             index_mode=index_mode).validate()
 
 
@@ -553,8 +555,8 @@ def test_retry_policy_same_rows_skips(monkeypatch):
     # the failing sample's own frame selects rows (0, 1) again
     picked = []
 
-    def same_rows(vectors, values, rank):
-        picked.append(rank)
+    def same_rows(vectors, values):
+        picked.append(vectors.shape[1])
         return IndexSet((0, 1))
 
     monkeypatch.setattr(experiments.dpca_mod, "find_index", same_rows)
@@ -592,7 +594,7 @@ def test_retry_policy_retry_succeeds():
 
 def test_retry_policy_no_admissible_rows_skips(monkeypatch):
     # the failing sample's frame gives no chart at any rows
-    def no_rows(vectors, values, rank):
+    def no_rows(vectors, values):
         raise NotInManifoldError("no admissible row")
 
     monkeypatch.setattr(experiments.dpca_mod, "find_index", no_rows)

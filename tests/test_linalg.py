@@ -11,16 +11,16 @@ from psdk.exceptions import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from psdk.dpca import (
-    dpca_fan,
-    euclid_rankk_mean,
-    find_index,
-    full_pca,
-    lrc_dpca,
-    summarize_covariance,
-)
+from psdk.dpca import find_index, full_pca, lrc_dpca, summarize_covariance
 from psdk.manifold import exp_factor, factorize, log_factor, membership
-from psdk.models import derive_stream_id, gaussian_svd_signal, spiked_covariance
+from psdk.models import (
+    derive_stream_id,
+    extrinsic_samples,
+    factor_noise_samples,
+    gaussian_svd_signal,
+    intrinsic_samples,
+    spiked_covariance,
+)
 from psdk.perturbation import (
     eigvec_first_order,
     equivalent_factor_noise,
@@ -81,16 +81,11 @@ def test_index_set_order_matters():
 
 def test_support_mask_shape_and_zeros():
     # anchor rows lose their above-diagonal positions, nothing else
-    mask = support_mask(4, 2, IndexSet((2, 0)))
+    mask = support_mask(4, IndexSet((2, 0)))
     expected = np.ones((4, 2), dtype=bool)
     expected[2, 1] = False
     assert np.array_equal(mask, expected)
-    assert support_mask(3, 3, IndexSet.canonical(3)).sum() == 3 + 3
-
-
-def test_support_mask_rank_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        support_mask(4, 3, IndexSet((0, 1)))
+    assert support_mask(3, IndexSet.canonical(3)).sum() == 3 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -155,21 +150,21 @@ def test_stack_indexes_and_iterates_over_its_leading_axis():
 
 def test_reduced_cholesky_2x2_canonical():
     mat = np.array([[4.0, 2.0], [2.0, 1.0]])
-    factor = reduced_cholesky(mat, 1, IndexSet((0,)))
+    factor = reduced_cholesky(mat, IndexSet((0,)))
     assert_allclose(factor.entries, [[2.0], [1.0]])
 
 
 def test_reduced_cholesky_2x2_second_row_anchor():
     # same rank-1 matrix anchored at the other row
     mat = np.array([[1.0, 2.0], [2.0, 4.0]])
-    factor = reduced_cholesky(mat, 1, IndexSet((1,)))
+    factor = reduced_cholesky(mat, IndexSet((1,)))
     assert_allclose(factor.entries, [[1.0], [2.0]])
 
 
 def test_reduced_cholesky_3x3_noncanonical():
     target = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
     mat = target @ target.T
-    factor = reduced_cholesky(mat, 2, IndexSet((0, 2)))
+    factor = reduced_cholesky(mat, IndexSet((0, 2)))
     assert_allclose(factor.entries, target, atol=1e-14)
     # anchor rows are written back exactly: structural zeros are exact zeros
     assert factor.entries[0, 1] == 0.0
@@ -189,25 +184,25 @@ def test_reduced_cholesky_roundtrip_random():
         entries[anchor, :] = np.tril(entries[anchor, :])
         entries[anchor, np.arange(k)] = 0.5 + gen.uniform(0.0, 2.0, size=k)
         mat = entries @ entries.T
-        back = reduced_cholesky(0.5 * (mat + mat.T), k, idx)
+        back = reduced_cholesky(0.5 * (mat + mat.T), idx)
         assert np.max(np.abs(back.entries - entries)) < 1e-8
 
 
 def test_reduced_cholesky_rejects_singular_anchor():
     mat = np.diag([0.0, 1.0, 1.0])
     with pytest.raises(NotInManifoldError):
-        reduced_cholesky(mat, 2, IndexSet((0, 1)))
+        reduced_cholesky(mat, IndexSet((0, 1)))
 
 
 def test_reduced_cholesky_rejects_asymmetric():
     mat = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ShapeMismatchError):
-        reduced_cholesky(mat, 1, IndexSet((0,)))
+        reduced_cholesky(mat, IndexSet((0,)))
 
 
 def test_reduced_cholesky_rejects_bad_rank():
     with pytest.raises(ShapeMismatchError):
-        reduced_cholesky(np.eye(3), 4, IndexSet((0, 1, 2, 3)))
+        reduced_cholesky(np.eye(3), IndexSet((0, 1, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +219,7 @@ def test_anchor_reduces_any_frame():
         factor = anchor(frame, idx).validate()
         assert factor.index_set == idx
         assert_allclose(factor.entries @ factor.entries.T, frame @ frame.T, atol=1e-12)
-        reference = reduced_cholesky(frame @ frame.T, k, idx)
+        reference = reduced_cholesky(frame @ frame.T, idx)
         assert_allclose(factor.entries, reference.entries, atol=1e-8)
 
 
@@ -282,7 +277,7 @@ def test_pivot_rule_agrees_with_reduced_cholesky():
         if abs(pivot / tau - 1.0) < 1e-3:
             continue  # roundoff decides at the threshold itself
         try:
-            reduced_cholesky(frame @ frame.T, 2, idx)
+            reduced_cholesky(frame @ frame.T, idx)
             accepted = True
         except NotInManifoldError:
             accepted = False
@@ -304,10 +299,10 @@ _NON_FINITE = {
 }
 
 _ENTRY_POINTS = {
-    "reduced_cholesky": lambda mat: reduced_cholesky(mat, 1, IndexSet((0,))),
+    "reduced_cholesky": lambda mat: reduced_cholesky(mat, IndexSet((0,))),
     "eigh_topk": lambda mat: eigh_topk(mat, 1, require_positive=True),
     "summarize_covariance": lambda mat: summarize_covariance(mat, 1),
-    "find_index": lambda mat: find_index(mat, np.ones(2), 2),
+    "find_index": lambda mat: find_index(mat, np.ones(2)),
     "lq_givens": lq_givens,
     "procrustes_sign": procrustes_sign,
     "projector_distance": lambda mat: projector_distance(mat, np.eye(2)),
@@ -336,10 +331,51 @@ def test_non_finite_input_raises(entry, bad):
         _ENTRY_POINTS[entry](_NON_FINITE[bad])
 
 
+_FRAME = np.array([[1.0, 0.0], [0.5, 1.0], [0.2, 0.3]])
+_NOT_A_FACTOR = "is a ndarray, not a CholFactor; factor a p x p matrix with factorize"
+
+_WRONG_FORM = {
+    "log_factor": (lambda: log_factor(_FRAME), _NOT_A_FACTOR),
+    "intrinsic_samples": (lambda: intrinsic_samples(_FRAME, 0.1, 2, 0), _NOT_A_FACTOR),
+    "extrinsic_samples": (lambda: extrinsic_samples(_FRAME, 0.1, 2, 0), _NOT_A_FACTOR),
+    "factor_noise_samples": (
+        lambda: factor_noise_samples(_FRAME, np.zeros((2, 3, 2))), _NOT_A_FACTOR),
+    "karcher_factor_first_order": (
+        lambda: karcher_factor_first_order(_FRAME, np.zeros((2, 3, 2))), _NOT_A_FACTOR),
+    "factor_alignment": (
+        lambda: factor_alignment(_FRAME, SpectralPair(np.eye(3)[:, :2], np.ones(2))),
+        _NOT_A_FACTOR),
+    "factor_alignment_tuple_pair": (
+        lambda: factor_alignment(CholFactor(_FRAME, IndexSet((0, 1))),
+                                 (np.eye(3)[:, :2], np.ones(2))),
+        "pair is a tuple, not a SpectralPair"),
+    "factor_alignment_values_of_another_k": (
+        lambda: factor_alignment(CholFactor(_FRAME, IndexSet((0, 1))),
+                                 SpectralPair(np.eye(3)[:, :2], np.ones(3))),
+        r"values shape \(3,\) do not match factor shape \(3, 2\)"),
+    "eigvec_first_order_2d_values": (
+        lambda: eigvec_first_order(np.array([[2.0], [1.0]]), np.eye(2), 1, np.zeros((2, 2))),
+        r"does not match eigenvalues of shape \(2, 1\)"),
+    "equivalent_factor_noise_non_square_alignment": (
+        lambda: equivalent_factor_noise(np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.0]),
+                                        np.ones((2, 1))),
+        r"alignment of shape \(2, 1\) is not K x K"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_WRONG_FORM))
+def test_wrong_form_input_raises(entry):
+    """An ndarray where a CholFactor is due, a pair that is no SpectralPair
+    or has values of another K, 2-d eigenvalues or a non-square alignment
+    raise ShapeMismatchError at the public edge: never a raw AttributeError
+    or ValueError, and never a result of the wrong shape."""
+    call, message = _WRONG_FORM[entry]
+    with pytest.raises(ShapeMismatchError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # non-integer ranks, sizes, rows and labels at the public boundary
-
-_E1 = np.array([[1.0], [0.0], [0.0]])
 
 _NON_INTEGER = {
     "eigh_topk": lambda: eigh_topk(np.eye(3), 1.5),
@@ -348,12 +384,8 @@ _NON_INTEGER = {
     "spiked_covariance_p": lambda: spiked_covariance(5.0, 2, 0),
     "gaussian_svd_signal_rank": lambda: gaussian_svd_signal(4, 2.0, 0),
     "gaussian_svd_signal_p": lambda: gaussian_svd_signal(4.0, 2, 0),
-    "euclid_rankk_mean": lambda: euclid_rankk_mean([CholFactor(_E1, IndexSet((0,)))], 1.5),
-    "equivalent_factor_noise": lambda: equivalent_factor_noise(
-        np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.0]), 1.5, np.eye(1)),
     "eigvec_first_order": lambda: eigvec_first_order(
         np.array([3.0, 2.0, 1.0]), np.eye(3), 1.5, np.zeros((3, 3))),
-    "dpca_fan": lambda: dpca_fan(SpectralPair(_E1[None], np.ones((1, 1))), 1.5),
     "full_pca": lambda: full_pca(np.eye(3)[None], 1.5),
     "index_set_floats": lambda: IndexSet((0.7, 2.9)),
     "index_set_strings": lambda: IndexSet(("a",)),
@@ -381,12 +413,12 @@ def _index_set_entry_points():
     logs = log_factor(anchor(frame, IndexSet((3, 1))))
     return {
         "anchor": lambda rows: anchor(frame, rows).entries,
-        "support_mask": lambda rows: support_mask(6, 2, rows),
-        "reduced_cholesky": lambda rows: reduced_cholesky(mat, 2, rows).entries,
-        "factorize": lambda rows: factorize(mat, 2, rows).entries,
-        "membership": lambda rows: membership(mat, 2, rows)[0],
+        "support_mask": lambda rows: support_mask(6, rows),
+        "reduced_cholesky": lambda rows: reduced_cholesky(mat, rows).entries,
+        "factorize": lambda rows: factorize(mat, rows).entries,
+        "membership": lambda rows: membership(mat, rows)[0],
         "exp_factor": lambda rows: exp_factor(logs, rows).entries,
-        "lrc_dpca": lambda rows: lrc_dpca(pair, 2, rows).basis,
+        "lrc_dpca": lambda rows: lrc_dpca(pair, rows).basis,
     }
 
 

@@ -26,7 +26,7 @@ def _random_factor(gen, p, k, idx):
 def _random_psd(gen, p, k, idx=None):
     """A random chart point, entering as a p x p matrix through factorize."""
     idx = idx or IndexSet.canonical(k)
-    return factorize(_random_factor(gen, p, k, idx).matrix, k, idx)
+    return factorize(_random_factor(gen, p, k, idx).matrix, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +36,14 @@ def _random_psd(gen, p, k, idx=None):
 def test_membership_accepts_valid_matrix():
     gen = np.random.default_rng(0)
     psd = _random_psd(gen, 6, 2)
-    ok, diag = membership(psd.matrix, 2, psd.index_set)
+    ok, diag = membership(psd.matrix, psd.index_set)
     assert ok
     assert diag["symmetric"] and diag["psd_ok"] and diag["rank_ok"] and diag["block_ok"]
     assert diag["lambda_rank"] > 0
 
 
 def test_membership_rejects_wrong_rank():
-    ok, diag = membership(np.eye(4), 2, IndexSet((0, 1)))
+    ok, diag = membership(np.eye(4), IndexSet((0, 1)))
     assert not ok
     assert not diag["rank_ok"]
     assert diag["block_ok"]
@@ -53,28 +53,28 @@ def test_membership_depends_on_index_set():
     """A rank-2 matrix can fail at one anchor choice and pass at another."""
     target = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     mat = target @ target.T
-    ok_01, diag_01 = membership(mat, 2, IndexSet((0, 1)))
+    ok_01, diag_01 = membership(mat, IndexSet((0, 1)))
     assert not ok_01 and not diag_01["block_ok"]
-    ok_02, _ = membership(mat, 2, IndexSet((0, 2)))
+    ok_02, _ = membership(mat, IndexSet((0, 2)))
     assert ok_02
 
 
 def test_membership_rejects_indefinite():
-    ok, diag = membership(np.diag([1.0, -1.0]), 1, IndexSet((0,)))
+    ok, diag = membership(np.diag([1.0, -1.0]), IndexSet((0,)))
     assert not ok
     assert not diag["psd_ok"]
 
 
 def test_membership_never_raises_on_garbage():
-    ok, _ = membership(np.ones((2, 3)), 1, IndexSet((0,)))
+    ok, _ = membership(np.ones((2, 3)), IndexSet((0,)))
     assert not ok
-    ok, _ = membership(np.eye(2), 5, IndexSet((0,)))
+    ok, _ = membership(np.eye(2), IndexSet((0, 5)))
     assert not ok
 
 
 def test_validate_raises_with_reason():
     with pytest.raises(NotInManifoldError, match="membership failed: negative spectrum"):
-        factorize(np.diag([1.0, -1.0]), 1, IndexSet((0,)))
+        factorize(np.diag([1.0, -1.0]), IndexSet((0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_factorize_to_matrix_roundtrip():
         k = int(gen.integers(1, min(p, 6) + 1))
         idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
         factor = _random_factor(gen, p, k, idx)
-        back = factorize(factor.matrix, k, idx)
+        back = factorize(factor.matrix, idx)
         assert np.max(np.abs(back.entries - factor.entries)) < 1e-8
 
 
@@ -141,7 +141,7 @@ def test_karcher_mean_is_arithmetic_off_diagonal():
     fac_b = CholFactor(np.array([[1.0], [7.0]]), idx)
     assert_allclose(karcher_mean([fac_a, fac_b]).entries, [[1.0], [5.0]], atol=1e-12)
     # p x p inputs are factored at the edge and give the same mean
-    mean = karcher_mean([factorize(f.matrix, 1, idx) for f in (fac_a, fac_b)])
+    mean = karcher_mean([factorize(f.matrix, idx) for f in (fac_a, fac_b)])
     assert_allclose(mean.entries, [[1.0], [5.0]], atol=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_karcher_mean_rejects_malformed_stacks():
                          (np.ones((2, 3, 2)), IndexSet((0, 3))),
                          (np.ones((3, 2)), idx),
                          (np.ones((2, 2, 3, 2)), idx)):
-        for call in (karcher_mean, lambda f: euclid_rankk_mean(f, 2)):
+        for call in (karcher_mean, euclid_rankk_mean):
             with pytest.raises(ShapeMismatchError):
                 call(CholFactor(entries, fit))
 
@@ -193,7 +193,7 @@ def test_karcher_mean_output_in_manifold():
     idx = IndexSet((3, 1, 5))
     psds = [_random_psd(gen, 7, 3, idx) for _ in range(6)]
     mean = karcher_mean(psds)
-    ok, _ = membership(mean.matrix, 3, idx)
+    ok, _ = membership(mean.matrix, idx)
     assert ok
     assert mean.index_set == idx
 
@@ -268,7 +268,7 @@ def test_factor_route_forms_no_p_by_p_matrix(monkeypatch):
     assert karcher_mean(samples).index_set == idx
     summaries = SpectralPair(np.stack([np.linalg.qr(gen.normal(size=(6, 2)))[0]
                                        for _ in range(3)]), np.tile([2.0, 1.0], (3, 1)))
-    assert dpca_mod.lrc_dpca(summaries, 2, idx).method == "lrc"
+    assert dpca_mod.lrc_dpca(summaries, idx).method == "lrc"
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,11 @@ def test_intrinsic_samples_respect_support():
     # noise lands only on supported factor entries, so the factor of each
     # sample keeps exact zeros above the anchored diagonal
     psd = gaussian_svd_signal(8, 3, RngStream(4, 0))
-    mask = support_mask(8, 3, psd.index_set)
+    mask = support_mask(8, psd.index_set)
     for s in intrinsic_samples(psd, 1.0, 5, RngStream(4, 1)):
         assert np.all(s.entries[~mask] == 0.0)
         # the sample is the anchored factor of its own matrix
-        refactored = manifold.factorize(s.matrix, 3, psd.index_set)
+        refactored = manifold.factorize(s.matrix, psd.index_set)
         assert_allclose(refactored.entries, s.entries, atol=1e-8)
 
 

@@ -386,7 +386,7 @@ def _surrogate_setup(rng, p, k):
     pair = eigh_topk(cov, k)
     surrogate = (pair.vectors * pair.values**2) @ pair.vectors.T
     surrogate = 0.5 * (surrogate + surrogate.T)
-    factor = manifold.factorize(surrogate, k, IndexSet.canonical(k))
+    factor = manifold.factorize(surrogate, IndexSet.canonical(k))
     alignment = factor_alignment(factor, pair)
     return cov, pair, factor, alignment
 
@@ -410,7 +410,7 @@ def test_factor_alignment_rejects_mismatched_frame():
 def test_equivalent_factor_noise_vanishes_at_truth():
     rng = np.random.default_rng(17)
     cov, _, _, alignment = _surrogate_setup(rng, 8, 2)
-    noise = equivalent_factor_noise(cov, cov, 2, alignment)
+    noise = equivalent_factor_noise(cov, cov, alignment)
     assert np.max(np.abs(noise)) < 1e-10
 
 
@@ -422,7 +422,7 @@ def test_equivalent_factor_noise_reproduces_surrogate():
         cov, _, factor, alignment = _surrogate_setup(rng, p, k)
         data = models.gaussian_samples(cov, n, rng)
         cov_hat = models.sample_cov(data)
-        noise = equivalent_factor_noise(cov_hat, cov, k, alignment)
+        noise = equivalent_factor_noise(cov_hat, cov, alignment)
         bumped = factor.entries + noise
         pair_hat = eigh_topk(cov_hat, k)
         target = (pair_hat.vectors * pair_hat.values**2) @ pair_hat.vectors.T
@@ -432,4 +432,4 @@ def test_equivalent_factor_noise_reproduces_surrogate():
 def test_equivalent_factor_noise_zero_gap():
     cov = np.eye(4)
     with pytest.raises(SingularMatrixError):
-        equivalent_factor_noise(np.diag([2.0, 1.0, 0.5, 0.1]), cov, 2, np.eye(2))
+        equivalent_factor_noise(np.diag([2.0, 1.0, 0.5, 0.1]), cov, np.eye(2))
