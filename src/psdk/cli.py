@@ -14,6 +14,7 @@ starts a worker thread; `main` pins a process that loaded numpy earlier.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -42,6 +43,16 @@ def _print_lines(lines):
         os.close(devnull)
         return False
     return True
+
+
+def _check_writable(path):
+    """Fail as open would, creating nothing, if `path` is a directory or its
+    parent directory is missing or not writable."""
+    parent = os.path.dirname(path) or os.curdir
+    code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(parent)
+            else errno.EACCES if not os.access(parent, os.W_OK) else None)
+    if code:
+        raise ConfigError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,6 +121,8 @@ def main(argv=None):
                 "threads": args.threads,
             },
         )
+        out_path = cfg.output_path or f"{experiment}.csv"
+        _check_writable(out_path)
     except (ConfigError, OSError) as err:
         print(f"psdk: error: {err}", file=sys.stderr)
         return 1
@@ -120,7 +133,6 @@ def main(argv=None):
         print(f"psdk: numerical failure: {err}", file=sys.stderr)
         return 2
 
-    out_path = cfg.output_path or f"{experiment}.csv"
     try:
         experiments.write_csv(records, out_path)
     except OSError as err:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
 from .linalg import (IndexSet, SpectralPair, _check_rank, _eigh_desc, _sample_stack, _signed,
-                     anchor, check_finite, eigh_topk, pivot_threshold)
+                     _symmetric_scales, anchor, check_finite, eigh_topk, pivot_threshold)
 from .manifold import _chart_factors, karcher_mean
 
 
@@ -100,9 +100,9 @@ def _result(values, vectors, rank, method, n_machines, index_set=None):
 
 def full_pca(covariances, rank):
     """Top-`rank` eigenbasis of the pooled (averaged) covariances, an (M, p, p)
-    stack (a sequence of equal-shape matrices goes through one `np.asarray`)."""
+    stack of symmetric matrices (equal-shape ones go through one `np.asarray`)."""
     covs = _sample_stack(covariances, "full_pca covariances")
-    check_finite("full_pca covariances", covs)
+    _symmetric_scales(covs, stacked=True)
     _check_rank(rank, covs.shape[-1])
     agg = covs.sum(axis=0) / len(covs)
     return _result(*_eigh_desc(0.5 * (agg + agg.T)), rank, "full", len(covs))
@@ -127,16 +127,11 @@ def lrc_dpca(summaries, index_set):
     Raises
     ------
     NotInManifoldError
-        If any anchored factor fails the pivot rule at `index_set`; the
-        message lists the offending machines by their position in the
-        stack, so the caller can reselect rows via `find_index`.
+        From `karcher_mean`, if any anchored factor fails the pivot rule at
+        `index_set`; its `element` is the first failing machine.
     """
     frames = _lrc_frames(summaries)
     factors = anchor(frames, index_set)
-    bad, reason = factors._pivot_rule()
-    if reason is not None:
-        raise NotInManifoldError(f"machines {bad.tolist()} fail membership with index set "
-                                 f"{factors.index_set.indices}; reselect rows via find_index")
     left, sing, _ = np.linalg.svd(karcher_mean(factors).entries, full_matrices=False)
     p, k = frames.shape[1:]
     return _result(np.pad(sing**2, (0, p - k)), left, k, "lrc", len(frames), factors.index_set)

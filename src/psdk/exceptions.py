@@ -41,8 +41,13 @@ class NotInManifoldError(PsdkError):
     Covers a failed rank-K / anchored-block membership test, a nonpositive
     entry on a factor's anchored diagonal, and a frame for which no row
     choice yields a nonsingular anchor block. The experiments' Karcher
-    retry/skip policy catches it.
+    retry/skip policy catches it and reselects rows from `element`, the first
+    failing element of a stack where `karcher_mean` raises it (else None).
     """
+
+    def __init__(self, message, element=None):
+        super().__init__(message)
+        self.element = element
 
 
 class InsufficientPointsError(PsdkError):

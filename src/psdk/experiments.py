@@ -131,22 +131,26 @@ def default_config(experiment, quick=False):
 # config files
 
 def parse_config_file(path):
-    """Read a flat `key = value` file; '#' starts a comment, blanks ignored,
-    and a key set twice is a ConfigError naming both lines."""
+    """Read a flat `key = value` file; '#' starts a comment, blanks ignored.
+    Text that is not UTF-8, or a key set twice (naming both lines), is a ConfigError."""
     values, linenos = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key in linenos:
-                raise ConfigError(
-                    f"{path}:{lineno}: key {key!r} set again, first set on line {linenos[key]}")
-            values[key], linenos[key] = val.strip(), lineno
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key in linenos:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} set again, first set on line {linenos[key]}")
+        values[key], linenos[key] = val.strip(), lineno
     return values
 
 
@@ -508,39 +512,26 @@ def _frame_rows(frame):
     return dpca_mod.find_index(left, sing**2)
 
 
-def _reselect_index(frames, failed_idx):
-    """Anchor rows from the first sample that fails the pivot rule at `failed_idx`.
-
-    `frames` is the (M, p, K) stack of the samples' frames, anchored as one
-    stack; the offending sample's own frame drives `_frame_rows`. Returns
-    None when nothing fails or no admissible rows exist.
-    """
-    bad, reason = anchor(frames, failed_idx)._pivot_rule()
-    if reason is None:
-        return None
-    try:
-        return _frame_rows(frames[bad[0]])
-    except NotInManifoldError:
-        return None
-
-
 def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
     """The retry/skip policy for a Karcher aggregation; None means skipped.
 
-    Calls `aggregate(index_set)`. If that fails membership and the config
-    does not pin canonical rows, rows are reselected from `frames`, the
-    p x K frames F of the samples (each sample is F @ F.T), and the
-    aggregation runs once more, noting "retried with rows" in `notes`.
-    Without new rows, or on a second failure, notes "skipped:" with the
-    last error.
+    Calls `aggregate(index_set)`. If its NotInManifoldError names an
+    `element` and the config does not pin canonical rows, rows are reselected
+    from that sample's frame in `frames`, the (M, p, K) frames F of the
+    samples (each is F @ F.T), and the aggregation runs once more, noting
+    "retried with rows" in `notes`. Without an element or new rows, or on a
+    second failure, notes "skipped:" with the last error.
     """
     try:
         return aggregate(index_set)
     except NotInManifoldError as err:
         last = err
-    if cfg.index_mode != "canonical":
-        alt = _reselect_index(frames, index_set)
-        if alt is not None and alt != index_set:
+    if cfg.index_mode != "canonical" and last.element is not None:
+        try:
+            alt = _frame_rows(frames[last.element])
+        except NotInManifoldError:
+            alt = index_set  # no admissible rows
+        if alt != index_set:
             try:
                 result = aggregate(alt)
                 notes.append(f"{method} retried with rows {tuple(alt)}")

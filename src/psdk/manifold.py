@@ -99,8 +99,9 @@ def factorize(mat, index_set):
     """Chart map at the p x p edge: the unique factor of `mat` anchored at the
     K-row `index_set`, for `mat` of rank K.
 
-    Raises NotInManifoldError when the membership test fails.
+    Raises ShapeMismatchError on NaN or Inf, NotInManifoldError when membership fails.
     """
+    linalg.check_finite("factorize matrix", mat)
     index_set = linalg._as_index_set(index_set)
     ok, diag = membership(mat, index_set)
     if not ok:
@@ -109,38 +110,28 @@ def factorize(mat, index_set):
 
 
 def _chart_factors(factors, caller):
-    """The inputs as one stacked CholFactor (M, p, K). A stack passes through;
-    any other iterable must hold CholFactors sharing one shape and index set,
-    which are checked element by element (errors name the offending element)
-    and stacked. A CholFactor that is not a nonempty stack is rejected."""
-    if isinstance(factors, CholFactor):
-        if (np.ndim(factors.entries) != 3 or len(factors) == 0
-                or len(factors.index_set) != factors.rank):
-            raise ShapeMismatchError(
-                f"{caller} needs a nonempty stack whose index set fits its rank")
-        factors.index_set.validate_for(factors.p)
-        return factors
-    factors = list(factors)
-    if not factors:
-        raise ShapeMismatchError(f"{caller} needs at least one factor")
-    base = factors[0]
-    for m, factor in enumerate(factors):
-        linalg._as_factor(factor, f"element {m}")
-        shape = np.shape(factor.entries)
-        if (len(shape) != 2 or len(factor.index_set) != shape[1]
-                or max(factor.index_set) >= shape[0]):
-            raise ShapeMismatchError(
-                f"element {m}: index set {tuple(factor.index_set)} does not fit "
-                f"factor entries of shape {shape}"
-            )
-        if factor.index_set != base.index_set:
-            raise ShapeMismatchError(
-                f"element {m} has (rank, index set) = ({factor.rank}, "
-                f"{tuple(factor.index_set)}), expected ({base.rank}, {tuple(base.index_set)})"
-            )
-        if factor.p != base.p:
-            raise ShapeMismatchError(f"element {m} has p = {factor.p}, expected {base.p}")
-    return CholFactor(np.stack([f.entries for f in factors], dtype=float), base.index_set)
+    """The inputs as one nonempty stacked CholFactor (M, p, K) whose index set
+    fits its entries. Any other iterable must hold CholFactors with the first
+    one's shape and index set (an error names the first that differs); it is
+    stacked, then checked as a stack."""
+    if not isinstance(factors, CholFactor):
+        factors = [linalg._as_factor(f, f"element {m}") for m, f in enumerate(factors)]
+        if not factors:
+            raise ShapeMismatchError(f"{caller} needs at least one factor")
+        forms = [(np.shape(f.entries), f.index_set) for f in factors]
+        for m, form in enumerate(forms):
+            if form != forms[0]:
+                raise ShapeMismatchError(
+                    f"element {m}: shape {form[0]} and index set {tuple(form[1])} differ "
+                    f"from element 0's {forms[0][0]} and {tuple(forms[0][1])}")
+        factors = CholFactor(np.stack([f.entries for f in factors], dtype=float),
+                             factors[0].index_set)
+    if (np.ndim(factors.entries) != 3 or len(factors) == 0
+            or len(factors.index_set) != factors.rank):
+        raise ShapeMismatchError(
+            f"{caller} needs a nonempty stack whose index set fits its rank")
+    factors.index_set.validate_for(factors.p)
+    return factors
 
 
 def log_factor(factor):
@@ -189,15 +180,16 @@ def karcher_mean(psds):
     Raises
     ------
     ShapeMismatchError
-        On an empty sequence, if an element's index set does not fit its
-        entries, or if the elements differ in p, rank or index set.
+        On an empty sequence, if the elements differ in entries shape or
+        index set, or if the index set does not fit the entries.
     NotInManifoldError
-        If any element is not a chart point; the message names the first.
+        If any element fails the pivot rule; the first is the error's
+        `element`, and its message starts "element m: ".
     """
     factors = _chart_factors(psds, "karcher_mean")
-    failure = factors.pivot_failure()
-    if failure is not None:
-        raise NotInManifoldError(failure)
+    bad, reason = factors._pivot_rule()
+    if reason is not None:
+        raise NotInManifoldError(f"element {bad[0]}: {reason}", element=int(bad[0]))
     return _group_means(factors, len(factors))[0]
 
 

@@ -185,6 +185,7 @@ def factor_noise_samples(factor, noises):
     """
     _as_factor(factor).validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
+    check_finite("noise entries", noises)
     frames = _lead_axes(factor.entries, noises.ndim) + noises
     samples = anchor(np.reshape(frames, (-1,) + frames.shape[-2:]), factor.index_set)
     bad, reason = samples._pivot_rule()

@@ -350,6 +350,30 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["missing/o.csv", "."], ids=["missing_directory", "directory"])
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, out):
+    out = tmp_path / out
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["dpca", "--quick", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "[psdk]" not in err
+    assert err.startswith(f"psdk: error: cannot write {out}: [Errno ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_write_failure_after_the_run_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def refuse(records, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(experiments, "write_csv", refuse)
+    out = tmp_path / "o.csv"
+    code = main(["perturb-order", "--config", _cfg(tmp_path, TINY_PERTURB), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines()[-1].startswith(f"psdk: error: cannot write {out}: [Errno 13]")
+
+
 def test_config_experiment_mismatch_warns_and_wins(tmp_path, capsys):
     out = tmp_path / "o.csv"
     cfg = _cfg(tmp_path, "experiment = dpca\n" + TINY_PERTURB)

@@ -158,7 +158,7 @@ def test_euclid_rankk_mean_names_malformed_factor():
     for bad in (CholFactor(np.ones((2, 2)), IndexSet((0,))),
                 CholFactor(np.ones((2, 1)), IndexSet((2,))),
                 CholFactor(np.ones(2), IndexSet((0,)))):
-        with pytest.raises(ShapeMismatchError, match="element 1: index set"):
+        with pytest.raises(ShapeMismatchError, match="element 1: shape"):
             euclid_rankk_mean([good, bad])
 
 
@@ -199,6 +199,8 @@ def test_aggregators_reject_malformed_input():
         full_pca([np.eye(3), np.ones((1, 3))], 1)
     with pytest.raises(ShapeMismatchError, match="does not match square matrices"):
         full_pca(np.ones((2, 3, 4)), 1)
+    with pytest.raises(ShapeMismatchError, match="element 1: matrix is not symmetric"):
+        full_pca([np.eye(2), [[1.0, 5.0], [0.0, 1.0]]], 1)
     e1 = np.array([[1.0], [0.0]])
     with pytest.raises(SingularMatrixError, match="nonnegative"):
         dpca_bw(_machines([e1, e1], [[1.0], [-1.0]]))
@@ -450,8 +452,24 @@ def test_lrc_dpca_names_offending_machines():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
     summaries = _machines([e1, e2], [[1.0], [1.0]])
-    with pytest.raises(NotInManifoldError, match=r"machines \[1\]"):
+    with pytest.raises(NotInManifoldError, match=r"element 1: anchor block \(0,\)") as err:
         lrc_dpca(summaries, IndexSet((0,)))
+    assert err.value.element == 1
+
+
+def test_lrc_dpca_checks_the_pivot_rule_once(monkeypatch):
+    """karcher_mean owns the chart check of the anchored machines."""
+    calls = []
+    rule = CholFactor._pivot_rule
+
+    def counted(self):
+        calls.append(len(self))
+        return rule(self)
+
+    monkeypatch.setattr(CholFactor, "_pivot_rule", counted)
+    vectors = [np.array([[0.6], [0.8]]), np.array([[0.8], [0.6]])]
+    lrc_dpca(_machines(vectors, [[1.0], [2.0]]), IndexSet((0,)))
+    assert calls == [2]
 
 
 def test_zero_gap_warning_on_collapsed_aggregate():

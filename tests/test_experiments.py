@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from psdk import experiments, models
+from psdk import experiments, linalg, models
 from psdk.exceptions import (
     ConfigError,
     InsufficientPointsError,
@@ -182,6 +182,13 @@ def test_load_config_rejects_malformed_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("p 40\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
+        load_config("intrinsic_avg", path=path, quick=True)
+
+
+def test_load_config_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"p = 5\xff\n")
+    with pytest.raises(ConfigError, match="run.cfg: not UTF-8 text"):
         load_config("intrinsic_avg", path=path, quick=True)
 
 
@@ -506,16 +513,18 @@ def _policy_cfg(index_mode):
 
 
 class _StubAggregate:
-    """Fails with a numbered NotInManifoldError for the listed index sets."""
+    """Fails with a numbered NotInManifoldError for the listed index sets,
+    naming sample `element` as karcher_mean does."""
 
-    def __init__(self, failing):
+    def __init__(self, failing, element=0):
         self.failing = failing
+        self.element = element
         self.calls = []
 
     def __call__(self, index_set):
         self.calls.append(tuple(index_set))
         if tuple(index_set) in self.failing:
-            raise NotInManifoldError(f"failure {len(self.calls)}")
+            raise NotInManifoldError(f"failure {len(self.calls)}", element=self.element)
         return "mean"
 
 
@@ -571,10 +580,10 @@ def test_retry_policy_same_rows_skips(monkeypatch):
 
 
 def test_retry_policy_no_failing_sample_skips():
-    # every sample passes the pivot rule at (0, 1), so there is nothing to reselect from
-    agg = _StubAggregate(failing=((0, 1),))
+    # the error names no failing sample, so there is nothing to reselect from
+    agg = _StubAggregate(failing=((0, 1),), element=None)
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), np.eye(4)[None, :, :2],
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
                              _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert agg.calls == [(0, 1)]
@@ -590,6 +599,23 @@ def test_retry_policy_retry_succeeds():
     assert agg.calls[0] == (0, 1)
     assert len(agg.calls) == 2 and set(agg.calls[1]) == {2, 3}
     assert notes == [f"lrc retried with rows {agg.calls[1]}"]
+
+
+def test_retry_policy_reselects_without_anchoring_the_failed_rows(monkeypatch):
+    """The failed call named its sample; nothing is anchored again to find it."""
+
+    def forbidden(*args):
+        raise AssertionError("the failed rows were anchored again")
+
+    for module in (experiments, linalg):
+        monkeypatch.setattr(module, "anchor", forbidden)
+    agg = _StubAggregate(failing=((0, 1),), element=1)
+    frames = np.concatenate([np.eye(4)[None, :, :2], _zero_top_rows()])
+    notes = []
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), frames,
+                             _policy_cfg("find_index_oracle"), notes, "karcher")
+    assert out == "mean"
+    assert set(agg.calls[1]) == {2, 3}
 
 
 def test_retry_policy_no_admissible_rows_skips(monkeypatch):

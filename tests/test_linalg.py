@@ -300,6 +300,9 @@ _NON_FINITE = {
 
 _ENTRY_POINTS = {
     "reduced_cholesky": lambda mat: reduced_cholesky(mat, IndexSet((0,))),
+    "factorize": lambda mat: factorize(mat, IndexSet((0,))),
+    "factor_noise_samples": lambda mat: factor_noise_samples(
+        CholFactor(np.eye(2), IndexSet((0, 1))), mat[None]),
     "eigh_topk": lambda mat: eigh_topk(mat, 1, require_positive=True),
     "summarize_covariance": lambda mat: summarize_covariance(mat, 1),
     "find_index": lambda mat: find_index(mat, np.ones(2)),

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -230,13 +232,18 @@ def test_karcher_mean_mixed_index_sets():
 
 
 def test_karcher_mean_names_offending_element():
+    """The message and the error's `element` give the first failing element,
+    for a list and for a stack; `element` survives the pickling that carries
+    an error out of a forked worker."""
     a, b = _diag_pair()
     bad = CholFactor(np.array([[0.0], [0.0]]), IndexSet((0,)))
-    with pytest.raises(NotInManifoldError, match="element 2: anchor block"):
-        karcher_mean([a, b, bad])
     stack = CholFactor(np.stack([a.entries, b.entries, bad.entries, bad.entries]), a.index_set)
-    with pytest.raises(NotInManifoldError, match="element 2: anchor block"):
-        karcher_mean(stack)
+    for psds in ([a, b, bad], stack):
+        with pytest.raises(NotInManifoldError, match="element 2: anchor block") as err:
+            karcher_mean(psds)
+        assert err.value.element == 2
+        assert pickle.loads(pickle.dumps(err.value)).element == 2
+    assert NotInManifoldError("not a chart point").element is None
 
 
 def test_karcher_mean_names_factor_failing_pivot_rule():
@@ -311,13 +318,13 @@ def test_geodesic_distance_requires_common_anchor():
 
 
 @pytest.mark.parametrize("entries, idx, fault", [
-    (np.ones((3, 2)), IndexSet((0,)), r"element 1: index set \(0,\) does not fit"),
-    (np.ones((3, 1)), IndexSet((3,)), r"element 1: index set \(3,\) does not fit"),
-    (np.ones(3), IndexSet((0,)), r"element 1: index set \(0,\) does not fit .* \(3,\)"),
-    (np.ones((4, 1)), IndexSet((0,)), "element 1 has p = 4, expected 3"),
+    (np.ones((3, 2)), IndexSet((0,)), r"element 1: shape \(3, 2\) and index set \(0,\) differ"),
+    (np.ones((3, 1)), IndexSet((3,)), r"element 1: shape \(3, 1\) and index set \(3,\) differ"),
+    (np.ones(3), IndexSet((0,)), r"element 1: shape \(3,\) and index set \(0,\) differ"),
+    (np.ones((4, 1)), IndexSet((0,)), r"element 1: shape \(4, 1\) .* element 0's \(3, 1\)"),
 ], ids=["index_set_shorter_than_rank", "row_beyond_p", "one_d_entries", "different_p"])
 def test_chart_inputs_reject_malformed_factors(entries, idx, fault):
-    """Factors whose index set does not fit their entries, or whose p differs,
+    """Factors whose shape or index set differs from the first element's
     raise ShapeMismatchError naming the element in karcher_mean and
     geodesic_distance; so does a p x p array given in place of a factor."""
     good = CholFactor(np.array([[1.0], [0.5], [0.2]]), IndexSet((0,)))
