@@ -108,13 +108,6 @@ def full_pca(covariances, rank):
     return _result(*_eigh_desc(0.5 * (agg + agg.T)), rank, "full", len(covs))
 
 
-def _lrc_frames(summaries):
-    """The (M, p, K) stack of the machines' LRC frames V diag(values), which
-    `lrc_dpca` anchors and averages and a caller's row reselection reads."""
-    vectors, values = _machine_stack(summaries, "lrc_dpca")
-    return vectors * values[:, None, :]
-
-
 def lrc_dpca(summaries, index_set):
     """Karcher-mean aggregation of the machines' rank-K covariance surrogates.
 
@@ -130,7 +123,8 @@ def lrc_dpca(summaries, index_set):
         From `karcher_mean`, if any anchored factor fails the pivot rule at
         `index_set`; its `element` is the first failing machine.
     """
-    frames = _lrc_frames(summaries)
+    vectors, values = _machine_stack(summaries, "lrc_dpca")
+    frames = vectors * values[:, None, :]
     factors = anchor(frames, index_set)
     left, sing, _ = np.linalg.svd(karcher_mean(factors).entries, full_matrices=False)
     p, k = frames.shape[1:]

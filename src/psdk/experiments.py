@@ -512,15 +512,15 @@ def _frame_rows(frame):
     return dpca_mod.find_index(left, sing**2)
 
 
-def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
+def _aggregate_or_skip(aggregate, index_set, reselect, cfg, notes, method):
     """The retry/skip policy for a Karcher aggregation; None means skipped.
 
     Calls `aggregate(index_set)`. If its NotInManifoldError names an
-    `element` and the config does not pin canonical rows, rows are reselected
-    from that sample's frame in `frames`, the (M, p, K) frames F of the
-    samples (each is F @ F.T), and the aggregation runs once more, noting
-    "retried with rows" in `notes`. Without an element or new rows, or on a
-    second failure, notes "skipped:" with the last error.
+    `element` and the config does not pin canonical rows, `reselect(element)`
+    picks rows from that sample by the rule that picked the first rows, and
+    the aggregation runs once more, noting "retried with rows" in `notes`.
+    Without an element or new rows, or on a second failure, notes "skipped:"
+    with the last error.
     """
     try:
         return aggregate(index_set)
@@ -528,7 +528,7 @@ def _aggregate_or_skip(aggregate, index_set, frames, cfg, notes, method):
         last = err
     if cfg.index_mode != "canonical" and last.element is not None:
         try:
-            alt = _frame_rows(frames[last.element])
+            alt = reselect(last.element)
         except NotInManifoldError:
             alt = index_set  # no admissible rows
         if alt != index_set:
@@ -560,8 +560,8 @@ def _mean_rows(cfg, notes, samples, truth, row):
             return manifold.karcher_mean(samples)
         return manifold.karcher_mean(anchor(samples.entries, index_set))
 
-    karcher = _aggregate_or_skip(aggregate, samples.index_set, samples.entries,
-                                 cfg, notes, "karcher")
+    karcher = _aggregate_or_skip(aggregate, samples.index_set,
+                                 lambda m: _frame_rows(samples.entries[m]), cfg, notes, "karcher")
     means = [] if karcher is None else [("karcher", karcher)]
     means.append(("euclid", dpca_mod.euclid_rankk_mean(samples)))
     return [replace(row, method=method, error=projector_distance(mean.entries, truth.entries))
@@ -700,7 +700,8 @@ def run_dpca(cfg):
     draws and are scored by projector distance to the true leading
     eigenspace. A Karcher aggregation that fails membership follows
     `_aggregate_or_skip`, with rows reselected from the first offending
-    machine; the other methods still report.
+    machine's eigenpairs by `find_index`, as machine 1's were; the other
+    methods still report.
     """
     cov, basis = models.spiked_covariance(cfg.p, cfg.K, _stream(cfg, 0, 0, 0))
     oracle_idx = None
@@ -729,8 +730,9 @@ def run_dpca(cfg):
 
         results = [dpca_mod.full_pca(covs, cfg.K)]
         lrc = _aggregate_or_skip(
-            lambda rows: dpca_mod.lrc_dpca(summaries, rows),
-            idx, dpca_mod._lrc_frames(summaries), cfg, notes, "lrc",
+            lambda rows: dpca_mod.lrc_dpca(summaries, rows), idx,
+            lambda m: dpca_mod.find_index(summaries.vectors[m], summaries.values[m]),
+            cfg, notes, "lrc",
         )
         if lrc is not None:
             results.append(lrc)

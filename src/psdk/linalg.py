@@ -86,11 +86,21 @@ def check_finite(what, *arrays):
         raise ShapeMismatchError(f"{what} must be finite")
 
 
-def check_symmetric(mat):
-    """Raise ShapeMismatchError if max|A - A.T| exceeds SYM_RTOL * max|A|."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def _square(mat):
+    """`mat` as a nonempty square float matrix; else ShapeMismatchError."""
+    try:
+        mat = np.asarray(mat, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatchError(f"expected a square matrix, got a {type(mat).__name__}") from None
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
+def check_symmetric(mat):
+    """`mat` as a nonempty square float matrix; raise ShapeMismatchError if it
+    is not one, has a NaN or Inf, or max|A - A.T| exceeds SYM_RTOL * max|A|."""
+    mat = _square(mat)
     _symmetric_scales(mat[None], stacked=False)
     return mat
 
@@ -180,7 +190,7 @@ def support_mask(p, index_set):
     True everywhere except above the diagonal of the anchored block: row
     index_set[k] is False in columns k+1, ..., K-1.
     """
-    index_set = _as_index_set(index_set).validate_for(p)
+    index_set = _as_index_set(index_set).validate_for(_check_integer("p", p))
     rank = len(index_set)
     mask = np.ones((p, rank), dtype=bool)
     mask[index_set.as_array()] = np.tril(np.ones((rank, rank), dtype=bool))
@@ -233,13 +243,15 @@ class CholFactor:
         """The K x K lower-triangular block formed by the anchor rows."""
         return self.entries[..., self.index_set.as_array(), :]
 
-    def _pivot_rule(self):
+    def _pivot_rule(self, scale=None):
         """`pivot_failure`'s rule over the leading axis: the positions that
-        fail it (0 for a failing single factor) and the first one's reason."""
+        fail it (0 for a failing single factor) and the first one's reason.
+        `scale`, a matrix's max-norm, replaces a single factor's own."""
         ent = np.reshape(self.entries, (-1,) + np.shape(self.entries)[-2:])
         finite = np.isfinite(ent).all(axis=(1, 2))
         pivots = np.min(ent[:, self.index_set.as_array(), np.arange(self.rank)] ** 2, axis=1)
-        taus = TAU_PIVOT_REL * np.max(np.einsum("mij,mij->mi", ent, ent), axis=1)
+        scales = np.max(np.einsum("mij,mij->mi", ent, ent), axis=1) if scale is None else [scale]
+        taus = TAU_PIVOT_REL * np.asarray(scales)
         bad = np.flatnonzero(~finite | (pivots <= taus))
         if bad.size == 0:
             return bad, None
@@ -251,9 +263,11 @@ class CholFactor:
     def pivot_failure(self):
         """Why N @ N.T is not a chart point at this index set, or None if it is.
 
-        `reduced_cholesky`'s pivot rule without forming N @ N.T: its pivots are
-        the squared anchored diagonal, its max-norm the largest squared row
-        norm. Non-finite entries fail too. A stack fails on its first failing
+        The one anchor-block pivot rule, which `reduced_cholesky` asks too:
+        a squared anchored diagonal entry (a Schur pivot of the anchor block
+        of N @ N.T) at or below TAU_PIVOT_REL times the largest squared row
+        norm (max|N @ N.T|; `reduced_cholesky` uses its max|mat|) fails, and
+        so does a non-finite entry. A stack fails on its first failing
         element, which the reason names ("element m: ...")."""
         bad, reason = self._pivot_rule()
         if reason is None or np.ndim(self.entries) == 2:
@@ -308,9 +322,13 @@ def reduced_cholesky(mat, index_set):
     """Reduced Cholesky factor of a rank-K PSD matrix, K the length of `index_set`.
 
     Computes the unique p x K matrix N with N @ N.T == mat whose anchor rows
-    N[index_set, :] are lower triangular with positive diagonal. The anchor
-    block is factored by a pivoted-checked Cholesky; the remaining rows follow
-    from one triangular solve.
+    N[index_set, :] are lower triangular with positive diagonal: the anchor
+    block by `np.linalg.cholesky`, the other rows by one triangular solve.
+    N must then pass the factors' pivot rule (`CholFactor.pivot_failure`):
+    its pivots are the anchor block's Schur pivots, its threshold
+    TAU_PIVOT_REL * max|mat|. For a rank-K PSD matrix that is the factor's
+    own threshold; a matrix only numerically rank K can have rows far
+    shorter than its diagonal, so the matrix's scale is kept.
 
     Parameters
     ----------
@@ -327,49 +345,30 @@ def reduced_cholesky(mat, index_set):
     Raises
     ------
     NotInManifoldError
-        If a Cholesky pivot of the anchor block falls below the relative
-        threshold TAU_PIVOT_REL * max|mat|.
+        If the anchor block is not positive definite, or with the pivot
+        rule's reason.
     ShapeMismatchError
-        On inconsistent dimensions, or if max|mat - mat.T| exceeds tolerance.
+        If `mat` is not a nonempty finite square matrix, max|mat - mat.T|
+        exceeds tolerance, or a row is out of range.
     """
     mat = check_symmetric(mat)
     index_set = _as_index_set(index_set).validate_for(mat.shape[0])
-
     rows = index_set.as_array()
-    block = mat[np.ix_(rows, rows)]
-    tril, min_pivot = _cholesky_pivots(block, pivot_threshold(mat))
-    if tril is None:
+    try:
+        tril = np.linalg.cholesky(mat[np.ix_(rows, rows)])
+    except np.linalg.LinAlgError:
         raise NotInManifoldError(
-            f"anchor block pivot {min_pivot:.3e} below threshold "
-            f"{pivot_threshold(mat):.3e} for index set {index_set.indices}"
-        )
-
+            f"anchor block {index_set.indices} not positive definite") from None
     # N = mat[:, rows] @ inv(tril).T, via one triangular solve.
     entries = _solve_lower(tril, mat[:, rows].T).T
     # The anchor rows equal tril up to roundoff; write them exactly so the
     # structural zeros and the positive diagonal hold bit-for-bit.
     entries[rows, :] = tril
-    return CholFactor(entries, index_set)
-
-
-def _cholesky_pivots(block, tau):
-    """Lower Cholesky of a small symmetric block with explicit pivot checks.
-
-    Returns (tril, min_pivot); tril is None when some Schur-complement pivot
-    drops to `tau` or below.
-    """
-    k = block.shape[0]
-    tril = np.zeros((k, k))
-    min_pivot = np.inf
-    for j in range(k):
-        pivot = block[j, j] - tril[j, :j] @ tril[j, :j]
-        min_pivot = min(min_pivot, pivot)
-        if pivot <= tau:
-            return None, min_pivot
-        tril[j, j] = np.sqrt(pivot)
-        if j + 1 < k:
-            tril[j + 1 :, j] = (block[j + 1 :, j] - tril[j + 1 :, :j] @ tril[j, :j]) / tril[j, j]
-    return tril, min_pivot
+    factor = CholFactor(entries, index_set)
+    reason = factor._pivot_rule(np.max(np.abs(mat)))[1]
+    if reason is not None:
+        raise NotInManifoldError(reason)
+    return factor
 
 
 def _solve_lower(tril, rhs):
@@ -623,9 +622,7 @@ def procrustes_sign(mat):
         If `mat` is numerically singular, in which case the minimizer is not
         unique.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
+    mat = _square(mat)
     check_finite("matrix entries", mat)
     left, sing, right_t = np.linalg.svd(mat)
     if sing[-1] <= pivot_threshold(mat):

@@ -29,84 +29,52 @@ def membership(mat, index_set):
     Returns
     -------
     ok : bool
-    diagnostics : dict
-        Keys: symmetric, asymmetry, psd_ok, rank_ok, block_ok, lambda_rank,
-        lambda_next, min_pivot. Failures land in the flags; only an index
-        set that is not a sequence of rows raises (`IndexSet`'s PsdkError).
+    reason : str or None
+        None on a pass, else the failed checks joined by "; ": a negative
+        spectrum, the rank (lambda_{K+1} < TAU_RANK * lambda_K), and the
+        anchor block, whose reason is `reduced_cholesky`'s (the factors'
+        pivot rule). A matrix that is not square, finite and symmetric,
+        or rows out of range, fail on that check alone. Only an index set
+        that is not a sequence of rows raises (`IndexSet`'s PsdkError).
     """
-    mat = np.asarray(mat, dtype=float)
     index_set = linalg._as_index_set(index_set)
-    diag = {
-        "symmetric": False,
-        "asymmetry": np.inf,
-        "psd_ok": False,
-        "rank_ok": False,
-        "block_ok": False,
-        "lambda_rank": np.nan,
-        "lambda_next": np.nan,
-        "min_pivot": np.nan,
-    }
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        return False, diag
-    p, rank = mat.shape[0], len(index_set)
-    if max(index_set) >= p:
-        return False, diag
-
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    asym = float(np.max(np.abs(mat - mat.T)))
-    diag["asymmetry"] = asym
-    diag["symmetric"] = asym <= linalg.SYM_RTOL * scale
-    if not diag["symmetric"]:
-        return False, diag
-
-    values = np.linalg.eigvalsh(mat)[::-1]
-    lam_rank = float(values[rank - 1])
-    lam_next = float(values[rank]) if rank < p else 0.0
-    diag["lambda_rank"] = lam_rank
-    diag["lambda_next"] = lam_next
-    diag["psd_ok"] = float(values[-1]) >= -linalg.SYM_RTOL * max(abs(values[0]), abs(values[-1]))
-    diag["rank_ok"] = lam_rank > 0.0 and (rank == p or lam_next < linalg.TAU_RANK * lam_rank)
-
-    rows = index_set.as_array()
-    block = mat[np.ix_(rows, rows)]
-    tril, min_pivot = linalg._cholesky_pivots(block, linalg.pivot_threshold(mat))
-    diag["min_pivot"] = float(min_pivot)
-    diag["block_ok"] = tril is not None
-
-    ok = diag["symmetric"] and diag["psd_ok"] and diag["rank_ok"] and diag["block_ok"]
-    return ok, diag
+    try:
+        reasons = _chart_point(mat, index_set)[0]
+    except ShapeMismatchError as err:
+        return False, str(err)
+    return not reasons, "; ".join(reasons) or None
 
 
-def _describe_failure(diag, index_set):
-    reasons = []
-    if not diag["symmetric"]:
-        reasons.append(f"asymmetry {diag['asymmetry']:.3e}")
-    if not diag["psd_ok"]:
+def _chart_point(mat, index_set):
+    """`membership`'s failed checks and `reduced_cholesky`'s factor (None if
+    the anchor block fails); its ShapeMismatchError propagates."""
+    try:
+        factor, block = linalg.reduced_cholesky(mat, index_set), []
+    except NotInManifoldError as err:
+        factor, block = None, [str(err)]
+    values = np.linalg.eigvalsh(np.asarray(mat, dtype=float))[::-1]
+    rank, reasons = len(index_set), []
+    lam_rank, lam_next = values[rank - 1], (values[rank] if rank < len(values) else 0.0)
+    if values[-1] < -linalg.SYM_RTOL * max(abs(values[0]), abs(values[-1])):
         reasons.append("negative spectrum")
-    if not diag["rank_ok"]:
-        reasons.append(
-            f"rank check failed (lambda_K = {diag['lambda_rank']:.3e}, "
-            f"lambda_K+1 = {diag['lambda_next']:.3e})"
-        )
-    if not diag["block_ok"]:
-        reasons.append(
-            f"anchor block {tuple(index_set)} singular (min pivot {diag['min_pivot']:.3e})"
-        )
-    return "membership failed: " + "; ".join(reasons or ["unknown"])
+    if not (lam_rank > 0.0 and (rank == len(values) or lam_next < linalg.TAU_RANK * lam_rank)):
+        reasons.append(f"rank check failed (lambda_K = {lam_rank:.3e}, "
+                       f"lambda_K+1 = {lam_next:.3e})")
+    return reasons + block, factor
 
 
 def factorize(mat, index_set):
     """Chart map at the p x p edge: the unique factor of `mat` anchored at the
     K-row `index_set`, for `mat` of rank K.
 
-    Raises ShapeMismatchError on NaN or Inf, NotInManifoldError when membership fails.
+    Raises ShapeMismatchError as `reduced_cholesky` does (a matrix that is
+    not finite, symmetric and square, or rows out of range), else
+    NotInManifoldError("membership failed: <reason>") if a check fails.
     """
-    linalg.check_finite("factorize matrix", mat)
-    index_set = linalg._as_index_set(index_set)
-    ok, diag = membership(mat, index_set)
-    if not ok:
-        raise NotInManifoldError(_describe_failure(diag, index_set))
-    return linalg.reduced_cholesky(mat, index_set)
+    reasons, factor = _chart_point(mat, index_set)
+    if reasons:
+        raise NotInManifoldError("membership failed: " + "; ".join(reasons))
+    return factor
 
 
 def _chart_factors(factors, caller):
@@ -115,6 +83,9 @@ def _chart_factors(factors, caller):
     one's shape and index set (an error names the first that differs); it is
     stacked, then checked as a stack."""
     if not isinstance(factors, CholFactor):
+        if not np.iterable(factors):
+            raise ShapeMismatchError(
+                f"{caller} takes CholFactors, not a {type(factors).__name__}")
         factors = [linalg._as_factor(f, f"element {m}") for m, f in enumerate(factors)]
         if not factors:
             raise ShapeMismatchError(f"{caller} needs at least one factor")

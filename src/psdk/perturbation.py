@@ -52,7 +52,7 @@ def skew_generator(tril, noise):
     """
     tril = np.asarray(tril, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if tril.ndim < 2 or tril.shape[-1] != tril.shape[-2]:
+    if tril.ndim < 2 or tril.shape[-1] != tril.shape[-2] or not tril.size:
         raise ShapeMismatchError(f"expected a square factor, got shape {tril.shape}")
     if (noise.ndim - tril.ndim not in (0, 1) or noise.shape[-2:] != tril.shape[-2:]
             or noise.shape[:tril.ndim - 2] != tril.shape[:-2]):

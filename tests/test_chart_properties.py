@@ -11,12 +11,13 @@ them.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from psdk.linalg import CholFactor, IndexSet, anchor, lq_givens
-from psdk.manifold import _group_means, exp_factor, karcher_mean, log_factor
+from psdk.exceptions import NotInManifoldError
+from psdk.linalg import TAU_PIVOT_REL, CholFactor, IndexSet, anchor, lq_givens, reduced_cholesky
+from psdk.manifold import _group_means, exp_factor, factorize, karcher_mean, log_factor, membership
 from psdk.models import factor_noise_samples
 from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
 
@@ -182,3 +183,42 @@ def test_stacked_base_points_are_bit_identical_per_element(shape, batch, count, 
     means = _group_means(points, samples)
     assert means.index_set == idx
     assert np.array_equal(means.entries, np.stack([karcher_mean(s).entries for s in looped]))
+
+
+@_settings
+@given(shapes(), st.integers(0, 5), st.floats(-8.0, 0.0))
+def test_the_p_by_p_edge_asks_the_factors_pivot_rule(shape, col, log_scale):
+    """`reduced_cholesky` of N @ N.T raises exactly when N's `pivot_failure`
+    is not None, and else gives N back; `membership` passes exactly when
+    `factorize` succeeds; an asymmetric matrix fails on its asymmetry alone.
+    One anchored diagonal entry is scaled by 10**log_scale, so the draws
+    straddle the threshold; a band of 1% around it is left out, where
+    roundoff in N @ N.T decides."""
+    p, k, idx, seed = shape
+    entries = _factor(np.random.default_rng(seed), p, k, idx).entries
+    col %= k
+    entries[idx[col], col] *= 10.0**log_scale
+    factor = CholFactor(entries, idx)
+    pivot = np.min(np.diagonal(factor.anchor_block())) ** 2
+    norm = np.max(np.sum(entries**2, axis=1))
+    assume(abs(pivot / (TAU_PIVOT_REL * norm) - 1.0) > 1e-2)
+    mat = factor.matrix
+    try:
+        back = reduced_cholesky(mat, idx)
+    except NotInManifoldError:
+        back = None
+    assert (back is None) == (factor.pivot_failure() is not None)
+    if back is not None:
+        # the solve loses relative accuracy as max|mat| / pivot grows
+        assert_allclose(back.entries, entries, rtol=0.0, atol=1e-12 * norm / pivot)
+    ok, reason = membership(mat, idx)
+    try:
+        factorize(mat, idx)
+        assert ok and reason is None
+    except NotInManifoldError as err:
+        assert not ok and str(err) == f"membership failed: {reason}"
+    if p > 1:
+        skewed = mat.copy()
+        skewed[0, -1] += 1e-3 * np.max(np.abs(mat))
+        ok, reason = membership(skewed, idx)
+        assert not ok and reason.startswith("matrix is not symmetric:") and ";" not in reason

@@ -528,22 +528,25 @@ class _StubAggregate:
         return "mean"
 
 
-class _NoFrames:
-    """Sample frames that must not be inspected."""
-
-    def __iter__(self):
-        raise AssertionError("samples inspected although no retry was possible")
+def _no_reselect(m):
+    raise AssertionError("samples inspected although no retry was possible")
 
 
-def _zero_top_rows():
+def _frames_reselect(frames):
+    """Rows reselected from the frame of the failing sample, as the Karcher
+    experiments reselect them."""
+    return lambda m: experiments._frame_rows(frames[m])
+
+
+def _reselect_zero_top_rows():
     # rank 2 with rows 0 and 1 zero: the pivot rule fails at the canonical rows
-    return np.array([[[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]]])
+    return _frames_reselect(np.array([[[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]]]))
 
 
 def test_retry_policy_success_builds_no_matrices():
     agg = _StubAggregate(failing=())
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_reselect,
                              _policy_cfg("find_index_oracle"), notes, "lrc")
     assert out == "mean"
     assert agg.calls == [(0, 1)]
@@ -553,7 +556,7 @@ def test_retry_policy_success_builds_no_matrices():
 def test_retry_policy_canonical_skips_without_retry():
     agg = _StubAggregate(failing=((0, 1),))
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_reselect,
                              _policy_cfg("canonical"), notes, "lrc")
     assert out is None
     assert agg.calls == [(0, 1)]
@@ -571,7 +574,7 @@ def test_retry_policy_same_rows_skips(monkeypatch):
     monkeypatch.setattr(experiments.dpca_mod, "find_index", same_rows)
     agg = _StubAggregate(failing=((0, 1),))
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _reselect_zero_top_rows(),
                              _policy_cfg("find_index_machine1"), notes, "lrc")
     assert out is None
     assert picked == [2]
@@ -583,7 +586,7 @@ def test_retry_policy_no_failing_sample_skips():
     # the error names no failing sample, so there is nothing to reselect from
     agg = _StubAggregate(failing=((0, 1),), element=None)
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _NoFrames(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _no_reselect,
                              _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert agg.calls == [(0, 1)]
@@ -593,7 +596,7 @@ def test_retry_policy_no_failing_sample_skips():
 def test_retry_policy_retry_succeeds():
     agg = _StubAggregate(failing=((0, 1),))
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _reselect_zero_top_rows(),
                              _policy_cfg("find_index_machine1"), notes, "lrc")
     assert out == "mean"
     assert agg.calls[0] == (0, 1)
@@ -610,9 +613,10 @@ def test_retry_policy_reselects_without_anchoring_the_failed_rows(monkeypatch):
     for module in (experiments, linalg):
         monkeypatch.setattr(module, "anchor", forbidden)
     agg = _StubAggregate(failing=((0, 1),), element=1)
-    frames = np.concatenate([np.eye(4)[None, :, :2], _zero_top_rows()])
+    frames = np.concatenate([np.eye(4)[None, :, :2],
+                             [[[0.0, 0.0], [0.0, 0.0], [2.0, 0.5], [0.3, 1.0]]]])
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), frames,
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _frames_reselect(frames),
                              _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out == "mean"
     assert set(agg.calls[1]) == {2, 3}
@@ -626,7 +630,7 @@ def test_retry_policy_no_admissible_rows_skips(monkeypatch):
     monkeypatch.setattr(experiments.dpca_mod, "find_index", no_rows)
     agg = _StubAggregate(failing=((0, 1),))
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _reselect_zero_top_rows(),
                              _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert agg.calls == [(0, 1)]
@@ -636,11 +640,40 @@ def test_retry_policy_no_admissible_rows_skips(monkeypatch):
 def test_retry_policy_second_failure_skips_with_second_error():
     agg = _StubAggregate(failing=((0, 1), (2, 3), (3, 2)))
     notes = []
-    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _zero_top_rows(),
+    out = _aggregate_or_skip(agg, IndexSet((0, 1)), _reselect_zero_top_rows(),
                              _policy_cfg("find_index_oracle"), notes, "karcher")
     assert out is None
     assert len(agg.calls) == 2
     assert notes == ["karcher skipped: failure 2"]
+
+
+def test_dpca_retry_reselects_rows_by_the_first_pick_rule(monkeypatch, capsys):
+    """The LRC retry picks the failing machine's rows as machine 1's were
+    picked, by find_index(V, values), and not from its frame V diag(values),
+    whose singular values weight the rows by values**2."""
+    real = experiments.dpca_mod.lrc_dpca
+    calls, expected = [], []
+
+    def stub(summaries, index_set):
+        calls.append(tuple(index_set))
+        if len(calls) > 1:
+            return real(summaries, index_set)
+        for m in range(1, len(summaries.values)):
+            pair = (summaries.vectors[m], summaries.values[m])
+            rows = tuple(experiments.dpca_mod.find_index(*pair))
+            if rows != calls[0] and rows != tuple(experiments._frame_rows(pair[0] * pair[1])):
+                expected.append(rows)
+                raise NotInManifoldError(f"machine {m} fails", element=m)
+        raise AssertionError("no machine whose two weightings pick different rows")
+
+    monkeypatch.setattr(experiments.dpca_mod, "lrc_dpca", stub)
+    cfg = ExperimentConfig("dpca", p=20, K=5, sigma_sq=0.0, M_grid=(6,), n_grid=(60,),
+                           repetitions=1, master_seed=2,
+                           index_mode="find_index_machine1").validate()
+    records = run_dpca(cfg)
+    assert calls[1:] == expected
+    assert f"lrc retried with rows {expected[0]}" in capsys.readouterr().err
+    assert {r.method for r in records} == {"full", "lrc", "fan", "bw"}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from psdk.exceptions import (
     SingularMatrixError,
 )
 from psdk.dpca import find_index, full_pca, lrc_dpca, summarize_covariance
-from psdk.manifold import exp_factor, factorize, log_factor, membership
+from psdk.manifold import exp_factor, factorize, karcher_mean, log_factor, membership
 from psdk.models import (
     derive_stream_id,
     extrinsic_samples,
@@ -363,15 +363,32 @@ _WRONG_FORM = {
         lambda: equivalent_factor_noise(np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, 1.0]),
                                         np.ones((2, 1))),
         r"alignment of shape \(2, 1\) is not K x K"),
+    "factorize_non_square": (lambda: factorize(np.ones((2, 3)), (0,)),
+                             r"expected a square matrix, got shape \(2, 3\)"),
+    "factorize_rows_out_of_range": (lambda: factorize(np.eye(2), (0, 5)),
+                                    r"index set \(0, 5\) out of range for p = 2"),
+    "factorize_none": (lambda: factorize(None, (0,)), r"expected a square matrix, got shape \(\)"),
+    "factorize_asymmetric": (lambda: factorize(np.array([[1.0, 2.0], [0.0, 1.0]]), (0,)),
+                             r"matrix is not symmetric: max\|A - A.T\| = 2.000e\+00"),
+    "reduced_cholesky_string": (lambda: reduced_cholesky("x", (0,)),
+                                "expected a square matrix, got a str"),
+    "procrustes_sign_empty": (lambda: procrustes_sign(np.zeros((0, 0))),
+                              r"expected a square matrix, got shape \(0, 0\)"),
+    "skew_generator_empty": (lambda: skew_generator(np.zeros((0, 0)), np.zeros((0, 0))),
+                             r"expected a square factor, got shape \(0, 0\)"),
+    "karcher_mean_none": (lambda: karcher_mean(None),
+                          "karcher_mean takes CholFactors, not a NoneType"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_WRONG_FORM))
 def test_wrong_form_input_raises(entry):
-    """An ndarray where a CholFactor is due, a pair that is no SpectralPair
-    or has values of another K, 2-d eigenvalues or a non-square alignment
-    raise ShapeMismatchError at the public edge: never a raw AttributeError
-    or ValueError, and never a result of the wrong shape."""
+    """An ndarray or None where a CholFactor is due, a pair that is no
+    SpectralPair or has values of another K, 2-d eigenvalues, a non-square
+    alignment, a matrix that is no nonempty symmetric square array of numbers
+    and rows out of range raise ShapeMismatchError at the public edge: never a raw
+    AttributeError, TypeError, IndexError or ValueError, and never a result
+    of the wrong shape."""
     call, message = _WRONG_FORM[entry]
     with pytest.raises(ShapeMismatchError, match=message):
         call()
@@ -394,6 +411,7 @@ _NON_INTEGER = {
     "index_set_strings": lambda: IndexSet(("a",)),
     "index_set_scalar": lambda: IndexSet(3),
     "derive_stream_id": lambda: derive_stream_id(1.5),
+    "support_mask_p": lambda: support_mask(np.ones(3), (0,)),
 }
 
 

@@ -38,40 +38,47 @@ def _random_psd(gen, p, k, idx=None):
 def test_membership_accepts_valid_matrix():
     gen = np.random.default_rng(0)
     psd = _random_psd(gen, 6, 2)
-    ok, diag = membership(psd.matrix, psd.index_set)
-    assert ok
-    assert diag["symmetric"] and diag["psd_ok"] and diag["rank_ok"] and diag["block_ok"]
-    assert diag["lambda_rank"] > 0
+    assert membership(psd.matrix, psd.index_set) == (True, None)
 
 
 def test_membership_rejects_wrong_rank():
-    ok, diag = membership(np.eye(4), IndexSet((0, 1)))
+    ok, reason = membership(np.eye(4), IndexSet((0, 1)))
     assert not ok
-    assert not diag["rank_ok"]
-    assert diag["block_ok"]
+    assert reason == "rank check failed (lambda_K = 1.000e+00, lambda_K+1 = 1.000e+00)"
 
 
 def test_membership_depends_on_index_set():
     """A rank-2 matrix can fail at one anchor choice and pass at another."""
     target = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     mat = target @ target.T
-    ok_01, diag_01 = membership(mat, IndexSet((0, 1)))
-    assert not ok_01 and not diag_01["block_ok"]
-    ok_02, _ = membership(mat, IndexSet((0, 2)))
-    assert ok_02
+    ok_01, reason_01 = membership(mat, IndexSet((0, 1)))
+    assert not ok_01 and reason_01.startswith("anchor block (0, 1) ")
+    assert membership(mat, IndexSet((0, 2))) == (True, None)
+    # Numerically rank 1, but row 0 holds only the noise: the anchor pivot is
+    # measured against max|mat|, not against the factor's tiny row norms.
+    noisy = np.diag([1e-11, 1.0])
+    assert membership(noisy, IndexSet((0,))) == (
+        False, "anchor block (0,) singular (min pivot 1.000e-11, threshold 1.000e-10)")
+    assert membership(noisy, IndexSet((1,))) == (True, None)
 
 
 def test_membership_rejects_indefinite():
-    ok, diag = membership(np.diag([1.0, -1.0]), IndexSet((0,)))
-    assert not ok
-    assert not diag["psd_ok"]
+    assert membership(np.diag([1.0, -1.0]), IndexSet((0,))) == (False, "negative spectrum")
+
+
+_GARBAGE = [
+    (np.ones((2, 3)), (0,), "expected a square matrix, got shape (2, 3)"),
+    (np.eye(2), (0, 5), "index set (0, 5) out of range for p = 2"),
+    ("x", (0,), "expected a square matrix, got a str"),
+    (None, (0,), "expected a square matrix, got shape ()"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), (0,), "matrix entries must be finite"),
+]
 
 
 def test_membership_never_raises_on_garbage():
-    ok, _ = membership(np.ones((2, 3)), IndexSet((0,)))
-    assert not ok
-    ok, _ = membership(np.eye(2), IndexSet((0, 5)))
-    assert not ok
+    """Garbage fails on its own check alone, whatever the other checks say."""
+    for mat, rows, reason in _GARBAGE:
+        assert membership(mat, rows) == (False, reason)
 
 
 def test_validate_raises_with_reason():
