@@ -25,9 +25,9 @@ linalg
     decomposition, top-K eigenpairs (of one matrix or a stack, by a
     certified block subspace iteration) with a fixed sign convention.
 manifold
-    The p x p membership test and `factorize`, the chart's p x p entry
-    point; the factor/log chart both ways, Karcher mean and geodesic
-    distance.
+    `factorize`, the chart's p x p entry point, checked by its residual
+    N @ N.T - mat, and `membership`, its error caught; the factor/log chart
+    both ways, Karcher mean and geodesic distance.
 perturbation
     First-order expansions: decomposition under additive noise, the Karcher
     factor under factor noise, invariant subspaces under symmetric noise,

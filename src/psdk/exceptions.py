@@ -38,9 +38,9 @@ class SingularMatrixError(PsdkError):
 class NotInManifoldError(PsdkError):
     """A matrix or factor is not a chart point.
 
-    Covers a failed rank-K / anchored-block membership test, a nonpositive
-    entry on a factor's anchored diagonal, and a frame for which no row
-    choice yields a nonsingular anchor block. The experiments' Karcher
+    Covers a p x p matrix that `factorize` rejects, a nonpositive entry on
+    a factor's anchored diagonal, and a frame for which no row choice yields
+    a nonsingular anchor block. The experiments' Karcher
     retry/skip policy catches it and reselects rows from `element`, the first
     failing element of a stack where `karcher_mean` raises it (else None).
     """

@@ -19,8 +19,8 @@ from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, Sin
 # scaled by the max-norm of the matrix being factored.
 TAU_PIVOT_REL = 1e-10
 
-# Relative eigenvalue threshold for "numerical rank K" membership tests:
-# lambda_{K+1} < TAU_RANK * lambda_K.
+# Relative residual tolerance of "numerical rank K" at the p x p edge
+# (`manifold.factorize`): ||mat - N @ N.T||_F <= TAU_RANK * ||mat||_F.
 TAU_RANK = 1e-6
 
 # Relative tolerance on max|A - A.T| for symmetry checks.
@@ -139,8 +139,9 @@ class IndexSet:
     indices: tuple
 
     def __post_init__(self):
-        if not np.iterable(self.indices):
-            raise ConfigError(f"index set must be a sequence of rows, got {self.indices!r}")
+        if isinstance(self.indices, CholFactor) or not np.iterable(self.indices):
+            got = "a CholFactor" if np.iterable(self.indices) else repr(self.indices)
+            raise ConfigError(f"index set must be a sequence of rows, got {got}")
         idx = tuple(_check_integer("row index", i) for i in self.indices)
         if len(idx) == 0:
             raise ShapeMismatchError("index set must contain at least one row")
@@ -333,8 +334,8 @@ def reduced_cholesky(mat, index_set):
     Parameters
     ----------
     mat : ndarray, shape (p, p)
-        Symmetric PSD matrix of numerical rank K whose anchor block
-        mat[index_set][:, index_set] is nonsingular.
+        Symmetric, with a positive definite anchor block; that N @ N.T
+        reproduces it (PSD, rank K) is `manifold.factorize`'s check.
     index_set : IndexSet
         The K anchor rows (a sequence of rows goes through `IndexSet`).
 

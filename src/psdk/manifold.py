@@ -19,7 +19,7 @@ from .linalg import CholFactor
 
 def membership(mat, index_set):
     """Test whether `mat` is PSD of numerical rank K with a nonsingular anchor
-    block, K the length of `index_set`.
+    block, K the length of `index_set`: `factorize` with its error caught.
 
     Parameters
     ----------
@@ -30,50 +30,42 @@ def membership(mat, index_set):
     -------
     ok : bool
     reason : str or None
-        None on a pass, else the failed checks joined by "; ": a negative
-        spectrum, the rank (lambda_{K+1} < TAU_RANK * lambda_K), and the
-        anchor block, whose reason is `reduced_cholesky`'s (the factors'
-        pivot rule). A matrix that is not square, finite and symmetric,
-        or rows out of range, fail on that check alone. Only an index set
-        that is not a sequence of rows raises (`IndexSet`'s PsdkError).
+        None on a pass, else the message of the NotInManifoldError or
+        ShapeMismatchError that `factorize` raises. Only an index set that
+        is not a sequence of rows raises (`IndexSet`'s PsdkError).
     """
     index_set = linalg._as_index_set(index_set)
     try:
-        reasons = _chart_point(mat, index_set)[0]
-    except ShapeMismatchError as err:
+        factorize(mat, index_set)
+    except (NotInManifoldError, ShapeMismatchError) as err:
         return False, str(err)
-    return not reasons, "; ".join(reasons) or None
-
-
-def _chart_point(mat, index_set):
-    """`membership`'s failed checks and `reduced_cholesky`'s factor (None if
-    the anchor block fails); its ShapeMismatchError propagates."""
-    try:
-        factor, block = linalg.reduced_cholesky(mat, index_set), []
-    except NotInManifoldError as err:
-        factor, block = None, [str(err)]
-    values = np.linalg.eigvalsh(np.asarray(mat, dtype=float))[::-1]
-    rank, reasons = len(index_set), []
-    lam_rank, lam_next = values[rank - 1], (values[rank] if rank < len(values) else 0.0)
-    if values[-1] < -linalg.SYM_RTOL * max(abs(values[0]), abs(values[-1])):
-        reasons.append("negative spectrum")
-    if not (lam_rank > 0.0 and (rank == len(values) or lam_next < linalg.TAU_RANK * lam_rank)):
-        reasons.append(f"rank check failed (lambda_K = {lam_rank:.3e}, "
-                       f"lambda_K+1 = {lam_next:.3e})")
-    return reasons + block, factor
+    return True, None
 
 
 def factorize(mat, index_set):
-    """Chart map at the p x p edge: the unique factor of `mat` anchored at the
-    K-row `index_set`, for `mat` of rank K.
+    """Chart map at the p x p edge: the unique factor N of `mat` anchored at
+    the K-row `index_set`, for `mat` PSD of numerical rank K.
 
-    Raises ShapeMismatchError as `reduced_cholesky` does (a matrix that is
-    not finite, symmetric and square, or rows out of range), else
-    NotInManifoldError("membership failed: <reason>") if a check fails.
+    N is `reduced_cholesky`'s, and `mat` is accepted when the residual
+    R = mat - N @ N.T has ||R||_F <= TAU_RANK * ||mat||_F. By Weyl's
+    inequality the i-th eigenvalue of `mat` then lies within ||R||_2 <=
+    ||R||_F of that of N @ N.T: K positive values, p - K zeros. So one bound
+    limits both lambda_{K+1} and the negative spectrum. R is the anchor
+    block's Schur complement (N reproduces the anchor rows and columns), so
+    a diagonal entry of R below -tolerance makes `mat` indefinite.
+
+    Raises ShapeMismatchError or NotInManifoldError as `reduced_cholesky`
+    does, else NotInManifoldError("negative spectrum (residual ...,
+    tolerance ...)") or "not rank K (...)" if the residual is too large.
     """
-    reasons, factor = _chart_point(mat, index_set)
-    if reasons:
-        raise NotInManifoldError("membership failed: " + "; ".join(reasons))
+    factor = linalg.reduced_cholesky(mat, index_set)
+    mat = np.asarray(mat, dtype=float)
+    resid = mat - factor.matrix
+    norm, tol = np.linalg.norm(resid), linalg.TAU_RANK * np.linalg.norm(mat)
+    if norm > tol:
+        kind = ("negative spectrum" if np.min(np.diagonal(resid)) < -tol
+                else f"not rank {factor.rank}")
+        raise NotInManifoldError(f"{kind} (residual {norm:.3e}, tolerance {tol:.3e})")
     return factor
 
 

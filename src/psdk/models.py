@@ -21,6 +21,7 @@ independent, replayable stream.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,7 @@ def intrinsic_samples(psd, sigma, count, rng):
         Number of samples, >= 1.
     rng : RngStream, numpy Generator, or int seed
     """
-    if not 0 <= sigma < math.inf:
+    if not (isinstance(sigma, numbers.Real) and 0 <= sigma < math.inf):
         raise ConfigError(f"sigma must be finite and nonnegative, got {sigma}")
     _check_integer("count", count)
     if count < 1:
@@ -326,7 +327,7 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
     not strictly positive raises SingularMatrixError, naming its stack of
     samples and its element in it.
     """
-    if not 0 <= sigma_sq < math.inf:
+    if not (isinstance(sigma_sq, numbers.Real) and 0 <= sigma_sq < math.inf):
         raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
     _check_integer("n_inner", n_inner)
     if n_inner < 1:

@@ -11,12 +11,13 @@ them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from psdk.exceptions import NotInManifoldError
-from psdk.linalg import TAU_PIVOT_REL, CholFactor, IndexSet, anchor, lq_givens, reduced_cholesky
+from psdk.linalg import TAU_PIVOT_REL, TAU_RANK, CholFactor, IndexSet, anchor, lq_givens, reduced_cholesky
 from psdk.manifold import _group_means, exp_factor, factorize, karcher_mean, log_factor, membership
 from psdk.models import factor_noise_samples
 from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
@@ -216,9 +217,38 @@ def test_the_p_by_p_edge_asks_the_factors_pivot_rule(shape, col, log_scale):
         factorize(mat, idx)
         assert ok and reason is None
     except NotInManifoldError as err:
-        assert not ok and str(err) == f"membership failed: {reason}"
+        assert not ok and str(err) == reason
     if p > 1:
         skewed = mat.copy()
         skewed[0, -1] += 1e-3 * np.max(np.abs(mat))
         ok, reason = membership(skewed, idx)
         assert not ok and reason.startswith("matrix is not symmetric:") and ";" not in reason
+    if back is not None and p > k and pivot > 1e-6 * norm:
+        _check_the_residual_rule(entries, idx, np.random.default_rng(seed + 1))
+
+
+def _check_the_residual_rule(entries, idx, gen):
+    """N @ N.T + eps * E, E symmetric with unit Frobenius norm and zero on
+    the anchor rows and columns, has residual exactly eps * E: it passes at
+    0.99 times the tolerance TAU_RANK * ||N @ N.T||_F and fails at 1.01
+    times, for a PSD E, a negative E on one free row (a negative diagonal
+    residual, so a negative spectrum) and an indefinite E. Roundoff adds
+    about eps * norm / pivot of ||mat||_F to R: a few % of the tolerance
+    at the pivot threshold, so the caller keeps pivot > 1e-6 * norm."""
+    p, k = entries.shape
+    mat = CholFactor(entries, idx).matrix
+    free = np.setdiff1d(np.arange(p), idx.as_array())
+    basis = np.zeros((p, p - k))
+    basis[free] = np.linalg.qr(gen.normal(size=(p - k, p - k)))[0]
+    u, w, e = basis[:, :1], basis[:, 1:2], np.eye(p)[:, free[:1]]
+    bends = [(u @ u.T, f"not rank {k}"), (-e @ e.T, "negative spectrum")]
+    if p - k > 1:
+        bends.append(((u @ u.T - w @ w.T) / np.sqrt(2.0), f"not rank {k}"))
+    tol = TAU_RANK * np.linalg.norm(mat)
+    for bend, kind in bends:
+        assert np.linalg.norm(bend) == pytest.approx(1.0)
+        passing = mat + 0.99 * tol * bend
+        assert membership(passing, idx) == (True, None)
+        assert np.array_equal(factorize(passing, idx).entries, reduced_cholesky(mat, idx).entries)
+        ok, reason = membership(mat + 1.01 * tol * bend, idx)
+        assert not ok and reason.startswith(kind + " (residual"), reason

@@ -449,7 +449,7 @@ def test_an_index_set_may_be_a_sequence_of_rows(entry):
     that is no sequence of rows raises a PsdkError, never AttributeError."""
     call = _index_set_entry_points()[entry]
     assert np.array_equal(call((3, 1)), call(IndexSet((3, 1))))
-    for bad in (3, None, (1.5, 2)):
+    for bad in (3, None, (1.5, 2), CholFactor(np.ones((2, 1)), IndexSet((0,)))):
         with pytest.raises(PsdkError):
             call(bad)
 

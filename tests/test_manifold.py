@@ -44,7 +44,7 @@ def test_membership_accepts_valid_matrix():
 def test_membership_rejects_wrong_rank():
     ok, reason = membership(np.eye(4), IndexSet((0, 1)))
     assert not ok
-    assert reason == "rank check failed (lambda_K = 1.000e+00, lambda_K+1 = 1.000e+00)"
+    assert reason == "not rank 2 (residual 1.414e+00, tolerance 2.000e-06)"
 
 
 def test_membership_depends_on_index_set():
@@ -60,10 +60,18 @@ def test_membership_depends_on_index_set():
     assert membership(noisy, IndexSet((0,))) == (
         False, "anchor block (0,) singular (min pivot 1.000e-11, threshold 1.000e-10)")
     assert membership(noisy, IndexSet((1,))) == (True, None)
+    # The anchor pivot passes its rule, but N @ N.T = diag(1e-9, 0) drops the
+    # matrix's leading direction: the residual says it is not rank 1 there.
+    faint = np.diag([1e-9, 1.0])
+    assert membership(faint, IndexSet((0,))) == (
+        False, "not rank 1 (residual 1.000e+00, tolerance 1.000e-06)")
+    with pytest.raises(NotInManifoldError, match=r"^not rank 1 \(residual"):
+        factorize(faint, IndexSet((0,)))
 
 
 def test_membership_rejects_indefinite():
-    assert membership(np.diag([1.0, -1.0]), IndexSet((0,))) == (False, "negative spectrum")
+    assert membership(np.diag([1.0, -1.0]), IndexSet((0,))) == (
+        False, "negative spectrum (residual 1.000e+00, tolerance 1.414e-06)")
 
 
 _GARBAGE = [
@@ -82,8 +90,24 @@ def test_membership_never_raises_on_garbage():
 
 
 def test_validate_raises_with_reason():
-    with pytest.raises(NotInManifoldError, match="membership failed: negative spectrum"):
+    with pytest.raises(NotInManifoldError, match=r"^negative spectrum \(residual 1.000e\+00"):
         factorize(np.diag([1.0, -1.0]), IndexSet((0,)))
+
+
+def test_the_p_by_p_edge_needs_no_spectrum(monkeypatch):
+    """`factorize` and `membership` decide a p = 50 chart point in factor
+    form: no eigendecomposition is reached."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition at the p x p edge")
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    gen = np.random.default_rng(13)
+    idx = IndexSet((7, 0, 31))
+    factor = _random_factor(gen, 50, 3, idx)
+    assert np.max(np.abs(factorize(factor.matrix, idx).entries - factor.entries)) < 1e-8
+    assert membership(factor.matrix, idx) == (True, None)
+    assert not membership(factor.matrix + np.eye(50), idx)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -156,10 +156,10 @@ def test_sampler_arguments_are_checked():
     """A NaN, infinite or negative noise level is a ConfigError, a rank above p
     a ShapeMismatchError, and a signal off the chart a NotInManifoldError."""
     psd = gaussian_svd_signal(5, 2, RngStream(6, 0))
-    for sigma in (np.nan, np.inf):
+    for sigma in (np.nan, np.inf, np.array([0.1, 0.2]), "0.1"):
         with pytest.raises(ConfigError, match="sigma must be finite and nonnegative"):
             intrinsic_samples(psd, sigma, 2, RngStream(6, 1))
-    for sigma_sq in (-0.5, np.nan):
+    for sigma_sq in (-0.5, np.nan, np.array([0.1, 0.2]), "0.1"):
         with pytest.raises(ConfigError, match="sigma_sq must be finite and nonnegative"):
             extrinsic_samples(psd, sigma_sq, 2, RngStream(6, 1), n_inner=50)
     with pytest.raises(ShapeMismatchError, match="at least one data point"):
