@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError, ZeroGapWarning
-from .linalg import (IndexSet, SpectralPair, _check_rank, _eigh_desc, _sample_stack, _signed,
-                     _symmetric_scales, anchor, check_finite, eigh_topk, pivot_threshold)
+from .linalg import (IndexSet, SpectralPair, _as_array, _check_rank, _eigh_desc, _sample_stack,
+                     _signed, _symmetric_scales, anchor, check_finite, eigh_topk, pivot_threshold)
 from .manifold import _chart_factors, karcher_mean
 
 
@@ -60,20 +60,16 @@ def summarize_covariance(cov_hat, rank):
 def _machine_stack(summaries, caller):
     """The (M, p, K) vectors and (M, K) values, M >= 1 and 1 <= K <= p, of the
     stacked SpectralPair `summaries`, whose width K is the aggregate's rank;
-    anything else, or a non-finite entry, raises ShapeMismatchError."""
+    anything else raises ShapeMismatchError."""
     form = (f"{caller} takes one stacked SpectralPair, vectors (M, p, K) and values "
             "(M, K), as summarize_covariance returns for an (M, p, p) stack")
     if not isinstance(summaries, SpectralPair):
         raise ShapeMismatchError(f"{form}; got a {type(summaries).__name__}")
-    try:
-        vectors = np.asarray(summaries.vectors, dtype=float)
-        values = np.asarray(summaries.values, dtype=float)
-    except (TypeError, ValueError):
-        raise ShapeMismatchError(f"{form}; got ragged or non-numeric entries") from None
-    if (vectors.ndim != 3 or not len(vectors) or values.shape != vectors.shape[::2]
+    vectors = _as_array(f"{form}; its vectors", summaries.vectors, (3,))
+    values = _as_array(f"{form}; its values", summaries.values)
+    if (not len(vectors) or values.shape != vectors.shape[::2]
             or not 1 <= vectors.shape[2] <= vectors.shape[1]):
         raise ShapeMismatchError(f"{form}; got vectors {vectors.shape}, values {values.shape}")
-    check_finite(f"{caller} summaries", vectors, values)
     return vectors, values
 
 
@@ -100,7 +96,7 @@ def _result(values, vectors, rank, method, n_machines, index_set=None):
 
 def full_pca(covariances, rank):
     """Top-`rank` eigenbasis of the pooled (averaged) covariances, an (M, p, p)
-    stack of symmetric matrices (equal-shape ones go through one `np.asarray`)."""
+    stack of symmetric matrices, or a sequence of equal-shape ones."""
     covs = _sample_stack(covariances, "full_pca covariances")
     _symmetric_scales(covs, stacked=True)
     _check_rank(rank, covs.shape[-1])
@@ -196,13 +192,10 @@ def find_index(vectors, values):
     ShapeMismatchError
         On inconsistent shapes or a non-finite frame.
     """
-    vectors = np.asarray(vectors, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if (vectors.ndim != 2 or values.shape != vectors.shape[1:]
-            or not 1 <= len(values) <= len(vectors)):
-        raise ShapeMismatchError(
-            f"got vectors {vectors.shape} and values {values.shape}"
-        )
+    vectors = _as_array("find_index vectors", vectors, (2,))
+    values = _as_array("find_index values", values)
+    if values.shape != vectors.shape[1:] or not 1 <= len(values) <= len(vectors):
+        raise ShapeMismatchError(f"got vectors {vectors.shape} and values {values.shape}")
     p = len(vectors)
     target = vectors * values
     check_finite("find_index frame", target)

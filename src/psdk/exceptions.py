@@ -18,10 +18,11 @@ class PsdkError(Exception):
 class ShapeMismatchError(PsdkError):
     """Malformed array input.
 
-    Covers incompatible or invalid shapes, empty collections, non-finite
-    entries, matrices that are not symmetric within tolerance, index sets
-    that do not fit their operands, and a factor and eigenpair that do not
-    describe one matrix. Raised for library callers; psdk does not catch it.
+    Covers incompatible or invalid shapes, empty collections, entries that
+    are not finite real numbers, matrices that are not symmetric within
+    tolerance, index sets that do not fit their operands, and a factor and
+    eigenpair that do not describe one matrix. Raised for library callers;
+    psdk does not catch it.
     """
 
 

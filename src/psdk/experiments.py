@@ -250,9 +250,9 @@ class SlopeFit:
 def slope_fit(points):
     """Log-log OLS fit of a list of (x, y) points.
 
-    Nonpositive pairs are dropped before taking logs. Raises
-    InsufficientPointsError when fewer than two points (with distinct x)
-    survive.
+    Pairs with a nonpositive or non-finite coordinate are dropped before
+    taking logs. Raises InsufficientPointsError when fewer than two points
+    (with distinct x) survive.
     """
     points = list(points)
     if not points:
@@ -271,9 +271,9 @@ def slope_fit(points):
 def _slope_fits(xs, ys):
     """`slope_fit` of every curve of a stack at once: x and y arrays (C, n),
     one curve per row, give a SlopeFit of arrays (C,). A point with a
-    nonpositive or NaN coordinate is left out (NaN pads short curves); a
-    curve left with fewer than two distinct x gets NaN for its fit."""
-    keep = (xs > 0) & (ys > 0)
+    nonpositive or non-finite coordinate is left out (NaN pads short curves);
+    a curve left with fewer than two distinct x gets NaN for its fit."""
+    keep = (xs > 0) & (ys > 0) & np.isfinite(xs) & np.isfinite(ys)
     count = keep.sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lx, ly = np.log(np.where(keep, xs, 1.0)), np.log(np.where(keep, ys, 1.0))

@@ -39,8 +39,7 @@ SIGN_TIE_REL = 1e-8
 
 
 def pivot_threshold(mat):
-    """Absolute singularity threshold for `mat`: TAU_PIVOT_REL times its max-norm."""
-    mat = np.asarray(mat)
+    """Absolute singularity threshold for an array `mat`: TAU_PIVOT_REL times its max-norm."""
     if mat.size == 0:
         return 0.0
     return TAU_PIVOT_REL * float(np.max(np.abs(mat)))
@@ -59,16 +58,40 @@ def _check_rank(rank, p):
         raise ShapeMismatchError(f"rank {rank} invalid for p = {p}")
 
 
+def check_finite(what, arr):
+    """Raise ShapeMismatchError("<what> must be finite") on a NaN or Inf entry."""
+    if not np.all(np.isfinite(arr)):
+        raise ShapeMismatchError(f"{what} must be finite")
+
+
+def _as_array(what, x, ndims=None):
+    """`x` as a float64 array: the one rule by which a public argument becomes
+    an array. `np.asarray(x)`, uncast, must hold integers or floats: a string,
+    dict, ragged list or other object, a complex or a bool value raises
+    ShapeMismatchError, so nothing is silently truncated. The array must then
+    have a number of axes in `ndims` (None: any) and be finite."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:
+        raise ShapeMismatchError(f"{what} must be real numbers, got a {type(x).__name__} "
+                                 "whose items differ in shape") from None
+    if arr.dtype.kind not in "iuf":
+        raise ShapeMismatchError(f"{what} must be real numbers, got a {type(x).__name__} "
+                                 f"of dtype {arr.dtype}")
+    if ndims is not None and arr.ndim not in ndims:
+        raise ShapeMismatchError(f"{what} must be {' or '.join(f'{n}-d' for n in ndims)}, "
+                                 f"got {arr.ndim}-d")
+    check_finite(what, arr)
+    return arr.astype(float, copy=False)
+
+
 def _sample_stack(items, what, shape=None, ndims=(3,)):
-    """`items`, an array or a sequence of equal-shape arrays, through one
-    `np.asarray` to a float array (..., M, *shape) of `ndims` axes, M >= 1
+    """`items`, an array or a sequence of equal-shape arrays, through
+    `_as_array` to an array (..., M, *shape) of `ndims` axes, M >= 1
     (`shape` None: square matrices); else ShapeMismatchError naming `what`.
     The `shape` (B, r, c) of a stack of base points asks for (B, ..., M, r, c),
     with `ndims` counted after its B axis."""
-    try:
-        stack = np.asarray(items, dtype=float)
-    except (TypeError, ValueError):
-        raise ShapeMismatchError(f"{what} differ in shape or are not numbers") from None
+    stack = _as_array(what, items)
     if not stack.size:
         raise ShapeMismatchError(f"{what}: need at least one")
     want = f"factor shape {shape}" if shape else "square matrices"
@@ -80,38 +103,26 @@ def _sample_stack(items, what, shape=None, ndims=(3,)):
     return stack
 
 
-def check_finite(what, *arrays):
-    """Raise ShapeMismatchError("<what> must be finite") on a NaN or Inf entry."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ShapeMismatchError(f"{what} must be finite")
-
-
 def _square(mat):
-    """`mat` as a nonempty square float matrix; else ShapeMismatchError."""
-    try:
-        mat = np.asarray(mat, dtype=float)
-    except (TypeError, ValueError):
-        raise ShapeMismatchError(f"expected a square matrix, got a {type(mat).__name__}") from None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+    """`mat` as a nonempty square matrix through `_as_array`; else ShapeMismatchError."""
+    mat = _as_array("matrix entries", mat, (2,))
+    if mat.shape[0] != mat.shape[1] or not mat.size:
         raise ShapeMismatchError(f"expected a square matrix, got shape {mat.shape}")
     return mat
 
 
 def check_symmetric(mat):
-    """`mat` as a nonempty square float matrix; raise ShapeMismatchError if it
-    is not one, has a NaN or Inf, or max|A - A.T| exceeds SYM_RTOL * max|A|."""
+    """`mat` as a nonempty square matrix (`_square`); raise ShapeMismatchError
+    if max|A - A.T| exceeds SYM_RTOL * max|A|."""
     mat = _square(mat)
     _symmetric_scales(mat[None], stacked=False)
     return mat
 
 
 def _symmetric_scales(mats, stacked):
-    """max|A| per element of an (M, p, p) stack, after checking that every
-    element is finite and symmetric within SYM_RTOL; for a `stacked` input
+    """max|A| per element of a finite nonempty (M, p, p) stack, after checking
+    that every element is symmetric within SYM_RTOL; for a `stacked` input
     the error names the first failing element ("element m: ...")."""
-    check_finite("matrix entries", mats)
-    if not mats.size:
-        return np.zeros(len(mats))
     flat = np.reshape(mats, (len(mats), -1))
     scales = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     # A - A.T is antisymmetric, so its largest entry is its max-norm
@@ -277,11 +288,7 @@ class CholFactor:
 
     def validate(self):
         """Raise if the anchored triangular structure is violated, in any element."""
-        ent = np.asarray(self.entries, dtype=float)
-        if ent.ndim not in (2, 3):
-            raise ShapeMismatchError(f"factor entries must be 2-d or 3-d, got {ent.ndim}-d")
-        check_finite("factor entries", ent)
-        p, rank = ent.shape[-2:]
+        p, rank = _as_array("factor entries", self.entries, (2, 3)).shape[-2:]
         if len(self.index_set) != rank:
             raise ShapeMismatchError(
                 f"index set has {len(self.index_set)} rows, factor has rank {rank}"
@@ -349,7 +356,7 @@ def reduced_cholesky(mat, index_set):
         If the anchor block is not positive definite, or with the pivot
         rule's reason.
     ShapeMismatchError
-        If `mat` is not a nonempty finite square matrix, max|mat - mat.T|
+        If `mat` is not a nonempty square matrix, max|mat - mat.T|
         exceeds tolerance, or a row is out of range.
     """
     mat = check_symmetric(mat)
@@ -433,7 +440,6 @@ def lq_givens(mat):
         If `mat` is not square, not 2-d or 3-d, or empty.
     """
     mat = _sample_stack(mat, "lq_givens matrices", ndims=(2, 3))
-    check_finite("matrix entries", mat)
     smin = np.linalg.svd(mat, compute_uv=False)[..., -1]
     taus = TAU_PIVOT_REL * np.max(np.abs(mat), axis=(-2, -1))
     bad = np.flatnonzero(smin <= taus)
@@ -456,9 +462,9 @@ def anchor(frame, index_set):
     (`CholFactor.pivot_failure` decides); a shape mismatch raises
     ShapeMismatchError. A sequence of rows goes through `IndexSet`.
     """
-    frame = np.asarray(frame, dtype=float)
+    frame = _as_array("frame entries", frame, (2, 3))
     index_set = _as_index_set(index_set)
-    if frame.ndim not in (2, 3) or len(index_set) != frame.shape[-1]:
+    if len(index_set) != frame.shape[-1]:
         raise ShapeMismatchError(
             f"index set of {len(index_set)} rows does not fit a frame of shape {frame.shape}"
         )
@@ -509,8 +515,8 @@ def eigh_topk(mat, rank, require_positive=False):
         When `require_positive` is set and the spectrum fails the check; for
         a stack the message names the first such element ("element m: ...").
     ShapeMismatchError
-        On a non-finite, non-square or asymmetric input, or a rank outside
-        [1, p] (a rank that is not an integer is a ConfigError).
+        On a non-square or asymmetric input, or a rank outside [1, p] (a
+        rank that is not an integer is a ConfigError).
     """
     mat = _sample_stack(mat, "eigh_topk matrices", ndims=(2, 3))
     mats = mat if mat.ndim == 3 else mat[None]
@@ -624,7 +630,6 @@ def procrustes_sign(mat):
         unique.
     """
     mat = _square(mat)
-    check_finite("matrix entries", mat)
     left, sing, right_t = np.linalg.svd(mat)
     if sing[-1] <= pivot_threshold(mat):
         raise SingularMatrixError(
@@ -640,10 +645,8 @@ def projector_distance(basis_a, basis_b):
     With the thin QR [A | B] = Q [R_A | R_B] it is ||R_A R_A.T - R_B R_B.T||_F,
     a 2K x 2K norm: no p x p product and no cancellation.
     """
-    basis_a = np.asarray(basis_a, dtype=float)
-    basis_b = np.asarray(basis_b, dtype=float)
-    if basis_a.ndim != 2 or basis_b.ndim != 2:
-        raise ShapeMismatchError("bases must be 2-d arrays")
+    basis_a = _as_array("basis entries", basis_a, (2,))
+    basis_b = _as_array("basis entries", basis_b, (2,))
     if basis_a.shape != basis_b.shape:
         raise ShapeMismatchError(
             f"bases have different shapes {basis_a.shape} and {basis_b.shape}"
@@ -652,7 +655,6 @@ def projector_distance(basis_a, basis_b):
         raise ShapeMismatchError(
             f"expected tall matrices, got shape {basis_a.shape}"
         )
-    check_finite("basis entries", basis_a, basis_b)
     upper = np.linalg.qr(np.hstack([basis_a, basis_b]), mode="r")
     part_a, part_b = upper[:, :basis_a.shape[1]], upper[:, basis_a.shape[1]:]
     return float(np.linalg.norm(part_a @ part_a.T - part_b @ part_b.T))

@@ -59,8 +59,7 @@ def factorize(mat, index_set):
     tolerance ...)") or "not rank K (...)" if the residual is too large.
     """
     factor = linalg.reduced_cholesky(mat, index_set)
-    mat = np.asarray(mat, dtype=float)
-    resid = mat - factor.matrix
+    resid = np.subtract(mat, factor.matrix)  # `mat` passed reduced_cholesky's checks
     norm, tol = np.linalg.norm(resid), linalg.TAU_RANK * np.linalg.norm(mat)
     if norm > tol:
         kind = ("negative spectrum" if np.min(np.diagonal(resid)) < -tol
@@ -101,7 +100,7 @@ def log_factor(factor):
     """Log coordinates of a factor: a p x K array, anchored diagonal logged.
     A stack gives its (M, p, K) stack of log coordinates."""
     linalg._as_factor(factor).validate()
-    entries = np.array(factor.entries, dtype=float, copy=True)
+    entries = factor.entries.astype(float)
     diag = (..., factor.index_set.as_array(), np.arange(factor.rank))
     entries[diag] = np.log(entries[diag])
     return entries
@@ -110,9 +109,9 @@ def log_factor(factor):
 def exp_factor(log_entries, index_set):
     """Inverse of `log_factor`: exponentiate the anchored diagonal, of one
     p x K array or of each element of an (M, p, K) stack."""
-    entries = np.array(log_entries, dtype=float, copy=True)
+    entries = linalg._as_array("log factor entries", log_entries, (2, 3)).copy()
     index_set = linalg._as_index_set(index_set)
-    if entries.ndim not in (2, 3) or len(index_set) != entries.shape[-1]:
+    if len(index_set) != entries.shape[-1]:
         raise ShapeMismatchError("log factor entries inconsistent with index set")
     diag = (..., index_set.validate_for(entries.shape[-2]).as_array(),
             np.arange(len(index_set)))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import manifold
 from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from .linalg import (IndexSet, _as_factor, _check_integer, _check_rank, _lead_axes,
+from .linalg import (IndexSet, _as_array, _as_factor, _check_integer, _check_rank, _lead_axes,
                      _sample_stack, anchor, check_finite, check_symmetric, eigh_topk,
                      support_mask)
 
@@ -101,11 +101,15 @@ def gaussian_svd_signal(p, rank, rng):
 
     Draws a p x p standard Gaussian matrix, keeps its top `rank` left singular
     vectors V and singular values s, and returns the factor of V diag(s) V.T,
-    the frame V diag(sqrt(s)) anchored at the canonical index set.
+    the frame V diag(sqrt(s)) anchored at the canonical index set. A p whose
+    p x p draw cannot be allocated is a ConfigError.
     """
     _check_rank(rank, _check_integer("p", p))
     gen = _as_generator(rng)
-    gauss = gen.normal(size=(p, p))
+    try:
+        gauss = gen.normal(size=(p, p))
+    except MemoryError:
+        raise ConfigError(f"p = {p} is too large: a p x p array does not fit in memory") from None
     left, sing, _ = np.linalg.svd(gauss)
     return anchor(left[:, :rank] * np.sqrt(sing[:rank]), IndexSet.canonical(rank))
 
@@ -115,12 +119,16 @@ def spiked_covariance(p, rank, rng):
 
     Loadings are i.i.d. standard Gaussian, p x rank. Returns the covariance
     and an orthonormal basis of its leading `rank`-dimensional eigenspace
-    (the span of the loadings), which is the estimation target.
+    (the span of the loadings), which is the estimation target. A p whose
+    p x p covariance cannot be allocated is a ConfigError.
     """
     _check_rank(rank, _check_integer("p", p))
-    gen = _as_generator(rng)
-    loadings = gen.normal(size=(p, rank))
-    cov = loadings @ loadings.T + SPIKED_RIDGE * np.eye(p)
+    try:
+        cov = SPIKED_RIDGE * np.eye(p)
+    except MemoryError:
+        raise ConfigError(f"p = {p} is too large: a p x p array does not fit in memory") from None
+    loadings = _as_generator(rng).normal(size=(p, rank))
+    cov += loadings @ loadings.T
     cov = 0.5 * (cov + cov.T)
     basis = eigh_topk(cov, rank).vectors
     return cov, basis
@@ -186,7 +194,6 @@ def factor_noise_samples(factor, noises):
     """
     _as_factor(factor).validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
-    check_finite("noise entries", noises)
     frames = _lead_axes(factor.entries, noises.ndim) + noises
     samples = anchor(np.reshape(frames, (-1,) + frames.shape[-2:]), factor.index_set)
     bad, reason = samples._pivot_rule()
@@ -253,16 +260,13 @@ def _sample_covariances(cov, n, rngs):
 
 
 def sample_cov(data):
-    """Uncentered second-moment matrix data.T @ data / n.
-
-    ShapeMismatchError on a non-finite result, which any NaN or Inf in
-    `data` gives (on its column's diagonal entry): checking the p x p
-    result costs no pass over the n x p data."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2 or data.shape[0] < 1:
+    """Uncentered second-moment matrix data.T @ data / n; ShapeMismatchError
+    on an (n, p) `data` with n = 0, or with second moments that overflow."""
+    data = _as_array("sample_cov data", data, (2,))
+    if data.shape[0] < 1:
         raise ShapeMismatchError(f"expected a nonempty (n, p) array, got {data.shape}")
     cov = data.T @ data / data.shape[0]
-    check_finite("sample_cov data and its second moments", cov)
+    check_finite("sample_cov second moments", cov)
     return 0.5 * (cov + cov.T)
 
 

@@ -23,8 +23,8 @@ factor expansions above speak about PCA aggregation.
 import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
-from .linalg import (TAU_PIVOT_REL, SpectralPair, _as_factor, _check_rank, _lead_axes,
-                     _sample_stack, _solve_lower, check_finite, check_symmetric, eigh_topk,
+from .linalg import (TAU_PIVOT_REL, SpectralPair, _as_array, _as_factor, _check_rank,
+                     _lead_axes, _sample_stack, _solve_lower, check_symmetric, eigh_topk,
                      pivot_threshold, procrustes_sign)
 
 # Max-norm bound on Q.T Q - I for `factor_alignment`'s orthogonality check.
@@ -50,8 +50,8 @@ def skew_generator(tril, noise):
         max-norm of its own factor; for a stack the message names the first
         such factor by its position in the flattened batch ("element b: ...").
     """
-    tril = np.asarray(tril, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    tril = _as_array("factor entries", tril)
+    noise = _as_array("noise entries", noise)
     if tril.ndim < 2 or tril.shape[-1] != tril.shape[-2] or not tril.size:
         raise ShapeMismatchError(f"expected a square factor, got shape {tril.shape}")
     if (noise.ndim - tril.ndim not in (0, 1) or noise.shape[-2:] != tril.shape[-2:]
@@ -59,7 +59,6 @@ def skew_generator(tril, noise):
         raise ShapeMismatchError(
             f"noise shape {noise.shape} does not match factor shape {tril.shape}"
         )
-    check_finite("factor and noise entries", tril, noise)
     pivots = np.min(np.abs(np.diagonal(tril, axis1=-2, axis2=-1)), axis=-1)
     bad = np.flatnonzero(pivots <= TAU_PIVOT_REL * np.max(np.abs(tril), axis=(-2, -1)))
     if bad.size:
@@ -92,16 +91,15 @@ def lq_first_order(tril, orth, noise):
     -------
     (orth_pred, tril_pred) : pair of ndarray, each of the shape of `noise`
     """
-    tril = np.asarray(tril, dtype=float)
-    orth = np.asarray(orth, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    tril = _as_array("factor entries", tril)
+    orth = _as_array("rotation entries", orth)
+    noise = _as_array("noise entries", noise)
     if (tril.shape != orth.shape or tril.ndim < 2 or noise.ndim - tril.ndim not in (0, 1)
             or noise.shape[-2:] != tril.shape[-2:]
             or noise.shape[:tril.ndim - 2] != tril.shape[:-2]):
         raise ShapeMismatchError(
             f"shapes differ: {tril.shape}, {orth.shape}, {noise.shape}"
         )
-    check_finite("factor, rotation and noise entries", tril, orth, noise)
     orth_b = _lead_axes(orth, noise.ndim)
     rotated = noise @ np.swapaxes(orth_b, -1, -2)
     gen = skew_generator(tril, rotated)
@@ -136,7 +134,6 @@ def karcher_factor_first_order(factor, noises):
     """
     _as_factor(factor).validate()
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape, ndims=(3, 4))
-    check_finite("noise entries", noises)
     mean_noise = np.mean(noises, axis=-3)
     anchor_mean = mean_noise[..., factor.index_set.as_array(), :]
     gen = skew_generator(factor.anchor_block(), anchor_mean)
@@ -171,9 +168,8 @@ def eigvec_first_order(values, vectors, rank, noise):
     SingularMatrixError
         If values[rank-1] - values[rank] is at or below the pivot threshold.
     """
-    values = np.asarray(values, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    check_finite("eigenpair entries", values, vectors)
+    values = _as_array("eigenvalues", values)
+    vectors = _as_array("eigenvectors", vectors)
     noise = check_symmetric(noise)
     p = values.size
     if values.ndim != 1 or vectors.shape != (p, p):
@@ -217,7 +213,7 @@ def equivalent_factor_noise(cov_hat, cov, alignment):
     ------
     ShapeMismatchError
         On covariances of different shapes, or an alignment that is not a
-        finite K x K matrix with 1 <= K < p.
+        K x K matrix with 1 <= K < p.
     SingularMatrixError
         If the eigengap of `cov` below the retained block is numerically
         zero, or (from the Procrustes sign) when the bases are orthogonal.
@@ -228,12 +224,11 @@ def equivalent_factor_noise(cov_hat, cov, alignment):
         raise ShapeMismatchError(
             f"covariance shapes differ: {cov_hat.shape} vs {cov.shape}"
         )
-    alignment = np.asarray(alignment, dtype=float)
-    p, rank = len(cov), len(alignment) if alignment.ndim else 0
+    alignment = _as_array("alignment entries", alignment, (2,))
+    p, rank = len(cov), len(alignment)
     if alignment.shape != (rank, rank) or not 1 <= rank < p:
         raise ShapeMismatchError(f"alignment of shape {alignment.shape} is not K x K "
                                  f"with 1 <= K < p = {p}")
-    check_finite("alignment entries", alignment)
     wide = eigh_topk(cov, rank + 1)
     gap = wide.values[rank - 1] - wide.values[rank]
     if gap <= pivot_threshold(cov):
@@ -262,9 +257,8 @@ def factor_alignment(factor, pair):
     _as_factor(factor).validate()
     if not isinstance(pair, SpectralPair):
         raise ShapeMismatchError(f"pair is a {type(pair).__name__}, not a SpectralPair")
-    values = np.asarray(pair.values, dtype=float)
-    vectors = np.asarray(pair.vectors, dtype=float)
-    check_finite("eigenpair entries", values, vectors)
+    values = _as_array("eigenvalues", pair.values)
+    vectors = _as_array("eigenvectors", pair.vectors)
     if vectors.shape != factor.entries.shape or values.shape != vectors.shape[1:]:
         raise ShapeMismatchError(f"spectral frame shape {vectors.shape} and values shape "
                                  f"{values.shape} do not match factor shape {factor.entries.shape}")

@@ -83,6 +83,16 @@ def test_slope_fit_insufficient_points():
         slope_fit([(1.0, -1.0), (2.0, -2.0)])
 
 
+def test_slope_fit_drops_non_finite_points():
+    """A point with an infinite coordinate drops out as a nonpositive one
+    does, and the count names the points kept."""
+    with pytest.raises(InsufficientPointsError, match="got 1$"):
+        slope_fit([(1.0, math.inf), (2.0, 1.0)])
+    fit = slope_fit([(math.inf, 1.0), (2.0, 1.0), (4.0, 0.5)])
+    assert fit.n_points == 2
+    assert abs(fit.slope - (-1.0)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 

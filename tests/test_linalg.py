@@ -299,10 +299,11 @@ _NON_FINITE = {
 }
 
 _ENTRY_POINTS = {
+    "anchor": lambda mat: anchor(mat, IndexSet((0, 1))),
     "reduced_cholesky": lambda mat: reduced_cholesky(mat, IndexSet((0,))),
     "factorize": lambda mat: factorize(mat, IndexSet((0,))),
     "factor_noise_samples": lambda mat: factor_noise_samples(
-        CholFactor(np.eye(2), IndexSet((0, 1))), mat[None]),
+        CholFactor(np.eye(2), IndexSet((0, 1))), [mat]),
     "eigh_topk": lambda mat: eigh_topk(mat, 1, require_positive=True),
     "summarize_covariance": lambda mat: summarize_covariance(mat, 1),
     "find_index": lambda mat: find_index(mat, np.ones(2)),
@@ -317,13 +318,12 @@ _ENTRY_POINTS = {
         np.array([2.0, 1.0]), mat, 1, np.zeros((2, 2))),
     "factor_alignment": lambda mat: factor_alignment(
         CholFactor(np.eye(2), IndexSet((0, 1))), SpectralPair(mat, np.ones(2))),
-    # Stacks with one non-finite element among finite ones.
-    "lq_givens_stack": lambda mat: lq_givens(np.stack([np.eye(2), mat, np.eye(2)])),
-    "skew_generator_stack": lambda mat: skew_generator(np.eye(2), np.stack([np.eye(2), mat])),
-    "lq_first_order_stack": lambda mat: lq_first_order(
-        np.eye(2), np.eye(2), np.stack([np.eye(2), mat])),
+    # Stacks, as lists, with one bad element among good ones.
+    "lq_givens_stack": lambda mat: lq_givens([np.eye(2), mat, np.eye(2)]),
+    "skew_generator_stack": lambda mat: skew_generator(np.eye(2), [np.eye(2), mat]),
+    "lq_first_order_stack": lambda mat: lq_first_order(np.eye(2), np.eye(2), [np.eye(2), mat]),
     "karcher_factor_first_order_stack": lambda mat: karcher_factor_first_order(
-        CholFactor(np.eye(2), IndexSet((0, 1))), np.stack([np.eye(2), mat])[:, None]),
+        CholFactor(np.eye(2), IndexSet((0, 1))), [[np.eye(2)], [mat]]),
 }
 
 
@@ -332,6 +332,23 @@ _ENTRY_POINTS = {
 def test_non_finite_input_raises(entry, bad):
     with pytest.raises(ShapeMismatchError, match="must be finite"):
         _ENTRY_POINTS[entry](_NON_FINITE[bad])
+
+
+_NON_REAL = {
+    "complex": np.array([[2.0, 1j], [-1j, 2.0]]),
+    "string": "ab",
+    "ragged": [[2.0, 1.0], [1.0]],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_NON_REAL))
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_non_real_input_raises(entry, bad):
+    """A complex matrix, a string or a ragged list at an array entry point
+    raises ShapeMismatchError: never a raw TypeError or ValueError, and never
+    a silent cast that drops the imaginary part."""
+    with pytest.raises(ShapeMismatchError, match="must be real numbers, got a "):
+        _ENTRY_POINTS[entry](_NON_REAL[bad])
 
 
 _FRAME = np.array([[1.0, 0.0], [0.5, 1.0], [0.2, 0.3]])
@@ -367,11 +384,12 @@ _WRONG_FORM = {
                              r"expected a square matrix, got shape \(2, 3\)"),
     "factorize_rows_out_of_range": (lambda: factorize(np.eye(2), (0, 5)),
                                     r"index set \(0, 5\) out of range for p = 2"),
-    "factorize_none": (lambda: factorize(None, (0,)), r"expected a square matrix, got shape \(\)"),
+    "factorize_none": (lambda: factorize(None, (0,)),
+                       "matrix entries must be real numbers, got a NoneType of dtype object"),
     "factorize_asymmetric": (lambda: factorize(np.array([[1.0, 2.0], [0.0, 1.0]]), (0,)),
                              r"matrix is not symmetric: max\|A - A.T\| = 2.000e\+00"),
     "reduced_cholesky_string": (lambda: reduced_cholesky("x", (0,)),
-                                "expected a square matrix, got a str"),
+                                "matrix entries must be real numbers, got a str of dtype <U1"),
     "procrustes_sign_empty": (lambda: procrustes_sign(np.zeros((0, 0))),
                               r"expected a square matrix, got shape \(0, 0\)"),
     "skew_generator_empty": (lambda: skew_generator(np.zeros((0, 0)), np.zeros((0, 0))),

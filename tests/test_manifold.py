@@ -77,8 +77,8 @@ def test_membership_rejects_indefinite():
 _GARBAGE = [
     (np.ones((2, 3)), (0,), "expected a square matrix, got shape (2, 3)"),
     (np.eye(2), (0, 5), "index set (0, 5) out of range for p = 2"),
-    ("x", (0,), "expected a square matrix, got a str"),
-    (None, (0,), "expected a square matrix, got shape ()"),
+    ("x", (0,), "matrix entries must be real numbers, got a str of dtype <U1"),
+    (None, (0,), "matrix entries must be real numbers, got a NoneType of dtype object"),
     (np.array([[1.0, np.nan], [np.nan, 1.0]]), (0,), "matrix entries must be finite"),
 ]
 

@@ -195,6 +195,14 @@ def test_non_integer_counts_are_config_errors():
     assert len(intrinsic_samples(psd, 0.1, np.int64(2), RngStream(np.int64(6), np.uint8(1)))) == 2
 
 
+def test_a_p_by_p_array_that_cannot_be_allocated_is_a_config_error():
+    """At p = 10**9 numpy refuses the p x p allocation (8e18 bytes) before it
+    touches memory; both makers name p instead of raising MemoryError."""
+    for make in (gaussian_svd_signal, spiked_covariance):
+        with pytest.raises(ConfigError, match="^p = 1000000000 is too large"):
+            make(10**9, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # factor noise model
 
@@ -293,6 +301,12 @@ def test_sample_cov_rejects_non_finite_data(bad):
     data[2, 1] = bad
     with pytest.raises(ShapeMismatchError, match="must be finite"):
         sample_cov(data)
+
+
+def test_sample_cov_rejects_second_moments_that_overflow():
+    with np.errstate(over="ignore"), pytest.raises(
+            ShapeMismatchError, match="^sample_cov second moments must be finite"):
+        sample_cov(np.full((2, 2), 1e200))
 
 
 def _covariance(kind):
