@@ -46,7 +46,7 @@ def karcher_remainders(rng, p=20, k=4, m_count=5):
     entries = 0.5 * rng.normal(size=(p, k))
     entries[:k, :] = np.tril(entries[:k, :])
     entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(rng.normal(size=k))
-    factor = CholFactor(entries, IndexSet.canonical(k)).validate()
+    factor = CholFactor(entries, IndexSet.canonical(k))
     noises = []
     for _ in range(m_count):
         e = rng.normal(size=(p, k))

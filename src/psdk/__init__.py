@@ -10,10 +10,11 @@ The anchored factor (`CholFactor`, p x K) is the package's one PSD type:
 `anchor` turns any p x K frame into it, `factorize(mat, index_set)`
 turns a p x p matrix into it, signals and samples are factors, and
 `karcher_mean`, `geodesic_distance` and `euclid_rankk_mean` take factors
-only. A `CholFactor` may also hold a stack (M, p, K) of M factors sharing
-one index set: the samplers return one, and the factor path (anchoring,
-the pivot rule, the chart maps, the Karcher mean) works on it whole. p x p
-matrices appear only at the API edges (`factorize`, `CholFactor.matrix`).
+only. A `CholFactor` is checked where it is built, and may hold a stack
+(M, p, K) of M factors sharing one index set: the samplers return one, and
+the factor path (anchoring, the pivot rule, the chart maps, the Karcher
+mean) works on it whole. p x p matrices appear only at the API edges
+(`factorize`, `CholFactor.matrix`).
 Eigenpairs are `SpectralPair`s; M machines' are one stacked pair, which
 `summarize_covariance` returns for an (M, p, p) stack and the aggregators take.
 

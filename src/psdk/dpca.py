@@ -34,7 +34,7 @@ from .linalg import (IndexSet, SpectralPair, _as_array, _check_rank, _eigh_desc,
 from .manifold import _chart_factors, karcher_mean
 
 
-@dataclass
+@dataclass(eq=False)
 class DpcaResult:
     """Aggregated eigenspace estimate plus bookkeeping."""
 
@@ -158,7 +158,6 @@ def euclid_rankk_mean(psds):
     on it.
     """
     factors = _chart_factors(psds, "euclid_rankk_mean")
-    check_finite("euclid_rankk_mean factors", factors.entries)
     values, vectors = _eigh_desc(_frame_gram(factors.entries))
     rank = factors.rank
     frame = _signed(vectors[:, :rank]) * np.sqrt(np.maximum(values[:rank], 0.0))

@@ -863,7 +863,7 @@ def run_perturb_order(cfg):
         else:
             entries, noises = map(np.stack, zip(*(_karcher_instance(gen, cfg.p, cfg.K)
                                                   for gen in gens)))
-            factor = CholFactor(entries, IndexSet.canonical(cfg.K)).validate()
+            factor = CholFactor(entries, IndexSet.canonical(cfg.K))
             m_count = _PERTURB_SAMPLES
             # (B, E, M, p, K): every repetition's noise set at every epsilon
             scaled = eps[:, None, None, None] * noises[:, None]
@@ -957,7 +957,7 @@ def _selftest_roundtrip():
         p = int(gen.integers(2, 31))
         k = int(gen.integers(1, min(p, 6) + 1))
         idx = IndexSet(gen.permutation(p)[:k])
-        factor = anchor(gen.normal(size=(p, k)), idx).validate()
+        factor = anchor(gen.normal(size=(p, k)), idx)
         back = manifold.factorize(factor.matrix, idx)
         worst = max(worst, float(np.max(np.abs(back.entries - factor.entries))))
     if worst > 1e-8:

@@ -209,19 +209,34 @@ def support_mask(p, index_set):
     return mask
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CholFactor:
     """Reduced Cholesky factor: p x K entries plus the anchor index set.
 
-    Invariant (see `validate`): entries[index_set[k], l] == 0 for l > k and
-    entries[index_set[k], k] > 0, i.e. the anchor rows form a lower-triangular
-    block with positive diagonal. The entries may be a stack (M, p, K) of M
-    factors sharing the index set: every method then works on the whole
-    stack, and `len()`, indexing and iteration run over its leading axis.
+    Checked where it is built (`_as_array`, which keeps a float64 view, and
+    `IndexSet`): K rows in range, whose block is lower triangular with
+    diagonal >= 0. The entries may be a stack (M, p, K) of M factors sharing
+    the index set: every method then works on the whole stack, and `len()`,
+    indexing and iteration run over its leading axis.
     """
 
     entries: np.ndarray
     index_set: IndexSet
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", _as_array("factor entries", self.entries, (2, 3)))
+        object.__setattr__(self, "index_set", _as_index_set(self.index_set))
+        if len(self.index_set) != self.rank:
+            raise ShapeMismatchError(
+                f"index set has {len(self.index_set)} rows, factor has rank {self.rank}")
+        block = self.entries[..., self.index_set.validate_for(self.p).as_array(), :]
+        if np.any(np.triu(block, 1)):
+            raise ShapeMismatchError(
+                "anchor rows are not lower triangular: nonzero above the diagonal")
+        diag = np.diagonal(block, axis1=-2, axis2=-1)
+        if np.any(diag < 0.0):
+            raise NotInManifoldError(
+                f"anchored diagonal must be positive, got min = {diag.min():.3e}")
 
     @property
     def p(self):
@@ -238,7 +253,7 @@ class CholFactor:
         return 0.5 * (prod + np.swapaxes(prod, -1, -2))
 
     def __len__(self):
-        if np.ndim(self.entries) != 3:
+        if self.entries.ndim != 3:
             raise TypeError("a single CholFactor has no len()")
         return self.entries.shape[0]
 
@@ -259,16 +274,13 @@ class CholFactor:
         """`pivot_failure`'s rule over the leading axis: the positions that
         fail it (0 for a failing single factor) and the first one's reason.
         `scale`, a matrix's max-norm, replaces a single factor's own."""
-        ent = np.reshape(self.entries, (-1,) + np.shape(self.entries)[-2:])
-        finite = np.isfinite(ent).all(axis=(1, 2))
+        ent = np.reshape(self.entries, (-1,) + self.entries.shape[-2:])
         pivots = np.min(ent[:, self.index_set.as_array(), np.arange(self.rank)] ** 2, axis=1)
         scales = np.max(np.einsum("mij,mij->mi", ent, ent), axis=1) if scale is None else [scale]
         taus = TAU_PIVOT_REL * np.asarray(scales)
-        bad = np.flatnonzero(~finite | (pivots <= taus))
+        bad = np.flatnonzero(pivots <= taus)
         if bad.size == 0:
             return bad, None
-        if not finite[bad[0]]:
-            return bad, "non-finite factor entry"
         return bad, (f"anchor block {self.index_set.indices} singular "
                      f"(min pivot {pivots[bad[0]]:.3e}, threshold {taus[bad[0]]:.3e})")
 
@@ -278,33 +290,12 @@ class CholFactor:
         The one anchor-block pivot rule, which `reduced_cholesky` asks too:
         a squared anchored diagonal entry (a Schur pivot of the anchor block
         of N @ N.T) at or below TAU_PIVOT_REL times the largest squared row
-        norm (max|N @ N.T|; `reduced_cholesky` uses its max|mat|) fails, and
-        so does a non-finite entry. A stack fails on its first failing
-        element, which the reason names ("element m: ...")."""
+        norm (max|N @ N.T|; `reduced_cholesky` uses its max|mat|) fails. A
+        stack fails on its first failing element, named ("element m: ...")."""
         bad, reason = self._pivot_rule()
-        if reason is None or np.ndim(self.entries) == 2:
+        if reason is None or self.entries.ndim == 2:
             return reason
         return f"element {bad[0]}: {reason}"
-
-    def validate(self):
-        """Raise if the anchored triangular structure is violated, in any element."""
-        p, rank = _as_array("factor entries", self.entries, (2, 3)).shape[-2:]
-        if len(self.index_set) != rank:
-            raise ShapeMismatchError(
-                f"index set has {len(self.index_set)} rows, factor has rank {rank}"
-            )
-        self.index_set.validate_for(p)
-        block = self.anchor_block()
-        if np.any(np.triu(block, 1)):
-            raise ShapeMismatchError(
-                "anchor rows are not lower triangular: nonzero above the diagonal"
-            )
-        diag = np.diagonal(block, axis1=-2, axis2=-1)
-        if np.any(diag <= 0.0):
-            raise NotInManifoldError(
-                f"anchored diagonal must be positive, got min = {diag.min():.3e}"
-            )
-        return self
 
 
 def _as_factor(factor, what="factor"):
@@ -316,7 +307,14 @@ def _as_factor(factor, what="factor"):
     return factor
 
 
-@dataclass
+def _as_signal(factor):
+    """`factor` if it is a CholFactor that passes the pivot rule, else a PsdkError."""
+    if (failure := _as_factor(factor, "signal").pivot_failure()) is not None:
+        raise NotInManifoldError(f"signal: {failure}")
+    return factor
+
+
+@dataclass(eq=False)
 class SpectralPair:
     """Top-K eigenpair bundle: orthonormal vectors (p, K), values (K,)
     descending; or a stack of M such pairs, vectors (M, p, K) and values
@@ -353,8 +351,8 @@ def reduced_cholesky(mat, index_set):
     Raises
     ------
     NotInManifoldError
-        If the anchor block is not positive definite, or with the pivot
-        rule's reason.
+        If the anchor block is not positive definite, the solve overflows,
+        or with the pivot rule's reason.
     ShapeMismatchError
         If `mat` is not a nonempty square matrix, max|mat - mat.T|
         exceeds tolerance, or a row is out of range.
@@ -372,6 +370,8 @@ def reduced_cholesky(mat, index_set):
     # The anchor rows equal tril up to roundoff; write them exactly so the
     # structural zeros and the positive diagonal hold bit-for-bit.
     entries[rows, :] = tril
+    if not np.all(np.isfinite(entries)):
+        raise NotInManifoldError("non-finite factor entry")
     factor = CholFactor(entries, index_set)
     reason = factor._pivot_rule(np.max(np.abs(mat)))[1]
     if reason is not None:

@@ -69,54 +69,54 @@ def factorize(mat, index_set):
 
 
 def _chart_factors(factors, caller):
-    """The inputs as one nonempty stacked CholFactor (M, p, K) whose index set
-    fits its entries. Any other iterable must hold CholFactors with the first
-    one's shape and index set (an error names the first that differs); it is
-    stacked, then checked as a stack."""
+    """The inputs as one nonempty stacked CholFactor (M, p, K). Any other
+    iterable must hold CholFactors of the first one's shape and index set (an
+    error names the first that differs)."""
     if not isinstance(factors, CholFactor):
         if not np.iterable(factors):
-            raise ShapeMismatchError(
-                f"{caller} takes CholFactors, not a {type(factors).__name__}")
+            raise ShapeMismatchError(f"{caller} takes CholFactors, not a {type(factors).__name__}")
         factors = [linalg._as_factor(f, f"element {m}") for m, f in enumerate(factors)]
         if not factors:
             raise ShapeMismatchError(f"{caller} needs at least one factor")
-        forms = [(np.shape(f.entries), f.index_set) for f in factors]
+        forms = [(f.entries.shape, f.index_set) for f in factors]
         for m, form in enumerate(forms):
             if form != forms[0]:
                 raise ShapeMismatchError(
                     f"element {m}: shape {form[0]} and index set {tuple(form[1])} differ "
                     f"from element 0's {forms[0][0]} and {tuple(forms[0][1])}")
-        factors = CholFactor(np.stack([f.entries for f in factors], dtype=float),
-                             factors[0].index_set)
-    if (np.ndim(factors.entries) != 3 or len(factors) == 0
-            or len(factors.index_set) != factors.rank):
-        raise ShapeMismatchError(
-            f"{caller} needs a nonempty stack whose index set fits its rank")
-    factors.index_set.validate_for(factors.p)
+        factors = CholFactor(np.stack([f.entries for f in factors]), factors[0].index_set)
+    if factors.entries.ndim != 3 or len(factors) == 0:
+        raise ShapeMismatchError(f"{caller} needs a nonempty stack (M, p, K) of factors")
     return factors
 
 
+def _positive(factor):
+    """`factor` if its anchored diagonal is positive (the log chart's domain)."""
+    diag = np.diagonal(factor.anchor_block(), axis1=-2, axis2=-1)
+    if np.any(diag <= 0.0):
+        raise NotInManifoldError(f"anchored diagonal must be positive, got min = {diag.min():.3e}")
+    return factor
+
+
 def log_factor(factor):
-    """Log coordinates of a factor: a p x K array, anchored diagonal logged.
-    A stack gives its (M, p, K) stack of log coordinates."""
-    linalg._as_factor(factor).validate()
-    entries = factor.entries.astype(float)
+    """Log coordinates of a factor: a p x K array, anchored diagonal (positive)
+    logged. A stack gives its (M, p, K) stack of log coordinates."""
+    entries = _positive(linalg._as_factor(factor)).entries.copy()
     diag = (..., factor.index_set.as_array(), np.arange(factor.rank))
     entries[diag] = np.log(entries[diag])
     return entries
 
 
 def exp_factor(log_entries, index_set):
-    """Inverse of `log_factor`: exponentiate the anchored diagonal, of one
-    p x K array or of each element of an (M, p, K) stack."""
+    """Inverse of `log_factor`: exponentiate the anchored diagonal (one that
+    underflows to 0 raises), of a p x K array or each of an (M, p, K) stack."""
     entries = linalg._as_array("log factor entries", log_entries, (2, 3)).copy()
     index_set = linalg._as_index_set(index_set)
     if len(index_set) != entries.shape[-1]:
         raise ShapeMismatchError("log factor entries inconsistent with index set")
-    diag = (..., index_set.validate_for(entries.shape[-2]).as_array(),
-            np.arange(len(index_set)))
+    diag = (..., index_set.validate_for(entries.shape[-2]).as_array(), np.arange(len(index_set)))
     entries[diag] = np.exp(entries[diag])
-    return CholFactor(entries, index_set).validate()
+    return _positive(CholFactor(entries, index_set))
 
 
 def karcher_mean(psds):
@@ -142,8 +142,8 @@ def karcher_mean(psds):
     Raises
     ------
     ShapeMismatchError
-        On an empty sequence, if the elements differ in entries shape or
-        index set, or if the index set does not fit the entries.
+        On an empty sequence or stack, or if the elements differ in shape
+        or index set.
     NotInManifoldError
         If any element fails the pivot rule; the first is the error's
         `element`, and its message starts "element m: ".

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import manifold
 from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from .linalg import (IndexSet, _as_array, _as_factor, _check_integer, _check_rank, _lead_axes,
+from .linalg import (IndexSet, _as_array, _as_signal, _check_integer, _check_rank, _lead_axes,
                      _sample_stack, anchor, check_finite, check_symmetric, eigh_topk,
                      support_mask)
 
@@ -158,9 +158,7 @@ def intrinsic_samples(psd, sigma, count, rng):
     _check_integer("count", count)
     if count < 1:
         raise ShapeMismatchError("need at least one sample")
-    failure = _as_factor(psd, "signal").pivot_failure()
-    if failure is not None:
-        raise NotInManifoldError(f"signal: {failure}")
+    _as_signal(psd)
     gen = _as_generator(rng)
     base = manifold.log_factor(psd)
     mask = support_mask(psd.p, psd.index_set)
@@ -192,7 +190,7 @@ def factor_noise_samples(factor, noises):
         (B * M, p, K) stack of each signal's samples in turn, which is the
         stack whose index a failure names.
     """
-    _as_factor(factor).validate()
+    _as_signal(factor)
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
     frames = _lead_axes(factor.entries, noises.ndim) + noises
     samples = anchor(np.reshape(frames, (-1,) + frames.shape[-2:]), factor.index_set)

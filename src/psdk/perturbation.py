@@ -23,7 +23,7 @@ factor expansions above speak about PCA aggregation.
 import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
-from .linalg import (TAU_PIVOT_REL, SpectralPair, _as_array, _as_factor, _check_rank,
+from .linalg import (TAU_PIVOT_REL, SpectralPair, _as_array, _as_signal, _check_rank,
                      _lead_axes, _sample_stack, _solve_lower, check_symmetric, eigh_topk,
                      pivot_threshold, procrustes_sign)
 
@@ -132,7 +132,7 @@ def karcher_factor_first_order(factor, noises):
         For a stack of factors the noises lead with its axis, (B, M, p, K) or
         (B, E, M, p, K), and the predictions do too.
     """
-    _as_factor(factor).validate()
+    _as_signal(factor)
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape, ndims=(3, 4))
     mean_noise = np.mean(noises, axis=-3)
     anchor_mean = mean_noise[..., factor.index_set.as_array(), :]
@@ -254,7 +254,7 @@ def factor_alignment(factor, pair):
         alignment fails ||Q.T Q - I||_max <= ALIGNMENT_TOL (1e-8), which
         signals that `factor` and `pair` do not describe the same matrix.
     """
-    _as_factor(factor).validate()
+    _as_signal(factor)
     if not isinstance(pair, SpectralPair):
         raise ShapeMismatchError(f"pair is a {type(pair).__name__}, not a SpectralPair")
     values = _as_array("eigenvalues", pair.values)

@@ -66,7 +66,7 @@ def _random_factor(gen, p, k, idx):
     rows = idx.as_array()
     entries[rows, :] = np.tril(entries[rows, :])
     entries[rows, np.arange(k)] = 0.5 + gen.uniform(0.0, 1.5, size=k)
-    return CholFactor(entries, idx).validate()
+    return CholFactor(entries, idx)
 
 
 def _random_instance(gen, p, k):

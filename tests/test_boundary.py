@@ -1,14 +1,17 @@
 """One property over the public surface: every function in `psdk.__all__`,
 called with arguments drawn from a pool of small values, raises a PsdkError
-or returns only finite arrays (a returned tuple, a factor's entries, a
+or returns only real, finite arrays (a returned tuple, a factor's entries, a
 pair's vectors and values and a result's basis included).
 
 A function with at most two required arguments gets every tuple of pool
 values; the others get a derandomized hypothesis draw. Integers stay at
 most 3 and arrays at most 4 x 4, so no call allocates anything large. A
-silent complex cast (numpy's ComplexWarning) is an error here. The classes
-of `__all__` are left out: `IndexSet` and `RngStream` have their own tests,
-and the others are plain records.
+silent complex cast (numpy's ComplexWarning) is an error here. Of the
+classes of `__all__`, `CholFactor` is checked where it is built, so it gets
+the property too: built from every pair of pool values, then read (`p`,
+`rank`, `matrix`, `pivot_failure()`). `IndexSet` and `RngStream` have their
+own tests; `SpectralPair` and `DpcaResult` are plain records, checked by
+the functions that take them.
 """
 
 import inspect
@@ -53,6 +56,7 @@ _POOL = {
     "empty (0,)": lambda: np.zeros(0),
     "eye(3)": lambda: np.eye(3),
     "3 x 2 frame": lambda: np.array(_FRAME),
+    "nested-list frame": lambda: [list(row) for row in _FRAME],
     "nan 2 x 2": lambda: np.full((2, 2), np.nan),
     "2 x 3": lambda: np.ones((2, 3)),
     "2 x 2 x 2": lambda: np.ones((2, 2, 2)),
@@ -97,28 +101,39 @@ def _arrays(out):
 
 def _fault(func, keys):
     """None if `func` on the pool values `keys` raises a PsdkError or returns
-    only finite arrays, else what it did."""
+    only real, finite arrays, else what it did."""
     try:
         out = func(*(_POOL[key]() for key in keys))
     except PsdkError:
         return None
     except Exception as err:  # noqa: BLE001 -- any other error is the fault
         return f"{keys}: {type(err).__name__}: {err}"
-    if all(np.isfinite(a).all() for a in _arrays(out)):
+    if all(np.isrealobj(a) and np.isfinite(a).all() for a in _arrays(out)):
         return None
-    return f"{keys}: returned a non-finite array"
+    return f"{keys}: returned a non-real or non-finite array"
 
 
-def _faults(name, tuples):
+def _faults(func, tuples):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        return [f for f in (_fault(_FUNCTIONS[name], keys) for keys in tuples) if f]
+        return [f for f in (_fault(func, keys) for keys in tuples) if f]
+
+
+def _read_factor(entries, index_set):
+    """A CholFactor built from two pool values, and what reading it gives."""
+    factor = CholFactor(entries, index_set)
+    return factor.p, factor.rank, factor.matrix, factor.pivot_failure()
+
+
+def test_every_pair_of_pool_values_builds_a_factor_or_raises_a_psdk_error():
+    faults = _faults(_read_factor, itertools.product(_POOL, repeat=2))
+    assert not faults, f"CholFactor: {len(faults)} faults, first {faults[:3]}"
 
 
 @pytest.mark.parametrize("name", sorted(n for n, f in _FUNCTIONS.items() if _arity(f) <= 2))
 def test_every_tuple_of_pool_values_raises_a_psdk_error_or_gives_finite_arrays(name):
-    faults = _faults(name, itertools.product(_POOL, repeat=_arity(_FUNCTIONS[name])))
+    faults = _faults(_FUNCTIONS[name], itertools.product(_POOL, repeat=_arity(_FUNCTIONS[name])))
     assert not faults, f"{name}: {len(faults)} faults, first {faults[:3]}"
 
 
@@ -127,5 +142,5 @@ def test_every_tuple_of_pool_values_raises_a_psdk_error_or_gives_finite_arrays(n
 @given(data=st.data())
 def test_drawn_pool_values_raise_a_psdk_error_or_give_finite_arrays(name, data):
     keys = data.draw(st.tuples(*[st.sampled_from(sorted(_POOL))] * _arity(_FUNCTIONS[name])))
-    faults = _faults(name, [keys])
+    faults = _faults(_FUNCTIONS[name], [keys])
     assert not faults, faults

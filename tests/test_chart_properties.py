@@ -39,7 +39,7 @@ def _factor(gen, p, k, idx):
     rows = idx.as_array()
     entries[rows, :] = 0.3 * np.tril(entries[rows, :], -1)
     entries[rows, np.arange(k)] = gen.uniform(0.5, 2.0, size=k)
-    return CholFactor(entries, idx).validate()
+    return CholFactor(entries, idx)
 
 
 def _orthogonal(gen, k):

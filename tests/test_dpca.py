@@ -154,21 +154,26 @@ def test_euclid_rankk_mean_truncates():
 
 
 def test_euclid_rankk_mean_names_malformed_factor():
+    """A malformed factor is refused where it is built; a well-formed one of
+    another shape is named by its position."""
     good = CholFactor(np.array([[1.0], [0.0]]), IndexSet((0,)))
-    for bad in (CholFactor(np.ones((2, 2)), IndexSet((0,))),
-                CholFactor(np.ones((2, 1)), IndexSet((2,))),
-                CholFactor(np.ones(2), IndexSet((0,)))):
-        with pytest.raises(ShapeMismatchError, match="element 1: shape"):
-            euclid_rankk_mean([good, bad])
+    for entries, rows, fault in (
+            (np.ones((2, 2)), (0,), "index set has 1 rows, factor has rank 2"),
+            (np.ones((2, 1)), (2,), r"index set \(2,\) out of range for p = 2"),
+            (np.ones(2), (0,), "factor entries must be 2-d or 3-d, got 1-d"),
+            (np.ones((3, 1)), (0,), r"element 1: shape \(3, 1\) and index set \(0,\) differ")):
+        with pytest.raises(ShapeMismatchError, match=fault):
+            euclid_rankk_mean([good, CholFactor(entries, IndexSet(rows))])
 
 
 def test_euclid_rankk_mean_clips_roundoff_negative_values():
     """A mean of lower rank than requested has roundoff-size trailing values;
-    a negative one (-4e-16 here, with LAPACK's eigh) must give a zero column,
-    not a NaN."""
-    frame = np.outer([2.0, 1.0, 2.0], [1.0, 0.5])
-    mean = euclid_rankk_mean([CholFactor(frame, IndexSet((0, 1)))])
+    a negative one (-9e-17 here, with LAPACK's eigh) must give a zero column,
+    not a NaN. The rank-1 frame's factor has a roundoff-size anchored pivot."""
+    frame = np.outer([1.0, 1.0, 3.0], [1.0, 0.5])
+    mean = euclid_rankk_mean([anchor(frame, IndexSet((0, 1)))])
     assert np.all(np.isfinite(mean.entries))
+    assert np.all(mean.entries[:, 1] == 0.0)
     assert_allclose(mean.matrix, frame @ frame.T, atol=1e-14)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -89,32 +90,55 @@ def test_support_mask_shape_and_zeros():
 
 
 # ---------------------------------------------------------------------------
-# CholFactor validation
+# CholFactor construction
 
 
 def test_chol_factor_validate_accepts_anchored_structure():
     entries = np.array([[1.0, 0.0], [2.0, 3.0], [4.0, 5.0]])
-    factor = CholFactor(entries, IndexSet((0, 1))).validate()
+    factor = CholFactor(entries, IndexSet((0, 1)))
     assert_allclose(factor.anchor_block(), [[1.0, 0.0], [2.0, 3.0]])
     assert factor.p == 3 and factor.rank == 2
+    # a float64 array is kept as it is; a sequence of rows becomes an IndexSet
+    assert factor.entries is entries
+    assert CholFactor(entries.tolist(), (0, 1)).index_set == IndexSet((0, 1))
+    # a zero anchored diagonal is a legal factor, but no chart point: the
+    # pivot rule refuses it, and the log chart takes no log of it
+    flat = CholFactor(np.array([[1.0, 0.0], [2.0, 0.0]]), IndexSet((0, 1)))
+    assert "singular" in flat.pivot_failure()
+    with pytest.raises(NotInManifoldError,
+                       match=r"^anchored diagonal must be positive, got min = 0.000e\+00$"):
+        log_factor(flat)
 
 
 def test_chol_factor_validate_rejects_upper_entries():
     entries = np.array([[1.0, 0.5], [2.0, 3.0]])
     with pytest.raises(ShapeMismatchError):
-        CholFactor(entries, IndexSet((0, 1))).validate()
+        CholFactor(entries, IndexSet((0, 1)))
 
 
 def test_chol_factor_validate_rejects_nonpositive_diagonal():
     entries = np.array([[1.0, 0.0], [2.0, -3.0]])
-    with pytest.raises(NotInManifoldError):
-        CholFactor(entries, IndexSet((0, 1))).validate()
+    with pytest.raises(NotInManifoldError,
+                       match=r"^anchored diagonal must be positive, got min = -3.000e\+00$"):
+        CholFactor(entries, IndexSet((0, 1)))
     # in a stack, one bad element is enough
     good = np.array([[1.0, 0.0], [2.0, 3.0]])
     with pytest.raises(NotInManifoldError):
-        CholFactor(np.stack([good, entries]), IndexSet((0, 1))).validate()
+        CholFactor(np.stack([good, entries]), IndexSet((0, 1)))
     with pytest.raises(ShapeMismatchError, match="not lower triangular"):
-        CholFactor(np.stack([good, good.T]), IndexSet((0, 1))).validate()
+        CholFactor(np.stack([good, good.T]), IndexSet((0, 1)))
+
+
+def test_records_compare_by_identity():
+    """A factor, a pair and a result hold arrays, so `==` is identity, never
+    an elementwise comparison that raises."""
+    factor = CholFactor(np.array([[1.0, 0.0], [2.0, 3.0]]), IndexSet((0, 1)))
+    pair = SpectralPair(np.eye(2), np.ones(2))
+    result = full_pca([np.diag([2.0, 1.0])], 1)
+    for record, twin in ((factor, CholFactor(factor.entries.copy(), factor.index_set)),
+                         (pair, SpectralPair(pair.vectors.copy(), pair.values.copy())),
+                         (result, dataclasses.replace(result))):
+        assert record == record and record != twin
 
 
 def test_single_factor_is_not_a_sequence():
@@ -131,10 +155,13 @@ def test_single_factor_is_not_a_sequence():
 
 def test_stack_indexes_and_iterates_over_its_leading_axis():
     entries = np.tril(np.arange(1.0, 13.0).reshape(3, 2, 2))
-    stack = CholFactor(entries, IndexSet((0, 1))).validate()
+    stack = CholFactor(entries, IndexSet((0, 1)))
     assert len(stack) == 3 and bool(stack) is True
     assert (stack.p, stack.rank) == (2, 2)
     assert np.array_equal(stack[1].entries, entries[1])
+    # an element is a view of the stack: building it copies nothing
+    assert np.shares_memory(stack[1].entries, stack.entries)
+    assert np.shares_memory(stack[1:].entries, stack.entries)
     assert stack[1].index_set == stack.index_set
     elements = list(stack)
     assert len(elements) == 3
@@ -216,8 +243,9 @@ def test_anchor_reduces_any_frame():
         k = int(gen.integers(1, min(p, 6) + 1))
         idx = IndexSet(tuple(int(i) for i in gen.permutation(p)[:k]))
         frame = gen.normal(size=(p, k))
-        factor = anchor(frame, idx).validate()
+        factor = anchor(frame, idx)
         assert factor.index_set == idx
+        assert np.all(np.diagonal(factor.anchor_block()) > 0.0)
         assert_allclose(factor.entries @ factor.entries.T, frame @ frame.T, atol=1e-12)
         reference = reduced_cholesky(frame @ frame.T, idx)
         assert_allclose(factor.entries, reference.entries, atol=1e-8)
@@ -235,8 +263,8 @@ def test_pivot_rule_of_a_stack_names_the_first_failing_element():
     assert bad.tolist() == [1, 3] and reason == single
     nan = good.copy()
     nan[2, 0] = np.nan
-    assert (CholFactor(np.stack([good, nan, thin]), idx).pivot_failure()
-            == "element 1: non-finite factor entry")
+    with pytest.raises(ShapeMismatchError, match="^factor entries must be finite$"):
+        CholFactor(np.stack([good, nan, thin]), idx)
 
 
 def test_anchor_tolerates_singular_block():
@@ -285,8 +313,11 @@ def test_pivot_rule_agrees_with_reduced_cholesky():
 
 
 def test_pivot_rule_rejects_non_finite():
+    """A NaN or Inf entry never reaches the pivot rule: the factor is refused
+    where it is built."""
     entries = np.array([[1.0, 0.0], [0.5, 1.0], [np.nan, 0.0]])
-    assert "non-finite" in CholFactor(entries, IndexSet((0, 1))).pivot_failure()
+    with pytest.raises(ShapeMismatchError, match="^factor entries must be finite$"):
+        CholFactor(entries, IndexSet((0, 1)))
 
 
 # ---------------------------------------------------------------------------

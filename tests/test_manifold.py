@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def _random_factor(gen, p, k, idx):
     anchor = idx.as_array()
     entries[anchor, :] = np.tril(entries[anchor, :])
     entries[anchor, np.arange(k)] = 0.5 + gen.uniform(0.0, 2.0, size=k)
-    return CholFactor(entries, idx).validate()
+    return CholFactor(entries, idx)
 
 
 def _random_psd(gen, p, k, idx=None):
@@ -75,18 +76,26 @@ def test_membership_rejects_indefinite():
 
 
 _GARBAGE = [
-    (np.ones((2, 3)), (0,), "expected a square matrix, got shape (2, 3)"),
-    (np.eye(2), (0, 5), "index set (0, 5) out of range for p = 2"),
-    ("x", (0,), "matrix entries must be real numbers, got a str of dtype <U1"),
-    (None, (0,), "matrix entries must be real numbers, got a NoneType of dtype object"),
-    (np.array([[1.0, np.nan], [np.nan, 1.0]]), (0,), "matrix entries must be finite"),
+    (np.ones((2, 3)), (0,), ShapeMismatchError, "expected a square matrix, got shape (2, 3)"),
+    (np.eye(2), (0, 5), ShapeMismatchError, "index set (0, 5) out of range for p = 2"),
+    ("x", (0,), ShapeMismatchError, "matrix entries must be real numbers, got a str of dtype <U1"),
+    (None, (0,), ShapeMismatchError,
+     "matrix entries must be real numbers, got a NoneType of dtype object"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), (0,), ShapeMismatchError,
+     "matrix entries must be finite"),
+    # finite, but the solve for the other rows overflows
+    (np.array([[1e-300, 1e300], [1e300, 1.0]]), (0,), NotInManifoldError,
+     "non-finite factor entry"),
 ]
 
 
 def test_membership_never_raises_on_garbage():
-    """Garbage fails on its own check alone, whatever the other checks say."""
-    for mat, rows, reason in _GARBAGE:
+    """Garbage fails on its own check alone, whatever the other checks say;
+    `factorize` raises what `membership` reports."""
+    for mat, rows, error, reason in _GARBAGE:
         assert membership(mat, rows) == (False, reason)
+        with pytest.raises(error, match=f"^{re.escape(reason)}$"):
+            factorize(mat, rows)
 
 
 def test_validate_raises_with_reason():
@@ -349,20 +358,20 @@ def test_geodesic_distance_requires_common_anchor():
 
 
 @pytest.mark.parametrize("entries, idx, fault", [
-    (np.ones((3, 2)), IndexSet((0,)), r"element 1: shape \(3, 2\) and index set \(0,\) differ"),
-    (np.ones((3, 1)), IndexSet((3,)), r"element 1: shape \(3, 1\) and index set \(3,\) differ"),
-    (np.ones(3), IndexSet((0,)), r"element 1: shape \(3,\) and index set \(0,\) differ"),
+    (np.ones((3, 2)), IndexSet((0,)), r"^index set has 1 rows, factor has rank 2$"),
+    (np.ones((3, 1)), IndexSet((3,)), r"^index set \(3,\) out of range for p = 3$"),
+    (np.ones(3), IndexSet((0,)), r"^factor entries must be 2-d or 3-d, got 1-d$"),
     (np.ones((4, 1)), IndexSet((0,)), r"element 1: shape \(4, 1\) .* element 0's \(3, 1\)"),
 ], ids=["index_set_shorter_than_rank", "row_beyond_p", "one_d_entries", "different_p"])
 def test_chart_inputs_reject_malformed_factors(entries, idx, fault):
-    """Factors whose shape or index set differs from the first element's
-    raise ShapeMismatchError naming the element in karcher_mean and
+    """A factor whose index set does not fit its entries is refused where it
+    is built; a factor whose shape differs from the first element's raises
+    ShapeMismatchError naming the element in karcher_mean and
     geodesic_distance; so does a p x p array given in place of a factor."""
     good = CholFactor(np.array([[1.0], [0.5], [0.2]]), IndexSet((0,)))
-    bad = CholFactor(entries, idx)
     for call in (karcher_mean, lambda fs: geodesic_distance(*fs)):
         with pytest.raises(ShapeMismatchError, match=fault):
-            call([good, bad])
+            call([good, CholFactor(entries, idx)])
     with pytest.raises(ShapeMismatchError, match="not a CholFactor; factor a p x p"):
         karcher_mean([good, good.matrix])
 
@@ -370,3 +379,7 @@ def test_chart_inputs_reject_malformed_factors(entries, idx, fault):
 def test_exp_factor_validates_result():
     with pytest.raises(Exception):
         exp_factor(np.full((2, 2), np.nan), IndexSet((0, 1)))
+    # a log diagonal whose exponential underflows leaves the log chart
+    with pytest.raises(NotInManifoldError,
+                       match=r"^anchored diagonal must be positive, got min = 0.000e\+00$"):
+        exp_factor(np.array([[-1e4, 0.0], [1.0, 0.0]]), IndexSet((0, 1)))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from psdk import manifold, models
 from psdk.exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError
-from psdk.linalg import CholFactor, IndexSet, eigh_topk, lq_givens, procrustes_sign
+from psdk.linalg import CholFactor, IndexSet, SpectralPair, eigh_topk, lq_givens, procrustes_sign
 from psdk.perturbation import (
     eigvec_first_order,
     equivalent_factor_noise,
@@ -33,7 +33,7 @@ def _random_factor(gen, p, k):
     entries = 0.5 * gen.normal(size=(p, k))
     entries[:k, :] = np.tril(entries[:k, :])
     entries[np.arange(k), np.arange(k)] = 1.0 + np.abs(gen.normal(size=k))
-    return CholFactor(entries, IndexSet.canonical(k)).validate()
+    return CholFactor(entries, IndexSet.canonical(k))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +270,26 @@ def test_karcher_factor_prediction_anchor_rows_triangular():
         entries = 0.5 * rng.normal(size=(10, 3))
         entries[anchor, :] = np.tril(entries[anchor, :])
         entries[anchor, np.arange(3)] = 1.0 + np.abs(rng.normal(size=3))
-        factor = CholFactor(entries, idx).validate()
+        factor = CholFactor(entries, idx)
         noises = [1e-5 * _unit_noise(rng, (10, 3)) for _ in range(3)]
         pred = karcher_factor_first_order(factor, noises)
         upper = np.triu(pred[anchor, :], 1)
         assert np.max(np.abs(upper)) < 1e-9, rows
+
+
+def test_a_signal_off_the_chart_is_refused():
+    """A zero anchored diagonal entry makes a legal factor but no chart point:
+    every function that takes a signal refuses it as a NotInManifoldError
+    with the pivot rule's reason."""
+    flat = CholFactor(np.array([[1.0, 0.0], [0.5, 0.0], [0.2, 0.3]]), IndexSet((0, 1)))
+    noises = np.ones((2, 3, 2))
+    pair = SpectralPair(np.eye(3)[:, :2], np.ones(2))
+    for call in (lambda: models.factor_noise_samples(flat, noises),
+                 lambda: karcher_factor_first_order(flat, noises),
+                 lambda: factor_alignment(flat, pair),
+                 lambda: models.intrinsic_samples(flat, 0.1, 2, 0)):
+        with pytest.raises(NotInManifoldError, match=r"^signal: anchor block \(0, 1\) singular"):
+            call()
 
 
 def test_karcher_factor_requires_noise():
