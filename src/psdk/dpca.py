@@ -98,7 +98,7 @@ def full_pca(covariances, rank):
     """Top-`rank` eigenbasis of the pooled (averaged) covariances, an (M, p, p)
     stack of symmetric matrices, or a sequence of equal-shape ones."""
     covs = _sample_stack(covariances, "full_pca covariances")
-    _symmetric_scales(covs, stacked=True)
+    _symmetric_scales(covs)
     _check_rank(rank, covs.shape[-1])
     agg = covs.sum(axis=0) / len(covs)
     return _result(*_eigh_desc(0.5 * (agg + agg.T)), rank, "full", len(covs))

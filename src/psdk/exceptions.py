@@ -12,7 +12,14 @@ class PsdkError(Exception):
 
     The CLI catches it to exit with status 2 (numerical failure); the
     experiment runner catches it to prefix the failing job's grid point.
+    An error that refuses one element of a stacked input (M samples, M
+    machines, a batch of factors) names it: its message starts
+    "element m: " and `element` is m. Otherwise `element` is None.
     """
+
+    def __init__(self, message, element=None):
+        super().__init__(message)
+        self.element = element
 
 
 class ShapeMismatchError(PsdkError):
@@ -41,14 +48,10 @@ class NotInManifoldError(PsdkError):
 
     Covers a p x p matrix that `factorize` rejects, a nonpositive entry on
     a factor's anchored diagonal, and a frame for which no row choice yields
-    a nonsingular anchor block. The experiments' Karcher
-    retry/skip policy catches it and reselects rows from `element`, the first
-    failing element of a stack where `karcher_mean` raises it (else None).
+    a nonsingular anchor block. The experiments' Karcher retry/skip policy
+    catches it and reselects rows from its `element` (`PsdkError`), the
+    first failing element of the stack `karcher_mean` refused.
     """
-
-    def __init__(self, message, element=None):
-        super().__init__(message)
-        self.element = element
 
 
 class InsufficientPointsError(PsdkError):

@@ -430,11 +430,11 @@ def _runner(experiment):
     `(cfg, progress=False) -> records` validates `cfg` and its experiment
     name, and then, with BLAS pinned to one thread (`_blas_pinned`), plans
     and runs `work(notes, *job.args)` for every job through `_run_ordered`.
-    It prefixes any PsdkError with the job's `where` and returns the records
-    in job order. Each job appends its retry and skip lines to its own
-    `notes` list; they go to stderr after the run, in job order, prefixed
-    with the job's `where`. With `progress`, the measured time per job group
-    follows. The runner's `experiment` attribute names it.
+    It prefixes any PsdkError with the job's `where`, keeping `element`, and
+    returns the records in job order. Each job appends its retry and skip
+    lines to its own `notes` list; they go to stderr after the run, in job
+    order, prefixed with the job's `where`. With `progress`, the measured
+    time per job group follows. The runner's `experiment` attribute names it.
     """
 
     def decorate(plan):
@@ -452,7 +452,7 @@ def _runner(experiment):
                     try:
                         recs = work(notes, *job.args)
                     except PsdkError as err:
-                        raise type(err)(f"{job.where}: {err}") from err
+                        raise type(err)(f"{job.where}: {err}", err.element) from err
                     return recs, notes, time.perf_counter() - tick
 
                 results = _run_ordered(worker, jobs, cfg.threads)
@@ -884,7 +884,7 @@ def run_perturb_order(cfg):
             return block(kind, reps)
         except PsdkError as err:
             if len(reps) == 1:
-                raise type(err)(f"repetition {reps[0]}: {err}") from err
+                raise type(err)(f"repetition {reps[0]}: {err}", err.element) from err
             # one repetition at a time, so the error names the one that fails
             for rep in reps:
                 work(notes, kind, range(rep, rep + 1))

@@ -115,26 +115,29 @@ def check_symmetric(mat):
     """`mat` as a nonempty square matrix (`_square`); raise ShapeMismatchError
     if max|A - A.T| exceeds SYM_RTOL * max|A|."""
     mat = _square(mat)
-    _symmetric_scales(mat[None], stacked=False)
+    _symmetric_scales(mat)
     return mat
 
 
-def _symmetric_scales(mats, stacked):
-    """max|A| per element of a finite nonempty (M, p, p) stack, after checking
-    that every element is symmetric within SYM_RTOL; for a `stacked` input
-    the error names the first failing element ("element m: ...")."""
-    flat = np.reshape(mats, (len(mats), -1))
+def _refuse(error, bad, stacked, reason):
+    """Raise `error` for the first element m flagged in the mask `bad`, if any:
+    "element m: " + reason(m) with `element` m for a `stacked` input, else
+    reason(m). Every check of a stack names its refused element here."""
+    if (flagged := np.flatnonzero(bad)).size:
+        m = int(flagged[0])
+        raise error(f"element {m}: {reason(m)}", m) if stacked else error(reason(m))
+
+
+def _symmetric_scales(mat):
+    """max|A| of each element of a finite nonempty (p, p) or (M, p, p) array,
+    after checking that each is symmetric within SYM_RTOL (`_refuse`)."""
+    flat = np.reshape(mat, (-1, mat.shape[-1] ** 2))
     scales = np.maximum(flat.max(axis=1), -flat.min(axis=1))
     # A - A.T is antisymmetric, so its largest entry is its max-norm
-    asym = np.reshape(mats - np.swapaxes(mats, -1, -2), (len(mats), -1)).max(axis=1)
-    bad = np.flatnonzero(asym > SYM_RTOL * scales)
-    if bad.size:
-        m = bad[0]
-        where = f"element {m}: " if stacked else ""
-        raise ShapeMismatchError(
-            f"{where}matrix is not symmetric: max|A - A.T| = {asym[m]:.3e} "
-            f"(tolerance {SYM_RTOL * scales[m]:.3e})"
-        )
+    asym = np.reshape(mat - np.swapaxes(mat, -1, -2), flat.shape).max(axis=1)
+    _refuse(ShapeMismatchError, asym > SYM_RTOL * scales, mat.ndim == 3, lambda m: (
+        f"matrix is not symmetric: max|A - A.T| = {asym[m]:.3e} "
+        f"(tolerance {SYM_RTOL * scales[m]:.3e})"))
     return scales
 
 
@@ -270,19 +273,26 @@ class CholFactor:
         """The K x K lower-triangular block formed by the anchor rows."""
         return self.entries[..., self.index_set.as_array(), :]
 
-    def _pivot_rule(self, scale=None):
-        """`pivot_failure`'s rule over the leading axis: the positions that
-        fail it (0 for a failing single factor) and the first one's reason.
-        `scale`, a matrix's max-norm, replaces a single factor's own."""
+    def _check_pivots(self, scale=None):
+        """Raise NotInManifoldError (`_refuse`) for the first element that
+        fails `pivot_failure`'s rule. `scale`, a matrix's max-norm, replaces
+        a single factor's largest squared row norm."""
         ent = np.reshape(self.entries, (-1,) + self.entries.shape[-2:])
-        pivots = np.min(ent[:, self.index_set.as_array(), np.arange(self.rank)] ** 2, axis=1)
-        scales = np.max(np.einsum("mij,mij->mi", ent, ent), axis=1) if scale is None else [scale]
-        taus = TAU_PIVOT_REL * np.asarray(scales)
-        bad = np.flatnonzero(pivots <= taus)
-        if bad.size == 0:
-            return bad, None
-        return bad, (f"anchor block {self.index_set.indices} singular "
-                     f"(min pivot {pivots[bad[0]]:.3e}, threshold {taus[bad[0]]:.3e})")
+        # Square in units of 2^e >= max|N| per element, as `_topk` does, a
+        # column at a time (no scaled copy of the stack): a power of two
+        # changes no rounding, and the squares cannot overflow.
+        exps = np.frexp(np.maximum(ent.max(axis=(1, 2)), -ent.min(axis=(1, 2))))[1]
+        down = -exps[:, None]
+        pivots = np.min(np.ldexp(ent[:, self.index_set.as_array(), np.arange(self.rank)], down)
+                        ** 2, axis=1)
+        scales = (np.max(sum(np.ldexp(ent[..., k], down) ** 2 for k in range(self.rank)), axis=1)
+                  if scale is None else np.ldexp(scale, -2 * exps))
+        taus = TAU_PIVOT_REL * scales
+        with np.errstate(over="ignore"):  # the message's values in N's units, inf past range
+            shown = np.ldexp([pivots, taus], 2 * exps)
+        _refuse(NotInManifoldError, pivots <= taus, self.entries.ndim == 3, lambda m: (
+            f"anchor block {self.index_set.indices} singular "
+            f"(min pivot {shown[0, m]:.3e}, threshold {shown[1, m]:.3e})"))
 
     def pivot_failure(self):
         """Why N @ N.T is not a chart point at this index set, or None if it is.
@@ -291,11 +301,13 @@ class CholFactor:
         a squared anchored diagonal entry (a Schur pivot of the anchor block
         of N @ N.T) at or below TAU_PIVOT_REL times the largest squared row
         norm (max|N @ N.T|; `reduced_cholesky` uses its max|mat|) fails. A
-        stack fails on its first failing element, named ("element m: ...")."""
-        bad, reason = self._pivot_rule()
-        if reason is None or self.entries.ndim == 2:
-            return reason
-        return f"element {bad[0]}: {reason}"
+        stack fails on its first failing element m: "element m: <reason>",
+        the message of `karcher_mean`'s NotInManifoldError."""
+        try:
+            self._check_pivots()
+        except NotInManifoldError as err:
+            return str(err)
+        return None
 
 
 def _as_factor(factor, what="factor"):
@@ -309,8 +321,10 @@ def _as_factor(factor, what="factor"):
 
 def _as_signal(factor):
     """`factor` if it is a CholFactor that passes the pivot rule, else a PsdkError."""
-    if (failure := _as_factor(factor, "signal").pivot_failure()) is not None:
-        raise NotInManifoldError(f"signal: {failure}")
+    try:
+        _as_factor(factor, "signal")._check_pivots()
+    except NotInManifoldError as err:
+        raise NotInManifoldError(f"signal: {err}", err.element) from None
     return factor
 
 
@@ -365,17 +379,16 @@ def reduced_cholesky(mat, index_set):
     except np.linalg.LinAlgError:
         raise NotInManifoldError(
             f"anchor block {index_set.indices} not positive definite") from None
-    # N = mat[:, rows] @ inv(tril).T, via one triangular solve.
-    entries = _solve_lower(tril, mat[:, rows].T).T
+    # N = mat[:, rows] @ inv(tril).T by one solve; the check below refuses overflow
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        entries = _solve_lower(tril, mat[:, rows].T).T
     # The anchor rows equal tril up to roundoff; write them exactly so the
     # structural zeros and the positive diagonal hold bit-for-bit.
     entries[rows, :] = tril
     if not np.all(np.isfinite(entries)):
         raise NotInManifoldError("non-finite factor entry")
     factor = CholFactor(entries, index_set)
-    reason = factor._pivot_rule(np.max(np.abs(mat)))[1]
-    if reason is not None:
-        raise NotInManifoldError(reason)
+    factor._check_pivots(np.max(np.abs(mat)))
     return factor
 
 
@@ -442,13 +455,8 @@ def lq_givens(mat):
     mat = _sample_stack(mat, "lq_givens matrices", ndims=(2, 3))
     smin = np.linalg.svd(mat, compute_uv=False)[..., -1]
     taus = TAU_PIVOT_REL * np.max(np.abs(mat), axis=(-2, -1))
-    bad = np.flatnonzero(smin <= taus)
-    if bad.size:
-        where = "" if mat.ndim == 2 else f"element {bad[0]}: "
-        raise SingularMatrixError(
-            f"{where}matrix numerically singular: smallest singular value "
-            f"{np.reshape(smin, -1)[bad[0]]:.3e}"
-        )
+    _refuse(SingularMatrixError, smin <= taus, mat.ndim == 3, lambda m: (
+        f"matrix numerically singular: smallest singular value {np.reshape(smin, -1)[m]:.3e}"))
     return _lq(mat)
 
 
@@ -513,24 +521,20 @@ def eigh_topk(mat, rank, require_positive=False):
     ------
     SingularMatrixError
         When `require_positive` is set and the spectrum fails the check; for
-        a stack the message names the first such element ("element m: ...").
+        a stack the first such element m ("element m: ...", `element` m).
     ShapeMismatchError
         On a non-square or asymmetric input, or a rank outside [1, p] (a
         rank that is not an integer is a ConfigError).
     """
     mat = _sample_stack(mat, "eigh_topk matrices", ndims=(2, 3))
     mats = mat if mat.ndim == 3 else mat[None]
-    scales = _symmetric_scales(mats, stacked=mat.ndim == 3)
+    scales = _symmetric_scales(mat)
     _check_rank(rank, mats.shape[-1])
     values, vectors = _topk(mats, rank, scales)
     _signed(vectors)
     if require_positive:
-        bad = np.flatnonzero(values[:, -1] <= TAU_PIVOT_REL * scales)
-        if bad.size:
-            where = "" if mat.ndim == 2 else f"element {bad[0]}: "
-            raise SingularMatrixError(
-                f"{where}eigenvalue {rank} is {values[bad[0], -1]:.3e}, not strictly positive"
-            )
+        _refuse(SingularMatrixError, values[:, -1] <= TAU_PIVOT_REL * scales, mat.ndim == 3,
+                lambda m: f"eigenvalue {rank} is {values[m, -1]:.3e}, not strictly positive")
     if mat.ndim == 2:
         return SpectralPair(vectors[0], values[0])
     return SpectralPair(vectors, values)

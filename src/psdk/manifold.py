@@ -79,11 +79,9 @@ def _chart_factors(factors, caller):
         if not factors:
             raise ShapeMismatchError(f"{caller} needs at least one factor")
         forms = [(f.entries.shape, f.index_set) for f in factors]
-        for m, form in enumerate(forms):
-            if form != forms[0]:
-                raise ShapeMismatchError(
-                    f"element {m}: shape {form[0]} and index set {tuple(form[1])} differ "
-                    f"from element 0's {forms[0][0]} and {tuple(forms[0][1])}")
+        linalg._refuse(ShapeMismatchError, [form != forms[0] for form in forms], True, lambda m: (
+            f"shape {forms[m][0]} and index set {tuple(forms[m][1])} differ "
+            f"from element 0's {forms[0][0]} and {tuple(forms[0][1])}"))
         factors = CholFactor(np.stack([f.entries for f in factors]), factors[0].index_set)
     if factors.entries.ndim != 3 or len(factors) == 0:
         raise ShapeMismatchError(f"{caller} needs a nonempty stack (M, p, K) of factors")
@@ -145,13 +143,12 @@ def karcher_mean(psds):
         On an empty sequence or stack, or if the elements differ in shape
         or index set.
     NotInManifoldError
-        If any element fails the pivot rule; the first is the error's
-        `element`, and its message starts "element m: ".
+        If any element fails the pivot rule: the first, m, is the error's
+        `element`, and its message is "element m: " and the reason
+        `pivot_failure` gives.
     """
     factors = _chart_factors(psds, "karcher_mean")
-    bad, reason = factors._pivot_rule()
-    if reason is not None:
-        raise NotInManifoldError(f"element {bad[0]}: {reason}", element=int(bad[0]))
+    factors._check_pivots()
     return _group_means(factors, len(factors))[0]
 
 

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import manifold
-from .exceptions import ConfigError, NotInManifoldError, ShapeMismatchError, SingularMatrixError
+from .exceptions import ConfigError, ShapeMismatchError, SingularMatrixError
 from .linalg import (IndexSet, _as_array, _as_signal, _check_integer, _check_rank, _lead_axes,
-                     _sample_stack, anchor, check_finite, check_symmetric, eigh_topk,
+                     _refuse, _sample_stack, anchor, check_finite, check_symmetric, eigh_topk,
                      support_mask)
 
 # Streams pack hierarchical labels (role, grid point, repetition, machine)
@@ -172,8 +172,8 @@ def factor_noise_samples(factor, noises):
     """Samples (N + E_m)(N + E_m).T from unstructured factor noise, as factors.
 
     The samples N + E_m are anchored at the signal's index set as one stack
-    and checked by the pivot rule; a failure names the first offending
-    sample index.
+    and checked by the pivot rule: the first sample m that fails it raises
+    NotInManifoldError "element m: ...", with `element` m.
 
     Parameters
     ----------
@@ -194,9 +194,7 @@ def factor_noise_samples(factor, noises):
     noises = _sample_stack(noises, "noise matrices", factor.entries.shape)
     frames = _lead_axes(factor.entries, noises.ndim) + noises
     samples = anchor(np.reshape(frames, (-1,) + frames.shape[-2:]), factor.index_set)
-    bad, reason = samples._pivot_rule()
-    if reason is not None:
-        raise NotInManifoldError(f"sample {bad[0]}: {reason}")
+    samples._check_pivots()
     return samples
 
 
@@ -272,26 +270,24 @@ def _wishart_cov(cov_roots, n, gen):
     """Sample covariances of n i.i.d. N(0, Sigma_m) rows, one per root B_m of
     the (M, p, w) stack `cov_roots`, Sigma_m = B_m B_m.T.
 
-    Draws S_m ~ Wishart(n, Sigma_m) / n as (B_m T_m)(B_m T_m).T / n, where
-    T_m T_m.T ~ Wishart(n, I). For n >= w, T_m is Bartlett's w x w
-    lower-triangular factor: its (i, i) entry is the root of a chi-square
-    with n - i degrees of freedom (0-indexed), entries below the diagonal are
-    N(0, 1). Otherwise T_m = Z_m.T for an n x w standard normal Z_m. The
-    draws run sample by sample, in stream order; the products are batched.
+    Draws S_m ~ Wishart(n, Sigma_m) / n as (B_m T_m)(B_m T_m).T / n, T_m
+    Bartlett's lower-trapezoidal w x min(n, w) factor (for n < w, of the
+    singular Wishart: Srivastava 2003, Ann. Statist. 31): its (i, i) entry
+    is the root of a chi-square with n - i degrees of freedom (0-indexed),
+    entries below the diagonal are N(0, 1). The draws run sample by sample,
+    in stream order; the products are batched.
     """
     count, _, width = cov_roots.shape
-    if n >= width:
-        chi_sq = np.empty((count, width))
-        lower = np.empty((count, width * (width - 1) // 2))
-        for m in range(count):
-            chi_sq[m] = gen.chisquare(n - np.arange(width))
-            lower[m] = gen.standard_normal(lower.shape[1])
-        roots = np.zeros((count, width, width))
-        roots[:, np.arange(width), np.arange(width)] = np.sqrt(chi_sq)
-        roots[(slice(None),) + np.tril_indices(width, -1)] = lower
-    else:
-        draws = np.stack([gen.standard_normal((n, width)) for _ in range(count)])
-        roots = np.swapaxes(draws, -1, -2)
+    rank = min(n, width)
+    below = np.tril_indices(width, -1, rank)
+    chi_sq = np.empty((count, rank))
+    lower = np.empty((count, len(below[0])))
+    for m in range(count):
+        chi_sq[m] = gen.chisquare(n - np.arange(rank))
+        lower[m] = gen.standard_normal(lower.shape[1])
+    roots = np.zeros((count, width, rank))
+    roots[:, np.arange(rank), np.arange(rank)] = np.sqrt(chi_sq)
+    roots[(slice(None),) + below] = lower
     # In place, each intermediate freed before the next: a stack holds about
     # two arrays at a time, with the arithmetic of 0.5 * (S + S.T) for S / n.
     frames = cov_roots @ roots
@@ -318,16 +314,15 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
 
     S is drawn exactly from its law, Wishart(n_inner, Sigma) / n_inner, in
     factor form: Sigma = B B.T with B = [N | sqrt(EXTRINSIC_RIDGE) I]
-    (p x (K + p)), and S = (B T)(B T).T / n_inner. When n_inner >= K + p,
-    T is the (K + p) x (K + p) Bartlett factor; otherwise T is the transpose
-    of a plain n_inner x (K + p) normal draw. Neither forms Sigma, factors it
-    or simulates n_inner x p data. The draws run in stream order. The
+    (p x (K + p)), and S = (B T)(B T).T / n_inner, T the (K + p) x
+    min(n_inner, K + p) Bartlett factor. It neither forms Sigma, factors it
+    nor simulates n_inner x p data. The draws run in stream order. The
     covariances are formed by batched products and decomposed by stacked
     `eigh_topk` calls, in stacks of at most STACK_BYTES of
     covariances (the stack size changes no bit of the result), and the
     frames are anchored as one stack. A covariance whose K-th eigenvalue is
-    not strictly positive raises SingularMatrixError, naming its stack of
-    samples and its element in it.
+    not strictly positive raises SingularMatrixError: the first such sample
+    m of the whole stack, "element m: ", with `element` m.
     """
     if not (isinstance(sigma_sq, numbers.Real) and 0 <= sigma_sq < math.inf):
         raise ConfigError(f"sigma_sq must be finite and nonnegative, got {sigma_sq}")
@@ -345,7 +340,8 @@ def extrinsic_samples(psd, sigma_sq, count, rng, n_inner=2000):
         roots = np.concatenate([part, ridge], axis=2)
         try:
             pair = eigh_topk(_wishart_cov(roots, n_inner, gen), psd.rank, require_positive=True)
-        except SingularMatrixError as err:
-            raise SingularMatrixError(f"samples {lo} to {lo + len(part) - 1}: {err}") from None
+        except SingularMatrixError as err:  # the part's element j is element lo + j
+            _refuse(SingularMatrixError, np.arange(count) == lo + err.element, True,
+                    lambda m: str(err).partition(": ")[2])
         frames[lo:lo + step] = pair.vectors * np.sqrt(pair.values)[:, None, :]
     return anchor(frames, psd.index_set)

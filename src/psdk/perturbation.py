@@ -24,8 +24,8 @@ import numpy as np
 
 from .exceptions import ShapeMismatchError, SingularMatrixError
 from .linalg import (TAU_PIVOT_REL, SpectralPair, _as_array, _as_signal, _check_rank,
-                     _lead_axes, _sample_stack, _solve_lower, check_symmetric, eigh_topk,
-                     pivot_threshold, procrustes_sign)
+                     _lead_axes, _refuse, _sample_stack, _solve_lower, check_symmetric,
+                     eigh_topk, pivot_threshold, procrustes_sign)
 
 # Max-norm bound on Q.T Q - I for `factor_alignment`'s orthogonality check.
 ALIGNMENT_TOL = 1e-8
@@ -47,8 +47,8 @@ def skew_generator(tril, noise):
     ------
     SingularMatrixError
         If a diagonal entry of `tril` is numerically zero, relative to the
-        max-norm of its own factor; for a stack the message names the first
-        such factor by its position in the flattened batch ("element b: ...").
+        max-norm of its own factor; for a stack, the first such factor b by
+        its position in the flattened batch ("element b: ", `element` b).
     """
     tril = _as_array("factor entries", tril)
     noise = _as_array("noise entries", noise)
@@ -60,10 +60,8 @@ def skew_generator(tril, noise):
             f"noise shape {noise.shape} does not match factor shape {tril.shape}"
         )
     pivots = np.min(np.abs(np.diagonal(tril, axis1=-2, axis2=-1)), axis=-1)
-    bad = np.flatnonzero(pivots <= TAU_PIVOT_REL * np.max(np.abs(tril), axis=(-2, -1)))
-    if bad.size:
-        where = "" if tril.ndim == 2 else f"element {bad[0]}: "
-        raise SingularMatrixError(f"{where}triangular factor has a numerically zero diagonal")
+    _refuse(SingularMatrixError, pivots <= TAU_PIVOT_REL * np.max(np.abs(tril), axis=(-2, -1)),
+            tril.ndim > 2, lambda m: "triangular factor has a numerically zero diagonal")
     scaled = _solve_lower(_lead_axes(tril, noise.ndim), noise)
     upper = np.triu(scaled, 1)
     return upper - np.swapaxes(upper, -1, -2)

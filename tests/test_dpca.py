@@ -465,13 +465,13 @@ def test_lrc_dpca_names_offending_machines():
 def test_lrc_dpca_checks_the_pivot_rule_once(monkeypatch):
     """karcher_mean owns the chart check of the anchored machines."""
     calls = []
-    rule = CholFactor._pivot_rule
+    rule = CholFactor._check_pivots
 
-    def counted(self):
+    def counted(self, scale=None):
         calls.append(len(self))
-        return rule(self)
+        return rule(self, scale)
 
-    monkeypatch.setattr(CholFactor, "_pivot_rule", counted)
+    monkeypatch.setattr(CholFactor, "_check_pivots", counted)
     vectors = [np.array([[0.6], [0.8]]), np.array([[0.8], [0.6]])]
     lrc_dpca(_machines(vectors, [[1.0], [2.0]]), IndexSet((0,)))
     assert calls == [2]

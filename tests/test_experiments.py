@@ -467,7 +467,8 @@ def test_perturb_order_blocks_do_not_change_the_records(monkeypatch, capsys):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_perturb_order_names_the_repetition_that_fails(monkeypatch, threads):
     """A singular instance at repetition 7 of a block fails the stacked pass;
-    the error names that repetition, from the pool too."""
+    the error names that repetition and keeps its `element`, from the pool
+    too."""
     instance = experiments._lq_instance
     bad_stream = derive_stream_id(0, 7)
 
@@ -480,8 +481,9 @@ def test_perturb_order_names_the_repetition_that_fails(monkeypatch, threads):
     monkeypatch.setattr(experiments, "_lq_instance", singular_at_7)
     cfg = _tiny_perturb(repetitions=12, threads=threads)
     with pytest.raises(SingularMatrixError, match=r"^perturb_order lq repetitions 0 to 11: "
-                       r"repetition 7: element 0: matrix numerically singular"):
+                       r"repetition 7: element 0: matrix numerically singular") as err:
         run_perturb_order(cfg)
+    assert err.value.element == 0
 
 
 def test_perturb_order_summary_skips_a_nonpositive_point():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,8 +260,10 @@ def test_pivot_rule_of_a_stack_names_the_first_failing_element():
     stack = CholFactor(np.stack([good, thin, good, thin]), idx)
     single = CholFactor(thin, idx).pivot_failure()
     assert stack.pivot_failure() == f"element 1: {single}"
-    bad, reason = stack._pivot_rule()
-    assert bad.tolist() == [1, 3] and reason == single
+    assert stack[2:].pivot_failure() == f"element 1: {single}"
+    with pytest.raises(NotInManifoldError) as err:
+        stack._check_pivots()
+    assert str(err.value) == f"element 1: {single}" and err.value.element == 1
     nan = good.copy()
     nan[2, 0] = np.nan
     with pytest.raises(ShapeMismatchError, match="^factor entries must be finite$"):
@@ -310,6 +313,21 @@ def test_pivot_rule_agrees_with_reduced_cholesky():
         except NotInManifoldError:
             accepted = False
         assert (factor.pivot_failure() is None) == accepted, r
+
+
+@pytest.mark.parametrize("size", [1e200, 1e-200, 1e-310])
+def test_pivot_rule_squares_in_the_units_of_each_factor(size):
+    """The squares of the pivot rule neither overflow nor underflow: a
+    well-conditioned factor of entries near 1e200, 1e-200 or the subnormal
+    1e-310 passes, and the Karcher mean of a stack of it is finite; no
+    warning is raised."""
+    factor = CholFactor(size * np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]), (0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert factor.pivot_failure() is None
+        mean = karcher_mean(CholFactor(np.stack([factor.entries] * 3), (0, 1)))
+    assert np.all(np.isfinite(mean.entries))
+    assert_allclose(mean.entries, factor.entries, rtol=1e-12)
 
 
 def test_pivot_rule_rejects_non_finite():

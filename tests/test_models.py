@@ -223,8 +223,9 @@ def test_factor_noise_samples_name_offender():
     factor = CholFactor(np.array([[1.0], [0.0]]), IndexSet.canonical(1))
     # the second noise kills the anchor pivot; so does the third
     noises = [np.zeros((2, 1)), np.array([[-1.0], [1.0]]), np.array([[-1.0], [2.0]])]
-    with pytest.raises(NotInManifoldError, match="sample 1: anchor block"):
+    with pytest.raises(NotInManifoldError, match="^element 1: anchor block") as err:
         factor_noise_samples(factor, noises)
+    assert err.value.element == 1
 
 
 def test_factor_noise_samples_argument_checks():
@@ -388,12 +389,12 @@ def test_extrinsic_samples_deterministic():
         assert np.array_equal(x.matrix, y.matrix)
 
 
-@pytest.mark.parametrize("n", [200, 12, 6])
+@pytest.mark.parametrize("n", [200, 12, 6, 2])
 def test_wishart_draw_moments(n):
     """S = _wishart_cov(B, n) has E[S] = Sigma and Var(S_ij) =
-    (Sigma_ij^2 + Sigma_ii Sigma_jj) / n for Sigma = B B.T, both on the
-    Bartlett branch (n >= width 12; at n = 12 its last chi-square has one
-    degree of freedom) and the direct one (n < 12). Over 4,000
+    (Sigma_ij^2 + Sigma_ii Sigma_jj) / n for Sigma = B B.T, with Bartlett's
+    square factor (n >= width 12; at n = 12 its last chi-square has one
+    degree of freedom) and its trapezoidal one (n < 12). Over 4,000
     seeded draws the mean is within 5 standard errors of Sigma in every
     entry, and each variance within 15% of the formula (about 5 standard
     errors of a sample variance at this count)."""
@@ -442,12 +443,13 @@ def test_extrinsic_samples_match_the_sample_by_sample_form(n_inner):
 
 def test_extrinsic_samples_name_a_covariance_without_k_positive_eigenvalues(monkeypatch):
     """Without the ridge, n_inner = 2 < K = 3 data points give covariances of
-    rank 2; the error names the stack of samples and the element in it."""
+    rank 2; the error names the first sample of the whole stack."""
     monkeypatch.setattr(models, "EXTRINSIC_RIDGE", 0.0)
     monkeypatch.setattr(models, "STACK_BYTES", 8 * 8**2 * 3)
     psd = gaussian_svd_signal(8, 3, RngStream(15, 0))
-    with pytest.raises(SingularMatrixError, match=r"^samples 0 to 2: element 0: eigenvalue 3 is "):
+    with pytest.raises(SingularMatrixError, match=r"^element 0: eigenvalue 3 is ") as err:
         extrinsic_samples(psd, 0.1, 5, RngStream(15, 1), n_inner=2)
+    assert err.value.element == 0
 
 
 def _forbidden(*_args, **_kwargs):
@@ -456,9 +458,9 @@ def _forbidden(*_args, **_kwargs):
 
 @pytest.mark.parametrize("n_inner", [200, 6])
 def test_extrinsic_samples_skip_data_and_dense_covariance(n_inner, monkeypatch):
-    """Neither draw branch (n_inner >= p + K = 10, or below) simulates data,
-    forms a sample's p x p matrix or factors it, and both return rank-K
-    factors anchored at the signal's index set."""
+    """Whether n_inner >= p + K = 10 or below, the draw neither simulates
+    data nor forms a sample's p x p matrix or factors it, and it returns
+    rank-K factors anchored at the signal's index set."""
     psd = gaussian_svd_signal(8, 2, RngStream(13, 0))
     monkeypatch.setattr(models, "gaussian_samples", _forbidden)
     monkeypatch.setattr(models, "sample_cov", _forbidden)

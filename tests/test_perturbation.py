@@ -170,8 +170,9 @@ def test_stacked_base_points_name_the_failing_one():
     # sample 1 of signal 1 cancels its anchor block: sample 3 of the (2 * 2) stack
     noises = np.zeros((2, 2, 5, 3))
     noises[1, 1] = -factors.entries[1]
-    with pytest.raises(NotInManifoldError, match="^sample 3: "):
+    with pytest.raises(NotInManifoldError, match="^element 3: ") as err:
         models.factor_noise_samples(factors, noises)
+    assert err.value.element == 3
 
 
 # ---------------------------------------------------------------------------
