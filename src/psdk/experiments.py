@@ -49,7 +49,9 @@ INDEX_MODES = ("canonical", "find_index_oracle", "find_index_machine1")
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat experiment configuration; every field maps to one config-file key,
-    parsed as the field's annotated type (`_coerce`)."""
+    parsed as the field's annotated type (`_coerce`). Built or `replace`d, it
+    checks each field's range, whatever the experiment, then what the
+    experiment needs (`_Experiment`); a failed check raises ConfigError."""
 
     experiment: str
     p: int = 100
@@ -68,9 +70,7 @@ class ExperimentConfig:
     output_path: str = ""
     threads: int = 1
 
-    def validate(self):
-        """Check each field's range, whatever the experiment, then what the
-        experiment needs (`_Experiment`); returns self."""
+    def __post_init__(self):
         spec = _EXPERIMENTS.get(self.experiment)
         if spec is None:
             raise ConfigError(
@@ -116,15 +116,6 @@ class ExperimentConfig:
         for holds, message in spec.needs:
             if not holds(self):
                 raise ConfigError(message)
-        return self
-
-
-def default_config(experiment, quick=False):
-    """The experiment's full-scale defaults; `quick` shrinks them to desk scale."""
-    spec = _EXPERIMENTS.get(experiment)
-    if spec is None:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    return ExperimentConfig(experiment, **{**spec.defaults, **(spec.quick if quick else {})})
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +161,23 @@ def _coerce(key, text):
 
 
 def load_config(experiment, path=None, quick=False, overrides=None):
-    """Defaults for `experiment`, then config-file values, then CLI overrides."""
-    cfg = default_config(experiment, quick=quick)
+    """`experiment`'s config, built and checked once from one merge of its
+    defaults, its `quick` ones, the file's values and the non-None
+    `overrides` (the CLI flags), later ones winning."""
+    spec = _EXPERIMENTS.get(experiment)
+    values = {} if spec is None else {**spec.defaults, **(spec.quick if quick else {})}
     if path is not None:
         entries = parse_config_file(path)
         if "p" in entries:  # the file's p is the p grid unless the file sets one
             entries = {"p_grid": "", **entries}
         for key, text in entries.items():
-            if key == "experiment":
-                if text != experiment:
-                    print(
-                        f"psdk: config file names experiment {text!r}; the "
-                        f"command line selects {experiment!r} and wins",
-                        file=sys.stderr,
-                    )
-                continue
-            cfg = replace(cfg, **{key: _coerce(key, text)})
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg = replace(cfg, **{key: value})
-    return cfg.validate()
+            if key != "experiment":
+                values[key] = _coerce(key, text)
+            elif text != experiment:
+                print(f"psdk: config file names experiment {text!r}; the command line "
+                      f"selects {experiment!r} and wins", file=sys.stderr)
+    values.update((key, value) for key, value in (overrides or {}).items() if value is not None)
+    return ExperimentConfig(experiment, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -426,21 +414,21 @@ def _log(msg):
 def _runner(experiment):
     """Runner skeleton shared by every experiment, as a decorator over its plan.
 
-    The plan maps a checked config to `(jobs, work)`. The decorated runner
-    `(cfg, progress=False) -> records` validates `cfg` and its experiment
-    name, and then, with BLAS pinned to one thread (`_blas_pinned`), plans
-    and runs `work(notes, *job.args)` for every job through `_run_ordered`.
-    It prefixes any PsdkError with the job's `where`, keeping `element`, and
-    returns the records in job order. Each job appends its retry and skip
-    lines to its own `notes` list; they go to stderr after the run, in job
-    order, prefixed with the job's `where`. With `progress`, the measured
-    time per job group follows. The runner's `experiment` attribute names it.
+    The plan maps a config, checked where it was built (ExperimentConfig),
+    to `(jobs, work)`. The decorated runner `(cfg, progress=False) ->
+    records` refuses another experiment's config, then, with BLAS pinned to
+    one thread (`_blas_pinned`), plans and runs `work(notes, *job.args)` for
+    every job through `_run_ordered`. It prefixes any PsdkError with the
+    job's `where`, keeping `element`, and returns the records in job order.
+    Each job appends its retry and skip lines to its own `notes` list; they
+    go to stderr after the run, in job order, prefixed with the job's
+    `where`. With `progress`, the measured time per job group follows. The
+    runner's `experiment` attribute names it.
     """
 
     def decorate(plan):
         @functools.wraps(plan)
         def run(cfg, progress=False):
-            cfg.validate()
             if cfg.experiment != experiment:
                 raise ConfigError(f"config is for {cfg.experiment!r}, not {experiment}")
             with _blas_pinned():
@@ -1013,7 +1001,7 @@ def _selftest_determinism():
     cfg = ExperimentConfig(
         run_dpca.experiment, p=12, K=2, sigma_sq=0.0, M_grid=(4,), n_grid=(80,),
         repetitions=3, master_seed=7, index_mode="canonical",
-    ).validate()
+    )
     first = render_csv(run_dpca(cfg))
     second = render_csv(run_dpca(replace(cfg, threads=2)))
     if first != second:

@@ -314,9 +314,13 @@ def _as_factor(factor, what="factor"):
     """`factor` if it is a CholFactor; any other value raises
     ShapeMismatchError naming `what`."""
     if not isinstance(factor, CholFactor):
-        raise ShapeMismatchError(f"{what} is a {type(factor).__name__}, not a CholFactor; "
-                                 "factor a p x p matrix with factorize")
+        raise ShapeMismatchError(f"{what} is {_not_a_factor(factor)}")
     return factor
+
+
+def _not_a_factor(value):
+    """Why `value`, not a CholFactor, is refused where one is needed."""
+    return f"a {type(value).__name__}, not a CholFactor; factor a p x p matrix with factorize"
 
 
 def _as_signal(factor):
@@ -578,8 +582,9 @@ def _topk(mats, rank, scales):
     count, p, _ = mats.shape
     # Work in units of 2^e >= max|A| per element: a power of two changes no
     # rounding, and keeps the squared norms below from overflowing or
-    # underflowing whatever the matrix's scale.
-    unit = np.ldexp(1.0, -np.frexp(scales)[1])
+    # underflowing whatever the matrix's scale; the unit stops at 2^1023,
+    # which still takes the least subnormal max|A| up to 2^-51.
+    unit = np.ldexp(1.0, np.minimum(-np.frexp(scales)[1], 1023))
     tol = EIGH_RESID_REL * scales * unit
     loose = np.sqrt(p * rank) * tol
     scaled = np.reshape(mats, (count, -1)) * unit[:, None]

@@ -70,12 +70,14 @@ def factorize(mat, index_set):
 
 def _chart_factors(factors, caller):
     """The inputs as one nonempty stacked CholFactor (M, p, K). Any other
-    iterable must hold CholFactors of the first one's shape and index set (an
-    error names the first that differs)."""
+    iterable must hold CholFactors of the first one's shape and index set;
+    `linalg._refuse` names the first element that is not one or differs."""
     if not isinstance(factors, CholFactor):
         if not np.iterable(factors):
             raise ShapeMismatchError(f"{caller} takes CholFactors, not a {type(factors).__name__}")
-        factors = [linalg._as_factor(f, f"element {m}") for m, f in enumerate(factors)]
+        factors = list(factors)
+        linalg._refuse(ShapeMismatchError, [not isinstance(f, CholFactor) for f in factors],
+                       True, lambda m: linalg._not_a_factor(factors[m]))
         if not factors:
             raise ShapeMismatchError(f"{caller} needs at least one factor")
         forms = [(f.entries.shape, f.index_set) for f in factors]
@@ -140,8 +142,8 @@ def karcher_mean(psds):
     Raises
     ------
     ShapeMismatchError
-        On an empty sequence or stack, or if the elements differ in shape
-        or index set.
+        On an empty sequence or stack, or a sequence element that is not a
+        CholFactor or differs in shape or index set (the first is `element`).
     NotInManifoldError
         If any element fails the pivot rule: the first, m, is the error's
         `element`, and its message is "element m: " and the reason

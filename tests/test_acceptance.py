@@ -6,7 +6,8 @@ chart round-trips, the closed-form Karcher mean as Frechet minimizer, the
 Monte Carlo convergence rates and method orderings of the three experiment
 drivers, the second-order remainders of both expansions, the equivalent
 factor-noise identity and its decay in n, anchor-row selection under
-degenerate rows, and byte-level CLI determinism.
+degenerate rows, byte-level CLI determinism, and the exact chi-square law
+of the Karcher mean's error under the intrinsic model.
 """
 
 import subprocess
@@ -162,7 +163,7 @@ def intrinsic_run():
         experiment="intrinsic_avg", p=50, K=5, sigma_sq=1.0, p_grid=(50,),
         M_grid=tuple(range(30, 271, 30)), repetitions=20, master_seed=0,
         threads=4,
-    ).validate()
+    )
     tick = time.perf_counter()
     records = run_intrinsic(cfg)
     return cfg, records, time.perf_counter() - tick
@@ -205,7 +206,7 @@ def test_05_expansion_orders():
     tick = time.perf_counter()
     cfg = ExperimentConfig(
         experiment="perturb_order", p=20, K=5, repetitions=20, master_seed=0,
-    ).validate()
+    )
     records = run_perturb_order(cfg)
     slopes = {}
     for method in ("lq_rotation", "lq_factor", "karcher_factor"):
@@ -267,9 +268,9 @@ def test_07_dpca_rates_and_parity():
     base = dict(experiment="dpca", p=50, K=5, sigma_sq=0.0, repetitions=50,
                 master_seed=0, index_mode="find_index_machine1", threads=4)
     cfg_n = ExperimentConfig(**base, M_grid=(20,),
-                             n_grid=(500, 1000, 2000, 4000)).validate()
+                             n_grid=(500, 1000, 2000, 4000))
     cfg_m = ExperimentConfig(**base, M_grid=(10, 20, 40, 80),
-                             n_grid=(1000,)).validate()
+                             n_grid=(1000,))
     recs_n = run_dpca(cfg_n)
     recs_m = run_dpca(cfg_m)
     elapsed = time.perf_counter() - tick
@@ -309,7 +310,7 @@ def test_08_extrinsic_orderings():
         experiment="extrinsic_avg", p=50, K=5, sigma_sq=0.5,
         M_grid=(100, 400, 1000), sigma_grid=(0.0, 0.7), M_fixed=400,
         n_inner=2000, repetitions=20, master_seed=0, threads=4,
-    ).validate()
+    )
     records = run_extrinsic(cfg)
     elapsed = time.perf_counter() - tick
 
@@ -439,4 +440,51 @@ def test_11_cli_determinism(tmp_path, child_env):
         "11 CLI byte determinism",
         f"two subprocess runs, {len(outputs[0])} bytes each, "
         f"identical={outputs[0] == outputs[1]}, {elapsed:.0f}s",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 12. intrinsic model: the exact chi-square law of the Karcher mean's error
+
+
+@pytest.mark.parametrize("m_count", [10, 100])
+def test_12_intrinsic_chi_square_law(m_count):
+    """M * geodesic_distance(karcher_mean, N)^2 / sigma^2 is chi^2_d for every
+    M, with d = pK - K(K-1)/2 the number of supported entries of a factor.
+
+    `intrinsic_samples` adds i.i.d. N(0, sigma^2) noise to the d supported
+    entries of log_factor(N); `karcher_mean` averages the log coordinates in
+    closed form, so its log-coordinate error is N(0, sigma^2 / M) per entry,
+    and `geodesic_distance` is the Frobenius norm of that error. The
+    statistic is a sum of d squared standard normals, up to roundoff,
+    whatever p, M and sigma.
+
+    Bands, over R repetitions. chi^2_d has mean d and variance 2d, so the
+    sample mean over d has standard deviation sqrt(2 / (dR)). The sample
+    variance S^2 of R draws has variance (mu_4 - (2d)^2) / R + O(1/R^2),
+    where chi^2_d's fourth central moment is mu_4 = kappa_4 + 3 kappa_2^2
+    = 48d + 12d^2 = 12d(d + 4); so S^2 / (2d) has standard deviation
+    sqrt((8d^2 + 48d) / (4d^2 R)) = sqrt((2 + 12/d) / R). Each ratio must
+    lie within five of its standard deviations of 1.
+    """
+    tick = time.perf_counter()
+    p, k, sigma, reps = 20, 3, 0.5, 400
+    d = p * k - k * (k - 1) // 2
+    gen = np.random.default_rng(112)
+    signal = _random_instance(gen, p, k)
+    stats = np.array([
+        m_count / sigma**2 * manifold.geodesic_distance(
+            manifold.karcher_mean(models.intrinsic_samples(signal, sigma, m_count, gen)),
+            signal) ** 2
+        for _ in range(reps)])
+    mean_ratio, var_ratio = stats.mean() / d, stats.var(ddof=1) / (2 * d)
+    mean_band, var_band = 5 * np.sqrt(2 / (d * reps)), 5 * np.sqrt((2 + 12 / d) / reps)
+    elapsed = time.perf_counter() - tick
+    ok = abs(mean_ratio - 1) <= mean_band and abs(var_ratio - 1) <= var_band and elapsed < 30
+    _report(
+        ok,
+        f"12 intrinsic chi-square law (M={m_count})",
+        f"{reps} repetitions at p={p}, K={k} (d={d}), sigma={sigma}: mean/d = "
+        f"{mean_ratio:.3f} (want 1 +- {mean_band:.3f}), var/2d = {var_ratio:.3f} "
+        f"(want 1 +- {var_band:.3f}), {elapsed:.1f}s (budget 30s)",
     )

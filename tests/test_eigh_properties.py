@@ -16,6 +16,8 @@ vector must follow the sign and tie rule, and each element of a stack must
 give, bit for bit, what it gives as a 2-d call.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,20 @@ def test_hadamard_ties_give_a_positive_first_row():
     mat = _planted(3, 8, 3, "separated", hadamard=True)
     pair = eigh_topk(np.stack([mat, mat]), 3)
     assert np.all(pair.vectors[:, 0, :] > 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-320, 5e-324])
+def test_a_subnormal_matrix_is_solved_without_a_warning(scale):
+    """max|A| subnormal: the iteration's power-of-two unit stops at 2^1023
+    instead of overflowing, alone and beside a normal matrix in a stack."""
+    mat = np.diag([3.0, 1.0]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = eigh_topk(mat, 1)
+        pair = eigh_topk(np.stack([np.diag([2.0, 1.0]), mat]), 1)
+    assert single.values[0] == mat[0, 0] and np.array_equal(single.vectors, [[1.0], [0.0]])
+    assert np.array_equal(pair.values[1], single.values)
+    assert np.array_equal(pair.vectors[1], single.vectors)
 
 
 def test_require_positive_names_the_first_failing_element():

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from psdk.experiments import (
     _aggregate_or_skip,
     ExperimentConfig,
     RunRecord,
-    default_config,
     load_config,
     parse_config_file,
     render_csv,
@@ -130,8 +130,15 @@ def test_default_configs_validate():
     assert list(experiments.RUNNERS) == [
         "intrinsic_avg", "dpca", "extrinsic_avg", "perturb_order"]
     for experiment in experiments.RUNNERS:
-        default_config(experiment).validate()
-        default_config(experiment, quick=True).validate()
+        for quick in (False, True):
+            assert load_config(experiment, quick=quick).experiment == experiment
+
+
+def test_an_unknown_experiment_has_one_message():
+    """load_config's refusal is the constructor's (`_INVALID_CONFIGS`)."""
+    with pytest.raises(ConfigError) as err:
+        load_config("mystery", quick=True)
+    assert str(err.value) == _INVALID_CONFIGS["unknown-experiment"][1]
 
 
 def test_parse_config_file(tmp_path):
@@ -164,6 +171,21 @@ def test_load_config_precedence(tmp_path):
     assert cfg.master_seed == 9     # override beats file
     assert cfg.output_path == ""    # None overrides are skipped
     assert cfg.p_grid == ()         # the file's p clears the default p grid
+
+
+def test_load_config_checks_only_the_merged_config(tmp_path):
+    """p = 3 with the quick default K = 5 would be refused; the file's K = 2
+    arrives in the same merge, so no halfway config is checked."""
+    path = tmp_path / "run.cfg"
+    path.write_text("p = 3\nK = 2\n")
+    cfg = load_config("intrinsic_avg", path=path, quick=True)
+    assert (cfg.p, cfg.K, cfg.p_grid) == (3, 2, ())
+
+
+def test_replace_checks_the_config():
+    cfg = load_config("intrinsic_avg", quick=True)
+    with pytest.raises(ConfigError, match=r"^need 1 <= K <= p, got K=51, p=50$"):
+        replace(cfg, K=cfg.p + 1)
 
 
 def test_load_config_experiment_mismatch_warns(tmp_path, capsys):
@@ -202,63 +224,107 @@ def test_load_config_rejects_text_that_is_not_utf8(tmp_path):
         load_config("intrinsic_avg", path=path, quick=True)
 
 
-def test_config_validation_errors():
-    base = dict(p=10, K=2, M_grid=(3,), repetitions=2)
-    cases = [
-        dict(experiment="mystery"),
-        dict(experiment="intrinsic_avg", **{**base, "K": 11}),
-        dict(experiment="intrinsic_avg", **{**base, "sigma_sq": -1.0}),
-        dict(experiment="intrinsic_avg", **{**base, "sigma_sq": math.nan}),
-        dict(experiment="intrinsic_avg", **{**base, "sigma_sq": math.inf}),
-        dict(experiment="intrinsic_avg", **{**base, "repetitions": 0}),
-        dict(experiment="intrinsic_avg", **{**base, "master_seed": -1}),
-        dict(experiment="intrinsic_avg", **{**base, "threads": 0}),
-        dict(experiment="intrinsic_avg", **{**base, "index_mode": "psychic"}),
-        dict(experiment="intrinsic_avg", **{**base, "index_mode": "find_index_machine1"}),
-        dict(experiment="intrinsic_avg", **{**base, "M_grid": (0,)}),
-        dict(experiment="intrinsic_avg", **{**base, "p_grid": (1,)}),
-        dict(experiment="intrinsic_avg", **{**base, "M_grid": ()}),
-        dict(experiment="dpca", **base),  # no n_grid
-        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2),
-        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2,
-             sigma_grid=(-0.1,)),
-        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2,
-             sigma_grid=(0.1, math.nan)),
-        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2,
-             sigma_grid=(0.1,), n_inner=0),
-        dict(experiment="perturb_order", p=10, K=2, repetitions=2,
-             eps_grid=(1e-2, 1e-3)),
-        dict(experiment="perturb_order", p=10, K=2, repetitions=2,
-             eps_grid=(1e-2, 1e-3, 1e-4, 0.0)),
-        dict(experiment="perturb_order", p=10, K=2, repetitions=2,
-             eps_grid=(1e-2, 1e-3, math.nan, 1e-4)),
-        dict(experiment="perturb_order", p=10, K=1, repetitions=2),
-        # rank at most n < K: the K-th eigenvalue of every estimate is 0
-        dict(experiment="dpca", **{**base, "n_grid": (50, 1)}),
-        # the dpca model's noise is fixed, so a sigma_sq would only mislabel its rows
-        dict(experiment="dpca", **{**base, "n_grid": (50,), "sigma_sq": 5.0}),
-        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2, M_grid=(3,), n_inner=1),
-        # each field's range is checked whatever the experiment reads
-        dict(experiment="intrinsic_avg", **{**base, "sigma_grid": (-0.1,)}),
-        dict(experiment="intrinsic_avg", **{**base, "eps_grid": (1e-2, 1e-3, 1e-4, 0.0)}),
-        dict(experiment="perturb_order", p=10, K=2, repetitions=2, M_fixed=0),
-        dict(experiment="perturb_order", p=10, K=2, repetitions=2, n_inner=0),
-        dict(experiment="extrinsic_avg", p=10, K=2, repetitions=2, M_grid=(3,), M_fixed=0),
-    ]
-    for kwargs in cases:
-        with pytest.raises(ConfigError):
-            ExperimentConfig(**kwargs).validate()
+_BASE = dict(p=10, K=2, M_grid=(3,), repetitions=2)
+_SMALL = dict(p=10, K=2, repetitions=2)
+
+# id: (ExperimentConfig arguments, the whole ConfigError message)
+_INVALID_CONFIGS = {
+    "unknown-experiment": (dict(experiment="mystery"), (
+        "unknown experiment 'mystery', expected one of "
+        "('intrinsic_avg', 'dpca', 'extrinsic_avg', 'perturb_order')")),
+    "K-above-p": (dict(experiment="intrinsic_avg", **{**_BASE, "K": 11}),
+                  "need 1 <= K <= p, got K=11, p=10"),
+    "sigma_sq-negative": (dict(experiment="intrinsic_avg", **{**_BASE, "sigma_sq": -1.0}),
+                          "sigma_sq must be finite and nonnegative, got -1.0"),
+    "sigma_sq-nan": (dict(experiment="intrinsic_avg", **{**_BASE, "sigma_sq": math.nan}),
+                     "sigma_sq must be finite and nonnegative, got nan"),
+    "sigma_sq-inf": (dict(experiment="intrinsic_avg", **{**_BASE, "sigma_sq": math.inf}),
+                     "sigma_sq must be finite and nonnegative, got inf"),
+    "repetitions-zero": (dict(experiment="intrinsic_avg", **{**_BASE, "repetitions": 0}),
+                         "repetitions out of range: 0"),
+    "master_seed-negative": (dict(experiment="intrinsic_avg", **{**_BASE, "master_seed": -1}),
+                             "master_seed must be nonnegative, got -1"),
+    "threads-zero": (dict(experiment="intrinsic_avg", **{**_BASE, "threads": 0}),
+                     "threads must be positive, got 0"),
+    "index_mode-unknown": (
+        dict(experiment="intrinsic_avg", **{**_BASE, "index_mode": "psychic"}),
+        "unknown index_mode 'psychic', expected one of "
+        "('canonical', 'find_index_oracle', 'find_index_machine1')"),
+    "index_mode-machine1-without-machines": (
+        dict(experiment="intrinsic_avg", **{**_BASE, "index_mode": "find_index_machine1"}),
+        "index_mode find_index_machine1 needs machines (dpca only)"),
+    "M_grid-zero": (dict(experiment="intrinsic_avg", **{**_BASE, "M_grid": (0,)}),
+                    "M_grid entries must be positive, got (0,)"),
+    "p_grid-below-K": (dict(experiment="intrinsic_avg", **{**_BASE, "p_grid": (1,)}),
+                       "p_grid entry 1 smaller than K=2"),
+    "intrinsic-no-M_grid": (dict(experiment="intrinsic_avg", **{**_BASE, "M_grid": ()}),
+                            "intrinsic_avg needs a nonempty M_grid"),
+    "dpca-no-n_grid": (dict(experiment="dpca", **_BASE),
+                       "dpca needs nonempty M_grid and n_grid"),
+    "extrinsic-no-grid": (dict(experiment="extrinsic_avg", **_SMALL),
+                          "extrinsic_avg needs M_grid or sigma_grid"),
+    "sigma_grid-negative": (dict(experiment="extrinsic_avg", **_SMALL, sigma_grid=(-0.1,)),
+                            "sigma_grid entries must be finite and nonnegative: (-0.1,)"),
+    "sigma_grid-nan": (dict(experiment="extrinsic_avg", **_SMALL, sigma_grid=(0.1, math.nan)),
+                       "sigma_grid entries must be finite and nonnegative: (0.1, nan)"),
+    "extrinsic-n_inner-zero": (
+        dict(experiment="extrinsic_avg", **_SMALL, sigma_grid=(0.1,), n_inner=0),
+        "n_inner must be positive, got 0"),
+    "perturb-short-eps_grid": (
+        dict(experiment="perturb_order", **_SMALL, eps_grid=(1e-2, 1e-3)),
+        "perturb_order needs an eps_grid with >= 4 points"),
+    "eps_grid-zero": (
+        dict(experiment="perturb_order", **_SMALL, eps_grid=(1e-2, 1e-3, 1e-4, 0.0)),
+        "eps_grid entries must be finite and positive: (0.01, 0.001, 0.0001, 0.0)"),
+    "eps_grid-nan": (
+        dict(experiment="perturb_order", **_SMALL, eps_grid=(1e-2, 1e-3, math.nan, 1e-4)),
+        "eps_grid entries must be finite and positive: (0.01, 0.001, nan, 0.0001)"),
+    "perturb-K-one": (dict(experiment="perturb_order", p=10, K=1, repetitions=2),
+                      "perturb_order needs K >= 2"),
+    # rank at most n < K: the K-th eigenvalue of every estimate is 0
+    "n_grid-below-K": (dict(experiment="dpca", **{**_BASE, "n_grid": (50, 1)}),
+                       "n_grid entry 1 smaller than K=2"),
+    # the dpca model's noise is fixed, so a sigma_sq would only mislabel its rows
+    "dpca-sigma_sq": (
+        dict(experiment="dpca", **{**_BASE, "n_grid": (50,), "sigma_sq": 5.0}),
+        "dpca needs sigma_sq = 0: its noise is the spiked covariance's fixed ridge"),
+    "extrinsic-n_inner-below-K": (
+        dict(experiment="extrinsic_avg", **_SMALL, M_grid=(3,), n_inner=1),
+        "extrinsic_avg needs n_inner >= K"),
+    # each field's range is checked whatever the experiment reads
+    "intrinsic-sigma_grid-negative": (
+        dict(experiment="intrinsic_avg", **{**_BASE, "sigma_grid": (-0.1,)}),
+        "sigma_grid entries must be finite and nonnegative: (-0.1,)"),
+    "intrinsic-eps_grid-zero": (
+        dict(experiment="intrinsic_avg", **{**_BASE, "eps_grid": (1e-2, 1e-3, 1e-4, 0.0)}),
+        "eps_grid entries must be finite and positive: (0.01, 0.001, 0.0001, 0.0)"),
+    "perturb-M_fixed-zero": (dict(experiment="perturb_order", **_SMALL, M_fixed=0),
+                             "M_fixed out of range: 0"),
+    "perturb-n_inner-zero": (dict(experiment="perturb_order", **_SMALL, n_inner=0),
+                             "n_inner must be positive, got 0"),
+    "extrinsic-M_fixed-zero": (
+        dict(experiment="extrinsic_avg", **_SMALL, M_grid=(3,), M_fixed=0),
+        "M_fixed out of range: 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID_CONFIGS))
+def test_config_validation_errors(case):
+    """Each invalid config is refused when it is built, with its own message."""
+    kwargs, message = _INVALID_CONFIGS[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(**kwargs)
 
 
 def test_find_index_machine1_names_the_experiments_with_machines():
-    cfg = replace(default_config("extrinsic_avg", quick=True), index_mode="find_index_machine1")
+    cfg = load_config("extrinsic_avg", quick=True)
     with pytest.raises(ConfigError) as err:
-        cfg.validate()
+        replace(cfg, index_mode="find_index_machine1")
     assert str(err.value) == "index_mode find_index_machine1 needs machines (dpca only)"
 
 
 def test_runner_rejects_foreign_config():
-    cfg = default_config("dpca", quick=True)
+    cfg = load_config("dpca", quick=True)
     with pytest.raises(ConfigError, match="not intrinsic_avg"):
         run_intrinsic(cfg)
 
@@ -273,7 +339,7 @@ def _tiny_intrinsic(**kwargs):
         M_grid=(3, 6), repetitions=4, master_seed=5,
     )
     base.update(kwargs)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 def test_run_intrinsic_shape_and_methods():
@@ -300,7 +366,7 @@ def test_run_intrinsic_error_grows_with_p_shrinks_with_m():
     cfg = ExperimentConfig(
         experiment="intrinsic_avg", p=20, K=3, sigma_sq=1.0, p_grid=(20, 40),
         M_grid=(10, 40), repetitions=10, master_seed=1,
-    ).validate()
+    )
     records = run_intrinsic(cfg)
     med = {}
     for p in (20, 40):
@@ -330,7 +396,7 @@ def _tiny_dpca(**kwargs):
         repetitions=3, master_seed=11, index_mode="canonical",
     )
     base.update(kwargs)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 def test_run_dpca_shape_and_methods():
@@ -382,7 +448,7 @@ def _tiny_extrinsic(**kwargs):
         master_seed=2,
     )
     base.update(kwargs)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 @pytest.mark.parametrize("p, k", [(30, 4), (5, 3), (1, 1)])
@@ -424,7 +490,7 @@ def _tiny_perturb(**kwargs):
     base = dict(experiment="perturb_order", p=10, K=4, repetitions=3,
                 master_seed=3)
     base.update(kwargs)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
 def test_run_perturb_order_shape():
@@ -521,7 +587,7 @@ def test_perturb_order_summary_skips_a_nonpositive_point():
 
 def _policy_cfg(index_mode):
     return ExperimentConfig("dpca", p=4, K=2, sigma_sq=0.0, M_grid=(1,), n_grid=(2,),
-                            index_mode=index_mode).validate()
+                            index_mode=index_mode)
 
 
 class _StubAggregate:
@@ -681,7 +747,7 @@ def test_dpca_retry_reselects_rows_by_the_first_pick_rule(monkeypatch, capsys):
     monkeypatch.setattr(experiments.dpca_mod, "lrc_dpca", stub)
     cfg = ExperimentConfig("dpca", p=20, K=5, sigma_sq=0.0, M_grid=(6,), n_grid=(60,),
                            repetitions=1, master_seed=2,
-                           index_mode="find_index_machine1").validate()
+                           index_mode="find_index_machine1")
     records = run_dpca(cfg)
     assert calls[1:] == expected
     assert f"lrc retried with rows {expected[0]}" in capsys.readouterr().err

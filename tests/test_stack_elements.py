@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from psdk import models
-from psdk.dpca import full_pca, lrc_dpca, summarize_covariance
+from psdk.dpca import euclid_rankk_mean, full_pca, lrc_dpca, summarize_covariance
 from psdk.exceptions import NotInManifoldError, ShapeMismatchError, SingularMatrixError
 from psdk.linalg import CholFactor, IndexSet, SpectralPair, eigh_topk, lq_givens
-from psdk.manifold import karcher_mean
+from psdk.manifold import geodesic_distance, karcher_mean
 from psdk.models import RngStream, extrinsic_samples, factor_noise_samples, gaussian_svd_signal
 from psdk.perturbation import karcher_factor_first_order, lq_first_order, skew_generator
 
@@ -112,6 +112,16 @@ _CASES = {
         ShapeMismatchError, "", 1,
         lambda: karcher_mean([_factors_failing_at(2)[0],
                               CholFactor(np.eye(2), IndexSet((0, 1)))]), None),
+    "karcher_mean not a factor": (
+        ShapeMismatchError, "", 1, lambda: karcher_mean([_factors_failing_at(2)[0], np.eye(2)]),
+        None),
+    "euclid_rankk_mean not a factor": (
+        ShapeMismatchError, "", 2,
+        lambda: euclid_rankk_mean([_factors_failing_at(2)[m] for m in (0, 1)] + [np.eye(2)]),
+        None),
+    "geodesic_distance not a factor": (
+        ShapeMismatchError, "", 1,
+        lambda: geodesic_distance(_factors_failing_at(2)[0], np.eye(2)), None),
     "lrc_dpca": (
         NotInManifoldError, "", 1,
         lambda: lrc_dpca(SpectralPair(np.array([[[1.0], [0.0]], [[0.0], [1.0]]]),
