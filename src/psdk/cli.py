@@ -82,9 +82,10 @@ def build_parser():
         cmd.add_argument("--out", metavar="PATH",
                          help="CSV output path (default <experiment>.csv)")
         cmd.add_argument("--threads", type=int, metavar="N",
-                         help="worker processes, at most the CPUs this process "
-                         "may use, each with BLAS pinned to one thread during "
-                         "the run; output is identical either way")
+                         help="worker processes, forked directly and at most the "
+                         "CPUs this process may use, each taking the costliest "
+                         "job left, with BLAS pinned to one thread; the CSV and "
+                         "stderr, timings apart, do not depend on N")
     sub.add_parser("selftest", help="run the fast internal consistency battery",
                    description="run the fast internal consistency battery")
     return parser

@@ -285,27 +285,19 @@ def _slope_fits(xs, ys):
 
 class _Job(NamedTuple):
     """One unit of work: a progress group, a label for logs and errors, the
-    arguments of the experiment's work function, and the number of
-    repetitions it covers, which the progress line counts."""
+    arguments of the experiment's work function, the number of repetitions
+    it covers, which the progress line counts, and its cost relative to the
+    other jobs: a parallel run starts the costliest first."""
 
     group: str
     where: str
     args: tuple
     repetitions: int = 1
+    cost: int = 1
 
 
 def _stream(cfg, *parts):
     return RngStream(cfg.master_seed, derive_stream_id(*parts))
-
-
-# The (worker, jobs) of the parallel run in flight. It is set before the pool
-# forks, so children inherit the work closures and receive only job indices.
-_FORKED_RUN = None
-
-
-def _forked_job(index):
-    worker, jobs = _FORKED_RUN
-    return worker(jobs[index])
 
 
 def _usable_cpus():
@@ -319,30 +311,16 @@ def _usable_cpus():
 def _run_ordered(worker, jobs, threads):
     """`worker(job)` for every job, returned in submission order.
 
-    With `threads` > 1, up to `threads` forked worker processes share the
-    jobs, but never more than the CPUs this process may use; the worker's
-    results and exceptions must pickle. Fork, not spawn: the worker is a
-    closure over the plan's state, which does not pickle. Without the fork
-    start method, or with one worker, CPU or job, the jobs run here,
-    serially.
+    With `threads` > 1, up to `threads` worker processes share the jobs,
+    never more than the CPUs this process may use (`_workers.run_forked`).
+    Otherwise, or without `os.fork`, the jobs run here, serially.
     """
-    global _FORKED_RUN
     workers = min(threads, len(jobs), _usable_cpus())
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [worker(job) for job in jobs]
-    # Imported here: serial runs, the common CLI case, never load the pool.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from ._workers import run_forked  # here, so that a serial run never compiles it
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [worker(job) for job in jobs]
-    _FORKED_RUN = (worker, jobs)
-    try:
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            return list(pool.map(_forked_job, range(len(jobs))))
-    finally:
-        _FORKED_RUN = None
+    return run_forked(worker, jobs, workers)
 
 
 @functools.cache
@@ -638,7 +616,7 @@ def run_intrinsic(cfg):
     jobs = [
         _Job(f"p={p} M={m_count}",
              f"{cfg.experiment} grid point p={p}, M={m_count}, repetition {rep}",
-             (pi, p, mi, m_count, rep))
+             (pi, p, mi, m_count, rep), cost=m_count)
         for pi, p in enumerate(p_grid)
         for mi, m_count in enumerate(cfg.M_grid)
         for rep in range(cfg.repetitions)
@@ -700,7 +678,7 @@ def run_dpca(cfg):
     jobs = [
         _Job(f"M={m_count} n={n}",
              f"{cfg.experiment} grid point M={m_count}, n={n}, repetition {rep}",
-             (gi, m_count, n, rep))
+             (gi, m_count, n, rep), cost=m_count * n)
         for gi, (m_count, n) in enumerate(grid)
         for rep in range(cfg.repetitions)
     ]
@@ -769,7 +747,7 @@ def run_extrinsic(cfg):
     jobs = [
         _Job(f"{sweep} sweep M={m_count} sigma_sq={s2}",
              f"{cfg.experiment} grid point M={m_count}, sigma_sq={s2}, repetition {rep}",
-             (gi, m_count, s2, rep))
+             (gi, m_count, s2, rep), cost=m_count)
         for gi, (sweep, m_count, s2) in enumerate(grid)
         for rep in range(cfg.repetitions)
     ]
@@ -837,7 +815,7 @@ def run_perturb_order(cfg):
               for lo in range(0, cfg.repetitions, step)]
     jobs = [_Job(kinds[kind],
                  f"{cfg.experiment} {kinds[kind]} repetitions {reps[0]} to {reps[-1]}",
-                 (kind, reps), len(reps))
+                 (kind, reps), len(reps), len(reps))
             for kind in (0, 1) for reps in blocks]
 
     def block(kind, reps):

@@ -237,16 +237,18 @@ def _sample_covariances(cov, n, rngs):
 
     `cov` is checked and rooted once, R R.T = cov, as by `gaussian_samples`.
     Each element draws its n x p standard normals Z_m from its own source,
-    exactly as `gaussian_samples` does, and is R (Z_m.T Z_m / n) R.T: the
-    data Z_m R.T is never formed. The Gram matrices go through numpy's
-    symmetric rank-n update; the two root products and the symmetrization
-    run over the stack, with at most two stacks alive.
+    exactly as `gaussian_samples` does, into one reused buffer, and is
+    R (Z_m.T Z_m / n) R.T: the data Z_m R.T is never formed. The Gram
+    matrices go through numpy's symmetric rank-n update; the two root
+    products and the symmetrization run over the stack, with at most two
+    stacks alive.
     """
     root = _cov_root(cov, n)
     p = root.shape[0]
     grams = np.empty((len(rngs), p, p))
+    z = np.empty((n, p))
     for gram, rng in zip(grams, rngs):
-        z = _as_generator(rng).standard_normal((n, p))
+        _as_generator(rng).standard_normal(out=z)
         np.matmul(z.T, z, out=gram)
     covs = grams @ root.T
     np.matmul(root, covs, out=grams)

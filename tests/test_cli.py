@@ -124,7 +124,8 @@ def test_summary_survives_grid_point_without_karcher_rows(tmp_path, capsys):
 
 
 # A fresh interpreter runs all four experiments through cli.main, then fails
-# on any scipy module it loaded.
+# on any scipy module it loaded, and on any module of multiprocessing or
+# concurrent.futures, which the forked dpca run at two threads does not need.
 _SCIPY_FREE_CHILD = """
 import sys
 import psdk.cli
@@ -140,6 +141,8 @@ for i, (command, text) in enumerate(runs):
     assert code == 0, (command, code)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, f"psdk loaded scipy: {loaded}"
+pool = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+assert not pool, f"psdk loaded a process pool: {pool}"
 """
 
 

@@ -1,6 +1,12 @@
+import contextlib
+import itertools
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -758,15 +764,45 @@ def test_dpca_retry_reselects_rows_by_the_first_pick_rule(monkeypatch, capsys):
 # worker pool and BLAS pin
 
 
-def _probe_runner(work, jobs=4):
-    """A runner whose i-th of `jobs` jobs returns `work(i)` as its records."""
+def _probe_runner(work, jobs=4, cost=lambda i: 1):
+    """A runner whose i-th of `jobs` jobs costs `cost(i)` and returns `work(i)`
+    as its records."""
 
     @experiments._runner("intrinsic_avg")
     def probe(cfg):
-        return ([experiments._Job("probe", f"probe job {i}", (i,)) for i in range(jobs)],
+        return ([experiments._Job("probe", f"probe job {i}", (i,), cost=cost(i))
+                 for i in range(jobs)],
                 lambda notes, i: work(i))
 
     return probe
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Two usable CPUs as `_run_ordered` sees them, so that a run at two
+    threads forks its workers on any host."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    prior = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, prior)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -818,6 +854,115 @@ def test_job_error_in_a_worker_process_reaches_the_caller():
 
     with pytest.raises(NotInManifoldError, match=r"^probe job 2: boom$"):
         _probe_runner(work)(_tiny_intrinsic(threads=2))
+
+
+def test_results_keep_submission_order_when_the_costliest_job_goes_first(forking):
+    """Each worker takes jobs costliest first (here the last submitted), and
+    the caller still gets them back in submission order."""
+    taken = itertools.count()  # each forked worker counts from its own copy
+    rows = _probe_runner(lambda i: [(i, os.getpid(), next(taken))], jobs=6,
+                         cost=lambda i: i)(_tiny_intrinsic(threads=2))
+    assert [i for i, _, _ in rows] == list(range(6))
+    for pid in {pid for _, pid, _ in rows}:
+        assert pid != os.getpid()
+        order = [i for i, p, _ in sorted(rows, key=lambda row: row[2]) if p == pid]
+        assert order == sorted(order, reverse=True)
+    _assert_no_children()
+
+
+def test_a_queue_longer_than_a_pipe_holds_runs_every_job(forking):
+    jobs = [experiments._Job("g", f"job {i}", (i,), cost=i % 7) for i in range(20000)]
+    with _deadline(120):
+        results = experiments._run_ordered(lambda job: job.args[0], jobs, 2)
+    assert results == list(range(20000))
+    _assert_no_children()
+
+
+def test_workers_that_all_die_fail_the_run_and_do_not_hang(forking):
+    """Every worker dies on its first job while the queue is still longer
+    than a pipe holds: the caller's write fails, and it names the jobs."""
+    caller = os.getpid()
+
+    def work(job):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    jobs = [experiments._Job("g", f"job {i}", (i,)) for i in range(20000)]
+    with _deadline(60), pytest.raises(RuntimeError, match="without returning job 0; job 1;"):
+        experiments._run_ordered(work, jobs, 2)
+    _assert_no_children()
+
+
+_ORPHAN_CHILD = """
+import time
+from psdk import experiments
+
+experiments._usable_cpus = lambda: 2
+
+
+def work(job):
+    with open("starts.log", "a") as log:
+        log.write(f"{job.args[0]}\\n")
+    time.sleep(0.5)
+
+
+experiments._run_ordered(work, [experiments._Job("g", str(i), (i,)) for i in range(8)], 2)
+"""
+
+
+def test_workers_stop_taking_jobs_once_the_caller_is_gone(tmp_path, child_env):
+    """A caller killed mid-run leaves its workers to finish the job in hand
+    and exit, not to drain the rest of the queue."""
+    log = tmp_path / "starts.log"
+    proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_CHILD], cwd=tmp_path, env=child_env)
+    try:
+        deadline = time.monotonic() + 60
+        while not log.exists() or len(log.read_text().split()) < 2:
+            assert time.monotonic() < deadline, "the workers did not start"
+            time.sleep(0.05)
+    finally:
+        proc.kill()
+        proc.wait(timeout=60)
+    time.sleep(2)  # four more jobs' time
+    assert len(log.read_text().split()) <= 4
+
+
+def test_the_first_failing_job_in_submission_order_raises(forking):
+    """Job 3 costs most, so it runs first and fails first; job 1's error is
+    the one raised, as in a serial run."""
+
+    def work(i):
+        if i in (1, 3):
+            raise NotInManifoldError(f"boom {i}")
+        return [i]
+
+    with pytest.raises(NotInManifoldError, match=r"^probe job 1: boom 1$"):
+        _probe_runner(work, cost=lambda i: i)(_tiny_intrinsic(threads=2))
+    _assert_no_children()
+
+
+def test_a_killed_worker_names_its_lost_job_and_leaves_no_child(forking):
+    caller = os.getpid()
+
+    def work(i):
+        if i == 2 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [i]
+
+    with _deadline(120), pytest.raises(
+            RuntimeError, match=r"exit codes .*-9.* without returning .*probe job 2"):
+        _probe_runner(work)(_tiny_intrinsic(threads=2))
+    _assert_no_children()
+
+
+def test_an_error_in_the_caller_kills_and_reaps_the_forked_workers(forking):
+    """An exception that reaches the waiting caller (here a timer's, as an
+    interrupt would) ends the workers mid-job at once, not after their jobs."""
+    tick = time.monotonic()
+    with pytest.raises(TimeoutError), _deadline(1):
+        _probe_runner(lambda i: time.sleep(30))(_tiny_intrinsic(threads=2))
+    assert time.monotonic() - tick < 10
+    _assert_no_children()
 
 
 # ---------------------------------------------------------------------------
