@@ -17,6 +17,7 @@ import functools
 import itertools
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -312,15 +313,94 @@ def _run_ordered(worker, jobs, threads):
     """`worker(job)` for every job, returned in submission order.
 
     With `threads` > 1, up to `threads` worker processes share the jobs,
-    never more than the CPUs this process may use (`_workers.run_forked`).
+    never more than the CPUs this process may use (`_run_forked`).
     Otherwise, or without `os.fork`, the jobs run here, serially.
     """
     workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [worker(job) for job in jobs]
-    from ._workers import run_forked  # here, so that a serial run never compiles it
+    return _run_forked(worker, jobs, workers)
 
-    return run_forked(worker, jobs, workers)
+
+def _run_forked(worker, jobs, workers):
+    """`_run_ordered` on `workers` forked processes (`_serve`), which take
+    the job indices from one pipe, costliest `job.cost` first. Fork, as the
+    worker is a closure over the plan's state; only its results and errors
+    must pickle. This process waits and reaps every worker on every path,
+    killing them first when it unwinds on an exception. The first failing
+    job in submission order raises its error; jobs lost with a worker raise
+    RuntimeError naming them."""
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i].cost)
+    queue = memoryview(b"".join(i.to_bytes(4, "little") for i in order))
+    queue_r, queue_w = os.pipe()
+    held, outs, pids, parent = {queue_r, queue_w}, [], [], os.getpid()
+
+    def close(fd):
+        held.remove(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            held.update((out_r, out_w))
+            if (pid := os.fork()) == 0:
+                _serve(worker, jobs, queue_r, out_w, parent, held - {queue_r, out_w})
+            pids.append(pid)
+            outs.append(out_r)
+            close(out_w)
+        close(queue_r)  # with no worker left, the write fails, not blocks
+        with contextlib.suppress(BrokenPipeError):
+            while queue:
+                queue = queue[os.write(queue_w, queue):]
+        close(queue_w)
+        outputs = [open(fd, "rb", closefd=False).read() for fd in outs]
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL, with no import of signal and its enums
+        raise
+    finally:
+        for fd in held:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = {}
+    for output, code in zip(outputs, codes):
+        if code == 0:  # a worker has written its results whole
+            results.update(pickle.loads(output))
+    if lost := [job.where for i, job in enumerate(jobs) if i not in results]:
+        raise RuntimeError(f"worker processes ended (exit codes {codes}) without "
+                           f"returning {'; '.join(lost)}")
+    ordered = [pickle.loads(results[i]) for i in range(len(jobs))]
+    for ok, value in ordered:
+        if not ok:
+            raise value
+    return [value for _, value in ordered]
+
+
+def _serve(worker, jobs, queue, out, parent, inherited):
+    """A forked worker: close the `inherited` descriptors, run the job whose
+    index comes next from `queue` while `parent` lives, then write each
+    job's pickled (ok, result or error), by index, to `out` and `os._exit`.
+    A result or error that does not pickle is sent as a RuntimeError."""
+    code, results = 1, {}
+    try:
+        for fd in inherited:
+            os.close(fd)
+        while os.getppid() == parent and (index := os.read(queue, 4)):
+            index = int.from_bytes(index, "little")
+            try:
+                pair = True, worker(jobs[index])
+            except Exception as err:  # noqa: BLE001 - the parent raises it
+                pair = False, err
+            try:
+                results[index] = pickle.dumps(pair)
+            except Exception as err:  # noqa: BLE001 - sent in its place
+                results[index] = pickle.dumps((False, RuntimeError(
+                    f"{jobs[index].where}: {type(err).__name__}: {err}")))
+        with open(out, "wb") as sink:
+            pickle.dump(results, sink)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @functools.cache
@@ -616,7 +696,7 @@ def run_intrinsic(cfg):
     jobs = [
         _Job(f"p={p} M={m_count}",
              f"{cfg.experiment} grid point p={p}, M={m_count}, repetition {rep}",
-             (pi, p, mi, m_count, rep), cost=m_count)
+             (pi, p, mi, m_count, rep))
         for pi, p in enumerate(p_grid)
         for mi, m_count in enumerate(cfg.M_grid)
         for rep in range(cfg.repetitions)
@@ -747,7 +827,7 @@ def run_extrinsic(cfg):
     jobs = [
         _Job(f"{sweep} sweep M={m_count} sigma_sq={s2}",
              f"{cfg.experiment} grid point M={m_count}, sigma_sq={s2}, repetition {rep}",
-             (gi, m_count, s2, rep), cost=m_count)
+             (gi, m_count, s2, rep))
         for gi, (sweep, m_count, s2) in enumerate(grid)
         for rep in range(cfg.repetitions)
     ]
@@ -815,7 +895,7 @@ def run_perturb_order(cfg):
               for lo in range(0, cfg.repetitions, step)]
     jobs = [_Job(kinds[kind],
                  f"{cfg.experiment} {kinds[kind]} repetitions {reps[0]} to {reps[-1]}",
-                 (kind, reps), len(reps), len(reps))
+                 (kind, reps), len(reps))
             for kind in (0, 1) for reps in blocks]
 
     def block(kind, reps):

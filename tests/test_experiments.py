@@ -894,6 +894,7 @@ def test_workers_that_all_die_fail_the_run_and_do_not_hang(forking):
 
 
 _ORPHAN_CHILD = """
+import os
 import time
 from psdk import experiments
 
@@ -902,29 +903,52 @@ experiments._usable_cpus = lambda: 2
 
 def work(job):
     with open("starts.log", "a") as log:
-        log.write(f"{job.args[0]}\\n")
-    time.sleep(0.5)
+        log.write(f"{os.getpid()} {job.args[0]}\\n")
+    deadline = time.monotonic() + 120
+    while not os.path.exists("go") and time.monotonic() < deadline:
+        time.sleep(0.01)
 
 
 experiments._run_ordered(work, [experiments._Job("g", str(i), (i,)) for i in range(8)], 2)
 """
 
 
+def _wait_gone(pid, deadline):
+    """Wait until process `pid` has exited, reaping it if it became this
+    process's child (as orphans do where this process is a subreaper)."""
+    while True:
+        try:
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                return
+        except ChildProcessError:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return
+        assert time.monotonic() < deadline, f"process {pid} is still running"
+        time.sleep(0.02)
+
+
 def test_workers_stop_taking_jobs_once_the_caller_is_gone(tmp_path, child_env):
     """A caller killed mid-run leaves its workers to finish the job in hand
-    and exit, not to drain the rest of the queue."""
+    and exit, not to drain the rest of the queue. Each job waits for the
+    test's "go" file, so the caller dies while both workers are in a job."""
     log = tmp_path / "starts.log"
+    deadline = time.monotonic() + 60
     proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_CHILD], cwd=tmp_path, env=child_env)
     try:
-        deadline = time.monotonic() + 60
-        while not log.exists() or len(log.read_text().split()) < 2:
+        while not log.exists() or len(log.read_text().splitlines()) < 2:
             assert time.monotonic() < deadline, "the workers did not start"
-            time.sleep(0.05)
+            time.sleep(0.02)
     finally:
         proc.kill()
         proc.wait(timeout=60)
-    time.sleep(2)  # four more jobs' time
-    assert len(log.read_text().split()) <= 4
+        (tmp_path / "go").touch()
+    starts = log.read_text().splitlines()
+    for pid in {int(line.split()[0]) for line in starts}:
+        _wait_gone(pid, deadline)
+    assert sorted(log.read_text().splitlines()) == sorted(starts)
+    assert len(starts) == 2
 
 
 def test_the_first_failing_job_in_submission_order_raises(forking):
@@ -952,6 +976,14 @@ def test_a_killed_worker_names_its_lost_job_and_leaves_no_child(forking):
     with _deadline(120), pytest.raises(
             RuntimeError, match=r"exit codes .*-9.* without returning .*probe job 2"):
         _probe_runner(work)(_tiny_intrinsic(threads=2))
+    _assert_no_children()
+
+
+def test_a_result_that_does_not_pickle_names_its_job(forking):
+    """The worker sends a RuntimeError naming the job in place of its
+    records, so the run does not fail as a lost worker."""
+    with pytest.raises(RuntimeError, match=r"^probe job 2: \w+: .*pickle"):
+        _probe_runner(lambda i: [lambda: i] if i == 2 else [i])(_tiny_intrinsic(threads=2))
     _assert_no_children()
 
 
